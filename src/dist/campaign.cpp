@@ -159,11 +159,16 @@ Calibration calibrate(const DistConfig& cfg, const CampaignOptions& options) {
   ABFTC_CHECK(blob.has_value(), "clean run left no restorable snapshot");
 
   // check_s: one full residual sweep over the final state.
+  // The result is kept and checked, so the timed sweep cannot be optimized
+  // away; the check also asserts that the calibration run was clean.
   t0 = Clock::now();
-  (void)final_residual(clean.lu(), clean.active_cs(), clean.frozen_cs(),
-                       clean.weighted_active_cs(), clean.weighted_frozen_cs(),
-                       cfg.nb, cfg.group);
+  const double residual = final_residual(
+      clean.lu(), clean.active_cs(), clean.frozen_cs(),
+      clean.weighted_active_cs(), clean.weighted_frozen_cs(), cfg.nb,
+      cfg.group);
   calib.check_s = seconds_since(t0);
+  ABFTC_CHECK(residual <= kDetectFloor,
+              "calibration run ended above the detection floor");
 
   // locate_s: one weighted/unweighted localization sweep (same state).
   t0 = Clock::now();

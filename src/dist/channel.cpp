@@ -1,12 +1,15 @@
 #include "dist/channel.hpp"
 
+#include <linux/futex.h>
 #include <sys/mman.h>
+#include <sys/syscall.h>
 #include <time.h>
 #include <unistd.h>
 
-#include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <string>
 
@@ -14,6 +17,20 @@
 #include "common/error.hpp"
 
 namespace abftc::dist {
+
+namespace {
+
+/// The futex word of a mailbox: the low 32 bits of `seq`. Waiters sleep
+/// while it still equals the low half of their cursor; every post changes
+/// it. Shared (no FUTEX_PRIVATE_FLAG): the mailbox lives in a MAP_SHARED
+/// arena and the two sides are different processes after fork().
+std::uint32_t* futex_word(Mailbox& mb) noexcept {
+  static_assert(sizeof(std::atomic<std::uint64_t>) == sizeof(std::uint64_t));
+  constexpr std::size_t low = std::endian::native == std::endian::big ? 1 : 0;
+  return reinterpret_cast<std::uint32_t*>(&mb.seq) + low;
+}
+
+}  // namespace
 
 SharedRegion::SharedRegion(std::size_t bytes) {
   ABFTC_REQUIRE(bytes > 0, "shared region must not be empty");
@@ -53,6 +70,8 @@ void post(Mailbox& mb, MsgType type, std::uint64_t a0, std::uint64_t a1,
   // before this line leaves the old seq — the torn payload stays invisible.
   mb.seq.store(mb.seq.load(std::memory_order_relaxed) + 1,
                std::memory_order_release);
+  ::syscall(SYS_futex, futex_word(mb), FUTEX_WAKE, INT_MAX, nullptr, nullptr,
+            0);
 }
 
 std::optional<Message> try_recv(Mailbox& mb, std::uint64_t& last_seen) {
@@ -72,18 +91,21 @@ std::optional<Message> recv(Mailbox& mb, std::uint64_t& last_seen,
                             double timeout_s) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(timeout_s);
-  // Capped exponential backoff: the first probes stay 50 µs apart so a
-  // just-posted frame (or a rank death) is noticed far below a block step,
-  // but a long wait — checkpoint boundary, a hang cell sitting out its
-  // deadline — decays to 1 ms naps instead of burning a core.
-  long nap_ns = 50'000;
-  constexpr long kNapCapNs = 1'000'000;
   while (true) {
     if (auto msg = try_recv(mb, last_seen)) return msg;
-    if (std::chrono::steady_clock::now() >= deadline) return std::nullopt;
-    timespec nap{0, nap_ns};
-    ::nanosleep(&nap, nullptr);
-    nap_ns = std::min(nap_ns * 2, kNapCapNs);
+    const auto left = deadline - std::chrono::steady_clock::now();
+    if (left <= std::chrono::steady_clock::duration::zero())
+      return std::nullopt;
+    const auto ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(left).count();
+    timespec timeout{static_cast<time_t>(ns / 1'000'000'000),
+                     static_cast<long>(ns % 1'000'000'000)};
+    // The kernel re-reads the word under its own lock before sleeping, so a
+    // post that lands after try_recv above makes this return at once
+    // (EAGAIN) instead of missing the wake. EINTR, EAGAIN, ETIMEDOUT and
+    // spurious wakes all fall through to the re-check.
+    ::syscall(SYS_futex, futex_word(mb), FUTEX_WAIT,
+              static_cast<std::uint32_t>(last_seen), &timeout, nullptr, 0);
   }
 }
 

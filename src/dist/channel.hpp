@@ -12,13 +12,15 @@
 /// and waits for the matching response before posting the next — so one
 /// slot suffices and there is no queue to corrupt. Framing:
 ///
-///   sender:   write {type, args, crc}, then release-store seq+1
-///   receiver: acquire-poll seq until it advances, read the payload,
-///             recompute the CRC over {type, args} and reject mismatches
+///   sender:   write {type, args, crc}, release-store seq+1, FUTEX_WAKE
+///   receiver: acquire-load seq; if it has not advanced, FUTEX_WAIT on its
+///             low 32 bits; read the payload, recompute the CRC over
+///             {type, args} and reject mismatches
 ///
 /// A SIGKILLed worker can leave a half-written payload behind, but only
 /// with seq un-bumped (the store is last) — the coordinator never reads it;
-/// it times out, reaps the corpse via waitpid, and runs recovery instead.
+/// it sees the rank's death on the ready pipe (launcher.hpp), reaps the
+/// corpse via waitpid, and runs recovery instead.
 
 #include <atomic>
 #include <cstddef>
@@ -86,7 +88,9 @@ static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
 [[nodiscard]] std::uint32_t frame_crc(MsgType type,
                                       const std::uint64_t (&args)[4]);
 
-/// Publish one frame: payload first, seq bump (release) last.
+/// Publish one frame: payload first, seq bump (release) last, then wake any
+/// receiver asleep in `recv` (a shared futex, so it reaches other processes
+/// mapping the same arena).
 void post(Mailbox& mb, MsgType type, std::uint64_t a0 = 0, std::uint64_t a1 = 0,
           std::uint64_t a2 = 0, std::uint64_t a3 = 0);
 
@@ -96,10 +100,9 @@ void post(Mailbox& mb, MsgType type, std::uint64_t a0 = 0, std::uint64_t a1 = 0,
 [[nodiscard]] std::optional<Message> try_recv(Mailbox& mb,
                                               std::uint64_t& last_seen);
 
-/// Blocking receive with deadline: acquire-poll with capped exponential
-/// backoff between probes (50 µs doubling to 1 ms — fresh frames and rank
-/// deaths are still noticed far below a block step, while long waits stop
-/// burning a core). nullopt on timeout.
+/// Blocking receive with deadline: sleeps in FUTEX_WAIT on the low 32 bits
+/// of `mb.seq` until `post` wakes it, so a frame is seen within one
+/// scheduler wake-up and an idle receiver burns no CPU. nullopt on timeout.
 [[nodiscard]] std::optional<Message> recv(Mailbox& mb,
                                           std::uint64_t& last_seen,
                                           double timeout_s);

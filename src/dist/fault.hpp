@@ -22,8 +22,8 @@
 ///   torn — the checkpoint covering step k is torn in storage (committed
 ///          but corrupt), and the victim is then SIGKILLed at step k, so
 ///          the restore path must fall back past the torn snapshot.
-///   hang — SIGSTOP the victim mid-step: alive but silent, so
-///          waitpid(WNOHANG) never fires and only the coordinator's
+///   hang — SIGSTOP the victim mid-step: alive but silent, so its
+///          ready pipe never hangs up and only the coordinator's
 ///          response deadline can tell livelock from death. Recovery:
 ///          SIGKILL at the deadline, then the death path (restore +
 ///          respawn + replay).

@@ -1,11 +1,13 @@
 #include "dist/launcher.hpp"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -28,6 +30,14 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// Empty a non-blocking doorbell pipe. Every wake drains it fully, so the
+/// 64 KiB pipe never fills and a ringing worker never blocks in write().
+void drain(int fd) {
+  char buf[64];
+  while (::read(fd, buf, sizeof(buf)) > 0) {
+  }
+}
+
 std::uint32_t payload_crc(const void* data, std::size_t bytes) {
   return common::crc32(std::span<const std::byte>(
       static_cast<const std::byte*>(data), bytes));
@@ -40,10 +50,6 @@ constexpr ckpt::RegionId kRegionActive = 2;
 constexpr ckpt::RegionId kRegionFrozen = 3;
 constexpr ckpt::RegionId kRegionWActive = 4;
 constexpr ckpt::RegionId kRegionWFrozen = 5;
-
-/// A residual above this is corruption (the clean-run noise is orders of
-/// magnitude below at the shapes the runtime handles).
-constexpr double kDetectFloor = 1e-8;
 
 /// Minimum post-flip |Δ| the injector accepts: 10⁴× the detection floor, so
 /// a chosen site *provably* clears it instead of hoping the element was big.
@@ -61,7 +67,9 @@ constexpr double kFlipMagnitudeCap = 1e300;
 
 struct Launcher::Rank {
   pid_t pid = -1;
-  int ready_fd = -1;  ///< read end of the ready pipe (POLLHUP = dead)
+  /// Read end of the ready pipe, non-blocking after the handshake: one
+  /// byte per Done (POLLIN), POLLHUP once the rank is dead.
+  int ready_fd = -1;
   std::uint64_t rsp_seen = 0;
 };
 
@@ -99,6 +107,7 @@ void Launcher::reap_all() noexcept {
 void Launcher::spawn(std::size_t r) {
   int fds[2];
   if (::pipe(fds) != 0) throw dist_error("pipe() for ready handshake failed");
+  const pid_t coordinator = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(fds[0]);
@@ -107,7 +116,7 @@ void Launcher::spawn(std::size_t r) {
   }
   if (pid == 0) {
     ::close(fds[0]);
-    worker_main(arena_->data(), layout_, r, fds[1]);  // never returns
+    worker_main(arena_->data(), layout_, r, fds[1], coordinator);  // no return
   }
   ::close(fds[1]);
   // Wait for the one-byte ready handshake; a child that dies before serving
@@ -115,7 +124,8 @@ void Launcher::spawn(std::size_t r) {
   pollfd pfd{fds[0], POLLIN, 0};
   const int rc = ::poll(&pfd, 1, 10'000);
   char byte = 0;
-  if (rc <= 0 || ::read(fds[0], &byte, 1) != 1) {
+  if (rc <= 0 || ::read(fds[0], &byte, 1) != 1 ||
+      ::fcntl(fds[0], F_SETFL, O_NONBLOCK) != 0) {
     ::close(fds[0]);
     ::kill(pid, SIGKILL);
     int status = 0;
@@ -130,47 +140,57 @@ void Launcher::spawn(std::size_t r) {
 
 bool Launcher::await_done(std::size_t r, std::size_t k, RunReport& report) {
   Rank& rank = ranks_[r];
+  if (rank.pid <= 0) return false;  // already known dead (killed before)
   const auto t0 = Clock::now();
-  long nap_ns = 50'000;  // capped exponential backoff, 50 µs → 1 ms
+  const auto deadline =
+      t0 + std::chrono::duration_cast<Clock::duration>(
+               std::chrono::duration<double>(cfg_.step_timeout_s));
+  const auto bury = [&] {
+    int status = 0;
+    ::waitpid(rank.pid, &status, 0);
+    rank.pid = -1;
+    ::close(rank.ready_fd);
+    rank.ready_fd = -1;
+  };
+  bool hung_up = false;
   while (true) {
-    if (rank.pid > 0) {
-      if (auto msg = try_recv(shared_.rsp[r], rank.rsp_seen)) {
-        if (msg->type != MsgType::Done || msg->args[0] != k)
-          throw dist_error("rank " + std::to_string(r) +
-                           " answered out of protocol at step " +
-                           std::to_string(k));
-        return true;
-      }
-      int status = 0;
-      const pid_t reaped = ::waitpid(rank.pid, &status, WNOHANG);
-      if (reaped == rank.pid) {  // rank died mid-step
-        rank.pid = -1;
-        ::close(rank.ready_fd);
-        rank.ready_fd = -1;
-        return false;
-      }
-    } else {
-      return false;  // already known dead (killed before this wait)
+    // A Done posted just before the rank died still counts, so the frame
+    // is checked before the hang-up.
+    if (auto msg = try_recv(shared_.rsp[r], rank.rsp_seen)) {
+      if (msg->type != MsgType::Done || msg->args[0] != k)
+        throw dist_error("rank " + std::to_string(r) +
+                         " answered out of protocol at step " +
+                         std::to_string(k));
+      return true;
     }
-    if (seconds_since(t0) > cfg_.step_timeout_s) {
-      // Deadline with the rank still alive: waitpid(WNOHANG) above ruled
-      // out death, so it is hung — SIGSTOPped, livelocked, or wedged. That
-      // distinction (livelock vs death) is worth a separate counter; the
-      // remedy is the same: SIGKILL (which stopped processes do honor) and
-      // let the death path recover.
+    if (hung_up) {  // every write end closed and no frame: the rank died
+      bury();
+      return false;
+    }
+    const auto left = deadline - Clock::now();
+    if (left <= Clock::duration::zero()) {
+      // Deadline with the pipe still open: the rank is alive but silent —
+      // SIGSTOPped, livelocked, or wedged. That distinction (livelock vs
+      // death) is worth a separate counter; the remedy is the same: SIGKILL
+      // (which stopped processes do honor) and let the death path recover.
       ++report.hangs;
       report.hang_wait_seconds += seconds_since(t0);
       ::kill(rank.pid, SIGKILL);
-      int status = 0;
-      ::waitpid(rank.pid, &status, 0);
-      rank.pid = -1;
-      ::close(rank.ready_fd);
-      rank.ready_fd = -1;
+      bury();
       return false;
     }
-    timespec nap{0, nap_ns};
-    ::nanosleep(&nap, nullptr);
-    nap_ns = std::min(nap_ns * 2, 1'000'000L);
+    const auto ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(left).count();
+    const timespec timeout{static_cast<time_t>(ns / 1'000'000'000),
+                           static_cast<long>(ns % 1'000'000'000)};
+    pollfd pfd{rank.ready_fd, POLLIN, 0};
+    const int rc = ::ppoll(&pfd, 1, &timeout, nullptr);
+    if (rc < 0 && errno != EINTR)
+      throw dist_error("ppoll on rank " + std::to_string(r) +
+                       "'s ready pipe failed");
+    if (rc <= 0) continue;  // timeout or signal: re-check, then deadline
+    if ((pfd.revents & POLLIN) != 0) drain(rank.ready_fd);
+    hung_up = (pfd.revents & (POLLHUP | POLLERR)) != 0;
   }
 }
 
@@ -510,8 +530,11 @@ void Launcher::inject_flip(const Injection& inj, std::uint64_t seed,
       const std::size_t ec = rng.below(cfg_.nb);
       const std::size_t bit = 52 + rng.below(11);
       const std::size_t row = bi * cfg_.nb + er, col = bj * cfg_.nb + ec;
-      if (avoid != nullptr && avoid->row == row && avoid->col == col)
-        continue;  // flip2 needs two distinct (er, ec) slots
+      // flip2 needs two distinct residual slots. Both flips share the
+      // checksum group and block column, so one slot is one (er, col): two
+      // flips there leave a single combined residual that names no site.
+      if (avoid != nullptr && avoid->row % cfg_.nb == er && avoid->col == col)
+        continue;
       double& victim = a(row, col);
       const double value = victim;
       if (!std::isfinite(value) || value == 0.0) continue;
@@ -627,7 +650,7 @@ RunReport Launcher::run(const std::vector<Injection>& faults) {
     post(shared_.cmd[owner], MsgType::Panel, k);
     if (inj != nullptr && inj->kind == FaultKind::Hang) {
       // Hang/livelock: the victim stays alive but stops making progress
-      // mid-step. waitpid(WNOHANG) never reaps it — only the response
+      // mid-step. Its ready pipe never hangs up — only the response
       // deadline can tell, which is exactly what this cell exercises.
       ::kill(ranks_[inj->rank].pid, SIGSTOP);
     } else if (inj != nullptr && inj->kind != FaultKind::Flip &&

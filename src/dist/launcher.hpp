@@ -9,12 +9,13 @@
 /// faults. Recovery composes the repo's two protection mechanisms exactly
 /// as the paper's composite strategy prescribes:
 ///
-///   process death (kill/torn) → reap via waitpid, restore the newest
-///     restorable snapshot (ckpt::io::latest_restorable — skips torn
-///     writes) into the arena, respawn the dead rank, replay the lost
-///     steps. Workers are stateless between commands, so survivors need no
-///     handling at all. If storage holds nothing restorable the run falls
-///     back to its in-memory initial image (restart from step 0).
+///   process death (kill/torn) → seen as POLLHUP on the rank's ready
+///     pipe and reaped via waitpid; restore the newest restorable snapshot
+///     (ckpt::io::latest_restorable — skips torn writes) into the arena,
+///     respawn the dead rank, replay the lost steps. Workers are stateless
+///     between commands, so survivors need no handling at all. If storage
+///     holds nothing restorable the run falls back to its in-memory initial
+///     image (restart from step 0).
 ///
 ///   silent data corruption (flip/flip2) → the checksum-invariant residual
 ///     detects it at a step boundary; the poisoned element is then
@@ -35,16 +36,17 @@
 ///     attributes cost to the rung actually taken.
 ///
 ///   hang/livelock (hang) → SIGSTOP leaves the victim alive but silent;
-///     waitpid(WNOHANG) never reaps it, so only the response deadline
+///     its ready pipe never hangs up, so only the response deadline
 ///     fires: the coordinator counts a hang, SIGKILLs the stopped process
 ///     (which works on stopped processes), and recovers via the death path.
 ///
-/// Death detection is a poll loop: each response-wait probe checks the
-/// worker's mailbox, then waitpid(WNOHANG), then naps with capped
-/// exponential backoff (50 µs → 1 ms) — a corpse is noticed within a
-/// fraction of a block step while hang cells sitting out their deadline
-/// don't burn a core. The ready pipe written at spawn doubles as a
-/// liveness handle (POLLHUP on death).
+/// Waiting is event-driven on both sides. A worker sleeps in FUTEX_WAIT on
+/// its command mailbox's seq word and `post` wakes it. The coordinator
+/// sleeps in one ppoll on the rank's ready pipe, with the remaining step
+/// deadline as the timeout; the worker rings one byte there after every
+/// Done post. POLLIN means a frame is there (drain the pipe, read the
+/// mailbox); POLLHUP with no frame means the rank died (waitpid, death
+/// path); the timeout means it hung (SIGKILL, `hangs`, death path).
 
 #include <cstdint>
 #include <limits>
@@ -57,6 +59,10 @@
 #include "dist/worker.hpp"
 
 namespace abftc::dist {
+
+/// A checksum residual above this is corruption (the clean-run noise is
+/// orders of magnitude below at the shapes the runtime handles).
+inline constexpr double kDetectFloor = 1e-8;
 
 struct DistConfig {
   std::size_t n = 96;          ///< matrix dimension

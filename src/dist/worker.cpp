@@ -1,5 +1,7 @@
 #include "dist/worker.hpp"
 
+#include <signal.h>
+#include <sys/prctl.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -140,7 +142,17 @@ void update_phase(const SharedState& s, std::size_t rank, std::size_t k) {
 }
 
 void worker_main(void* arena, const DistLayout& lay, std::size_t rank,
-                 int ready_fd) {
+                 int ready_fd, pid_t coordinator) {
+  // Die with the coordinator. A rank idles in FUTEX_WAIT for up to its
+  // hour-long recv deadline, so an orphan would otherwise outlive a killed
+  // campaign by that long. The getppid() check closes the window in which
+  // the coordinator died before the prctl: the rank was already reparented
+  // and the death signal will never come. The signal follows the forking
+  // thread, not the process; Launcher forks and reaps every rank inside one
+  // run() call, so that thread always outlives its ranks.
+  if (::prctl(PR_SET_PDEATHSIG, SIGKILL) != 0 || ::getppid() != coordinator)
+    ::_exit(100);
+
   // One inline thread, always: the forked child inherits only the calling
   // thread, so the parent's executor pool (and any mutex a pool thread held
   // at fork time) must never be touched. parallel_for with threads <= 1
@@ -165,9 +177,17 @@ void worker_main(void* arena, const DistLayout& lay, std::size_t rank,
 
   // Ready handshake: one byte tells the coordinator this rank is serving.
   // The fd stays open for the worker's lifetime — the coordinator sees
-  // POLLHUP on it the instant this process dies, however it dies.
-  const char ready = 1;
-  if (::write(ready_fd, &ready, 1) != 1) ::_exit(102);
+  // POLLHUP on it the instant this process dies, however it dies. The same
+  // byte rings after every Done, waking the coordinator's ppoll.
+  const char bell = 1;
+  const auto ring = [&] {
+    if (::write(ready_fd, &bell, 1) != 1) ::_exit(102);
+  };
+  const auto answer = [&](std::uint64_t k) {
+    post(s.rsp[rank], MsgType::Done, k);
+    ring();
+  };
+  ring();
   while (true) {
     std::optional<Message> msg;
     try {
@@ -180,14 +200,14 @@ void worker_main(void* arena, const DistLayout& lay, std::size_t rank,
     switch (msg->type) {
       case MsgType::Panel:
         panel_phase(s, static_cast<std::size_t>(msg->args[0]));
-        post(s.rsp[rank], MsgType::Done, msg->args[0]);
+        answer(msg->args[0]);
         break;
       case MsgType::Update:
         update_phase(s, rank, static_cast<std::size_t>(msg->args[0]));
-        post(s.rsp[rank], MsgType::Done, msg->args[0]);
+        answer(msg->args[0]);
         break;
       case MsgType::Shutdown:
-        post(s.rsp[rank], MsgType::Done, msg->args[0]);
+        answer(msg->args[0]);
         ::_exit(0);
       default:
         ::_exit(104);

@@ -38,6 +38,8 @@
 /// rank's owned columns, and the active accumulator's column block k is
 /// read-only during Update.
 
+#include <sys/types.h>
+
 #include <cstddef>
 #include <cstdint>
 
@@ -125,12 +127,16 @@ void panel_phase(const SharedState& s, std::size_t k);
 /// panel phase of step k to have completed.
 void update_phase(const SharedState& s, std::size_t rank, std::size_t k);
 
-/// Child-process entry point: pins the kernel policy to one inline thread
-/// (a forked child must never touch the parent's executor pool), signals
-/// readiness with one byte on `ready_fd`, then serves Panel/Update commands
-/// from its mailbox until Shutdown. Exits via _exit — never returns, never
-/// runs parent-inherited atexit handlers or flushes parent stdio buffers.
+/// Child-process entry point: arms PR_SET_PDEATHSIG so the rank dies with
+/// `coordinator` (the pid that forked it), pins the kernel policy to one
+/// inline thread (a forked child must never touch the parent's executor
+/// pool), signals readiness with one byte on `ready_fd`, then serves
+/// Panel/Update commands from its mailbox until Shutdown, ringing one more
+/// byte on `ready_fd` after every Done. Exits via _exit — never returns,
+/// never runs parent-inherited atexit handlers or flushes parent stdio
+/// buffers.
 [[noreturn]] void worker_main(void* arena, const DistLayout& lay,
-                              std::size_t rank, int ready_fd);
+                              std::size_t rank, int ready_fd,
+                              pid_t coordinator);
 
 }  // namespace abftc::dist

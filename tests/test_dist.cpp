@@ -1,18 +1,26 @@
 // Tests for the distributed fault-injection runtime: mailbox framing
-// (seq/CRC protocol), campaign enumeration and deterministic sharding, the
-// FaultingBackend write decorator, and the forked Launcher end to end —
-// clean runs vs the serial AbftLu reference, SIGKILL + respawn + restore
-// replay determinism, bit-flip reconstruction, torn-checkpoint fallback,
+// (seq/CRC protocol) and its futex wake-up, campaign enumeration and
+// deterministic sharding, the FaultingBackend write decorator, and the
+// forked Launcher end to end — clean runs vs the serial AbftLu reference,
+// SIGKILL + respawn + restore replay determinism, bit-flip reconstruction,
+// torn-checkpoint fallback, death/hang detection latency, orphaned ranks,
 // and a mini campaign in which every cell recovers.
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <optional>
 #include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -91,9 +99,59 @@ TEST(Mailbox, DelayedPostIsReceivedWellBeforeDeadline) {
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->type, MsgType::Done);
   EXPECT_EQ(msg->args[0], 9u);
-  // The poll backoff caps at 1 ms, so a frame posted ~20 ms in is noticed
-  // within a few naps — nowhere near the 5 s deadline.
+  // The post's futex wake ends the receiver's sleep, so a frame posted
+  // ~20 ms in is seen at once — nowhere near the 5 s deadline.
   EXPECT_LT(waited, 1.0);
+}
+
+TEST(Mailbox, IdleReceiverInAnotherProcessWakesPromptly) {
+  // A forked echo rank idles in recv between frames, the way a worker waits
+  // out a checkpoint boundary; each post must wake it directly instead of
+  // at its next poll.
+  SharedRegion region(2 * sizeof(Mailbox));
+  auto* boxes = static_cast<Mailbox*>(region.data());
+  reset(boxes[0]);
+  reset(boxes[1]);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    try {
+      std::uint64_t seen = 0;
+      while (true) {
+        const auto msg = recv(boxes[0], seen, 30.0);
+        if (!msg) ::_exit(1);
+        post(boxes[1], MsgType::Done, msg->args[0]);
+        if (msg->type == MsgType::Shutdown) ::_exit(0);
+      }
+    } catch (...) {
+      ::_exit(2);
+    }
+  }
+
+  std::vector<double> latency;
+  std::uint64_t seen = 0;
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const auto t0 = std::chrono::steady_clock::now();
+    post(boxes[0], MsgType::Update, i);
+    const auto reply = recv(boxes[1], seen, 5.0);
+    latency.push_back(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count());
+    EXPECT_TRUE(reply.has_value() && reply->args[0] == i) << "trial " << i;
+    if (!reply) break;
+  }
+  post(boxes[0], MsgType::Shutdown);
+  (void)recv(boxes[1], seen, 5.0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+
+  ASSERT_EQ(latency.size(), 20u);
+  std::nth_element(latency.begin(), latency.begin() + 10, latency.end());
+  // One post→reply round trip is two futex wakes; a sleep-poll receiver
+  // would sit at its nap length here instead.
+  EXPECT_LT(latency[10], 250e-6);
 }
 
 // --- campaign enumeration ---------------------------------------------------
@@ -491,6 +549,156 @@ TEST(DistLauncher, HangIsKilledAtTheDeadlineAndRecovered) {
   EXPECT_EQ(abft::max_abs_diff(injected.lu(), clean.lu()), 0.0);
 }
 
+TEST(DistLauncher, DeathIsSeenWithoutWaitingForTheDeadline) {
+  DistConfig cfg = small_config();
+  cfg.step_timeout_s = 10.0;
+  const auto backend = ckpt::io::make_backend("memory");
+  Launcher launcher(cfg, *backend);
+  const auto t0 = std::chrono::steady_clock::now();
+  const RunReport report = launcher.run({{FaultKind::Kill, 3, 1}});
+  const double took =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+
+  // The corpse hangs up its ready pipe, which ends the coordinator's wait
+  // at once: the 10 s step deadline never comes into play.
+  EXPECT_TRUE(report.completed);
+  EXPECT_EQ(report.hangs, 0u);
+  EXPECT_EQ(report.respawns, 1u);
+  EXPECT_LT(took, 1.0);
+}
+
+TEST(DistLauncher, HangIsCaughtAtItsDeadlineAndNoLater) {
+  DistConfig cfg = small_config();
+  cfg.step_timeout_s = 0.2;
+  const auto backend = ckpt::io::make_backend("memory");
+  Launcher launcher(cfg, *backend);
+  const RunReport report = launcher.run({{FaultKind::Hang, 3, 1}});
+
+  // The stopped rank keeps its pipe open, so only the deadline ends the
+  // wait — one ppoll timeout, not a poll loop overshooting it.
+  EXPECT_TRUE(report.completed);
+  EXPECT_EQ(report.hangs, 1u);
+  EXPECT_GE(report.hang_wait_seconds, 0.2);
+  EXPECT_LT(report.hang_wait_seconds, 0.3);
+  EXPECT_LT(report.residual, 1e-8);
+}
+
+/// Scheduler state letter ('R', 'S', 'T', 'Z', ...) and parent pid of a
+/// process, from /proc/<pid>/stat; nullopt once the process is gone.
+struct ProcStat {
+  char state = 0;
+  pid_t ppid = 0;
+};
+std::optional<ProcStat> proc_stat(pid_t pid) {
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  std::string line;
+  if (!std::getline(stat, line)) return std::nullopt;
+  // "pid (comm) state ppid ..." — comm may hold spaces; parse past ')'.
+  const auto close = line.rfind(')');
+  if (close == std::string::npos) return std::nullopt;
+  std::istringstream rest(line.substr(close + 1));
+  ProcStat st;
+  if (!(rest >> st.state >> st.ppid)) return std::nullopt;
+  return st;
+}
+
+std::vector<pid_t> children_of(pid_t parent) {
+  std::vector<pid_t> kids;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc", ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.find_first_not_of("0123456789") != std::string::npos) continue;
+    const auto pid = static_cast<pid_t>(std::stol(name));
+    if (const auto st = proc_stat(pid); st && st->ppid == parent)
+      kids.push_back(pid);
+  }
+  return kids;
+}
+
+TEST(DistLauncher, RanksDieWithTheirCoordinator) {
+  // A helper process runs a launcher into a long hang wait: rank 1 is
+  // SIGSTOPped at step 0 and rank 0 idles in its mailbox wait. Killing the
+  // helper must take both ranks down instead of leaving them orphaned.
+  const pid_t helper = ::fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) {
+    try {
+      DistConfig cfg = small_config();
+      cfg.step_timeout_s = 60.0;
+      const auto backend = ckpt::io::make_backend("memory");
+      Launcher launcher(cfg, *backend);
+      (void)launcher.run({{FaultKind::Hang, 0, 1}});
+    } catch (...) {
+    }
+    ::_exit(0);
+  }
+
+  // Wait until both ranks exist and the victim is stopped.
+  std::vector<pid_t> ranks;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < give_up) {
+    ranks = children_of(helper);
+    const bool stopped = std::any_of(ranks.begin(), ranks.end(), [](pid_t p) {
+      const auto st = proc_stat(p);
+      return st && st->state == 'T';
+    });
+    if (ranks.size() == 2 && stopped) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(ranks.size(), 2u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  ::kill(helper, SIGKILL);
+  int status = 0;
+  ASSERT_EQ(::waitpid(helper, &status, 0), helper);
+
+  // A dead rank is gone or a zombie awaiting its new parent's reap.
+  const auto alive = [](pid_t p) {
+    const auto st = proc_stat(p);
+    return st && st->state != 'Z' && st->state != 'X';
+  };
+  const auto limit = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (std::chrono::steady_clock::now() < limit &&
+         std::any_of(ranks.begin(), ranks.end(), alive))
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  for (const pid_t p : ranks) {
+    EXPECT_FALSE(alive(p)) << "rank pid " << p << " outlived its coordinator";
+    if (alive(p)) ::kill(p, SIGKILL);
+  }
+}
+
+TEST(DistLauncher, Flip2SitesAreLocalizedForEveryFlipSeed) {
+  // The two flips of a flip2 cell must land in distinct residual slots
+  // (group, in-block row, column); sharing one would leave a combined
+  // residual that names neither site. Small 8×8 blocks make a shared slot
+  // a 1-in-64 draw, so an injector that allowed it would show up within
+  // these 200 seeds.
+  DistConfig cfg = small_config();
+  cfg.n = 48;
+  cfg.nb = 8;
+  cfg.blind = true;
+  const auto by_site = [](const FaultSite& a, const FaultSite& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  };
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    cfg.flip_seed = seed;
+    const std::size_t step = seed % (cfg.n / cfg.nb);
+    const std::size_t rank = (seed / 7) % cfg.ranks;
+    const auto backend = ckpt::io::make_backend("memory");
+    Launcher launcher(cfg, *backend);
+    const RunReport report = launcher.run({{FaultKind::Flip2, step, rank}});
+    ASSERT_TRUE(report.completed) << "flip_seed " << seed;
+    std::vector<FaultSite> want = report.injected, got = report.located;
+    std::sort(want.begin(), want.end(), by_site);
+    std::sort(got.begin(), got.end(), by_site);
+    EXPECT_EQ(got, want) << "flip_seed " << seed << " step " << step
+                         << " rank " << rank;
+    EXPECT_LT(report.residual, 1e-8) << "flip_seed " << seed;
+  }
+}
+
 TEST(DistLauncher, Flip2EscalatesPastReconstruction) {
   const DistConfig cfg = small_config();
   const auto clean_backend = ckpt::io::make_backend("memory");
@@ -644,6 +852,19 @@ TEST(DistCampaign, LogStorageRecoversEveryCellWithCompaction) {
                              << c.cell.step << " rank " << c.cell.rank << ")";
   EXPECT_EQ(report.unrecovered, 0u);
   std::filesystem::remove_all(store);
+}
+
+TEST(DistCampaign, CalibrationTimesItsResidualSweep) {
+  DistConfig cfg = small_config();
+  cfg.n = 192;
+  cfg.nb = 32;
+  const CampaignReport report =
+      run_campaign(cfg, CampaignSpec::parse("steps:0,ranks:0,kinds:kill"));
+  EXPECT_EQ(report.unrecovered, 0u);
+  // One sweep over 192² elements and four accumulators cannot take under a
+  // microsecond; a sweep whose result is discarded and optimized away reads
+  // tens of nanoseconds.
+  EXPECT_GT(report.calib.check_s, 1e-6);
 }
 
 TEST(DistCampaign, ShardsCoverTheCampaignExactlyOnce) {
