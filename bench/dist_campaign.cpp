@@ -100,6 +100,7 @@ void emit_json(const std::string& path, const dist::CampaignReport& report) {
     json.kv("escalations", c.escalations);
     json.kv("hangs", c.hangs);
     // Per-rung timing breakdown of the recovery this cell actually took.
+    json.kv("commit_seconds", c.commit_seconds);
     json.kv("check_seconds", c.check_seconds);
     json.kv("locate_seconds", c.locate_seconds);
     json.kv("recons_seconds", c.recons_seconds);

@@ -100,50 +100,40 @@ CkptId CkptWriter::commit(MemoryImage& image, CkptKind kind, double when,
     }
     session->commit(crcs);
   } else {
-    // The pipeline: regions flattened into fixed chunks, two staging
-    // buffers. Per chunk the caller copies then hands the buffer to the
-    // backend while a pool task CRCs it concurrently; a buffer is reused
-    // only after its CRC task resolved (the append already has: appends are
-    // synchronous on this thread).
+    // The pipeline: regions flattened into fixed chunks, each read straight
+    // from the image. Per chunk a pool task CRCs the span while the caller
+    // hands the same span to the backend. No staging copy is needed: the
+    // image is caller-owned and outlives this synchronous commit, and every
+    // backend that keeps bytes past append() copies them.
     struct Chunk {
       std::size_t region;  // index into `regions`
-      std::size_t off;
-      std::size_t len;
+      std::span<const std::byte> bytes;
     };
     std::vector<Chunk> chunks;
-    for (std::size_t r = 0; r < regions.size(); ++r)
-      for (std::size_t off = 0; off < sizes[r]; off += opts_.chunk_bytes)
+    for (std::size_t r = 0; r < regions.size(); ++r) {
+      const auto src = image.bytes(regions[r]);
+      for (std::size_t off = 0; off < src.size(); off += opts_.chunk_bytes)
         chunks.push_back(
-            {r, off,
-             std::min<std::size_t>(opts_.chunk_bytes, sizes[r] - off)});
+            {r, src.subspan(off, std::min(opts_.chunk_bytes,
+                                          src.size() - off))});
+    }
 
-    std::vector<std::byte> bufs[2] = {
-        std::vector<std::byte>(opts_.chunk_bytes),
-        std::vector<std::byte>(opts_.chunk_bytes)};
     std::vector<std::future<std::uint32_t>> futs(chunks.size());
     std::vector<std::uint32_t> chunk_crcs(chunks.size());
     common::Executor& ex = executor();
 
-    // Outstanding CRC tasks read the staging buffers; never unwind past
-    // them.
+    // Outstanding CRC tasks read the image; never unwind past them.
     const auto drain = [&] {
       for (auto& f : futs)
         if (f.valid()) f.wait();
     };
     try {
       for (std::size_t i = 0; i < chunks.size(); ++i) {
-        auto& buf = bufs[i % 2];
-        if (i >= 2) chunk_crcs[i - 2] = futs[i - 2].get();  // buffer free
-        const Chunk& c = chunks[i];
-        const auto src = image.bytes(regions[c.region]);
-        std::memcpy(buf.data(), src.data() + c.off, c.len);
-        futs[i] = ex.submit([p = buf.data(), len = c.len] {
-          return common::crc32(std::span(p, len));
-        });
-        session->append(std::span(buf.data(), c.len));
+        futs[i] = ex.submit(
+            [bytes = chunks[i].bytes] { return common::crc32(bytes); });
+        session->append(chunks[i].bytes);
       }
-      for (std::size_t i = chunks.size() >= 2 ? chunks.size() - 2 : 0;
-           i < chunks.size(); ++i)
+      for (std::size_t i = 0; i < chunks.size(); ++i)
         chunk_crcs[i] = futs[i].get();
     } catch (...) {
       drain();
@@ -153,7 +143,7 @@ CkptId CkptWriter::commit(MemoryImage& image, CkptKind kind, double when,
     // Fold the chunk CRCs per region, in chunk order.
     std::vector<common::Crc32Chunks> folds(regions.size());
     for (std::size_t i = 0; i < chunks.size(); ++i)
-      folds[chunks[i].region].add(chunk_crcs[i], chunks[i].len);
+      folds[chunks[i].region].add(chunk_crcs[i], chunks[i].bytes.size());
     for (std::size_t r = 0; r < regions.size(); ++r)
       crcs[r] = folds[r].value();
     session->commit(crcs);

@@ -5,12 +5,13 @@
 /// It implements the protocol's checkpoint taxonomy (Full / Entry / Exit /
 /// Incremental, same semantics as ckpt::CheckpointStore) but persists
 /// through the backend, and pipelines the commit: each region is streamed in
-/// fixed-size chunks through two staging buffers — the caller thread copies
-/// chunk i+1 and hands chunk i to the backend while a pool task
-/// (common::Executor::submit) runs the slice-by-8 CRC of chunk i
-/// concurrently. Commit latency therefore approaches
-/// max(copy + write, crc) instead of their sum; per-region CRCs are folded
-/// from the chunk CRCs with crc32_combine, so the async path produces
+/// fixed-size chunks read straight from the image (no staging copy) — the
+/// caller thread hands chunk i to the backend while a pool task
+/// (common::Executor::submit) runs the CRC of the same chunk concurrently
+/// (common::crc32: PCLMULQDQ folding where the CPU has it, slice-by-8
+/// otherwise, same values either way). Commit latency therefore approaches
+/// max(write, crc) instead of their sum; per-region CRCs are folded from
+/// the chunk CRCs with crc32_combine, so the async path produces
 /// bit-identical snapshots to the serial copy→CRC→write reference
 /// (options.async = false, the benchmark baseline).
 ///
@@ -31,7 +32,7 @@ class Executor;  // defined in common/executor.hpp
 namespace abftc::ckpt::io {
 
 struct WriterOptions {
-  /// Pipeline granularity: staging-buffer / CRC-task size.
+  /// Pipeline granularity: CRC-task / append size.
   std::size_t chunk_bytes = 1 << 20;
   /// false: serial copy → CRC → write reference path (same bytes on disk).
   bool async = true;

@@ -1,8 +1,13 @@
 #pragma once
 /// \file crc32.hpp
 /// CRC-32 (IEEE 802.3 polynomial) used to verify checkpoint image integrity.
-/// Implemented with slicing-by-8 (eight bytes per step); identical results
-/// to the classic byte-at-a-time formulation.
+/// By default the body of every buffer of 64 bytes or more is folded with
+/// carry-less multiplies (PCLMULQDQ fold-by-4 + Barrett reduction, selected
+/// at runtime by a CPU probe, so portable builds get it too); slicing-by-8
+/// handles the tails and CPUs without PCLMULQDQ. Both paths compute the same
+/// reflected 0xEDB88320 polynomial, so every value — stored region CRCs, log
+/// record trailers, crc32_combine folds — is identical to the classic
+/// byte-at-a-time formulation; there is no mode tag to carry.
 ///
 /// Three ways to compute the same value:
 ///  * one-shot:   crc32(data)

@@ -1,7 +1,6 @@
 #include "core/monte_carlo.hpp"
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/error.hpp"
@@ -55,24 +54,26 @@ MonteCarloResult monte_carlo(Protocol p, const ScenarioParams& s,
   }
 
   const common::Rng base(opt.seed);
-  std::mutex merge_mutex;
   // Preallocated disjoint slots: replicate `rep` writes waste_sample[rep]
   // and nothing else, so the stored sample is deterministic regardless of
   // how chunks land on workers (no merge order to get wrong).
   if (opt.collect_waste_sample) out.waste_sample.resize(opt.replicates);
 
-  // Chunk replicates so each worker merges locally before taking the lock.
+  // Chunk replicates; each chunk accumulates into its own slot, and the
+  // slots are merged serially in chunk order afterwards. Welford merges are
+  // not associative in floating point, so a merge in completion order would
+  // make the statistics depend on scheduling.
   const unsigned workers = common::effective_threads(opt.threads);
   const std::size_t chunks = std::max<std::size_t>(workers * 4, 1);
   const std::size_t per_chunk = (opt.replicates + chunks - 1) / chunks;
+  std::vector<MonteCarloResult> partial(chunks);
 
   common::parallel_for(
       chunks,
       [&](std::size_t chunk) {
         const std::size_t lo = chunk * per_chunk;
         const std::size_t hi = std::min(lo + per_chunk, opt.replicates);
-        if (lo >= hi) return;
-        MonteCarloResult local;
+        MonteCarloResult& local = partial[chunk];
         for (std::size_t rep = lo; rep < hi; ++rep) {
           auto clock = make_clock(s, opt, base.split(rep));
           const SimResult r = simulate_run(s, plan, *clock);
@@ -82,13 +83,14 @@ MonteCarloResult monte_carlo(Protocol p, const ScenarioParams& s,
           local.lost_time.add(r.breakdown.lost);
           if (opt.collect_waste_sample) out.waste_sample[rep] = r.waste();
         }
-        std::lock_guard lock(merge_mutex);
-        out.waste.merge(local.waste);
-        out.t_final.merge(local.t_final);
-        out.failures.merge(local.failures);
-        out.lost_time.merge(local.lost_time);
       },
       opt.threads);
+  for (const MonteCarloResult& local : partial) {
+    out.waste.merge(local.waste);
+    out.t_final.merge(local.t_final);
+    out.failures.merge(local.failures);
+    out.lost_time.merge(local.lost_time);
+  }
   return out;
 }
 

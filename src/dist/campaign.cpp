@@ -283,6 +283,7 @@ CampaignReport run_campaign(const DistConfig& cfg, const CampaignSpec& spec,
     out.respawns = rep.respawns;
     out.escalations = rep.escalations;
     out.hangs = rep.hangs;
+    out.commit_seconds = rep.commit_seconds;
     out.check_seconds = rep.check_seconds;
     out.locate_seconds = rep.locate_seconds;
     out.recons_seconds = rep.recons_seconds;

@@ -68,9 +68,10 @@ struct CellOutcome {
   std::size_t restores = 0, reconstructions = 0, respawns = 0;
   std::size_t escalations = 0, hangs = 0;
   // Per-rung timing breakdown, so measured-vs-model attributes cost to the
-  // rung the recovery actually took.
-  double check_seconds = 0.0, locate_seconds = 0.0, recons_seconds = 0.0,
-         restore_seconds = 0.0, hang_wait_seconds = 0.0;
+  // rung the recovery actually took, plus the summed checkpoint commits.
+  double commit_seconds = 0.0, check_seconds = 0.0, locate_seconds = 0.0,
+         recons_seconds = 0.0, restore_seconds = 0.0,
+         hang_wait_seconds = 0.0;
   std::vector<FaultSite> injected;  ///< ground truth (record only)
   std::vector<FaultSite> located;   ///< derived by locate_fault()
   /// Derived sites == injected sites (as sets). Trivially true for cells

@@ -38,11 +38,6 @@ void drain(int fd) {
   }
 }
 
-std::uint32_t payload_crc(const void* data, std::size_t bytes) {
-  return common::crc32(std::span<const std::byte>(
-      static_cast<const std::byte*>(data), bytes));
-}
-
 /// Region ids of a dist snapshot.
 constexpr ckpt::RegionId kRegionProgress = 0;
 constexpr ckpt::RegionId kRegionMatrix = 1;
@@ -194,39 +189,6 @@ bool Launcher::await_done(std::size_t r, std::size_t k, RunReport& report) {
   }
 }
 
-ckpt::io::SnapshotBlob Launcher::make_blob(std::size_t step) const {
-  ckpt::io::SnapshotBlob blob;
-  blob.meta.id = static_cast<ckpt::CkptId>(step + 1);
-  blob.meta.kind = ckpt::CkptKind::Full;
-  blob.meta.when = static_cast<double>(step);
-
-  const std::uint64_t progress[2] = {step, frozen_steps_};
-  const std::size_t mat_bytes = layout_.n * layout_.n * sizeof(double);
-  const std::size_t cs_bytes = layout_.csr * layout_.n * sizeof(double);
-  const struct {
-    ckpt::RegionId id;
-    const void* src;
-    std::size_t bytes;
-  } regions[] = {
-      {kRegionProgress, progress, sizeof(progress)},
-      {kRegionMatrix, shared_.matrix, mat_bytes},
-      {kRegionActive, shared_.active, cs_bytes},
-      {kRegionFrozen, shared_.frozen, cs_bytes},
-      {kRegionWActive, shared_.wactive, cs_bytes},
-      {kRegionWFrozen, shared_.wfrozen, cs_bytes},
-  };
-  for (const auto& r : regions) {
-    ckpt::io::RegionBlob rb;
-    rb.region = r.id;
-    rb.payload.resize(r.bytes);
-    std::memcpy(rb.payload.data(), r.src, r.bytes);
-    rb.crc = payload_crc(rb.payload.data(), r.bytes);
-    blob.regions.push_back(std::move(rb));
-    blob.meta.bytes += r.bytes;
-  }
-  return blob;
-}
-
 void Launcher::load_blob(const ckpt::io::SnapshotBlob& blob) {
   const std::size_t mat_bytes = layout_.n * layout_.n * sizeof(double);
   const std::size_t cs_bytes = layout_.csr * layout_.n * sizeof(double);
@@ -278,18 +240,78 @@ void Launcher::checkpoint(std::size_t boundary, RunReport& report) {
     return;
   max_boundary_attempted_ = boundary;
   ++report.checkpoints;
+  const auto t0 = Clock::now();
+
+  // Zero-copy commit: every region streams straight out of the arena, and
+  // its CRC is taken from the same span. The arena is quiescent here — each
+  // rank answered Done and waits in recv — so the bytes cannot move under
+  // the hash or the write.
+  const std::uint64_t progress[2] = {boundary, frozen_steps_};
+  const std::size_t mat_bytes = layout_.n * layout_.n * sizeof(double);
+  const std::size_t cs_bytes = layout_.csr * layout_.n * sizeof(double);
+  const auto bytes_of = [](const void* p, std::size_t bytes) {
+    return std::span<const std::byte>(static_cast<const std::byte*>(p), bytes);
+  };
+  const struct {
+    ckpt::RegionId id;
+    std::span<const std::byte> bytes;
+  } regions[] = {
+      {kRegionProgress, bytes_of(progress, sizeof(progress))},
+      {kRegionMatrix, bytes_of(shared_.matrix, mat_bytes)},
+      {kRegionActive, bytes_of(shared_.active, cs_bytes)},
+      {kRegionFrozen, bytes_of(shared_.frozen, cs_bytes)},
+      {kRegionWActive, bytes_of(shared_.wactive, cs_bytes)},
+      {kRegionWFrozen, bytes_of(shared_.wfrozen, cs_bytes)},
+  };
+  ckpt::io::SnapshotMeta meta;
+  meta.id = static_cast<ckpt::CkptId>(boundary + 1);
+  meta.kind = ckpt::CkptKind::Full;
+  meta.when = static_cast<double>(boundary);
+  std::vector<ckpt::RegionId> ids;
+  std::vector<std::uint64_t> sizes;
+  for (const auto& r : regions) {
+    ids.push_back(r.id);
+    sizes.push_back(r.bytes.size());
+    meta.bytes += r.bytes.size();
+  }
   try {
-    backend_.write_snapshot(make_blob(boundary));
+    const auto session =
+        backend_.begin_snapshot(meta, std::move(ids), std::move(sizes));
+    std::vector<std::uint32_t> crcs;
+    for (const auto& r : regions) {
+      crcs.push_back(common::crc32(r.bytes));
+      session->append(r.bytes);
+    }
+    session->commit(crcs);
   } catch (const ckpt::io::io_error&) {
     // An injected (or real) commit failure costs this protection point but
     // not the run: recovery falls back to the previous snapshot.
   }
+  report.commit_seconds += seconds_since(t0);
+}
+
+void Launcher::load_initial() {
+  // Restart from scratch: the pristine matrix and its step-0 accumulators;
+  // nothing is frozen yet, so the frozen pair restarts at zero.
+  const auto copy_in = [](double* dst, const abft::Matrix& src) {
+    std::memcpy(dst, src.storage().data(),
+                src.storage().size() * sizeof(double));
+  };
+  copy_in(shared_.matrix, a0_);
+  copy_in(shared_.active, cs0_);
+  copy_in(shared_.wactive, wcs0_);
+  const std::size_t cs_bytes = layout_.csr * layout_.n * sizeof(double);
+  std::memset(shared_.frozen, 0, cs_bytes);
+  std::memset(shared_.wfrozen, 0, cs_bytes);
+  frozen_steps_ = 0;
 }
 
 std::size_t Launcher::restore_and_respawn(RunReport& report) {
   const auto t0 = Clock::now();
-  const auto blob = ckpt::io::latest_restorable(backend_);
-  load_blob(blob ? *blob : initial_);
+  if (const auto blob = ckpt::io::latest_restorable(backend_))
+    load_blob(*blob);
+  else
+    load_initial();
   const std::size_t resume = frozen_steps_;
   report.restore_seconds += seconds_since(t0);
   ++report.restores;
@@ -494,8 +516,8 @@ std::size_t Launcher::recover_from_corruption(std::size_t step,
 
   // Rung 3+: reconstruction cannot explain (or did not repair) the damage —
   // escalate to the checkpoint ladder. restore_and_respawn itself walks
-  // latest_restorable past torn snapshots and bottoms out at the in-memory
-  // initial image, so every deeper rung is already inside it.
+  // latest_restorable past torn snapshots and bottoms out at the initial
+  // image, so every deeper rung is already inside it.
   ++report.escalations;
   return restore_and_respawn(report);
 }
@@ -610,21 +632,13 @@ RunReport Launcher::run(const std::vector<Injection>& faults) {
   shared_.ctl->group = cfg_.group;
   shared_.ctl->nranks = cfg_.ranks;
 
+  // The pristine state doubles as the restart-from-scratch image that
+  // restore_and_respawn falls back to when storage holds nothing restorable.
   common::Rng rng(cfg_.seed);
-  const abft::Matrix a0 = abft::Matrix::diag_dominant(cfg_.n, rng);
-  std::memcpy(shared_.matrix, a0.storage().data(),
-              a0.storage().size() * sizeof(double));
-  const abft::Matrix cs0 =
-      abft::row_group_checksums(a0, cfg_.nb, cfg_.group);
-  std::memcpy(shared_.active, cs0.storage().data(),
-              cs0.storage().size() * sizeof(double));
-  const abft::Matrix wcs0 =
-      abft::row_group_weighted_checksums(a0, cfg_.nb, cfg_.group);
-  std::memcpy(shared_.wactive, wcs0.storage().data(),
-              wcs0.storage().size() * sizeof(double));
-  // both frozen accumulators start zero (arena is zero-filled)
-  frozen_steps_ = 0;
-  initial_ = make_blob(0);
+  a0_ = abft::Matrix::diag_dominant(cfg_.n, rng);
+  cs0_ = abft::row_group_checksums(a0_, cfg_.nb, cfg_.group);
+  wcs0_ = abft::row_group_weighted_checksums(a0_, cfg_.nb, cfg_.group);
+  load_initial();
 
   for (std::size_t r = 0; r < cfg_.ranks; ++r) spawn(r);
 

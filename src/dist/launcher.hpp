@@ -14,8 +14,9 @@
 ///     (ckpt::io::latest_restorable — skips torn writes) into the arena,
 ///     respawn the dead rank, replay the lost steps. Workers are stateless
 ///     between commands, so survivors need no handling at all. If storage
-///     holds nothing restorable the run falls back to its in-memory initial
-///     image (restart from step 0).
+///     holds nothing restorable the run falls back to its initial image —
+///     the pristine matrix and accumulators run() built the arena from —
+///     and restarts from step 0.
 ///
 ///   silent data corruption (flip/flip2) → the checksum-invariant residual
 ///     detects it at a step boundary; the poisoned element is then
@@ -30,8 +31,8 @@
 ///               the block from the matching accumulator, re-verify.
 ///       rung 3  ambiguous / multi-block / residual persists → restore the
 ///               newest restorable checkpoint and replay (latest_restorable
-///               walks past torn snapshots; the in-memory initial image is
-///               the final fallback).
+///               walks past torn snapshots; the initial image is the final
+///               fallback).
 ///     Every rung is timed separately in RunReport so measured-vs-model
 ///     attributes cost to the rung actually taken.
 ///
@@ -39,6 +40,12 @@
 ///     its ready pipe never hangs up, so only the response deadline
 ///     fires: the coordinator counts a hang, SIGKILLs the stopped process
 ///     (which works on stopped processes), and recovers via the death path.
+///
+/// A checkpoint streams the six arena regions (progress, matrix, the four
+/// accumulators) straight into a backend WriteSession, hashing each region
+/// from the same span, without an intermediate copy. That is safe because the
+/// arena is quiescent at every boundary: each rank has answered Done and
+/// waits for its next command.
 ///
 /// Waiting is event-driven on both sides. A worker sleeps in FUTEX_WAIT on
 /// its command mailbox's seq word and `post` wakes it. The coordinator
@@ -153,6 +160,7 @@ struct RunReport {
   std::size_t escalations = 0;
   std::size_t hangs = 0;  ///< live-but-silent ranks killed at the deadline
   std::vector<std::size_t> restored_to_steps;  ///< resume step per restore
+  double commit_seconds = 0.0;     ///< checkpoint CRC + write, summed
   double restore_seconds = 0.0;    ///< read + verify + copy-in, summed
   double check_seconds = 0.0;      ///< residual verification, summed
   double recons_seconds = 0.0;     ///< checksum reconstruction, summed
@@ -205,6 +213,9 @@ class Launcher {
   void reap_all() noexcept;
   [[nodiscard]] bool await_done(std::size_t r, std::size_t k,
                                 RunReport& report);
+  /// Commit boundary `boundary` (id boundary+1, kind Full) zero-copy from
+  /// the arena; a failed commit is swallowed (the run keeps the older
+  /// protection points).
   void checkpoint(std::size_t boundary, RunReport& report);
   [[nodiscard]] std::size_t restore_and_respawn(RunReport& report);
   void inject_flip(const Injection& inj, std::uint64_t seed,
@@ -216,8 +227,10 @@ class Launcher {
   [[nodiscard]] std::size_t recover_from_corruption(std::size_t step,
                                                     RunReport& report);
   [[nodiscard]] double residual_now() const;
-  [[nodiscard]] ckpt::io::SnapshotBlob make_blob(std::size_t step) const;
   void load_blob(const ckpt::io::SnapshotBlob& blob);
+  /// Copy the initial image (a0_, cs0_, wcs0_, zero frozen pair) into the
+  /// arena and reset frozen_steps_ to 0.
+  void load_initial();
 
   DistConfig cfg_;
   ckpt::io::StorageBackend& backend_;
@@ -226,7 +239,9 @@ class Launcher {
   std::unique_ptr<SharedRegion> arena_;
   SharedState shared_;
   std::vector<Rank> ranks_;
-  ckpt::io::SnapshotBlob initial_;  ///< restart-from-scratch fallback
+  /// The pristine matrix and its step-0 sum/weighted accumulators: the
+  /// arena's starting state and the restart-from-scratch image.
+  abft::Matrix a0_, cs0_, wcs0_;
   /// Highest boundary whose checkpoint was already attempted (SIZE_MAX =
   /// none): replay after a restore must not re-write an existing snapshot.
   std::size_t max_boundary_attempted_ = std::numeric_limits<std::size_t>::max();

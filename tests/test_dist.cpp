@@ -757,6 +757,67 @@ TEST(DistLauncher, TornCheckpointFallsBackToOlderSnapshot) {
   EXPECT_EQ(abft::max_abs_diff(injected.lu(), clean.lu()), 0.0);
 }
 
+TEST(DistLauncher, CleanRunCommitsVerifiableSnapshotsStraightFromTheArena) {
+  const DistConfig cfg = small_config();
+  ckpt::io::MemoryBackend backend;
+  Launcher launcher(cfg, backend);
+  const RunReport report = launcher.run();
+  ASSERT_TRUE(report.completed);
+  EXPECT_GT(report.commit_seconds, 0.0);
+  EXPECT_LT(report.commit_seconds, report.wall_seconds);
+
+  // One Full snapshot per ckpt_every-th boundary k, id k+1, the six regions
+  // in order, every CRC intact, and progress == {k, k}: at a boundary the
+  // first k block rows are exactly the frozen ones.
+  const auto metas = backend.list();
+  ASSERT_EQ(metas.size(), report.checkpoints);
+  for (std::size_t i = 0; i < metas.size(); ++i) {
+    const std::uint64_t k = i * cfg.ckpt_every;
+    const ckpt::io::SnapshotBlob blob = backend.read_snapshot(metas[i].id);
+    EXPECT_NO_THROW(blob.verify()) << "boundary " << k;
+    EXPECT_EQ(blob.meta.id, k + 1);
+    EXPECT_EQ(blob.meta.kind, ckpt::CkptKind::Full);
+    EXPECT_EQ(blob.meta.when, static_cast<double>(k));
+    ASSERT_EQ(blob.regions.size(), 6u);
+    for (std::size_t r = 0; r < blob.regions.size(); ++r)
+      EXPECT_EQ(blob.regions[r].region, r);
+    std::uint64_t progress[2] = {0, 0};
+    ASSERT_EQ(blob.regions[0].payload.size(), sizeof(progress));
+    std::memcpy(progress, blob.regions[0].payload.data(), sizeof(progress));
+    EXPECT_EQ(progress[0], k);
+    EXPECT_EQ(progress[1], k);
+  }
+}
+
+TEST(DistLauncher, EveryCheckpointTornFallsBackToTheInitialImage) {
+  const DistConfig cfg = small_config();
+  const auto clean_backend = ckpt::io::make_backend("memory");
+  Launcher clean(cfg, *clean_backend);
+  (void)clean.run();
+
+  // Tear every snapshot write, then kill a rank at the last step: nothing
+  // in storage verifies, so recovery restarts from the initial image.
+  const std::size_t last = clean.block_steps() - 1;
+  const std::size_t writes =
+      (clean.block_steps() + cfg.ckpt_every - 1) / cfg.ckpt_every;
+  std::vector<ckpt::io::FaultingBackend::Fault> faults;
+  for (std::size_t w = 0; w < writes; ++w)
+    faults.push_back({w, ckpt::io::WriteFault::TornPayload});
+  const auto inner = ckpt::io::make_backend("memory");
+  ckpt::io::FaultingBackend faulting(*inner, faults);
+  Launcher injected(cfg, faulting);
+  const RunReport report =
+      injected.run({{FaultKind::Kill, last, last % cfg.ranks}});
+
+  EXPECT_TRUE(report.completed);
+  EXPECT_EQ(faulting.faults_fired(), writes);
+  EXPECT_EQ(report.restores, 1u);
+  EXPECT_EQ(report.respawns, 1u);
+  EXPECT_EQ(report.restored_to_steps, std::vector<std::size_t>{0});
+  EXPECT_LT(report.residual, 1e-8);
+  EXPECT_EQ(abft::max_abs_diff(injected.lu(), clean.lu()), 0.0);
+}
+
 TEST(DistCampaign, MiniCampaignRecoversEveryCell) {
   DistConfig cfg = small_config();
   cfg.n = 48;  // 3 block steps: 3 × 2 ranks × 3 kinds = 18 cells

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <limits>
@@ -591,12 +592,34 @@ TEST(Crc32, KnownVectors) {
 }
 
 TEST(Crc32, MatchesBytewiseOnRandomBuffers) {
-  common::Rng rng(123);
-  for (const std::size_t len : {1u, 7u, 8u, 9u, 63u, 64u, 1000u, 4097u}) {
-    std::vector<std::byte> buf(len);
-    for (auto& b : buf) b = static_cast<std::byte>(rng() & 0xFF);
-    EXPECT_EQ(common::crc32(buf), bytewise_crc32(buf, 0)) << "len=" << len;
+  // The carry-less fold takes the 16-byte-aligned body of buffers >= 64
+  // bytes and slice-by-8 the tail, so every length around the 64-byte entry
+  // point and each 16/8-byte boundary, every misalignment, and non-zero
+  // seeds (the register the fold starts from) must all agree with the
+  // byte-at-a-time reference.
+  common::Rng rng(0xC3C3);
+  std::vector<std::byte> buf(1100 + 16);
+  for (auto& b : buf) b = static_cast<std::byte>(rng() & 0xFF);
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const auto span = std::span(buf).subspan(off, len);
+      const auto seed = static_cast<std::uint32_t>(rng() | 1u);
+      ASSERT_EQ(common::crc32(span, seed), bytewise_crc32(span, seed))
+          << "off=" << off << " len=" << len << " seed=" << seed;
+    }
   }
+
+  // A multi-megabyte buffer, one shot and as a fold of 1 MiB chunk CRCs.
+  std::vector<std::byte> big((4u << 20) + 37);
+  for (auto& b : big) b = static_cast<std::byte>(rng() & 0xFF);
+  const std::uint32_t want = bytewise_crc32(big, 0);
+  EXPECT_EQ(common::crc32(big), want);
+  common::Crc32Chunks folded;
+  for (std::size_t lo = 0; lo < big.size(); lo += 1u << 20) {
+    const std::size_t len = std::min<std::size_t>(1u << 20, big.size() - lo);
+    folded.add(common::crc32(std::span(big).subspan(lo, len)), len);
+  }
+  EXPECT_EQ(folded.value(), want);
 }
 
 TEST(Crc32, IncrementalChainingMatchesWholeBuffer) {
