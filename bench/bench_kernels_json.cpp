@@ -13,7 +13,7 @@
 /// width (32); the ABFT φ cell additionally needs the block count to fit the
 /// 4×2 process grid. `--threads` caps the swept thread counts (0 = up to the
 /// hardware concurrency); the artifact carries the active KernelPolicy
-/// (path, requested and resolved worker count, dispatch) as metadata.
+/// (path, requested and resolved worker count) as metadata.
 
 #include <chrono>
 #include <fstream>
@@ -208,8 +208,6 @@ int main(int argc, char** argv) {
                                                            : "naive");
   json.kv("threads", policy.threads);
   json.kv("resolved_threads", abft::resolved_threads(policy));
-  json.kv("dispatch",
-          policy.dispatch == common::Dispatch::Pool ? "pool" : "spawn");
   json.end_object();
   json.key("results").begin_array();
   for (const Cell& c : cells) {

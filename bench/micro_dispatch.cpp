@@ -1,9 +1,11 @@
 /// \file micro_dispatch.cpp
 /// Dispatch-latency microbenchmark for the parallel substrate: how much a
-/// `parallel_for` call costs beyond its body, spawn-per-call threads vs the
-/// persistent pool. This is the number the executor exists to shrink — the
-/// blocked factorizations issue many small GEMMs whose loop bodies are only
-/// a few microseconds, so per-call thread spawn/join used to dominate.
+/// `parallel_for` call costs beyond its body on the persistent pool, next to
+/// a spawn-per-call baseline (fresh std::threads per loop, the design the
+/// pool replaced; kept here as a bench-local reference loop). This is the
+/// number the executor exists to shrink — the blocked factorizations issue
+/// many small GEMMs whose loop bodies are only a few microseconds, so
+/// per-call thread spawn/join used to dominate.
 ///
 ///   micro_dispatch --iters=1000 --reps=500 --threads=4
 ///                  --out=BENCH_dispatch.json
@@ -32,12 +34,14 @@
 /// under `steal_counters`.
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -58,16 +62,36 @@ struct Result {
   double overhead_seconds = 0.0;  // per-call minus the serial reference
 };
 
-/// Mean seconds per parallel_for call over `reps` repetitions.
+/// The spawn-per-call baseline: fresh std::threads for this one loop,
+/// joined before return. The caller participates, and every participant
+/// claims chunks of n/(threads·8) indices off one atomic cursor — the
+/// pool's static chunking, so only the thread lifecycle differs.
 template <typename Fn>
-double time_calls(int reps, std::size_t iters, Fn&& body, unsigned threads,
-                  common::Dispatch dispatch) {
-  // Warm-up: first pool call pays lazy worker creation; first spawn call
-  // pays nothing special but keeps the two paths symmetric.
-  common::parallel_for(iters, body, threads, dispatch);
+void spawn_parallel_for(std::size_t n, const Fn& body, unsigned threads) {
+  const std::size_t chunk =
+      std::max<std::size_t>(1, n / (static_cast<std::size_t>(threads) * 8));
+  std::atomic<std::size_t> cursor{0};
+  const auto participate = [&] {
+    for (;;) {
+      const std::size_t lo = cursor.fetch_add(chunk, std::memory_order_relaxed);
+      if (lo >= n) return;
+      for (std::size_t i = lo; i < std::min(n, lo + chunk); ++i) body(i);
+    }
+  };
+  std::vector<std::jthread> helpers;  // joined on return, throws included
+  for (std::size_t t = 1; t < std::min<std::size_t>(threads, n); ++t)
+    helpers.emplace_back(participate);
+  participate();
+}
+
+/// Mean seconds per loop call over `reps` repetitions; `call()` issues one.
+template <typename Call>
+double time_calls(int reps, const Call& call) {
+  // Warm-up: the first pool call pays lazy worker creation; the first spawn
+  // call pays nothing special but keeps the paths symmetric.
+  call();
   const auto t0 = std::chrono::steady_clock::now();
-  for (int r = 0; r < reps; ++r)
-    common::parallel_for(iters, body, threads, dispatch);
+  for (int r = 0; r < reps; ++r) call();
   const double total =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -109,12 +133,14 @@ int main(int argc, char** argv) {
   double spawn_overhead_empty = 0.0, pool_overhead_empty = 0.0;
   const auto bench_body = [&](const std::string& name, const auto& body) {
     const double serial =
-        time_calls(reps, iters, body, 1, common::Dispatch::Pool);
+        time_calls(reps, [&] { common::parallel_for(iters, body, 1); });
     results.push_back({name, "serial", 1, serial, 0.0});
-    for (const common::Dispatch dispatch :
-         {common::Dispatch::Spawn, common::Dispatch::Pool}) {
-      const bool pool = dispatch == common::Dispatch::Pool;
-      const double per_call = time_calls(reps, iters, body, threads, dispatch);
+    for (const bool pool : {false, true}) {
+      const double per_call =
+          pool ? time_calls(reps,
+                            [&] { common::parallel_for(iters, body, threads); })
+               : time_calls(reps,
+                            [&] { spawn_parallel_for(iters, body, threads); });
       const double overhead = per_call > serial ? per_call - serial : 0.0;
       results.push_back(
           {name, pool ? "pool" : "spawn", threads, per_call, overhead});

@@ -7,7 +7,7 @@
 #include "common/time_units.hpp"
 #include "core/monte_carlo.hpp"
 #include "core/simulate.hpp"
-#include "sim/des_periodic.hpp"
+#include "sim/failures.hpp"
 
 using namespace abftc;
 
@@ -64,20 +64,6 @@ void BM_FailureClockPerNode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FailureClockPerNode)->Arg(100)->Arg(10000);
-
-void BM_DesPeriodicStream(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::AggregateFailureClock clock(
-        std::make_unique<sim::ExponentialArrivals>(7200.0), common::Rng(9));
-    sim::Engine engine;
-    sim::SimState st;
-    st.clock = &clock;
-    sim::des_periodic_stream(engine, st, common::days(7), 2800.0, 600.0, 0.0,
-                             600.0, 60.0);
-    benchmark::DoNotOptimize(st.now);
-  }
-}
-BENCHMARK(BM_DesPeriodicStream);
 
 }  // namespace
 

@@ -96,8 +96,7 @@ void gemm(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b,
           Trans tb, double beta, MatrixView c) {
   const GemmShape s = gemm_shape(a, ta, b, tb, c);
   if (gemm_uses_blocked_path(s.m, s.n, s.k))
-    blocked_gemm(alpha, a, ta, b, tb, beta, c, kernel_policy().threads,
-                 kernel_policy().dispatch);
+    blocked_gemm(alpha, a, ta, b, tb, beta, c, kernel_policy().threads);
   else
     naive_gemm(alpha, a, ta, b, tb, beta, c);
 }

@@ -26,10 +26,6 @@ unsigned checksum_threads() noexcept {
   return pol.path == KernelPath::blocked ? pol.threads : 1;
 }
 
-common::Dispatch checksum_dispatch() noexcept {
-  return kernel_policy().dispatch;
-}
-
 }  // namespace
 
 RecoveryStats& RecoveryStats::operator+=(const RecoveryStats& o) noexcept {
@@ -65,7 +61,7 @@ Matrix row_group_checksums(const Matrix& a, std::size_t nb,
           for (std::size_t j = 0; j < a.cols(); ++j)
             cs(gr, j) += a(bi * nb + r, j);
       },
-      checksum_threads(), checksum_dispatch());
+      checksum_threads());
   return cs;
 }
 
@@ -89,7 +85,7 @@ Matrix row_group_weighted_checksums(const Matrix& a, std::size_t nb,
             cs(gr, j) += w * a(bi * nb + r, j);
         }
       },
-      checksum_threads(), checksum_dispatch());
+      checksum_threads());
   return cs;
 }
 
@@ -109,7 +105,7 @@ Matrix col_group_checksums(const Matrix& a, std::size_t nb,
             cs(i, g * nb + c) += a(i, bj * nb + c);
         }
       },
-      checksum_threads(), checksum_dispatch());
+      checksum_threads());
   return cs;
 }
 

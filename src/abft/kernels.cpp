@@ -475,8 +475,7 @@ void naive_gemm(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b,
 }
 
 void blocked_gemm(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b,
-                  Trans tb, double beta, MatrixView c, unsigned threads,
-                  common::Dispatch dispatch) {
+                  Trans tb, double beta, MatrixView c, unsigned threads) {
   const auto [m, n, k] = gemm_shape(a, ta, b, tb, c);
 
   // The β-scale is fused into the first kc pass of the micro-kernel (the
@@ -492,14 +491,13 @@ void blocked_gemm(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b,
   const std::size_t bpack_cols = (std::min(n, kNc) + kNr - 1) / kNr * kNr;
   AlignedBuf bpack(kKc * bpack_cols);
 
-  // NUMA-aware packing (opt-in, pool dispatch only): with pinned workers on
-  // a multi-node machine, the shared packed B panel is replicated once per
-  // node so the kc-loop streams it from local memory instead of one socket.
-  // A-panels need nothing extra: each worker packs into its own thread-local
-  // scratch, already first-touch local.
+  // NUMA-aware packing (opt-in): with pinned workers on a multi-node
+  // machine, the shared packed B panel is replicated once per node so the
+  // kc-loop streams it from local memory instead of one socket. A-panels
+  // need nothing extra: each worker packs into its own thread-local scratch,
+  // already first-touch local.
   const auto topo = common::Topology::system();
-  const bool replicate_b = dispatch == common::Dispatch::Pool &&
-                           common::Executor::global().worker_pinning() &&
+  const bool replicate_b = common::Executor::global().worker_pinning() &&
                            !topo->single_node();
   std::unique_ptr<BReplicaSet> replicas;
   if (replicate_b)
@@ -542,7 +540,7 @@ void blocked_gemm(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b,
               }
             }
           },
-          threads, dispatch);
+          threads);
     }
   }
 }

@@ -21,7 +21,6 @@
 /// order.
 
 #include "abft/matrix.hpp"
-#include "common/dispatch.hpp"
 
 namespace abftc::abft {
 
@@ -33,16 +32,12 @@ struct KernelPolicy {
   KernelPath path = KernelPath::blocked;
   /// Worker threads for the blocked path; 0 = hardware concurrency.
   unsigned threads = 0;
-  /// How parallel kernels reach their workers: the persistent executor
-  /// (default) or legacy spawn-per-call threads (benches A/B the two;
-  /// results are bitwise identical either way).
-  common::Dispatch dispatch = common::Dispatch::Pool;
   /// NUMA opt-in: pin executor workers round-robin across the machine's
   /// nodes and place GEMM packing node-locally (each worker's A-panel
   /// scratch is first-touched on its own node; the packed B panel is
   /// replicated once per node instead of read cross-socket). Single-node
-  /// machines and the Spawn dispatch ignore it. Placement never changes
-  /// results — only where buffers live.
+  /// machines ignore it. Placement never changes results — only where
+  /// buffers live.
   bool numa_pin = false;
 };
 
@@ -85,8 +80,7 @@ class KernelPolicyGuard {
 /// BLAS semantics on both this and the naive path — C is overwritten, never
 /// read, so NaN-poisoned output blocks are not propagated.
 void blocked_gemm(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b,
-                  Trans tb, double beta, MatrixView c, unsigned threads = 0,
-                  common::Dispatch dispatch = common::Dispatch::Pool);
+                  Trans tb, double beta, MatrixView c, unsigned threads = 0);
 
 /// The original reference triple loop, explicitly.
 void naive_gemm(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b,

@@ -1,71 +1,8 @@
 #include "ckpt/image.hpp"
 
-#include <algorithm>
-#include <cstring>
-
-#include "common/crc32.hpp"
 #include "common/error.hpp"
-#include "common/executor.hpp"
 
 namespace abftc::ckpt {
-
-namespace {
-
-/// Fixed chunking for the store's parallel copy/CRC loops. The chunk size —
-/// not the worker count — defines the per-chunk CRC boundaries, so the
-/// folded region CRC (crc32_combine in chunk order) is bitwise identical
-/// across 1/2/4/N workers and equals the one-shot crc32.
-constexpr std::size_t kLoopChunk = 256 * 1024;
-
-/// CRC `src` (and, when `dst` is non-null, copy it there) in parallel
-/// fixed-size chunks on the executor.
-std::uint32_t chunked_crc(std::span<const std::byte> src, std::byte* dst,
-                          unsigned threads) {
-  const std::size_t chunks = (src.size() + kLoopChunk - 1) / kLoopChunk;
-  if (chunks <= 1) {
-    if (dst != nullptr) std::memcpy(dst, src.data(), src.size());
-    return common::crc32(src);
-  }
-  std::vector<std::uint32_t> crcs(chunks);
-  common::parallel_for(
-      chunks,
-      [&](std::size_t c) {
-        const std::size_t lo = c * kLoopChunk;
-        const auto piece =
-            src.subspan(lo, std::min(kLoopChunk, src.size() - lo));
-        if (dst != nullptr)
-          std::memcpy(dst + lo, piece.data(), piece.size());
-        crcs[c] = common::crc32(piece);
-      },
-      threads);
-  common::Crc32Chunks fold;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = c * kLoopChunk;
-    fold.add(crcs[c], std::min(kLoopChunk, src.size() - lo));
-  }
-  return fold.value();
-}
-
-/// Parallel chunked memcpy (restore path; CRC already verified).
-void chunked_copy(std::span<const std::byte> src, std::byte* dst,
-                  unsigned threads) {
-  const std::size_t chunks = (src.size() + kLoopChunk - 1) / kLoopChunk;
-  if (chunks <= 1) {
-    std::memcpy(dst, src.data(), src.size());
-    return;
-  }
-  common::parallel_for(
-      chunks,
-      [&](std::size_t c) {
-        const std::size_t lo = c * kLoopChunk;
-        const auto piece =
-            src.subspan(lo, std::min(kLoopChunk, src.size() - lo));
-        std::memcpy(dst + lo, piece.data(), piece.size());
-      },
-      threads);
-}
-
-}  // namespace
 
 const char* to_string(CkptKind k) noexcept {
   switch (k) {
@@ -148,210 +85,6 @@ double MemoryImage::rho() const noexcept {
   if (total == 0) return 0.0;
   return static_cast<double>(class_bytes(RegionClass::Library)) /
          static_cast<double>(total);
-}
-
-// ---------------------------------------------------------------------------
-
-CheckpointStore::Snapshot CheckpointStore::make_snapshot(
-    const MemoryImage& image, CkptKind kind, double when, CkptId entry_link,
-    const std::vector<RegionId>& regions) {
-  ABFTC_REQUIRE(when >= last_when_,
-                "checkpoint timestamps must be non-decreasing");
-  last_when_ = when;
-  Snapshot snap;
-  snap.record = Record{next_id_++, kind, when, 0, entry_link};
-  snap.copies.reserve(regions.size());
-  for (const RegionId id : regions) {
-    const auto src = image.bytes(id);
-    RegionCopy copy;
-    copy.region = id;
-    copy.payload.resize(src.size());
-    copy.crc = chunked_crc(src, copy.payload.data(), threads_);
-    snap.record.bytes += copy.payload.size();
-    snap.copies.push_back(std::move(copy));
-  }
-  return snap;
-}
-
-namespace {
-
-std::vector<RegionId> select_regions(const MemoryImage& image,
-                                     std::optional<RegionClass> cls,
-                                     bool dirty_only) {
-  std::vector<RegionId> out;
-  for (RegionId id = 0; id < image.region_count(); ++id) {
-    const auto& info = image.info(id);
-    if (cls && info.cls != *cls) continue;
-    if (dirty_only && !info.dirty) continue;
-    out.push_back(id);
-  }
-  return out;
-}
-
-}  // namespace
-
-CkptId CheckpointStore::take_full(MemoryImage& image, double when) {
-  ABFTC_REQUIRE(image.region_count() > 0, "image has no regions");
-  snapshots_.push_back(make_snapshot(image, CkptKind::Full, when, 0,
-                                     select_regions(image, {}, false)));
-  image.clear_dirty_all();
-  return snapshots_.back().record.id;
-}
-
-CkptId CheckpointStore::take_entry(MemoryImage& image, double when) {
-  ABFTC_REQUIRE(image.region_count() > 0, "image has no regions");
-  snapshots_.push_back(make_snapshot(
-      image, CkptKind::Entry, when, 0,
-      select_regions(image, RegionClass::Remainder, false)));
-  return snapshots_.back().record.id;
-}
-
-CkptId CheckpointStore::take_exit(MemoryImage& image, double when,
-                                  CkptId entry) {
-  const Record& e = record(entry);  // validates existence
-  ABFTC_REQUIRE(e.kind == CkptKind::Entry,
-                "take_exit must reference an Entry checkpoint");
-  Snapshot snap =
-      make_snapshot(image, CkptKind::Exit, when, entry,
-                    select_regions(image, RegionClass::Library, false));
-  // The split pair must cover the whole image ("a split, but complete,
-  // coordinated checkpoint", Section III-A).
-  std::size_t covered = snap.record.bytes + snapshot(entry).record.bytes;
-  ABFTC_REQUIRE(covered == image.total_bytes(),
-                "entry+exit checkpoints do not cover the full image");
-  snapshots_.push_back(std::move(snap));
-  image.clear_dirty_all();
-  return snapshots_.back().record.id;
-}
-
-CkptId CheckpointStore::take_incremental(MemoryImage& image, double when) {
-  bool has_full = false;
-  for (const Snapshot& s : snapshots_)
-    has_full |= s.record.kind == CkptKind::Full;
-  ABFTC_REQUIRE(has_full, "incremental checkpoint requires a Full base");
-  snapshots_.push_back(make_snapshot(image, CkptKind::Incremental, when, 0,
-                                     select_regions(image, {}, true)));
-  image.clear_dirty_all();
-  return snapshots_.back().record.id;
-}
-
-std::size_t CheckpointStore::count() const noexcept {
-  return snapshots_.size();
-}
-
-const CheckpointStore::Record& CheckpointStore::record(CkptId id) const {
-  return snapshot(id).record;
-}
-
-const CheckpointStore::Snapshot& CheckpointStore::snapshot(CkptId id) const {
-  for (const Snapshot& s : snapshots_)
-    if (s.record.id == id) return s;
-  ABFTC_REQUIRE(false, "unknown checkpoint id");
-  // unreachable
-  return snapshots_.front();
-}
-
-std::optional<std::size_t> CheckpointStore::latest_protection_index() const {
-  for (std::size_t i = snapshots_.size(); i-- > 0;) {
-    const Record& r = snapshots_[i].record;
-    if (r.kind == CkptKind::Full) return i;
-    if (r.kind == CkptKind::Exit) return i;  // entry_link is validated on take
-  }
-  return std::nullopt;
-}
-
-bool CheckpointStore::has_restore_point() const noexcept {
-  return latest_protection_index().has_value();
-}
-
-void CheckpointStore::apply(const Snapshot& snap, MemoryImage& image,
-                            RestoreReport& report) const {
-  for (const RegionCopy& copy : snap.copies) {
-    auto dst = image.mutable_bytes(copy.region);
-    ABFTC_CHECK(dst.size() == copy.payload.size(),
-                "region size changed since the checkpoint was taken");
-    ABFTC_CHECK(chunked_crc(std::span<const std::byte>(copy.payload), nullptr,
-                            threads_) == copy.crc,
-                "checkpoint payload corrupted in the store");
-    chunked_copy(std::span<const std::byte>(copy.payload), dst.data(),
-                 threads_);
-    report.bytes_restored += copy.payload.size();
-  }
-  report.applied.push_back(snap.record.id);
-}
-
-CheckpointStore::RestoreReport CheckpointStore::restore_latest(
-    MemoryImage& image) const {
-  const auto idx = latest_protection_index();
-  ABFTC_REQUIRE(idx.has_value(), "no complete checkpoint to restore from");
-  RestoreReport report;
-  const Snapshot& point = snapshots_[*idx];
-  report.from_when = point.record.when;
-
-  if (point.record.kind == CkptKind::Full) {
-    apply(point, image, report);
-    // Replay any incrementals taken after the full base.
-    for (std::size_t i = *idx + 1; i < snapshots_.size(); ++i) {
-      if (snapshots_[i].record.kind == CkptKind::Incremental) {
-        apply(snapshots_[i], image, report);
-        report.from_when = snapshots_[i].record.when;
-      }
-    }
-  } else {  // Exit: restore the linked Entry (remainder) + the Exit (library)
-    apply(snapshot(point.record.entry_link), image, report);
-    apply(point, image, report);
-  }
-  image.clear_dirty_all();
-  return report;
-}
-
-CheckpointStore::RestoreReport CheckpointStore::restore_remainder(
-    MemoryImage& image) const {
-  // Newest snapshot that contains the REMAINDER dataset: an Entry or a Full.
-  for (std::size_t i = snapshots_.size(); i-- > 0;) {
-    const Snapshot& s = snapshots_[i];
-    if (s.record.kind != CkptKind::Entry && s.record.kind != CkptKind::Full)
-      continue;
-    RestoreReport report;
-    report.from_when = s.record.when;
-    if (s.record.kind == CkptKind::Entry) {
-      apply(s, image, report);
-    } else {
-      for (const RegionCopy& copy : s.copies) {
-        if (image.info(copy.region).cls != RegionClass::Remainder) continue;
-        auto dst = image.mutable_bytes(copy.region);
-        ABFTC_CHECK(dst.size() == copy.payload.size(),
-                    "region size changed since the checkpoint was taken");
-        chunked_copy(std::span<const std::byte>(copy.payload), dst.data(),
-                     threads_);
-        report.bytes_restored += copy.payload.size();
-      }
-      report.applied.push_back(s.record.id);
-    }
-    return report;
-  }
-  ABFTC_REQUIRE(false, "no checkpoint containing the REMAINDER dataset");
-  return {};
-}
-
-void CheckpointStore::compact() {
-  const auto idx = latest_protection_index();
-  if (!idx) return;
-  std::size_t keep_from = *idx;
-  // An Exit needs its Entry; keep it too.
-  if (snapshots_[*idx].record.kind == CkptKind::Exit) {
-    const CkptId entry = snapshots_[*idx].record.entry_link;
-    for (std::size_t i = 0; i < *idx; ++i)
-      if (snapshots_[i].record.id == entry) keep_from = std::min(keep_from, i);
-  }
-  snapshots_.erase(snapshots_.begin(),
-                   snapshots_.begin() + static_cast<std::ptrdiff_t>(keep_from));
-}
-
-std::size_t CheckpointStore::stored_bytes() const noexcept {
-  std::size_t n = 0;
-  for (const Snapshot& s : snapshots_) n += s.record.bytes;
-  return n;
 }
 
 }  // namespace abftc::ckpt

@@ -5,7 +5,8 @@
 /// A MemoryImage is the application's protected state: named byte regions,
 /// each classified as LIBRARY (passed to the ABFT-capable library call;
 /// reconstructable from checksums) or REMAINDER (everything else). The
-/// CheckpointStore implements the protocol's checkpoint taxonomy:
+/// protocol's checkpoint taxonomy (CkptKind; taken and restored by
+/// io::CkptWriter, ckpt/io/writer.hpp) is:
 ///
 ///  * Full        — classic coordinated checkpoint of every region,
 ///  * Entry       — forced partial checkpoint of the REMAINDER dataset taken
@@ -16,12 +17,11 @@
 ///  * Incremental — only regions dirtied since the previous snapshot
 ///                  (BiPeriodicCkpt's enabling mechanism).
 ///
-/// Dirty tracking is at region granularity; every snapshot carries a CRC so
-/// restores can verify integrity end-to-end.
+/// Dirty tracking is at region granularity; every snapshot carries per-region
+/// CRCs so restores can verify integrity end-to-end.
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -76,93 +76,11 @@ class MemoryImage {
   [[nodiscard]] double rho() const noexcept;
 
  private:
-  friend class CheckpointStore;
   struct Region {
     RegionInfo info;
     std::span<std::byte> data;
   };
   std::vector<Region> regions_;
-};
-
-/// Versioned snapshot store with split-checkpoint composition.
-class CheckpointStore {
- public:
-  struct Record {
-    CkptId id;
-    CkptKind kind;
-    double when;        ///< simulated or wall time supplied by the caller
-    std::size_t bytes;  ///< payload size of this snapshot
-    CkptId entry_link;  ///< for Exit: the Entry it completes (0 otherwise)
-  };
-
-  /// Take a snapshot. `when` must be non-decreasing across calls.
-  CkptId take_full(MemoryImage& image, double when);
-  CkptId take_entry(MemoryImage& image, double when);
-  /// Completes the split checkpoint started by `entry`; validates that the
-  /// pair covers every region of the image.
-  CkptId take_exit(MemoryImage& image, double when, CkptId entry);
-  /// Snapshot of the dirty regions only; requires an existing Full base.
-  CkptId take_incremental(MemoryImage& image, double when);
-
-  [[nodiscard]] std::size_t count() const noexcept;
-  [[nodiscard]] const Record& record(CkptId id) const;
-
-  /// True once a complete protection point exists (a Full, or an
-  /// Entry+Exit pair).
-  [[nodiscard]] bool has_restore_point() const noexcept;
-
-  struct RestoreReport {
-    double from_when = 0.0;          ///< timestamp of the protection point
-    std::size_t bytes_restored = 0;  ///< bytes copied back
-    std::vector<CkptId> applied;     ///< snapshots applied, oldest first
-  };
-
-  /// Restore the most recent complete protection point: the latest Full
-  /// (plus any later Incrementals) or Entry+Exit pair, whichever is newer.
-  /// Clears the image's dirty flags.
-  RestoreReport restore_latest(MemoryImage& image) const;
-
-  /// Restore only the REMAINDER dataset from the most recent Entry/Full —
-  /// the rollback half of ABFT recovery (Figure 2): the LIBRARY dataset is
-  /// left untouched for the ABFT algorithm to reconstruct.
-  RestoreReport restore_remainder(MemoryImage& image) const;
-
-  /// Discard snapshots that can no longer participate in a restore
-  /// (everything strictly older than the latest protection point).
-  void compact();
-
-  /// Total bytes currently held by the store.
-  [[nodiscard]] std::size_t stored_bytes() const noexcept;
-
-  /// Worker budget for the store's copy/CRC loops (common::parallel_for);
-  /// 0 = hardware concurrency. Snapshots and CRCs are bitwise identical for
-  /// any setting: the CRC chunking is fixed, only the workers vary.
-  void set_threads(unsigned threads) noexcept { threads_ = threads; }
-
- private:
-  struct RegionCopy {
-    RegionId region;
-    std::vector<std::byte> payload;
-    std::uint32_t crc;
-  };
-  struct Snapshot {
-    Record record;
-    std::vector<RegionCopy> copies;
-  };
-
-  Snapshot make_snapshot(const MemoryImage& image, CkptKind kind, double when,
-                         CkptId entry_link,
-                         const std::vector<RegionId>& regions);
-  [[nodiscard]] const Snapshot& snapshot(CkptId id) const;
-  void apply(const Snapshot& snap, MemoryImage& image,
-             RestoreReport& report) const;
-  /// Index of the newest complete protection point, or nullopt.
-  [[nodiscard]] std::optional<std::size_t> latest_protection_index() const;
-
-  std::vector<Snapshot> snapshots_;  // chronological
-  CkptId next_id_ = 1;
-  double last_when_ = 0.0;
-  unsigned threads_ = 0;  // copy/CRC loop workers; 0 = hardware concurrency
 };
 
 }  // namespace abftc::ckpt

@@ -48,7 +48,7 @@ void require_valid_layout(const SnapshotMeta& meta,
   ABFTC_REQUIRE(regions.size() == sizes.size(),
                 "region id/size lists must align");
   // An empty region list is legal: an Incremental taken while nothing was
-  // dirty records "no change here" (CheckpointStore parity).
+  // dirty records "no change here".
   const std::uint64_t total =
       std::accumulate(sizes.begin(), sizes.end(), std::uint64_t{0});
   ABFTC_REQUIRE(total == meta.bytes,

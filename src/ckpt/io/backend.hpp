@@ -7,8 +7,8 @@
 /// in-node storage, Figs 8–10) can be anchored in measured checkpoint costs.
 /// Four backends implement the same contract:
 ///
-///  * MemoryBackend — snapshots held in RAM (the CheckpointStore behavior,
-///    refactored behind the interface); zero durability, memcpy speed.
+///  * MemoryBackend — snapshots held in RAM (the composite runtime's store);
+///    zero durability, memcpy speed.
 ///  * FileBackend   — one file per snapshot plus a small manifest; fsync on
 ///    commit, O_DIRECT optional (falls back to buffered I/O where the
 ///    filesystem refuses it, e.g. tmpfs).
@@ -77,7 +77,7 @@ struct SnapshotBlob {
   void verify() const;
 };
 
-/// Pluggable snapshot storage. See the file comment for the three
+/// Pluggable snapshot storage. See the file comment for the four
 /// implementations and make_backend() for the `--storage=` spec syntax.
 class StorageBackend {
  public:

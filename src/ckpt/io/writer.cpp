@@ -6,6 +6,7 @@
 #include <future>
 #include <optional>
 
+#include "ckpt/io/compaction.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/executor.hpp"
@@ -59,7 +60,7 @@ CkptId CkptWriter::commit(MemoryImage& image, CkptKind kind, double when,
   ABFTC_REQUIRE(when >= last_when_,
                 "checkpoint timestamps must be non-decreasing");
   // An empty selection (an Incremental with nothing dirty) still records a
-  // snapshot, exactly as CheckpointStore does.
+  // snapshot: "nothing changed since the previous one".
 
   SnapshotMeta meta;
   meta.id = next_id_;
@@ -201,8 +202,9 @@ bool CkptWriter::has_restore_point() const {
 }
 
 void CkptWriter::apply(const SnapshotBlob& blob, MemoryImage& image,
-                       RestoreReport& report) const {
+                       RestoreReport& report, std::optional<RegionClass> only) {
   for (const RegionBlob& r : blob.regions) {
+    if (only && image.info(r.region).cls != *only) continue;
     auto dst = image.mutable_bytes(r.region);
     std::memcpy(dst.data(), r.payload.data(), r.payload.size());
     report.bytes_restored += r.payload.size();
@@ -237,6 +239,14 @@ RestoreReport CkptWriter::restore_latest(MemoryImage& image) const {
     plan.push_back(metas[*point].id);
   }
 
+  for (const SnapshotBlob& blob : read_verified(plan, image))
+    apply(blob, image, report);
+  image.clear_dirty_all();
+  return report;
+}
+
+std::vector<SnapshotBlob> CkptWriter::read_verified(
+    const std::vector<CkptId>& plan, const MemoryImage& image) const {
   // Read + verify everything before mutating the image: a torn/corrupted
   // snapshot must not leave a half-restored application state behind.
   std::vector<SnapshotBlob> blobs;
@@ -265,10 +275,43 @@ RestoreReport CkptWriter::restore_latest(MemoryImage& image) const {
       arena.submit([&blob] { blob.verify(); });
     arena.wait();  // rethrows the first io_error
   }
+  return blobs;
+}
 
-  for (const SnapshotBlob& blob : blobs) apply(blob, image, report);
-  image.clear_dirty_all();
+RestoreReport CkptWriter::restore_remainder(MemoryImage& image) const {
+  // Newest snapshot that holds the REMAINDER dataset: an Entry or a Full.
+  const auto metas = backend_.list();
+  const auto source =
+      std::find_if(metas.rbegin(), metas.rend(), [](const SnapshotMeta& m) {
+        return m.kind == CkptKind::Entry || m.kind == CkptKind::Full;
+      });
+  ABFTC_REQUIRE(source != metas.rend(),
+                "no checkpoint containing the REMAINDER dataset");
+
+  RestoreReport report;
+  report.from_when = source->when;
+  // A Full's LIBRARY copies are verified too, though never applied: a
+  // snapshot that fails its CRCs anywhere is not trusted anywhere.
+  apply(read_verified({source->id}, image).front(), image, report,
+        RegionClass::Remainder);
   return report;
+}
+
+void CkptWriter::compact() {
+  const auto metas = backend_.list();
+  std::vector<compact::LiveRecord> live;
+  live.reserve(metas.size());
+  for (std::size_t i = 0; i < metas.size(); ++i) {
+    bool verified = true;
+    try {
+      backend_.read_snapshot(metas[i].id).verify();
+    } catch (const io_error&) {
+      verified = false;
+    }
+    live.push_back({i, metas[i], verified});
+  }
+  for (const std::uint64_t seq : compact::plan_compaction(live).drop)
+    backend_.drop(metas[seq].id);
 }
 
 }  // namespace abftc::ckpt::io

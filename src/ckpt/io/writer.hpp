@@ -3,15 +3,16 @@
 /// CkptWriter: the checkpoint commit/restore pipeline over a StorageBackend.
 ///
 /// It implements the protocol's checkpoint taxonomy (Full / Entry / Exit /
-/// Incremental, same semantics as ckpt::CheckpointStore) but persists
-/// through the backend, and pipelines the commit: each region is streamed in
-/// fixed-size chunks read straight from the image (no staging copy) — the
-/// caller thread hands chunk i to the backend while a pool task
-/// (common::Executor::submit) runs the CRC of the same chunk concurrently
-/// (common::crc32: PCLMULQDQ folding where the CPU has it, slice-by-8
-/// otherwise, same values either way). Commit latency therefore approaches
-/// max(write, crc) instead of their sum; per-region CRCs are folded from
-/// the chunk CRCs with crc32_combine, so the async path produces
+/// Incremental, ckpt/image.hpp) over any backend — the composite runtime
+/// (core/runtime.hpp) drives one over a MemoryBackend, the storage
+/// calibrator over the backend it measures — and pipelines the commit: each
+/// region is streamed in fixed-size chunks read straight from the image (no
+/// staging copy) — the caller thread hands chunk i to the backend while a
+/// pool task (common::Executor::submit) runs the CRC of the same chunk
+/// concurrently (common::crc32: PCLMULQDQ folding where the CPU has it,
+/// slice-by-8 otherwise, same values either way). Commit latency therefore
+/// approaches max(write, crc) instead of their sum; per-region CRCs are
+/// folded from the chunk CRCs with crc32_combine, so the async path produces
 /// bit-identical snapshots to the serial copy→CRC→write reference
 /// (options.async = false, the benchmark baseline).
 ///
@@ -21,6 +22,7 @@
 /// snapshot is rejected without touching application state.
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "ckpt/io/backend.hpp"
@@ -52,8 +54,10 @@ class CkptWriter {
   /// backend's existing content (a reopened store keeps its history).
   explicit CkptWriter(StorageBackend& backend, WriterOptions opts = {});
 
-  /// The taxonomy (Section III): semantics identical to CheckpointStore.
-  /// `when` must be non-decreasing across calls.
+  /// The taxonomy (Section III). Full, Exit and Incremental clear the
+  /// image's dirty flags; an Incremental needs a Full base; an Exit must
+  /// name an Entry and together with it cover the whole image. `when` must
+  /// be non-decreasing across calls.
   CkptId take_full(MemoryImage& image, double when);
   CkptId take_entry(MemoryImage& image, double when);
   CkptId take_exit(MemoryImage& image, double when, CkptId entry);
@@ -69,6 +73,18 @@ class CkptWriter {
   /// integrity failure. Clears the image's dirty flags.
   RestoreReport restore_latest(MemoryImage& image) const;
 
+  /// Restore only the REMAINDER dataset, from the newest Entry or Full —
+  /// the rollback half of ABFT recovery (Figure 2): the LIBRARY dataset is
+  /// left for the ABFT kernel to reconstruct. Every region of the source
+  /// snapshot is verified first, as in restore_latest; throws io_error on
+  /// any integrity failure with the image untouched.
+  RestoreReport restore_remainder(MemoryImage& image) const;
+
+  /// Drop the records no restore can reach any more: exactly the `drop`
+  /// set of compact::plan_compaction over the backend's records, each
+  /// flagged by whether its payload verifies. Nothing is folded.
+  void compact();
+
   [[nodiscard]] const WriterOptions& options() const noexcept {
     return opts_;
   }
@@ -77,8 +93,15 @@ class CkptWriter {
  private:
   CkptId commit(MemoryImage& image, CkptKind kind, double when,
                 CkptId entry_link, const std::vector<RegionId>& regions);
-  void apply(const SnapshotBlob& blob, MemoryImage& image,
-             RestoreReport& report) const;
+  /// Read every snapshot of `plan` and check it against the image — sizes,
+  /// then payload CRCs — before the caller applies any byte.
+  [[nodiscard]] std::vector<SnapshotBlob> read_verified(
+      const std::vector<CkptId>& plan, const MemoryImage& image) const;
+  /// Copy the blob's regions (only those of class `only`, when given) into
+  /// the image.
+  static void apply(const SnapshotBlob& blob, MemoryImage& image,
+                    RestoreReport& report,
+                    std::optional<RegionClass> only = std::nullopt);
   [[nodiscard]] common::Executor& executor() const;
 
   StorageBackend& backend_;

@@ -33,7 +33,7 @@ constexpr std::size_t kTaskDequeCapacity = 1024;
 constexpr std::size_t kStealChunksPerParticipant = 32;
 
 /// Nesting depth of the current thread: incremented while it executes chunks
-/// or tasks of any parallel region (pool, spawn, or caller participation).
+/// or tasks of any parallel region (pool worker or caller participation).
 thread_local unsigned t_nesting_depth = 0;
 
 /// The NUMA node (index into Topology::system()->nodes()) the pinning
@@ -254,34 +254,11 @@ void dyn_participate(DynLoopState& loop, unsigned slot, StatsBlock* stats) {
   }
 }
 
-/// Same chunking the spawn-per-call pool used: the cursor is touched ~8× per
-/// participant, and contiguous ranges keep cache locality for loops walking
-/// adjacent rows.
+/// Static-schedule chunking: the cursor is touched ~8× per participant, and
+/// contiguous ranges keep cache locality for loops walking adjacent rows.
 std::size_t chunk_for(std::size_t n, unsigned threads) noexcept {
   return std::max<std::size_t>(
       1, n / (static_cast<std::size_t>(threads) * 8));
-}
-
-/// The legacy dispatch: spawn and join fresh threads for this one loop.
-/// Retained for dispatch-latency A/B benches and pool-vs-spawn determinism
-/// cross-checks.
-void spawn_parallel_for(std::size_t n, detail::RawLoopFn fn, void* ctx,
-                        unsigned threads) {
-  LoopState loop;
-  loop.fn = fn;
-  loop.ctx = ctx;
-  loop.n = n;
-  loop.chunk = chunk_for(n, threads);
-
-  std::vector<std::thread> pool;
-  const unsigned spawn =
-      static_cast<unsigned>(std::min<std::size_t>(threads, n) - 1);
-  pool.reserve(spawn);
-  for (unsigned t = 0; t < spawn; ++t)
-    pool.emplace_back([&loop] { participate(loop, nullptr); });
-  participate(loop, nullptr);
-  for (auto& th : pool) th.join();
-  if (loop.first_error) std::rethrow_exception(loop.first_error);
 }
 
 /// A submitted task parked in a worker's stealing deque (the deque stores
@@ -833,18 +810,9 @@ std::size_t Executor::ScopedArena::pending() const noexcept {
 namespace detail {
 
 void parallel_for_impl(std::size_t n, RawLoopFn fn, void* ctx,
-                       unsigned threads, Dispatch dispatch) {
+                       unsigned threads) {
   if (n == 0) return;
-  threads = effective_threads(threads);
-  if (dispatch == Dispatch::Spawn) {
-    if (threads <= 1 || n == 1 || Executor::inside_parallel_region()) {
-      for (std::size_t i = 0; i < n; ++i) fn(ctx, i);
-      return;
-    }
-    spawn_parallel_for(n, fn, ctx, threads);
-    return;
-  }
-  Executor::global().run_loop(n, fn, ctx, threads);
+  Executor::global().run_loop(n, fn, ctx, effective_threads(threads));
 }
 
 void parallel_for_dynamic_impl(std::size_t n, RawLoopFn fn, void* ctx,

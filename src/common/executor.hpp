@@ -25,8 +25,8 @@
 /// always bounded by the pool size plus the callers — while an under-filled
 /// grid still lends its parked workers to the inner loops. Determinism is
 /// unaffected: every output element is owned by exactly one index, so
-/// results are bitwise identical for any worker count, for pool vs
-/// spawn-per-call dispatch, and for serial execution.
+/// results are bitwise identical for any worker count and for serial
+/// execution.
 ///
 /// Exception contract (changed from the original spawn-per-call pool): the
 /// first exception thrown by a loop body is captured and rethrown on the
@@ -45,8 +45,25 @@
 /// DAGs that fan out from inside the pool load-balance without bouncing on
 /// the shared-queue mutex. Both scheduling paths share the nesting
 /// arbitration, caller participation, and first-exception contracts; only
-/// the *claim order* differs — see Schedule in dispatch.hpp for the
-/// decision rule and the determinism fine print.
+/// the *claim order* differs.
+///
+/// Choosing a schedule:
+///
+///   * static (`parallel_for`) — the shared atomic-cursor fast path:
+///     contiguous chunks claimed in index order off one cursor. Lowest
+///     dispatch cost; ideal when per-index cost is uniform (checksums,
+///     packed-GEMM row panels, sweep grids).
+///   * stealing (`parallel_for_dynamic`) — per-participant Chase–Lev deques
+///     with steal-half load balancing: each participant owns a contiguous
+///     share and thieves re-split the laggard's remainder. Tolerates wildly
+///     non-uniform per-index cost (fault-injection campaigns, compaction,
+///     panel DAGs) at a slightly higher setup cost.
+///
+/// Decision rule: uniform loop shape -> static; unknown or heavy-tailed
+/// per-index cost -> stealing. Both execute every index exactly once, so
+/// any loop whose output cells are owned by a single index is bitwise
+/// deterministic under either schedule; only static additionally fixes the
+/// claim *order*, which no current caller depends on.
 ///
 /// NUMA (opt-in): `set_worker_pinning(true)` pins workers round-robin
 /// across the nodes of common::Topology::system() (sched_setaffinity; a
@@ -64,21 +81,19 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/dispatch.hpp"
-
 namespace abftc::common {
 
 namespace detail {
 
 using RawLoopFn = void (*)(void* ctx, std::size_t i);
 
-/// Out-of-line dispatcher behind the `parallel_for` template: picks serial /
-/// pool / spawn execution. Serial (threads <= 1, n <= 1, or called from
-/// inside a parallel region) propagates exceptions directly; the parallel
-/// paths capture the first exception, stop remaining chunks, and rethrow it
-/// on the calling thread.
+/// Out-of-line dispatcher behind the `parallel_for` template: the static
+/// schedule on the global executor. Serial (threads <= 1, n <= 1, or called
+/// from inside a parallel region with no idle worker) propagates exceptions
+/// directly; the parallel path captures the first exception, stops
+/// remaining chunks, and rethrows it on the calling thread.
 void parallel_for_impl(std::size_t n, RawLoopFn fn, void* ctx,
-                       unsigned threads, Dispatch dispatch = Dispatch::Pool);
+                       unsigned threads);
 
 /// Dispatcher behind `parallel_for_dynamic`: the work-stealing schedule on
 /// the global executor (serial fallback under the same conditions as the
@@ -159,12 +174,12 @@ class Executor {
   void parallel_for(std::size_t n, Fn&& fn, unsigned threads = 0);
 
   /// Run `fn(ctx, i)` for i in [0, n) under the work-stealing schedule
-  /// (Schedule::Stealing): participants own contiguous shares in per-worker
+  /// (the stealing schedule): participants own contiguous shares in per-worker
   /// deques and idle participants steal half of a victim's remainder. Use
   /// for loops with non-uniform per-index cost; `grain` indices form one
   /// steal unit (0 = automatic). Same caller-participation, nesting, and
   /// first-exception contracts as run_loop; index *claim order* is
-  /// scheduling-dependent (see Schedule).
+  /// scheduling-dependent (see the header comment).
   void run_loop_dynamic(std::size_t n, detail::RawLoopFn fn, void* ctx,
                         unsigned threads, std::size_t grain = 0);
 
@@ -252,24 +267,23 @@ class Executor {
 /// inside a parallel region, the loop borrows only idle workers (bounded
 /// share) and runs inline when there are none.
 template <typename Fn>
-void parallel_for(std::size_t n, Fn&& fn, unsigned threads = 0,
-                  Dispatch dispatch = Dispatch::Pool) {
+void parallel_for(std::size_t n, Fn&& fn, unsigned threads = 0) {
   using F = std::remove_reference_t<Fn>;
   if constexpr (std::is_function_v<F>) {
     // Plain functions can't round-trip through void*; wrap in a lambda.
     auto wrapper = [fp = &fn](std::size_t i) { fp(i); };
-    parallel_for(n, wrapper, threads, dispatch);
+    parallel_for(n, wrapper, threads);
   } else {
     detail::parallel_for_impl(
         n, [](void* ctx, std::size_t i) { (*static_cast<F*>(ctx))(i); },
         const_cast<void*>(static_cast<const void*>(std::addressof(fn))),
-        threads, dispatch);
+        threads);
   }
 }
 
 /// Run `fn(i)` for i in [0, n) under the work-stealing schedule on the
 /// global executor — the entry point for loops whose per-index cost is
-/// irregular (see Schedule in dispatch.hpp for the decision rule). Executes
+/// irregular (see the header comment for the decision rule). Executes
 /// every index exactly once with the same exception and nesting contracts
 /// as `parallel_for`; only the claim order is scheduling-dependent.
 template <typename Fn>

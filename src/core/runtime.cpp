@@ -7,7 +7,7 @@ namespace abftc::core {
 CompositeRuntime::CompositeRuntime(ckpt::MemoryImage& image) : image_(image) {
   ABFTC_REQUIRE(image.region_count() > 0,
                 "the runtime needs at least one registered region");
-  store_.take_full(image_, now_);
+  writer_.take_full(image_, now_);
   ++stats_.full_checkpoints;
 }
 
@@ -37,7 +37,7 @@ void CompositeRuntime::run_general_phase(const std::function<void()>& work,
       // memory; roll back to the last complete checkpoint and retry.
       work();
       scramble_image();
-      store_.restore_latest(image_);
+      writer_.restore_latest(image_);
       ++stats_.rollbacks;
       ++stats_.reexecutions;
       continue;
@@ -49,7 +49,7 @@ void CompositeRuntime::run_general_phase(const std::function<void()>& work,
 
 void CompositeRuntime::periodic_checkpoint() {
   tick();
-  store_.take_full(image_, now_);
+  writer_.take_full(image_, now_);
   ++stats_.full_checkpoints;
 }
 
@@ -58,14 +58,14 @@ void CompositeRuntime::run_library_phase(
   ABFTC_REQUIRE(work != nullptr, "library phase needs a work function");
   tick();
   // Forced partial checkpoint of the REMAINDER dataset at the call boundary.
-  const ckpt::CkptId entry = store_.take_entry(image_, now_);
+  const ckpt::CkptId entry = writer_.take_entry(image_, now_);
   ++stats_.entry_checkpoints;
 
   // Figure 2's combined recovery: every time the ABFT kernel reconstructs
   // its dataset from checksums, the runtime reloads the REMAINDER dataset
   // (and the process stack, abstracted here) from the entry checkpoint.
   const auto on_abft_recovery = [this] {
-    store_.restore_remainder(image_);
+    writer_.restore_remainder(image_);
     ++stats_.remainder_restores;
     ++stats_.abft_recoveries;
   };
@@ -74,7 +74,7 @@ void CompositeRuntime::run_library_phase(
   tick();
   // Forced partial checkpoint of the (modified) LIBRARY dataset completes
   // the split coordinated checkpoint.
-  store_.take_exit(image_, now_, entry);
+  writer_.take_exit(image_, now_, entry);
   ++stats_.exit_checkpoints;
 }
 

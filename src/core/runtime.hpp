@@ -15,12 +15,16 @@
 ///   exit            forced partial checkpoint of the LIBRARY dataset,
 ///                   completing the split coordinated checkpoint.
 ///
+/// Checkpoints go through an io::CkptWriter over an in-RAM io::MemoryBackend
+/// owned by the runtime; every restore verifies payload CRCs before it
+/// touches the image.
+///
 /// Failures are injected explicitly (deterministic tests/demos); the
 /// statistical behaviour is the domain of core/simulate.hpp.
 
 #include <functional>
 
-#include "ckpt/image.hpp"
+#include "ckpt/io/writer.hpp"
 #include "common/rng.hpp"
 
 namespace abftc::core {
@@ -40,6 +44,8 @@ class CompositeRuntime {
   /// The runtime protects `image`; an initial full checkpoint is taken so a
   /// rollback target always exists. The image must outlive the runtime.
   explicit CompositeRuntime(ckpt::MemoryImage& image);
+  CompositeRuntime(const CompositeRuntime&) = delete;
+  CompositeRuntime& operator=(const CompositeRuntime&) = delete;
 
   /// Run a GENERAL-phase work function. The function must be re-runnable
   /// from the restored state (the classic rollback-recovery contract).
@@ -61,7 +67,7 @@ class CompositeRuntime {
           work);
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] ckpt::CheckpointStore& store() noexcept { return store_; }
+  [[nodiscard]] ckpt::io::CkptWriter& store() noexcept { return writer_; }
 
   /// Advance the runtime's logical clock (checkpoint timestamps).
   void tick(double dt = 1.0);
@@ -70,7 +76,8 @@ class CompositeRuntime {
   void scramble_image();
 
   ckpt::MemoryImage& image_;
-  ckpt::CheckpointStore store_;
+  ckpt::io::MemoryBackend backend_;
+  ckpt::io::CkptWriter writer_{backend_};
   common::Rng scramble_rng_{0xDEADBEEFULL};
   double now_ = 0.0;
   Stats stats_;

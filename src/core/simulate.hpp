@@ -1,6 +1,6 @@
 #pragma once
 /// \file simulate.hpp
-/// Discrete-event simulation of the three protocols (Section V-A).
+/// Segment-walk simulation of the three protocols (Section V-A).
 ///
 /// A ProtocolPlan freezes every decision the protocol makes up front
 /// (periods, periodic-vs-segment per phase, ABFT engagement), derived from

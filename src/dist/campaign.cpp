@@ -101,34 +101,6 @@ double predict(const Calibration& calib, const Cell& cell,
   return calib.t_clean;
 }
 
-/// Residual of all four checksum invariants over copied-out final state
-/// (the calibration clone of Launcher::residual_now; frozen_steps = nbk
-/// after a completed run, so the active accumulators must be ~0).
-double final_residual(const abft::Matrix& a, const abft::Matrix& active,
-                      const abft::Matrix& frozen, const abft::Matrix& wactive,
-                      const abft::Matrix& wfrozen, std::size_t nb,
-                      std::size_t group) {
-  const std::size_t nbk = a.rows() / nb;
-  const std::size_t groups = nbk / group;
-  double worst = 0.0;
-  for (std::size_t g = 0; g < groups; ++g)
-    for (std::size_t r = 0; r < nb; ++r)
-      for (std::size_t j = 0; j < a.cols(); ++j) {
-        double sum = 0.0, wsum = 0.0;
-        for (std::size_t m = 0; m < group; ++m) {
-          const double v = a((g * group + m) * nb + r, j);
-          sum += v;
-          wsum += static_cast<double>(m + 1) * v;
-        }
-        const std::size_t row = g * nb + r;
-        worst = std::max(worst, std::abs(sum - frozen(row, j)));
-        worst = std::max(worst, std::abs(active(row, j)));
-        worst = std::max(worst, std::abs(wsum - wfrozen(row, j)));
-        worst = std::max(worst, std::abs(wactive(row, j)));
-      }
-  return worst;
-}
-
 /// Set-equality of injected vs located sites (order-insensitive: the
 /// localization sweep reports in (row, column) scan order, the injector in
 /// injection order).
@@ -158,14 +130,12 @@ Calibration calibrate(const DistConfig& cfg, const CampaignOptions& options) {
   calib.restore_s = seconds_since(t0);
   ABFTC_CHECK(blob.has_value(), "clean run left no restorable snapshot");
 
-  // check_s: one full residual sweep over the final state.
-  // The result is kept and checked, so the timed sweep cannot be optimized
+  // check_s: one full residual sweep over the final arena state — the same
+  // sweep every blind check and post-reconstruction re-verify runs. The
+  // result is kept and checked, so the timed sweep cannot be optimized
   // away; the check also asserts that the calibration run was clean.
   t0 = Clock::now();
-  const double residual = final_residual(
-      clean.lu(), clean.active_cs(), clean.frozen_cs(),
-      clean.weighted_active_cs(), clean.weighted_frozen_cs(), cfg.nb,
-      cfg.group);
+  const double residual = clean.residual_now();
   calib.check_s = seconds_since(t0);
   ABFTC_CHECK(residual <= kDetectFloor,
               "calibration run ended above the detection floor");

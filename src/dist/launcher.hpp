@@ -206,6 +206,12 @@ class Launcher {
     return wfrozen_;
   }
 
+  /// Worst violation of the four checksum invariants over the arena's
+  /// current state: the verification sweep of every step-boundary check.
+  /// After run() the arena holds the final state, so this times (and
+  /// checks) exactly the sweep the run paid for.
+  [[nodiscard]] double residual_now() const;
+
  private:
   struct Rank;  // pid + ready fd + mailbox cursors
 
@@ -226,7 +232,6 @@ class Launcher {
   /// returns the step to resume from.
   [[nodiscard]] std::size_t recover_from_corruption(std::size_t step,
                                                     RunReport& report);
-  [[nodiscard]] double residual_now() const;
   void load_blob(const ckpt::io::SnapshotBlob& blob);
   /// Copy the initial image (a0_, cs0_, wcs0_, zero frozen pair) into the
   /// arena and reset frozen_steps_ to 0.

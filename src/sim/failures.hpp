@@ -1,6 +1,6 @@
 #pragma once
 /// \file failures.hpp
-/// Failure arrival processes for the discrete-event simulator (Section V-A:
+/// Failure arrival processes for the segment-walk simulator (Section V-A:
 /// "failures are generated following an Exponential distribution law
 /// parameterized to fix the MTBF to a given value").
 ///

@@ -1,5 +1,7 @@
-// Tests for the executable checkpoint substrate: regions, dirty tracking,
-// the Full/Entry/Exit/Incremental taxonomy and split-checkpoint semantics.
+// Tests for the application image the checkpoints protect: regions, the
+// LIBRARY/REMAINDER split (rho) and dirty tracking. The Full/Entry/Exit/
+// Incremental taxonomy over these images is tested through CkptWriter in
+// test_ckpt_io.cpp.
 
 #include <gtest/gtest.h>
 
@@ -56,146 +58,6 @@ TEST(MemoryImage, RejectsDuplicatesAndEmpty) {
                                   RegionClass::Library),
                common::precondition_error);
   EXPECT_THROW((void)f.image.info(99), common::precondition_error);
-}
-
-TEST(CheckpointStore, FullRoundTrip) {
-  Fixture f;
-  CheckpointStore store;
-  store.take_full(f.image, 1.0);
-  f.lib[0] = -1;
-  f.rem[3] = -1;
-  const auto report = store.restore_latest(f.image);
-  EXPECT_DOUBLE_EQ(f.lib[0], 1.0);
-  EXPECT_DOUBLE_EQ(f.rem[3], 40.0);
-  EXPECT_EQ(report.bytes_restored, f.image.total_bytes());
-  EXPECT_DOUBLE_EQ(report.from_when, 1.0);
-}
-
-TEST(CheckpointStore, SplitCheckpointRestoresBothHalves) {
-  Fixture f;
-  CheckpointStore store;
-  const auto entry = store.take_entry(f.image, 1.0);  // rem = {10,20,30,40}
-  // The library call mutates the library dataset.
-  f.lib[2] = 333.0;
-  store.take_exit(f.image, 2.0, entry);
-  // Crash later: everything scrambles.
-  f.lib.fill(-7);
-  f.rem.fill(-7);
-  const auto report = store.restore_latest(f.image);
-  EXPECT_DOUBLE_EQ(f.lib[2], 333.0);  // exit state of the library data
-  EXPECT_DOUBLE_EQ(f.rem[1], 20.0);   // entry state of the remainder
-  EXPECT_EQ(report.applied.size(), 2u);
-}
-
-TEST(CheckpointStore, ExitRequiresMatchingEntry) {
-  Fixture f;
-  CheckpointStore store;
-  const auto full = store.take_full(f.image, 1.0);
-  EXPECT_THROW(store.take_exit(f.image, 2.0, full),
-               common::precondition_error);
-  EXPECT_THROW(store.take_exit(f.image, 2.0, 999),
-               common::precondition_error);
-}
-
-TEST(CheckpointStore, EntryAloneIsNotARestorePoint) {
-  Fixture f;
-  CheckpointStore store;
-  EXPECT_FALSE(store.has_restore_point());
-  store.take_entry(f.image, 1.0);
-  EXPECT_FALSE(store.has_restore_point());
-  EXPECT_THROW(store.restore_latest(f.image), common::precondition_error);
-}
-
-TEST(CheckpointStore, RestoreRemainderLeavesLibraryUntouched) {
-  Fixture f;
-  CheckpointStore store;
-  store.take_entry(f.image, 1.0);
-  f.rem.fill(-1);
-  f.lib[5] = 555.0;  // live ABFT-reconstructed state must survive
-  const auto report = store.restore_remainder(f.image);
-  EXPECT_DOUBLE_EQ(f.rem[0], 10.0);
-  EXPECT_DOUBLE_EQ(f.lib[5], 555.0);
-  EXPECT_EQ(report.bytes_restored, 4 * sizeof(double));
-}
-
-TEST(CheckpointStore, IncrementalAppliesOnTopOfFull) {
-  Fixture f;
-  CheckpointStore store;
-  store.take_full(f.image, 1.0);
-  f.rem[0] = 99.0;
-  f.image.mark_dirty(f.rem_id);
-  f.image.clear_dirty_all();
-  f.image.mark_dirty(f.rem_id);  // only rem is dirty
-  store.take_incremental(f.image, 2.0);
-  f.rem.fill(-1);
-  f.lib.fill(-1);
-  const auto report = store.restore_latest(f.image);
-  EXPECT_DOUBLE_EQ(f.rem[0], 99.0);   // from the incremental
-  EXPECT_DOUBLE_EQ(f.lib[0], 1.0);    // from the full base
-  EXPECT_DOUBLE_EQ(report.from_when, 2.0);
-}
-
-TEST(CheckpointStore, IncrementalRequiresFullBase) {
-  Fixture f;
-  CheckpointStore store;
-  EXPECT_THROW(store.take_incremental(f.image, 1.0),
-               common::precondition_error);
-}
-
-TEST(CheckpointStore, IncrementalSavesOnlyDirtyBytes) {
-  Fixture f;
-  CheckpointStore store;
-  store.take_full(f.image, 1.0);  // clears dirty
-  f.image.mark_dirty(f.rem_id);
-  const auto id = store.take_incremental(f.image, 2.0);
-  EXPECT_EQ(store.record(id).bytes, 4 * sizeof(double));
-}
-
-TEST(CheckpointStore, NewerSplitBeatsOlderFull) {
-  Fixture f;
-  CheckpointStore store;
-  store.take_full(f.image, 1.0);
-  f.rem[0] = 77.0;
-  const auto entry = store.take_entry(f.image, 2.0);
-  f.lib[0] = 88.0;
-  store.take_exit(f.image, 3.0, entry);
-  f.rem.fill(0);
-  f.lib.fill(0);
-  store.restore_latest(f.image);
-  EXPECT_DOUBLE_EQ(f.rem[0], 77.0);
-  EXPECT_DOUBLE_EQ(f.lib[0], 88.0);
-}
-
-TEST(CheckpointStore, CompactDropsObsoleteSnapshots) {
-  Fixture f;
-  CheckpointStore store;
-  store.take_full(f.image, 1.0);
-  store.take_full(f.image, 2.0);
-  const auto entry = store.take_entry(f.image, 3.0);
-  store.take_exit(f.image, 4.0, entry);
-  EXPECT_EQ(store.count(), 4u);
-  store.compact();
-  EXPECT_EQ(store.count(), 2u);  // the entry+exit pair survives
-  f.rem.fill(0);
-  f.lib.fill(0);
-  EXPECT_NO_THROW(store.restore_latest(f.image));
-}
-
-TEST(CheckpointStore, TimestampsMustBeMonotone) {
-  Fixture f;
-  CheckpointStore store;
-  store.take_full(f.image, 5.0);
-  EXPECT_THROW(store.take_full(f.image, 4.0), common::precondition_error);
-}
-
-TEST(CheckpointStore, StoredBytesAccounting) {
-  Fixture f;
-  CheckpointStore store;
-  store.take_full(f.image, 1.0);
-  EXPECT_EQ(store.stored_bytes(), f.image.total_bytes());
-  store.take_entry(f.image, 2.0);
-  EXPECT_EQ(store.stored_bytes(),
-            f.image.total_bytes() + 4 * sizeof(double));
 }
 
 }  // namespace

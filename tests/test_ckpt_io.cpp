@@ -3,8 +3,8 @@
 // async pipeline (bitwise-equal to the serial reference, all checkpoint
 // kinds, split restore composition across a backend reopen), integrity
 // rejection (corrupted payload, truncated file, torn snapshot), the
-// MeasuredStorage calibrator, the --storage resolver, and the
-// CheckpointStore's parallel copy/CRC loops (worker-count invariance).
+// MeasuredStorage calibrator, the --storage resolver, and the chunked CRC
+// fold the writer's pipeline relies on.
 
 #include <gtest/gtest.h>
 
@@ -463,11 +463,25 @@ TEST(CkptWriter, ExitValidatesCoverageAndEntryKind) {
                common::precondition_error);
   EXPECT_THROW(writer.take_incremental(f.image, 0.5),  // when decreasing
                common::precondition_error);
+  EXPECT_THROW(writer.take_full(f.image, 0.5), common::precondition_error);
 }
 
-TEST(CkptWriter, EmptyIncrementalMatchesStoreSemantics) {
+TEST(CkptWriter, IncrementalNeedsFullBaseAndSavesOnlyDirtyBytes) {
+  MemoryBackend backend;
+  CkptWriter writer(backend);
+  ImageFixture f;
+  EXPECT_THROW(writer.take_incremental(f.image, 1.0),
+               common::precondition_error);
+  writer.take_full(f.image, 1.0);  // clears dirty
+  f.image.mark_dirty(1);
+  writer.take_incremental(f.image, 2.0);
+  EXPECT_EQ(backend.list().back().bytes, f.rem.size());
+  EXPECT_EQ(backend.stored_bytes(), f.image.total_bytes() + f.rem.size());
+}
+
+TEST(CkptWriter, EmptyIncrementalStillRestores) {
   // An Incremental with nothing dirty records an empty snapshot and keeps
-  // restoring cleanly — CheckpointStore parity.
+  // restoring cleanly.
   MemoryBackend backend;
   CkptWriter writer(backend);
   ImageFixture f;
@@ -491,6 +505,92 @@ TEST(CkptWriter, EntryAloneIsNotARestorePoint) {
   writer.take_entry(f.image, 1.0);
   EXPECT_FALSE(writer.has_restore_point());
   EXPECT_THROW(writer.restore_latest(f.image), common::precondition_error);
+}
+
+TEST(CkptWriter, NewerSplitBeatsOlderFull) {
+  MemoryBackend backend;
+  CkptWriter writer(backend);
+  ImageFixture f;
+  writer.take_full(f.image, 1.0);
+  f.rem[0] = std::byte{0x77};
+  const CkptId entry = writer.take_entry(f.image, 2.0);
+  f.lib[0] = std::byte{0x88};
+  writer.take_exit(f.image, 3.0, entry);
+  const auto lib_at_exit = f.lib, rem_at_entry = f.rem;
+  std::fill(f.lib.begin(), f.lib.end(), std::byte{0});
+  std::fill(f.rem.begin(), f.rem.end(), std::byte{0});
+  const auto report = writer.restore_latest(f.image);
+  EXPECT_EQ(f.lib, lib_at_exit);
+  EXPECT_EQ(f.rem, rem_at_entry);
+  EXPECT_EQ(report.applied, (std::vector<CkptId>{entry, entry + 1}));
+}
+
+TEST(CkptWriter, RestoreRemainderLeavesLibraryUntouched) {
+  // From an Entry, and from a Full when that is the newest source: only the
+  // REMAINDER dataset comes back; the live (ABFT-reconstructed) LIBRARY
+  // state survives.
+  MemoryBackend backend;
+  CkptWriter writer(backend);
+  ImageFixture f;
+  const auto rem_orig = f.rem;
+  writer.take_full(f.image, 1.0);
+  for (const bool from_entry : {false, true}) {
+    if (from_entry) writer.take_entry(f.image, 2.0);
+    std::fill(f.rem.begin(), f.rem.end(), std::byte{0});
+    f.lib[5] = std::byte{0x55};
+    const auto lib_live = f.lib;
+    const auto report = writer.restore_remainder(f.image);
+    EXPECT_EQ(f.rem, rem_orig) << "from_entry=" << from_entry;
+    EXPECT_EQ(f.lib, lib_live) << "from_entry=" << from_entry;
+    EXPECT_EQ(report.bytes_restored, f.rem.size());
+    EXPECT_EQ(report.applied,
+              (std::vector<CkptId>{from_entry ? CkptId{2} : CkptId{1}}));
+    EXPECT_DOUBLE_EQ(report.from_when, from_entry ? 2.0 : 1.0);
+  }
+}
+
+TEST(CkptWriter, RestoreRemainderRejectsTornSourceUntouched) {
+  // A torn Entry, or a torn Full as the only source: restore_remainder
+  // verifies every region before copying, so it throws and the image keeps
+  // every byte it had.
+  for (const bool torn_entry : {false, true}) {
+    MemoryBackend inner;
+    FaultingBackend faulty(
+        inner, {{torn_entry ? 1u : 0u, WriteFault::TornPayload}});
+    CkptWriter writer(faulty);
+    ImageFixture f;
+    writer.take_full(f.image, 1.0);
+    if (torn_entry) writer.take_entry(f.image, 2.0);
+    ASSERT_EQ(faulty.faults_fired(), 1u);
+    std::fill(f.rem.begin(), f.rem.end(), std::byte{0x3C});
+    const auto lib_before = f.lib, rem_before = f.rem;
+    EXPECT_THROW(writer.restore_remainder(f.image), io_error)
+        << "torn_entry=" << torn_entry;
+    EXPECT_EQ(f.lib, lib_before) << "torn_entry=" << torn_entry;
+    EXPECT_EQ(f.rem, rem_before) << "torn_entry=" << torn_entry;
+  }
+}
+
+TEST(CkptWriter, CompactDropsObsoleteSnapshots) {
+  MemoryBackend backend;
+  CkptWriter writer(backend);
+  ImageFixture f;
+  writer.take_full(f.image, 1.0);
+  writer.take_full(f.image, 2.0);
+  const CkptId entry = writer.take_entry(f.image, 3.0);
+  const CkptId exit = writer.take_exit(f.image, 4.0, entry);
+  ASSERT_EQ(backend.list().size(), 4u);
+  writer.compact();
+  const auto metas = backend.list();
+  ASSERT_EQ(metas.size(), 2u);  // the entry+exit pair survives
+  EXPECT_EQ(metas[0].id, entry);
+  EXPECT_EQ(metas[1].id, exit);
+  const auto lib_orig = f.lib, rem_orig = f.rem;
+  std::fill(f.lib.begin(), f.lib.end(), std::byte{0});
+  std::fill(f.rem.begin(), f.rem.end(), std::byte{0});
+  writer.restore_latest(f.image);
+  EXPECT_EQ(f.lib, lib_orig);
+  EXPECT_EQ(f.rem, rem_orig);
 }
 
 TEST(CkptWriter, SplitSurvivesBackendReopen) {
@@ -1140,37 +1240,10 @@ TEST(StorageResolver, CalibratesMeasuredBackends) {
   EXPECT_NEAR(t1, t2, 1e-9);
 }
 
-// --- CheckpointStore parallel loops -----------------------------------------
+// --- chunked CRC fold -------------------------------------------------------
 
-TEST(CheckpointStoreParallel, BitwiseIdenticalAcrossWorkerCounts) {
-  // Regions > 256 KiB so the copy/CRC loops actually chunk.
-  struct Result {
-    std::vector<std::byte> lib, rem;
-    std::size_t bytes = 0;
-  };
-  std::vector<Result> results;
-  for (const unsigned workers : {1u, 2u, 4u}) {
-    ImageFixture f(1 << 20, 600000);
-    CheckpointStore store;
-    store.set_threads(workers);
-    store.take_full(f.image, 1.0);
-    f.lib[123] = std::byte{0x5A};
-    f.image.mark_dirty(0);
-    store.take_incremental(f.image, 2.0);
-    std::fill(f.lib.begin(), f.lib.end(), std::byte{0});
-    std::fill(f.rem.begin(), f.rem.end(), std::byte{0});
-    const auto report = store.restore_latest(f.image);
-    results.push_back({f.lib, f.rem, report.bytes_restored});
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].lib, results[0].lib);
-    EXPECT_EQ(results[i].rem, results[0].rem);
-    EXPECT_EQ(results[i].bytes, results[0].bytes);
-  }
-}
-
-TEST(CheckpointStoreParallel, ChunkedCrcMatchesOneShot) {
-  // The fold the store and the writer both use (common::Crc32Chunks over
+TEST(Crc32Chunks, ChunkedCrcMatchesOneShot) {
+  // The fold the writer's pipeline uses (common::Crc32Chunks over
   // independently computed per-chunk CRCs) must equal the plain crc32 of
   // the whole buffer, for any chunk size.
   const auto buf = pattern_bytes((1 << 20) + 12345, 42);

@@ -5,7 +5,7 @@
 // races, nesting and exceptions from stolen chunks, scheduler counters,
 // NUMA pinning), and the determinism guarantees the rest of the repo leans
 // on — group checksums and a small Experiment sweep must be bitwise
-// identical across worker counts and across pool/spawn/serial dispatch.
+// identical across worker counts and against serial execution.
 
 #include <gtest/gtest.h>
 
@@ -30,7 +30,6 @@
 namespace {
 
 using namespace abftc;
-using common::Dispatch;
 using common::Executor;
 using common::parallel_for;
 
@@ -107,18 +106,16 @@ TEST(Executor, NestedLoopIsBoundedAndDeadlockFree) {
 }
 
 TEST(Executor, RethrowsFirstExceptionWithMessage) {
-  for (const Dispatch dispatch : {Dispatch::Pool, Dispatch::Spawn}) {
-    try {
-      parallel_for(
-          1000,
-          [](std::size_t i) {
-            if (i == 0) throw std::runtime_error("boom");
-          },
-          4, dispatch);
-      FAIL() << "exception must propagate";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "boom");
-    }
+  try {
+    parallel_for(
+        1000,
+        [](std::size_t i) {
+          if (i == 0) throw std::runtime_error("boom");
+        },
+        4);
+    FAIL() << "exception must propagate";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom");
   }
 }
 
@@ -205,29 +202,25 @@ TEST(Executor, EffectiveThreadsIsCachedAndStable) {
       3u);
 }
 
-// ---- Determinism across worker counts and dispatch modes -------------------
+// ---- Determinism across worker counts ---------------------------------------
 
 TEST(ExecutorDeterminism, GroupChecksumsBitwiseInvariant) {
   common::Rng rng(42);
   const abft::Matrix a = abft::Matrix::random(96, 96, rng);
   const std::size_t nb = 8, group = 3;
 
-  abft::KernelPolicyGuard serial_guard(
-      {abft::KernelPath::blocked, 1, Dispatch::Pool});
+  abft::KernelPolicyGuard serial_guard({abft::KernelPath::blocked, 1});
   const abft::Matrix row_ref = abft::row_group_checksums(a, nb, group);
   const abft::Matrix col_ref = abft::col_group_checksums(a, nb, group);
 
   for (const unsigned threads : {2u, 4u}) {
-    for (const Dispatch dispatch : {Dispatch::Pool, Dispatch::Spawn}) {
-      abft::KernelPolicyGuard guard(
-          {abft::KernelPath::blocked, threads, dispatch});
-      EXPECT_EQ(max_abs_diff(abft::row_group_checksums(a, nb, group), row_ref),
-                0.0)
-          << "threads=" << threads;
-      EXPECT_EQ(max_abs_diff(abft::col_group_checksums(a, nb, group), col_ref),
-                0.0)
-          << "threads=" << threads;
-    }
+    abft::KernelPolicyGuard guard({abft::KernelPath::blocked, threads});
+    EXPECT_EQ(max_abs_diff(abft::row_group_checksums(a, nb, group), row_ref),
+              0.0)
+        << "threads=" << threads;
+    EXPECT_EQ(max_abs_diff(abft::col_group_checksums(a, nb, group), col_ref),
+              0.0)
+        << "threads=" << threads;
   }
 }
 
@@ -241,14 +234,10 @@ TEST(ExecutorDeterminism, BlockedGemmBitwiseInvariant) {
                      0.0, ref.view(), 1);
 
   for (const unsigned threads : {2u, 4u}) {
-    for (const Dispatch dispatch : {Dispatch::Pool, Dispatch::Spawn}) {
-      abft::Matrix c(128, 112, 0.0);
-      abft::blocked_gemm(1.0, a.view(), abft::Trans::No, b.view(),
-                         abft::Trans::No, 0.0, c.view(), threads, dispatch);
-      EXPECT_EQ(max_abs_diff(c, ref), 0.0)
-          << "threads=" << threads << " dispatch="
-          << (dispatch == Dispatch::Pool ? "pool" : "spawn");
-    }
+    abft::Matrix c(128, 112, 0.0);
+    abft::blocked_gemm(1.0, a.view(), abft::Trans::No, b.view(),
+                       abft::Trans::No, 0.0, c.view(), threads);
+    EXPECT_EQ(max_abs_diff(c, ref), 0.0) << "threads=" << threads;
   }
 }
 

@@ -142,6 +142,13 @@ TEST(RunPeriodicStream, TailCheckpointDiffers) {
   run_periodic_stream(st, 150.0, 100.0, 10.0, 0.0, 20.0, 5.0);
   EXPECT_DOUBLE_EQ(st.acc.ckpt, 10.0);  // only the intermediate one
   EXPECT_DOUBLE_EQ(st.now, 160.0);
+
+  // Fault-free time is exact: 3 chunks of 90 + 2 intermediate ckpts of 10
+  // + a tail ckpt of 5.
+  ScriptedClock quiet({1e9});
+  auto st2 = make_state(quiet);
+  run_periodic_stream(st2, 270.0, 100.0, 10.0, 5.0, 1.0, 1.0);
+  EXPECT_DOUBLE_EQ(st2.now, 270.0 + 2 * 10.0 + 5.0);
 }
 
 TEST(RunAbftPhase, NoWorkIsLostOnFailure) {
