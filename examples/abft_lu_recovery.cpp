@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   table.add_row({"checksum residual after factor",
                  common::fmt(lu.checksum_residual(), 3)});
   table.add_row({"||L*U - A||_F / ||A||_F", common::fmt(rel, 3)});
-  table.add_row({"checksum arithmetic overhead (1/P)",
+  table.add_row({"checksum arithmetic overhead (2/P)",
                  common::fmt_percent(lu.overhead_fraction(), 1)});
   table.print(std::cout);
 

@@ -1,18 +1,7 @@
 #pragma once
 /// \file abft_lu.hpp
-/// ABFT-protected right-looking blocked LU factorization (no pivoting; use
-/// diagonally dominant inputs), after Du, Bouteiller, Bosilca et al. [9].
-///
-/// Protection scheme ("dual accumulator" checksums):
-///  * `active` row-group checksums cover the not-yet-factored block rows and
-///    are carried through every panel/update operation — the same linear row
-///    operations applied to the data are applied to the checksums, so the
-///    invariant   active_cs[g] = Σ_{i ∈ g, i active} row_i   is exact at
-///    every block-step boundary.
-///  * When a block row is factored it freezes; its contribution moves from
-///    the active accumulator to the `frozen` accumulator
-///    (frozen_cs[g] = Σ_{i ∈ g, i frozen} row_i), which thereafter protects
-///    the L and U factors at O(n²) total maintenance cost.
+/// ABFT-protected blocked LU driven serially over the shared step kernel
+/// (lu_kernel.hpp states the algebra and its invariants).
 ///
 /// A rank killed at a block-step boundary is reconstructed block-by-block by
 /// subtracting the surviving group members from the matching accumulator;
@@ -23,6 +12,7 @@
 #include <vector>
 
 #include "abft/checksum.hpp"
+#include "abft/lu_kernel.hpp"
 
 namespace abftc::abft {
 
@@ -54,45 +44,46 @@ class AbftLu {
   /// boundary).
   [[nodiscard]] double checksum_residual() const;
 
-  /// The weighted accumulator pair (Huang–Abraham localization relation):
-  /// w_cs[g] = Σ_m (m+1)·row_{g·P+m} over the matching frozen/active split.
-  /// Maintained through the identical per-step operations as the sum pair,
-  /// so the dist runtime's copies must match these bitwise.
-  [[nodiscard]] const Matrix& weighted_active_cs() const noexcept {
-    return wactive_cs_;
+  /// The weighted halves of the stacked accumulators (Huang–Abraham
+  /// localization relation): w_cs[g] = Σ_m (m+1)·row_{g·P+m} over the
+  /// matching frozen/active split.
+  [[nodiscard]] ConstMatrixView weighted_active_cs() const {
+    return active_cs_.block(csr(), 0, csr(), active_cs_.cols());
   }
-  [[nodiscard]] const Matrix& weighted_frozen_cs() const noexcept {
-    return wfrozen_cs_;
+  [[nodiscard]] ConstMatrixView weighted_frozen_cs() const {
+    return frozen_cs_.block(csr(), 0, csr(), frozen_cs_.cols());
   }
 
   [[nodiscard]] const RecoveryStats& recovery() const noexcept {
     return recovery_;
   }
 
-  /// Fraction of extra arithmetic spent maintaining checksums: the active
-  /// accumulator adds 1/P worth of rows to every panel and update.
+  /// Fraction of extra arithmetic spent maintaining checksums: every panel
+  /// and update also runs on the stacked active accumulator's rows.
   [[nodiscard]] double overhead_fraction() const noexcept {
-    return 1.0 / static_cast<double>(grid_.prows);
+    return static_cast<double>(active_cs_.rows()) /
+           static_cast<double>(a_.rows());
   }
 
   [[nodiscard]] std::size_t block_steps() const noexcept { return nbk_; }
 
  private:
-  void step(std::size_t k);
+  [[nodiscard]] std::size_t csr() const noexcept {
+    return active_cs_.rows() / 2;
+  }
+  [[nodiscard]] LuView view() noexcept {
+    return {a_.view(), active_cs_.view(), frozen_cs_.view(), nb_,
+            grid_.prows};
+  }
   void recover_rank(std::size_t k, std::size_t dead_rank);
 
-  Matrix a_;           // n×n working matrix (becomes L\U)
-  Matrix active_cs_;   // (groups·nb) × n
-  Matrix frozen_cs_;   // (groups·nb) × n
-  Matrix wactive_cs_;  // position-weighted twins of the two above
-  Matrix wfrozen_cs_;
+  Matrix a_;          // n×n working matrix (becomes L\U)
+  Matrix active_cs_;  // 2·(groups·nb) × n: [sums; weighted sums]
+  Matrix frozen_cs_;  // same shape
   std::size_t nb_, nbk_;
   std::size_t frozen_steps_ = 0;  ///< block rows 0..frozen_steps_-1 frozen
   ProcessGrid grid_;
   RecoveryStats recovery_;
 };
-
-/// Baseline: plain blocked LU without checksums (for overhead benches).
-void plain_blocked_lu(Matrix& a, std::size_t nb);
 
 }  // namespace abftc::abft

@@ -65,24 +65,27 @@ Matrix row_group_checksums(const Matrix& a, std::size_t nb,
   return cs;
 }
 
-Matrix row_group_weighted_checksums(const Matrix& a, std::size_t nb,
-                                    std::size_t group) {
+Matrix row_group_checksum_pair(const Matrix& a, std::size_t nb,
+                               std::size_t group) {
   check_blocking(a, nb);
-  const std::size_t nbr = a.rows() / nb;
-  const std::size_t groups = group_count(nbr, group);
-  Matrix cs(groups * nb, a.cols(), 0.0);
-  // Same ownership scheme as row_group_checksums: whole output rows, members
-  // summed in ascending block-row order — bitwise-identical for every thread
-  // count. The weight (m+1) is an exact small integer in double.
+  const std::size_t groups = group_count(a.rows() / nb, group);
+  const std::size_t csr = groups * nb;
+  Matrix cs(2 * csr, a.cols(), 0.0);
+  // Same ownership scheme as row_group_checksums: worker gr owns output row
+  // gr of both halves and sums members in ascending block-row order. The
+  // weight (m+1) is an exact small integer in double.
   common::parallel_for(
-      groups * nb,
+      csr,
       [&](std::size_t gr) {
         const std::size_t g = gr / nb;
         const std::size_t r = gr % nb;
-        for (std::size_t bi = g * group; bi < (g + 1) * group; ++bi) {
-          const double w = static_cast<double>(bi - g * group + 1);
-          for (std::size_t j = 0; j < a.cols(); ++j)
-            cs(gr, j) += w * a(bi * nb + r, j);
+        for (std::size_t m = 0; m < group; ++m) {
+          const double w = static_cast<double>(m + 1);
+          for (std::size_t j = 0; j < a.cols(); ++j) {
+            const double v = a((g * group + m) * nb + r, j);
+            cs(gr, j) += v;
+            cs(csr + gr, j) += w * v;
+          }
         }
       },
       checksum_threads());

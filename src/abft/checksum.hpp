@@ -43,15 +43,14 @@ class unrecoverable_error : public std::runtime_error {
 [[nodiscard]] Matrix col_group_checksums(const Matrix& a, std::size_t nb,
                                          std::size_t group);
 
-/// Position-weighted row-group checksums (the second Huang–Abraham relation):
-/// cs[g] = Σ_{m=0}^{group-1} (m+1) · A[g·group+m, :]. Together with the
-/// unweighted sum this localizes a single corrupted block row — the ratio of
-/// the weighted and unweighted residuals is the 1-based position of the
-/// victim inside its group. Same shape/threading contract as
-/// row_group_checksums.
-[[nodiscard]] Matrix row_group_weighted_checksums(const Matrix& a,
-                                                  std::size_t nb,
-                                                  std::size_t group);
+/// Row-group checksums stacked over their position-weighted twins (the
+/// second Huang–Abraham relation): rows [0, csr) are row_group_checksums,
+/// rows [csr, 2·csr) hold Σ_{m=0}^{group-1} (m+1) · A[g·group+m, :], with
+/// csr = group_count · nb. A single corrupted block row leaves weighted and
+/// unweighted residuals whose ratio is its 1-based position in the group.
+/// One pass; same threading contract as row_group_checksums.
+[[nodiscard]] Matrix row_group_checksum_pair(const Matrix& a, std::size_t nb,
+                                             std::size_t group);
 
 /// Max-abs residual of the row-group checksum invariant (0 when intact).
 [[nodiscard]] double row_checksum_residual(const Matrix& a, const Matrix& cs,

@@ -1,0 +1,129 @@
+#pragma once
+/// \file lu_kernel.hpp
+/// The one implementation of the ABFT-protected right-looking blocked LU
+/// (no pivoting; use diagonally dominant inputs), after Du, Bouteiller,
+/// Bosilca et al. [9]. The serial AbftLu and the forked dist ranks both run
+/// these functions, so "distributed equals serial" holds by construction.
+///
+/// State. The payload `a` (n × n, becomes L\U) plus two stacked
+/// accumulators, `active` and `frozen`, each 2·csr × n with csr = groups·nb.
+/// Block rows are partitioned into checksum groups of `group` consecutive
+/// block rows; block row bi sits in group g = bi / group at 1-based position
+/// w = bi % group + 1. Rows [0, csr) of an accumulator hold the sums, rows
+/// [csr, 2·csr) the position-weighted sums (the Huang–Abraham localization
+/// relation). At every block-step boundary, with f block rows frozen:
+///
+///   active[g·nb + r]       = Σ_{bi ∈ g, bi ≥ f}       row_{bi·nb + r}
+///   active[csr + g·nb + r] = Σ_{bi ∈ g, bi ≥ f} w(bi) · row_{bi·nb + r}
+///   frozen: the same over bi < f.
+///
+/// The active accumulator covers the not-yet-factored block rows and rides
+/// through every panel and update operation: each is linear in rows, so
+/// applying it to both halves keeps both relations exact. When block row k
+/// is factored it freezes — its pre-step values leave `active` and its
+/// final values join `frozen`, which then protects L and U at O(n²) total
+/// maintenance cost. A single corrupted element with delta d at position w
+/// leaves residual d in the sum relation and w·d in the weighted one, so
+/// their ratio names the victim; a lost block is rebuilt by subtracting the
+/// surviving members of its class from the matching sum.
+///
+/// Block step k splits into two phases:
+///
+///   lu_panel(k)  — pre-subtract the pivot block row's column block k from
+///                  `active`, factor the diagonal block, apply U_kk⁻¹ to the
+///                  L block column and to `active`'s column block k.
+///   lu_update(k, bj0, bj1) — over block columns [bj0, bj1): pre-subtract
+///                  the pivot row from `active` (j ≠ k; pre-step values),
+///                  for j > k apply L_kk⁻¹ to the U block row and the
+///                  trailing GEMM to payload and `active`, then freeze the
+///                  pivot row's final values into `frozen`.
+///
+/// The update of one block column reads only column block k and writes only
+/// its own columns, so disjoint ranges may run in any order or in parallel
+/// once the panel is done. Per matrix column the operation sequence is the
+/// same however [0, nbk) is split. The dist ranks update one block column
+/// per call, so runs with any rank count are bitwise identical; the serial
+/// single-range update agrees with them to rounding (the wider GEMM may take
+/// another kernel path).
+
+#include <cstddef>
+
+#include "abft/matrix.hpp"
+
+namespace abftc::abft {
+
+/// Read-only view of the protected state.
+struct LuConstView {
+  ConstMatrixView a;       ///< n × n payload
+  ConstMatrixView active;  ///< 2·csr × n: [sums; weighted sums]
+  ConstMatrixView frozen;  ///< 2·csr × n
+  std::size_t nb = 0;      ///< block size
+  std::size_t group = 0;   ///< block rows per checksum group
+
+  [[nodiscard]] std::size_t csr() const noexcept { return active.rows() / 2; }
+};
+
+/// Mutable view of the protected state (see LuConstView).
+struct LuView {
+  MatrixView a, active, frozen;
+  std::size_t nb = 0, group = 0;
+
+  operator LuConstView() const {  // NOLINT(google-explicit-constructor)
+    return {a, active, frozen, nb, group};
+  }
+};
+
+/// Phase 1 of block step k (column block k only).
+void lu_panel(const LuView& s, std::size_t k);
+
+/// Phase 2 of block step k over block columns [bj0, bj1). Requires
+/// lu_panel(k) to have completed.
+void lu_update(const LuView& s, std::size_t k, std::size_t bj0,
+               std::size_t bj1);
+
+/// Recomputed-minus-stored residuals of one checksum slot (accumulator row
+/// `row` < csr, column `j`), per class: [0] active, [1] frozen.
+struct SlotResidual {
+  double sum[2];
+  double weighted[2];
+};
+/// Inline: the residual sweep calls it once per slot.
+[[nodiscard]] inline SlotResidual lu_slot_residual(const LuConstView& s,
+                                                   std::size_t frozen_steps,
+                                                   std::size_t row,
+                                                   std::size_t j) {
+  const std::size_t g = row / s.nb, r = row % s.nb, csr = s.csr();
+  double ea = 0.0, ef = 0.0, wa = 0.0, wf = 0.0;
+  for (std::size_t m = 0; m < s.group; ++m) {
+    const std::size_t bi = g * s.group + m;
+    const double v = s.a(bi * s.nb + r, j);
+    const double w = static_cast<double>(m + 1);
+    if (bi < frozen_steps) {
+      ef += v;
+      wf += w * v;
+    } else {
+      ea += v;
+      wa += w * v;
+    }
+  }
+  return {{ea - s.active(row, j), ef - s.frozen(row, j)},
+          {wa - s.active(csr + row, j), wf - s.frozen(csr + row, j)}};
+}
+
+/// Worst |residual| of the four relations over every slot. Runs on
+/// parallel_for with one accumulator row per index and a serial max-fold,
+/// so the result is bitwise-identical for every `threads`.
+[[nodiscard]] double lu_checksum_residual(const LuConstView& s,
+                                          std::size_t frozen_steps,
+                                          unsigned threads);
+
+/// Overwrite block (bi, bj) with the matching sum minus the surviving
+/// members of its class (frozen iff bi < frozen_steps). A NaN in any
+/// subtracted member propagates into the block.
+void lu_rebuild_block(const LuView& s, std::size_t frozen_steps,
+                      std::size_t bi, std::size_t bj);
+
+/// Baseline: plain blocked LU without checksums (for overhead benches).
+void plain_blocked_lu(Matrix& a, std::size_t nb);
+
+}  // namespace abftc::abft

@@ -57,13 +57,17 @@ double Matrix::frobenius_norm() const {
   return std::sqrt(s);
 }
 
-double Matrix::max_abs() const {
+double ConstMatrixView::max_abs() const {
   double m = 0.0;
-  for (const double x : data_) m = std::max(m, std::fabs(x));
+  for (std::size_t i = 0; i < rows_; ++i)
+    for (std::size_t j = 0; j < cols_; ++j)
+      m = std::max(m, std::fabs((*this)(i, j)));
   return m;
 }
 
-double max_abs_diff(const Matrix& a, const Matrix& b) {
+double Matrix::max_abs() const { return view().max_abs(); }
+
+double max_abs_diff(ConstMatrixView a, ConstMatrixView b) {
   ABFTC_REQUIRE(a.rows() == b.rows() && a.cols() == b.cols(),
                 "shape mismatch");
   double m = 0.0;

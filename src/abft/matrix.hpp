@@ -71,6 +71,8 @@ class ConstMatrixView {
     return ConstMatrixView(data_ + r0 * ld_ + c0, nr, nc, ld_);
   }
 
+  [[nodiscard]] double max_abs() const;
+
  private:
   const double* data_;
   std::size_t rows_, cols_, ld_;
@@ -135,7 +137,10 @@ class Matrix {
 };
 
 /// max |a - b| over all entries (shape must match).
-[[nodiscard]] double max_abs_diff(const Matrix& a, const Matrix& b);
+[[nodiscard]] double max_abs_diff(ConstMatrixView a, ConstMatrixView b);
+[[nodiscard]] inline double max_abs_diff(const Matrix& a, const Matrix& b) {
+  return max_abs_diff(a.view(), b.view());
+}
 
 /// ||a − b||_F / (||b||_F + tiny): relative error for verification.
 [[nodiscard]] double relative_error(const Matrix& a, const Matrix& b);

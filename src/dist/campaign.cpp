@@ -140,26 +140,13 @@ Calibration calibrate(const DistConfig& cfg, const CampaignOptions& options) {
   ABFTC_CHECK(residual <= kDetectFloor,
               "calibration run ended above the detection floor");
 
-  // locate_s: one weighted/unweighted localization sweep (same state).
+  // locate_s / recons_s: rung 1 and rung 2 on the same final state — one
+  // localization sweep, then one (frozen) block rebuild.
   t0 = Clock::now();
-  (void)locate_corruption(clean.lu().view(), clean.active_cs().view(),
-                          clean.frozen_cs().view(),
-                          clean.weighted_active_cs().view(),
-                          clean.weighted_frozen_cs().view(), cfg.nb, cfg.group,
-                          cfg.n / cfg.nb);
+  (void)clean.locate_fault();
   calib.locate_s = seconds_since(t0);
-
-  // recons_s: reconstruct one (frozen) block on scratch copies.
-  abft::Matrix scratch = clean.lu();
-  const abft::Matrix& frozen = clean.frozen_cs();
   t0 = Clock::now();
-  abft::MatrixView lost = scratch.block(0, 0, cfg.nb, cfg.nb);
-  for (std::size_t r = 0; r < cfg.nb; ++r)
-    for (std::size_t c = 0; c < cfg.nb; ++c) lost(r, c) = frozen(r, c);
-  for (std::size_t mi = 1; mi < cfg.group; ++mi)
-    for (std::size_t r = 0; r < cfg.nb; ++r)
-      for (std::size_t c = 0; c < cfg.nb; ++c)
-        lost(r, c) -= scratch(mi * cfg.nb + r, c);
+  clean.reconstruct_block(FaultSite{});
   calib.recons_s = seconds_since(t0);
 
   cleanup(storage);

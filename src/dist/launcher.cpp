@@ -17,7 +17,6 @@
 #include "abft/kernels.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
-#include "common/executor.hpp"
 #include "common/rng.hpp"
 
 namespace abftc::dist {
@@ -37,14 +36,6 @@ void drain(int fd) {
   while (::read(fd, buf, sizeof(buf)) > 0) {
   }
 }
-
-/// Region ids of a dist snapshot.
-constexpr ckpt::RegionId kRegionProgress = 0;
-constexpr ckpt::RegionId kRegionMatrix = 1;
-constexpr ckpt::RegionId kRegionActive = 2;
-constexpr ckpt::RegionId kRegionFrozen = 3;
-constexpr ckpt::RegionId kRegionWActive = 4;
-constexpr ckpt::RegionId kRegionWFrozen = 5;
 
 /// Minimum post-flip |Δ| the injector accepts: 10⁴× the detection floor, so
 /// a chosen site *provably* clears it instead of hoping the element was big.
@@ -189,45 +180,25 @@ bool Launcher::await_done(std::size_t r, std::size_t k, RunReport& report) {
   }
 }
 
+Launcher::Regions Launcher::snapshot_regions(std::uint64_t (&progress)[2]) {
+  const std::size_t mat = layout_.n * layout_.n;
+  const std::size_t acc = 2 * layout_.csr * layout_.n;
+  return {std::as_writable_bytes(std::span(progress)),
+          std::as_writable_bytes(std::span(shared_.matrix, mat)),
+          std::as_writable_bytes(std::span(shared_.active, acc)),
+          std::as_writable_bytes(std::span(shared_.frozen, acc))};
+}
+
 void Launcher::load_blob(const ckpt::io::SnapshotBlob& blob) {
-  const std::size_t mat_bytes = layout_.n * layout_.n * sizeof(double);
-  const std::size_t cs_bytes = layout_.csr * layout_.n * sizeof(double);
   std::uint64_t progress[2] = {0, 0};
+  const Regions regions = snapshot_regions(progress);
   for (const ckpt::io::RegionBlob& r : blob.regions) {
-    switch (r.region) {
-      case kRegionProgress:
-        ABFTC_CHECK(r.payload.size() == sizeof(progress),
-                    "dist snapshot progress region has the wrong size");
-        std::memcpy(progress, r.payload.data(), sizeof(progress));
-        break;
-      case kRegionMatrix:
-        ABFTC_CHECK(r.payload.size() == mat_bytes,
-                    "dist snapshot matrix region has the wrong size");
-        std::memcpy(shared_.matrix, r.payload.data(), mat_bytes);
-        break;
-      case kRegionActive:
-        ABFTC_CHECK(r.payload.size() == cs_bytes,
-                    "dist snapshot active-checksum region has the wrong size");
-        std::memcpy(shared_.active, r.payload.data(), cs_bytes);
-        break;
-      case kRegionFrozen:
-        ABFTC_CHECK(r.payload.size() == cs_bytes,
-                    "dist snapshot frozen-checksum region has the wrong size");
-        std::memcpy(shared_.frozen, r.payload.data(), cs_bytes);
-        break;
-      case kRegionWActive:
-        ABFTC_CHECK(r.payload.size() == cs_bytes,
-                    "dist snapshot weighted-active region has the wrong size");
-        std::memcpy(shared_.wactive, r.payload.data(), cs_bytes);
-        break;
-      case kRegionWFrozen:
-        ABFTC_CHECK(r.payload.size() == cs_bytes,
-                    "dist snapshot weighted-frozen region has the wrong size");
-        std::memcpy(shared_.wfrozen, r.payload.data(), cs_bytes);
-        break;
-      default:
-        ABFTC_CHECK(false, "dist snapshot has an unknown region");
-    }
+    ABFTC_CHECK(r.region < regions.size(),
+                "dist snapshot has an unknown region");
+    const std::span<std::byte> dst = regions[r.region];
+    ABFTC_CHECK(r.payload.size() == dst.size(),
+                "dist snapshot region has the wrong size");
+    std::memcpy(dst.data(), r.payload.data(), dst.size());
   }
   frozen_steps_ = static_cast<std::size_t>(progress[1]);
 }
@@ -246,41 +217,26 @@ void Launcher::checkpoint(std::size_t boundary, RunReport& report) {
   // its CRC is taken from the same span. The arena is quiescent here — each
   // rank answered Done and waits in recv — so the bytes cannot move under
   // the hash or the write.
-  const std::uint64_t progress[2] = {boundary, frozen_steps_};
-  const std::size_t mat_bytes = layout_.n * layout_.n * sizeof(double);
-  const std::size_t cs_bytes = layout_.csr * layout_.n * sizeof(double);
-  const auto bytes_of = [](const void* p, std::size_t bytes) {
-    return std::span<const std::byte>(static_cast<const std::byte*>(p), bytes);
-  };
-  const struct {
-    ckpt::RegionId id;
-    std::span<const std::byte> bytes;
-  } regions[] = {
-      {kRegionProgress, bytes_of(progress, sizeof(progress))},
-      {kRegionMatrix, bytes_of(shared_.matrix, mat_bytes)},
-      {kRegionActive, bytes_of(shared_.active, cs_bytes)},
-      {kRegionFrozen, bytes_of(shared_.frozen, cs_bytes)},
-      {kRegionWActive, bytes_of(shared_.wactive, cs_bytes)},
-      {kRegionWFrozen, bytes_of(shared_.wfrozen, cs_bytes)},
-  };
+  std::uint64_t progress[2] = {boundary, frozen_steps_};
+  const Regions regions = snapshot_regions(progress);
   ckpt::io::SnapshotMeta meta;
   meta.id = static_cast<ckpt::CkptId>(boundary + 1);
   meta.kind = ckpt::CkptKind::Full;
   meta.when = static_cast<double>(boundary);
   std::vector<ckpt::RegionId> ids;
   std::vector<std::uint64_t> sizes;
-  for (const auto& r : regions) {
-    ids.push_back(r.id);
-    sizes.push_back(r.bytes.size());
-    meta.bytes += r.bytes.size();
+  for (ckpt::RegionId id = 0; id < regions.size(); ++id) {
+    ids.push_back(id);
+    sizes.push_back(regions[id].size());
+    meta.bytes += regions[id].size();
   }
   try {
     const auto session =
         backend_.begin_snapshot(meta, std::move(ids), std::move(sizes));
     std::vector<std::uint32_t> crcs;
-    for (const auto& r : regions) {
-      crcs.push_back(common::crc32(r.bytes));
-      session->append(r.bytes);
+    for (const std::span<const std::byte> r : regions) {
+      crcs.push_back(common::crc32(r));
+      session->append(r);
     }
     session->commit(crcs);
   } catch (const ckpt::io::io_error&) {
@@ -291,18 +247,15 @@ void Launcher::checkpoint(std::size_t boundary, RunReport& report) {
 }
 
 void Launcher::load_initial() {
-  // Restart from scratch: the pristine matrix and its step-0 accumulators;
-  // nothing is frozen yet, so the frozen pair restarts at zero.
+  // Restart from scratch: the pristine matrix and its step-0 accumulator;
+  // nothing is frozen yet, so the frozen accumulator restarts at zero.
   const auto copy_in = [](double* dst, const abft::Matrix& src) {
     std::memcpy(dst, src.storage().data(),
                 src.storage().size() * sizeof(double));
   };
   copy_in(shared_.matrix, a0_);
   copy_in(shared_.active, cs0_);
-  copy_in(shared_.wactive, wcs0_);
-  const std::size_t cs_bytes = layout_.csr * layout_.n * sizeof(double);
-  std::memset(shared_.frozen, 0, cs_bytes);
-  std::memset(shared_.wfrozen, 0, cs_bytes);
+  std::memset(shared_.frozen, 0, cs0_.storage().size() * sizeof(double));
   frozen_steps_ = 0;
 }
 
@@ -328,119 +281,50 @@ std::size_t Launcher::restore_and_respawn(RunReport& report) {
 }
 
 double Launcher::residual_now() const {
-  // Recompute all four accumulators from the payload (AbftLu's
-  // checksum_residual over the arena): the invariants hold at every step
-  // boundary, so any excess residual is silent corruption. The sweep is
-  // O(n²·group) and sits on the recovery critical path (every detection and
-  // every post-reconstruction re-verify), so it runs on parallel_for with
-  // one checksum row per index — each worker writes only its own partial
-  // slot and the max-fold below runs serially in index order, making the
-  // result bitwise-identical for every worker count.
-  const abft::ConstMatrixView a(shared_.matrix, layout_.n, layout_.n,
-                                layout_.n);
-  const abft::ConstMatrixView active(shared_.active, layout_.csr, layout_.n,
-                                     layout_.n);
-  const abft::ConstMatrixView frozen(shared_.frozen, layout_.csr, layout_.n,
-                                     layout_.n);
-  const abft::ConstMatrixView wactive(shared_.wactive, layout_.csr, layout_.n,
-                                      layout_.n);
-  const abft::ConstMatrixView wfrozen(shared_.wfrozen, layout_.csr, layout_.n,
-                                      layout_.n);
-  std::vector<double> partial(layout_.csr, 0.0);
-  // Tiny test shapes stay inline: below ~16k residual columns the dispatch
-  // overhead would dominate the sweep itself.
-  const unsigned threads =
-      layout_.csr * layout_.n >= 16'384 ? verify_threads_ : 1;
-  common::parallel_for(
-      layout_.csr,
-      [&](std::size_t row) {
-        const std::size_t g = row / layout_.nb;
-        const std::size_t r = row % layout_.nb;
-        double worst = 0.0;
-        for (std::size_t j = 0; j < layout_.n; ++j) {
-          double ea = 0.0, ef = 0.0, wa = 0.0, wf = 0.0;
-          for (std::size_t m = 0; m < layout_.group; ++m) {
-            const std::size_t bi = g * layout_.group + m;
-            const double v = a(bi * layout_.nb + r, j);
-            const double w = static_cast<double>(m + 1);
-            if (bi < frozen_steps_) {
-              ef += v;
-              wf += w * v;
-            } else {
-              ea += v;
-              wa += w * v;
-            }
-          }
-          worst = std::max(worst, std::abs(ea - active(row, j)));
-          worst = std::max(worst, std::abs(ef - frozen(row, j)));
-          worst = std::max(worst, std::abs(wa - wactive(row, j)));
-          worst = std::max(worst, std::abs(wf - wfrozen(row, j)));
-        }
-        partial[row] = worst;
-      },
-      threads);
-  double worst = 0.0;
-  for (const double p : partial) worst = std::max(worst, p);
-  return worst;
+  // The invariants hold at every step boundary, so any excess residual is
+  // silent corruption.
+  return abft::lu_checksum_residual(shared_.lu(), frozen_steps_,
+                                    verify_threads_);
 }
 
 Localization locate_corruption(abft::ConstMatrixView a,
                                abft::ConstMatrixView active,
-                               abft::ConstMatrixView frozen,
-                               abft::ConstMatrixView wactive,
-                               abft::ConstMatrixView wfrozen, std::size_t nb,
+                               abft::ConstMatrixView frozen, std::size_t nb,
                                std::size_t group, std::size_t frozen_steps) {
+  const abft::LuConstView s{a, active, frozen, nb, group};
   Localization loc;
-  const std::size_t n = a.cols();
-  const std::size_t groups = (a.rows() / nb) / group;
-  for (std::size_t g = 0; g < groups; ++g) {
-    for (std::size_t r = 0; r < nb; ++r) {
-      const std::size_t row = g * nb + r;
-      for (std::size_t j = 0; j < n; ++j) {
-        double ea = 0.0, ef = 0.0, wa = 0.0, wf = 0.0;
-        for (std::size_t m = 0; m < group; ++m) {
-          const std::size_t bi = g * group + m;
-          const double v = a(bi * nb + r, j);
-          const double w = static_cast<double>(m + 1);
-          if (bi < frozen_steps) {
-            ef += v;
-            wf += w * v;
-          } else {
-            ea += v;
-            wa += w * v;
-          }
+  for (std::size_t row = 0; row < s.csr(); ++row) {
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      // A single corrupted element with delta d at group position m leaves
+      // r1 = d in the sum relation and r2 = (m+1)·d in the weighted one for
+      // its class; r2/r1 names the victim exactly.
+      const abft::SlotResidual res =
+          abft::lu_slot_residual(s, frozen_steps, row, j);
+      for (int cls = 0; cls < 2; ++cls) {
+        const double r1 = res.sum[cls], r2 = res.weighted[cls];
+        if (std::abs(r1) <= kDetectFloor &&
+            std::abs(r2) <= kDetectFloor * static_cast<double>(group + 1))
+          continue;  // clean slot (weighted noise scales with the weights)
+        if (std::abs(r1) <= kDetectFloor) {
+          // Weighted-only residual: cancelling deltas or a corrupted
+          // accumulator — no single site explains it.
+          loc.ambiguous = true;
+          continue;
         }
-        // A single corrupted element with delta d at group position m
-        // leaves r1 = d in the sum relation and r2 = (m+1)·d in the
-        // weighted one for its class; r2/r1 names the victim exactly.
-        const double res1[2] = {ea - active(row, j), ef - frozen(row, j)};
-        const double res2[2] = {wa - wactive(row, j), wf - wfrozen(row, j)};
-        for (int cls = 0; cls < 2; ++cls) {
-          const double r1 = res1[cls], r2 = res2[cls];
-          if (std::abs(r1) <= kDetectFloor &&
-              std::abs(r2) <= kDetectFloor * static_cast<double>(group + 1))
-            continue;  // clean slot (weighted noise scales with the weights)
-          if (std::abs(r1) <= kDetectFloor) {
-            // Weighted-only residual: cancelling deltas or a corrupted
-            // accumulator — no single site explains it.
-            loc.ambiguous = true;
-            continue;
-          }
-          const double ratio = r2 / r1;
-          const double nearest = std::round(ratio);
-          if (nearest < 1.0 || nearest > static_cast<double>(group) ||
-              std::abs(ratio - nearest) > 0.05) {
-            loc.ambiguous = true;  // not a single-element signature
-            continue;
-          }
-          const std::size_t bi =
-              g * group + static_cast<std::size_t>(nearest) - 1;
-          if ((bi < frozen_steps) != (cls == 1)) {
-            loc.ambiguous = true;  // named row lives in the other class
-            continue;
-          }
-          loc.sites.push_back(FaultSite{bi, j / nb, bi * nb + r, j});
+        const double ratio = r2 / r1;
+        const double nearest = std::round(ratio);
+        if (nearest < 1.0 || nearest > static_cast<double>(group) ||
+            std::abs(ratio - nearest) > 0.05) {
+          loc.ambiguous = true;  // not a single-element signature
+          continue;
         }
+        const std::size_t bi =
+            (row / nb) * group + static_cast<std::size_t>(nearest) - 1;
+        if ((bi < frozen_steps) != (cls == 1)) {
+          loc.ambiguous = true;  // named row lives in the other class
+          continue;
+        }
+        loc.sites.push_back(FaultSite{bi, j / nb, bi * nb + row % nb, j});
       }
     }
   }
@@ -448,43 +332,14 @@ Localization locate_corruption(abft::ConstMatrixView a,
 }
 
 Localization Launcher::locate_fault() const {
-  return locate_corruption(
-      abft::ConstMatrixView(shared_.matrix, layout_.n, layout_.n, layout_.n),
-      abft::ConstMatrixView(shared_.active, layout_.csr, layout_.n, layout_.n),
-      abft::ConstMatrixView(shared_.frozen, layout_.csr, layout_.n, layout_.n),
-      abft::ConstMatrixView(shared_.wactive, layout_.csr, layout_.n,
-                            layout_.n),
-      abft::ConstMatrixView(shared_.wfrozen, layout_.csr, layout_.n,
-                            layout_.n),
-      cfg_.nb, cfg_.group, frozen_steps_);
+  const abft::LuView s = shared_.lu();
+  return locate_corruption(s.a, s.active, s.frozen, cfg_.nb, cfg_.group,
+                           frozen_steps_);
 }
 
 void Launcher::reconstruct_block(const FaultSite& site) {
-  // Dual-accumulator reconstruction at derived coordinates: wipe the block,
-  // start from the matching accumulator, subtract the surviving group
-  // members in the same frozen/active class.
-  abft::MatrixView a = shared_.a();
-  const std::size_t bi = site.block_row, bj = site.block_col;
-  const bool frozen = bi < frozen_steps_;
-  const abft::ConstMatrixView cs =
-      frozen ? abft::ConstMatrixView(shared_.frozen, layout_.csr, layout_.n,
-                                     layout_.n)
-             : abft::ConstMatrixView(shared_.active, layout_.csr, layout_.n,
-                                     layout_.n);
-  abft::MatrixView lost = a.block(bi * cfg_.nb, bj * cfg_.nb, cfg_.nb, cfg_.nb);
-  const std::size_t g = bi / cfg_.group;
-  for (std::size_t r = 0; r < cfg_.nb; ++r)
-    for (std::size_t c = 0; c < cfg_.nb; ++c)
-      lost(r, c) = cs(g * cfg_.nb + r, bj * cfg_.nb + c);
-  const std::size_t first = g * cfg_.group;
-  for (std::size_t mi = first; mi < first + cfg_.group; ++mi) {
-    if (mi == bi) continue;
-    if ((mi < frozen_steps_) != frozen) continue;
-    const abft::ConstMatrixView other =
-        a.block(mi * cfg_.nb, bj * cfg_.nb, cfg_.nb, cfg_.nb);
-    for (std::size_t r = 0; r < cfg_.nb; ++r)
-      for (std::size_t c = 0; c < cfg_.nb; ++c) lost(r, c) -= other(r, c);
-  }
+  abft::lu_rebuild_block(shared_.lu(), frozen_steps_, site.block_row,
+                         site.block_col);
 }
 
 std::size_t Launcher::recover_from_corruption(std::size_t step,
@@ -528,7 +383,7 @@ void Launcher::inject_flip(const Injection& inj, std::uint64_t seed,
   // comparison, never into a recovery decision — detection happens at the
   // step-boundary verification and localization is derived from the
   // weighted residuals.
-  abft::MatrixView a = shared_.a();
+  abft::MatrixView a = shared_.lu().a;
   common::Rng rng(seed);
 
   std::vector<std::size_t> owned;
@@ -636,8 +491,7 @@ RunReport Launcher::run(const std::vector<Injection>& faults) {
   // restore_and_respawn falls back to when storage holds nothing restorable.
   common::Rng rng(cfg_.seed);
   a0_ = abft::Matrix::diag_dominant(cfg_.n, rng);
-  cs0_ = abft::row_group_checksums(a0_, cfg_.nb, cfg_.group);
-  wcs0_ = abft::row_group_weighted_checksums(a0_, cfg_.nb, cfg_.group);
+  cs0_ = abft::row_group_checksum_pair(a0_, cfg_.nb, cfg_.group);
   load_initial();
 
   for (std::size_t r = 0; r < cfg_.ranks; ++r) spawn(r);
@@ -723,21 +577,15 @@ RunReport Launcher::run(const std::vector<Injection>& faults) {
 
   // --- final state + teardown ----------------------------------------------
   report.residual = residual_now();
-  lu_ = abft::Matrix(layout_.n, layout_.n);
-  std::memcpy(lu_.storage().data(), shared_.matrix,
-              lu_.storage().size() * sizeof(double));
-  active_ = abft::Matrix(layout_.csr, layout_.n);
-  std::memcpy(active_.storage().data(), shared_.active,
-              active_.storage().size() * sizeof(double));
-  frozen_ = abft::Matrix(layout_.csr, layout_.n);
-  std::memcpy(frozen_.storage().data(), shared_.frozen,
-              frozen_.storage().size() * sizeof(double));
-  wactive_ = abft::Matrix(layout_.csr, layout_.n);
-  std::memcpy(wactive_.storage().data(), shared_.wactive,
-              wactive_.storage().size() * sizeof(double));
-  wfrozen_ = abft::Matrix(layout_.csr, layout_.n);
-  std::memcpy(wfrozen_.storage().data(), shared_.wfrozen,
-              wfrozen_.storage().size() * sizeof(double));
+  const auto copy_out = [](const double* src, std::size_t rows,
+                           std::size_t cols) {
+    abft::Matrix m(rows, cols);
+    std::memcpy(m.storage().data(), src, rows * cols * sizeof(double));
+    return m;
+  };
+  lu_ = copy_out(shared_.matrix, layout_.n, layout_.n);
+  active_ = copy_out(shared_.active, 2 * layout_.csr, layout_.n);
+  frozen_ = copy_out(shared_.frozen, 2 * layout_.csr, layout_.n);
 
   for (std::size_t r = 0; r < cfg_.ranks; ++r) {
     if (ranks_[r].pid <= 0) continue;

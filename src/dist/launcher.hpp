@@ -41,11 +41,11 @@
 ///     fires: the coordinator counts a hang, SIGKILLs the stopped process
 ///     (which works on stopped processes), and recovers via the death path.
 ///
-/// A checkpoint streams the six arena regions (progress, matrix, the four
-/// accumulators) straight into a backend WriteSession, hashing each region
-/// from the same span, without an intermediate copy. That is safe because the
-/// arena is quiescent at every boundary: each rank has answered Done and
-/// waits for its next command.
+/// A checkpoint streams the four arena regions (progress, matrix, the two
+/// stacked accumulators) straight into a backend WriteSession, hashing each
+/// region from the same span, without an intermediate copy. That is safe
+/// because the arena is quiescent at every boundary: each rank has answered
+/// Done and waits for its next command.
 ///
 /// Waiting is event-driven on both sides. A worker sleeps in FUTEX_WAIT on
 /// its command mailbox's seq word and `post` wakes it. The coordinator
@@ -55,9 +55,11 @@
 /// mailbox); POLLHUP with no frame means the rank died (waitpid, death
 /// path); the timeout means it hung (SIGKILL, `hangs`, death path).
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "abft/matrix.hpp"
@@ -131,16 +133,16 @@ struct Localization {
   std::vector<FaultSite> sites;  ///< distinct corrupted elements, derived
 };
 
-/// Huang–Abraham localization over an arbitrary state snapshot: recompute
-/// all four accumulators from the payload and resolve every residual column
+/// Huang–Abraham localization over an arbitrary state snapshot (stacked
+/// 2·csr × n accumulators, see lu_kernel.hpp): resolve every residual slot
 /// to a (block-row, block-col, element) site via the weighted/unweighted
-/// ratio. Free function so unit tests and the campaign calibrator can run
-/// it on hand-built state; `Launcher` wraps it over the live arena.
-[[nodiscard]] Localization locate_corruption(
-    abft::ConstMatrixView a, abft::ConstMatrixView active,
-    abft::ConstMatrixView frozen, abft::ConstMatrixView wactive,
-    abft::ConstMatrixView wfrozen, std::size_t nb, std::size_t group,
-    std::size_t frozen_steps);
+/// ratio. Free function so unit tests can run it on hand-built state;
+/// `Launcher` wraps it over the live arena.
+[[nodiscard]] Localization locate_corruption(abft::ConstMatrixView a,
+                                             abft::ConstMatrixView active,
+                                             abft::ConstMatrixView frozen,
+                                             std::size_t nb, std::size_t group,
+                                             std::size_t frozen_steps);
 
 /// What one run did and what it cost.
 struct RunReport {
@@ -192,25 +194,32 @@ class Launcher {
   [[nodiscard]] std::size_t block_steps() const noexcept { return nbk_; }
 
   // Final state, copied out of the arena after run() — valid afterwards.
+  // The accumulator accessors view the halves of the stacked copies.
   [[nodiscard]] const abft::Matrix& lu() const noexcept { return lu_; }
-  [[nodiscard]] const abft::Matrix& active_cs() const noexcept {
-    return active_;
+  [[nodiscard]] abft::ConstMatrixView active_cs() const {
+    return active_.block(0, 0, layout_.csr, layout_.n);
   }
-  [[nodiscard]] const abft::Matrix& frozen_cs() const noexcept {
-    return frozen_;
+  [[nodiscard]] abft::ConstMatrixView frozen_cs() const {
+    return frozen_.block(0, 0, layout_.csr, layout_.n);
   }
-  [[nodiscard]] const abft::Matrix& weighted_active_cs() const noexcept {
-    return wactive_;
+  [[nodiscard]] abft::ConstMatrixView weighted_active_cs() const {
+    return active_.block(layout_.csr, 0, layout_.csr, layout_.n);
   }
-  [[nodiscard]] const abft::Matrix& weighted_frozen_cs() const noexcept {
-    return wfrozen_;
+  [[nodiscard]] abft::ConstMatrixView weighted_frozen_cs() const {
+    return frozen_.block(layout_.csr, 0, layout_.csr, layout_.n);
   }
 
-  /// Worst violation of the four checksum invariants over the arena's
-  /// current state: the verification sweep of every step-boundary check.
-  /// After run() the arena holds the final state, so this times (and
-  /// checks) exactly the sweep the run paid for.
+  // The recovery ladder's primitives over the arena's current state. After
+  // run() the arena holds the final state, so calibration times exactly the
+  // work each rung pays for.
+
+  /// Worst violation of the four checksum invariants: the verification
+  /// sweep of every step-boundary check and post-rebuild re-verify.
   [[nodiscard]] double residual_now() const;
+  /// Rung 1: localize corruption from the weighted/unweighted residuals.
+  [[nodiscard]] Localization locate_fault() const;
+  /// Rung 2: rebuild `site`'s block from the matching accumulator.
+  void reconstruct_block(const FaultSite& site);
 
  private:
   struct Rank;  // pid + ready fd + mailbox cursors
@@ -226,14 +235,17 @@ class Launcher {
   [[nodiscard]] std::size_t restore_and_respawn(RunReport& report);
   void inject_flip(const Injection& inj, std::uint64_t seed,
                    RunReport& report);
-  [[nodiscard]] Localization locate_fault() const;
-  void reconstruct_block(const FaultSite& site);
   /// The escalation ladder for a detected corruption at step `step`;
   /// returns the step to resume from.
   [[nodiscard]] std::size_t recover_from_corruption(std::size_t step,
                                                     RunReport& report);
+  /// A dist snapshot's regions, indexed by region id: `progress`
+  /// ({boundary, frozen_steps}), then the arena's matrix and the two stacked
+  /// accumulators.
+  using Regions = std::array<std::span<std::byte>, 4>;
+  [[nodiscard]] Regions snapshot_regions(std::uint64_t (&progress)[2]);
   void load_blob(const ckpt::io::SnapshotBlob& blob);
-  /// Copy the initial image (a0_, cs0_, wcs0_, zero frozen pair) into the
+  /// Copy the initial image (a0_, cs0_, zero frozen accumulator) into the
   /// arena and reset frozen_steps_ to 0.
   void load_initial();
 
@@ -244,16 +256,16 @@ class Launcher {
   std::unique_ptr<SharedRegion> arena_;
   SharedState shared_;
   std::vector<Rank> ranks_;
-  /// The pristine matrix and its step-0 sum/weighted accumulators: the
-  /// arena's starting state and the restart-from-scratch image.
-  abft::Matrix a0_, cs0_, wcs0_;
+  /// The pristine matrix and its step-0 stacked accumulator: the arena's
+  /// starting state and the restart-from-scratch image.
+  abft::Matrix a0_, cs0_;
   /// Highest boundary whose checkpoint was already attempted (SIZE_MAX =
   /// none): replay after a restore must not re-write an existing snapshot.
   std::size_t max_boundary_attempted_ = std::numeric_limits<std::size_t>::max();
   std::size_t frozen_steps_ = 0;  ///< block rows frozen in the arena state
   unsigned verify_threads_ = 1;   ///< resolved from cfg_.verify_threads
   bool ran_ = false;
-  abft::Matrix lu_, active_, frozen_, wactive_, wfrozen_;
+  abft::Matrix lu_, active_, frozen_;
 };
 
 }  // namespace abftc::dist

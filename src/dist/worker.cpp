@@ -4,9 +4,6 @@
 #include <sys/prctl.h>
 #include <unistd.h>
 
-#include <cstring>
-
-#include "abft/blas.hpp"
 #include "abft/kernels.hpp"
 #include "common/error.hpp"
 
@@ -43,13 +40,9 @@ DistLayout DistLayout::compute(std::size_t n, std::size_t nb,
   lay.matrix_off = off;
   off += n * n * sizeof(double);
   lay.active_off = off;
-  off += lay.csr * n * sizeof(double);
+  off += 2 * lay.csr * n * sizeof(double);
   lay.frozen_off = off;
-  off += lay.csr * n * sizeof(double);
-  lay.wactive_off = off;
-  off += lay.csr * n * sizeof(double);
-  lay.wfrozen_off = off;
-  off += lay.csr * n * sizeof(double);
+  off += 2 * lay.csr * n * sizeof(double);
   lay.total_bytes = off;
   return lay;
 }
@@ -63,82 +56,8 @@ SharedState SharedState::attach(void* base, const DistLayout& lay) {
   s.matrix = reinterpret_cast<double*>(bytes + lay.matrix_off);
   s.active = reinterpret_cast<double*>(bytes + lay.active_off);
   s.frozen = reinterpret_cast<double*>(bytes + lay.frozen_off);
-  s.wactive = reinterpret_cast<double*>(bytes + lay.wactive_off);
-  s.wfrozen = reinterpret_cast<double*>(bytes + lay.wfrozen_off);
   s.layout = lay;
   return s;
-}
-
-void panel_phase(const SharedState& s, std::size_t k) {
-  const DistLayout& lay = s.layout;
-  const std::size_t nb = lay.nb;
-  const std::size_t off = k * nb;
-  const std::size_t rest = lay.n - off - nb;
-  const std::size_t g = k / lay.group;
-  const double w = static_cast<double>(k % lay.group + 1);
-  abft::MatrixView a = s.a();
-  abft::MatrixView active = s.active_cs();
-  abft::MatrixView wactive = s.wactive_cs();
-
-  // Pre-subtract the pivot block row's column block k from the active
-  // accumulators (the other column blocks are pre-subtracted by their owners
-  // in the update phase, before anything modifies the pivot row there).
-  for (std::size_t r = 0; r < nb; ++r)
-    for (std::size_t c = 0; c < nb; ++c) {
-      active(g * nb + r, off + c) -= a(off + r, off + c);
-      wactive(g * nb + r, off + c) -= w * a(off + r, off + c);
-    }
-
-  abft::MatrixView diag = a.block(off, off, nb, nb);
-  abft::getf2_nopiv(diag);
-
-  if (rest > 0) abft::trsm_right_upper(diag, a.block(off + nb, off, rest, nb));
-  abft::trsm_right_upper(diag, active.block(0, off, lay.csr, nb));
-  abft::trsm_right_upper(diag, wactive.block(0, off, lay.csr, nb));
-}
-
-void update_phase(const SharedState& s, std::size_t rank, std::size_t k) {
-  const DistLayout& lay = s.layout;
-  const std::size_t nb = lay.nb;
-  const std::size_t off = k * nb;
-  const std::size_t g = k / lay.group;
-  const double w = static_cast<double>(k % lay.group + 1);
-  abft::MatrixView a = s.a();
-  abft::MatrixView active = s.active_cs();
-  abft::MatrixView frozen = s.frozen_cs();
-  abft::MatrixView wactive = s.wactive_cs();
-  abft::MatrixView wfrozen = s.wfrozen_cs();
-  const abft::ConstMatrixView diag = a.block(off, off, nb, nb);
-
-  for (std::size_t j = rank; j < lay.nbk; j += lay.nranks) {
-    const std::size_t jc = j * nb;
-    if (j != k) {
-      // Pre-subtract the pivot row at this column block (its pre-step
-      // values: for j > k the trsm below hasn't touched them yet).
-      for (std::size_t r = 0; r < nb; ++r)
-        for (std::size_t c = 0; c < nb; ++c) {
-          active(g * nb + r, jc + c) -= a(off + r, jc + c);
-          wactive(g * nb + r, jc + c) -= w * a(off + r, jc + c);
-        }
-      if (j > k) {
-        abft::MatrixView u = a.block(off, jc, nb, nb);
-        abft::trsm_left_lower_unit(diag, u);
-        const std::size_t rest = lay.n - off - nb;
-        abft::gemm_sub(a.block(off + nb, off, rest, nb), u,
-                       a.block(off + nb, jc, rest, nb));
-        abft::gemm_sub(active.block(0, off, lay.csr, nb), u,
-                       active.block(0, jc, lay.csr, nb));
-        abft::gemm_sub(wactive.block(0, off, lay.csr, nb), u,
-                       wactive.block(0, jc, lay.csr, nb));
-      }
-    }
-    // Freeze the finalized pivot row values of this column block.
-    for (std::size_t r = 0; r < nb; ++r)
-      for (std::size_t c = 0; c < nb; ++c) {
-        frozen(g * nb + r, jc + c) += a(off + r, jc + c);
-        wfrozen(g * nb + r, jc + c) += w * a(off + r, jc + c);
-      }
-  }
 }
 
 void worker_main(void* arena, const DistLayout& lay, std::size_t rank,
@@ -199,11 +118,13 @@ void worker_main(void* arena, const DistLayout& lay, std::size_t rank,
     if (!msg) continue;
     switch (msg->type) {
       case MsgType::Panel:
-        panel_phase(s, static_cast<std::size_t>(msg->args[0]));
+        abft::lu_panel(s.lu(), static_cast<std::size_t>(msg->args[0]));
         answer(msg->args[0]);
         break;
       case MsgType::Update:
-        update_phase(s, rank, static_cast<std::size_t>(msg->args[0]));
+        for (std::size_t j = rank; j < lay.nbk; j += lay.nranks)
+          abft::lu_update(s.lu(), static_cast<std::size_t>(msg->args[0]), j,
+                          j + 1);
         answer(msg->args[0]);
         break;
       case MsgType::Shutdown:

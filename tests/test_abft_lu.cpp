@@ -51,12 +51,13 @@ TEST(AbftLu, WeightedAccumulatorsTrackTheFactorization) {
   AbftLu lu(test_matrix(n), nb, ProcessGrid{prows, 2});
   lu.factor();
   // checksum_residual() already gates all four relations; additionally pin
-  // the weighted pair's endpoint state: with everything frozen, the frozen
+  // the weighted half's endpoint state: with everything frozen, the frozen
   // accumulator equals the position-weighted checksums recomputed from the
   // final factors (same addition order → bitwise), and the active one has
   // been drained to rounding noise.
-  const Matrix expect =
-      abft::row_group_weighted_checksums(lu.lu(), nb, prows);
+  const Matrix pair = abft::row_group_checksum_pair(lu.lu(), nb, prows);
+  const std::size_t csr = pair.rows() / 2;
+  const abft::ConstMatrixView expect = pair.block(csr, 0, csr, n);
   EXPECT_EQ(abft::max_abs_diff(lu.weighted_frozen_cs(), expect), 0.0);
   EXPECT_LT(lu.weighted_active_cs().max_abs(), 1e-6);
 }
@@ -146,9 +147,10 @@ TEST(AbftLu, RecoveryCountsMatchRankFootprint) {
   EXPECT_EQ(lu.recovery().values_recovered, 24u * nb * nb);
 }
 
-TEST(AbftLu, OverheadFractionIsOneOverGridRows) {
+TEST(AbftLu, OverheadFractionIsTwoOverGridRows) {
+  // The sum and weighted accumulators each add 1/P worth of rows.
   AbftLu lu(test_matrix(32), 8, ProcessGrid{4, 1});
-  EXPECT_DOUBLE_EQ(lu.overhead_fraction(), 0.25);
+  EXPECT_DOUBLE_EQ(lu.overhead_fraction(), 0.5);
 }
 
 TEST(AbftLu, RejectsMisalignedDimensions) {

@@ -284,25 +284,23 @@ TEST(FaultingBackend, FailedCommitLeavesNoSnapshot) {
 // --- blind localization -----------------------------------------------------
 
 // Hand-built states for locate_corruption: a random matrix with nothing
-// frozen, so the active pair is the row-group (weighted) checksums of A and
-// the frozen pair is all zeros.
+// frozen, so the stacked active accumulator is the row-group checksum pair
+// of A and the frozen one is all zeros.
 
 struct LocalizationFixture {
   static constexpr std::size_t n = 48, nb = 8, group = 3;  // 6 block rows
-  abft::Matrix a, active, wactive, frozen, wfrozen;
+  abft::Matrix a, active, frozen;
 
   LocalizationFixture() {
     common::Rng rng(123);
     a = abft::Matrix::diag_dominant(n, rng);
-    active = abft::row_group_checksums(a, nb, group);
-    wactive = abft::row_group_weighted_checksums(a, nb, group);
+    active = abft::row_group_checksum_pair(a, nb, group);
     frozen = abft::Matrix::zeros(active.rows(), n);
-    wfrozen = abft::Matrix::zeros(active.rows(), n);
   }
 
   [[nodiscard]] Localization locate() const {
-    return locate_corruption(a.view(), active.view(), frozen.view(),
-                             wactive.view(), wfrozen.view(), nb, group, 0);
+    return locate_corruption(a.view(), active.view(), frozen.view(), nb,
+                             group, 0);
   }
 };
 
@@ -766,9 +764,12 @@ TEST(DistLauncher, CleanRunCommitsVerifiableSnapshotsStraightFromTheArena) {
   EXPECT_GT(report.commit_seconds, 0.0);
   EXPECT_LT(report.commit_seconds, report.wall_seconds);
 
-  // One Full snapshot per ckpt_every-th boundary k, id k+1, the six regions
-  // in order, every CRC intact, and progress == {k, k}: at a boundary the
-  // first k block rows are exactly the frozen ones.
+  const DistLayout lay =
+      DistLayout::compute(cfg.n, cfg.nb, cfg.group, cfg.ranks);
+  // One Full snapshot per ckpt_every-th boundary k, id k+1, the four regions
+  // in order (progress, matrix, the two stacked accumulators), every CRC
+  // intact, and progress == {k, k}: at a boundary the first k block rows are
+  // exactly the frozen ones.
   const auto metas = backend.list();
   ASSERT_EQ(metas.size(), report.checkpoints);
   for (std::size_t i = 0; i < metas.size(); ++i) {
@@ -778,9 +779,13 @@ TEST(DistLauncher, CleanRunCommitsVerifiableSnapshotsStraightFromTheArena) {
     EXPECT_EQ(blob.meta.id, k + 1);
     EXPECT_EQ(blob.meta.kind, ckpt::CkptKind::Full);
     EXPECT_EQ(blob.meta.when, static_cast<double>(k));
-    ASSERT_EQ(blob.regions.size(), 6u);
+    ASSERT_EQ(blob.regions.size(), 4u);
     for (std::size_t r = 0; r < blob.regions.size(); ++r)
       EXPECT_EQ(blob.regions[r].region, r);
+    const std::size_t acc_bytes = 2 * lay.csr * cfg.n * sizeof(double);
+    EXPECT_EQ(blob.regions[1].payload.size(), cfg.n * cfg.n * sizeof(double));
+    EXPECT_EQ(blob.regions[2].payload.size(), acc_bytes);
+    EXPECT_EQ(blob.regions[3].payload.size(), acc_bytes);
     std::uint64_t progress[2] = {0, 0};
     ASSERT_EQ(blob.regions[0].payload.size(), sizeof(progress));
     std::memcpy(progress, blob.regions[0].payload.data(), sizeof(progress));
@@ -900,7 +905,8 @@ TEST(DistCampaign, LogStorageRecoversEveryCellWithCompaction) {
   const std::filesystem::path base =
       (env != nullptr && *env != '\0') ? std::filesystem::path(env)
                                        : std::filesystem::temp_directory_path();
-  const std::filesystem::path store = base / "abftc_dist_log_campaign";
+  const std::filesystem::path store =
+      base / ("abftc_dist_log_campaign." + std::to_string(::getpid()));
   std::filesystem::remove_all(store);
   CampaignOptions options;
   options.storage = "log:" + store.string() + "?shards=2&compact=4";
@@ -922,9 +928,9 @@ TEST(DistCampaign, CalibrationTimesItsResidualSweep) {
   const CampaignReport report =
       run_campaign(cfg, CampaignSpec::parse("steps:0,ranks:0,kinds:kill"));
   EXPECT_EQ(report.unrecovered, 0u);
-  // One sweep over 192² elements and four accumulators cannot take under a
-  // microsecond; a sweep whose result is discarded and optimized away reads
-  // tens of nanoseconds.
+  // One sweep over 192² elements and two stacked accumulators cannot take
+  // under a microsecond; a sweep whose result is discarded and optimized
+  // away reads tens of nanoseconds.
   EXPECT_GT(report.calib.check_s, 1e-6);
 }
 
