@@ -2,7 +2,9 @@
 /// Dependency-free GFLOP/s probe for the kernel layer: times naive vs
 /// blocked GEMM (and the blocked path at several thread counts), plus
 /// reference-loop vs compact-WY blocked Householder QR (with the φ overhead
-/// ratio of the ABFT-protected variant), and emits BENCH_kernels.json — the
+/// ratio of the ABFT-protected variant), plus the reference loops vs the
+/// blocked path of the two right-side triangular solves at the LU panel
+/// shape (a 64×64 factor, 1024 rows), and emits BENCH_kernels.json — the
 /// perf-trajectory artifact CI tracks across PRs.
 ///
 ///   bench_kernels_json [sizes…] --reps=3 --threads=0 --out=BENCH_kernels.json
@@ -15,11 +17,13 @@
 /// hardware concurrency); the artifact carries the active KernelPolicy
 /// (path, requested and resolved worker count) as metadata.
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "abft/abft_qr.hpp"
@@ -55,6 +59,20 @@ struct QrCell {
   double phi_abft = 0.0;      ///< abft_seconds / seconds
 };
 
+struct TrsmCell {
+  std::string op;    // "right_upper" or "right_lower_trans"
+  std::string path;  // "reference" or "blocked"
+  double seconds = 0.0;
+  double gflops = 0.0;
+  double speedup_vs_reference = 0.0;
+  double max_abs_diff_vs_reference = 0.0;
+};
+
+// The LU panel shape of the trsm cells: the owner rank's B·U⁻¹ solve at
+// nb = 64 over the rows below the diagonal block.
+constexpr std::size_t kTrsmFactor = 64;
+constexpr std::size_t kTrsmRows = 1024;
+
 // QR bench fixtures: panel width and the process grid for the ABFT variant
 // (pcols = 2 → one checksum column group per two block columns).
 constexpr std::size_t kQrNb = 32;
@@ -69,6 +87,18 @@ double time_best(int reps, const std::function<void()>& run) {
                           std::chrono::steady_clock::now() - t0)
                           .count();
     best = std::min(best, dt);
+  }
+  return best;
+}
+
+// Best of `reps` timed calls of `run`, each preceded by an untimed `reset`
+// (the in-place solves need fresh input every call).
+double time_best_fresh(int reps, const std::function<void()>& reset,
+                       const std::function<void()>& run) {
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    reset();
+    best = std::min(best, time_best(1, run));
   }
   return best;
 }
@@ -193,6 +223,46 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Right-side triangular solves at the LU panel shape: reference loops vs
+  // the blocked path (row-tiled diagonal block). Each call does m·n² flops.
+  std::vector<TrsmCell> trsm_cells;
+  {
+    common::Rng rng(23);
+    const Matrix f = Matrix::diag_dominant(kTrsmFactor, rng);
+    const Matrix b0 = Matrix::random(kTrsmRows, kTrsmFactor, rng);
+    const double flops = static_cast<double>(kTrsmRows) * kTrsmFactor *
+                         static_cast<double>(kTrsmFactor);
+    const int trsm_reps = std::max(reps, 1) * 20;
+    using Solve = void (*)(abft::ConstMatrixView, abft::MatrixView);
+    const std::pair<const char*, Solve> ops[] = {
+        {"right_upper", abft::trsm_right_upper},
+        {"right_lower_trans", abft::trsm_right_lower_trans}};
+    for (const auto& [op, solve] : ops) {
+      Matrix b_ref = b0, b_blk = b0;
+      TrsmCell ref{op, "reference"};
+      TrsmCell blk{op, "blocked"};
+      {
+        const abft::KernelPolicyGuard guard({abft::KernelPath::naive, 1});
+        ref.seconds = time_best_fresh(
+            trsm_reps, [&] { b_ref = b0; },
+            [&] { solve(f.view(), b_ref.view()); });
+      }
+      {
+        const abft::KernelPolicyGuard guard({abft::KernelPath::blocked, 1});
+        blk.seconds = time_best_fresh(
+            trsm_reps, [&] { b_blk = b0; },
+            [&] { solve(f.view(), b_blk.view()); });
+      }
+      ref.gflops = flops / ref.seconds / 1e9;
+      blk.gflops = flops / blk.seconds / 1e9;
+      ref.speedup_vs_reference = 1.0;
+      blk.speedup_vs_reference = ref.seconds / blk.seconds;
+      blk.max_abs_diff_vs_reference = abft::max_abs_diff(b_blk, b_ref);
+      trsm_cells.push_back(ref);
+      trsm_cells.push_back(blk);
+    }
+  }
+
   std::ofstream out(out_path);
   if (!out) {
     std::cerr << "error: cannot open '" << out_path << "' for writing\n";
@@ -236,6 +306,20 @@ int main(int argc, char** argv) {
     json.end_object();
   }
   json.end_array();
+  json.key("trsm").begin_array();
+  for (const TrsmCell& c : trsm_cells) {
+    json.begin_object();
+    json.kv("op", c.op);
+    json.kv("path", c.path);
+    json.kv("factor", kTrsmFactor);
+    json.kv("rows", kTrsmRows);
+    json.kv("seconds", c.seconds);
+    json.kv("gflops", c.gflops);
+    json.kv("speedup_vs_reference", c.speedup_vs_reference);
+    json.kv("max_abs_diff_vs_reference", c.max_abs_diff_vs_reference);
+    json.end_object();
+  }
+  json.end_array();
   json.end_object();
 
   for (const Cell& c : cells)
@@ -248,6 +332,11 @@ int main(int argc, char** argv) {
               << "s gflops=" << c.gflops
               << " speedup=" << c.speedup_vs_reference
               << " phi_abft=" << c.phi_abft << "\n";
+  for (const TrsmCell& c : trsm_cells)
+    std::cout << "trsm op=" << c.op << " path=" << c.path
+              << " time=" << c.seconds << "s gflops=" << c.gflops
+              << " speedup=" << c.speedup_vs_reference
+              << " maxdiff=" << c.max_abs_diff_vs_reference << "\n";
   std::cout << "wrote " << out_path << "\n";
   return 0;
 }

@@ -1,5 +1,6 @@
 #include "abft/blas.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace abftc::abft {
@@ -8,16 +9,24 @@ namespace {
 
 constexpr double kPivotTiny = 1e-13;
 
-// Block sizes for the blocked triangular solves and factorizations. The
-// diagonal blocks are handled by the reference loops; everything off the
-// diagonal is delegated to gemm, which carries the O(n³) work.
+// Block sizes for the blocked triangular solves and factorizations.
+// Everything off the diagonal is delegated to gemm, which carries the O(n³)
+// work; the diagonal blocks of the right-side solves go through the row
+// tile below, the rest keep the reference loops.
 constexpr std::size_t kTrsmNb = 64;
 constexpr std::size_t kFactorNb = 64;
+static_assert(kFactorNb <= kTrsmNb, "factor panels must fit the row tile");
 
-// Below these sizes the blocked algorithms would degenerate to a single
-// diagonal block anyway, so the dispatchers keep the reference loops.
+// Below these sizes the blocked left solve and the blocked factorizations
+// would degenerate to a single diagonal block anyway, so the dispatchers
+// keep the reference loops.
 constexpr std::size_t kTrsmCutoff = 2 * kTrsmNb;
 constexpr std::size_t kFactorCutoff = 2 * kFactorNb;
+
+// Rows of B per tile in the blocked right-side solves. The recurrence
+// x_j = (b_j − Σ_{p<j} x_p f_pj) / f_jj is serial in j but independent
+// across rows, so a tile of rows packed p-major fills the SIMD lanes.
+constexpr std::size_t kTileRows = 32;
 
 bool use_blocked() noexcept {
   return kernel_policy().path == KernelPath::blocked;
@@ -58,6 +67,52 @@ void small_trsm_right_lower_trans(ConstMatrixView l, MatrixView b) {
                   "singular triangular factor");
       b(i, j) = s / l(j, j);
     }
+}
+
+// Solve X·F = B for one diagonal block (b.cols() ≤ kTrsmNb) with F upper
+// triangular, read through `f(p, j)`: the reference loops' per-element
+// recurrence, kTileRows rows at a time. The results differ from the
+// reference loops only in rounding (contracted multiply-adds). Every pivot
+// is checked before B is touched.
+template <typename Factor>
+void tiled_trsm_right(MatrixView b, Factor f) {
+  const std::size_t n = b.cols();
+  const std::size_t m = b.rows();
+  if (m == 0) return;
+  for (std::size_t j = 0; j < n; ++j)
+    ABFTC_CHECK(std::fabs(f(j, j)) > kPivotTiny, "singular triangular factor");
+  alignas(64) double t[kTrsmNb * kTileRows];
+  for (std::size_t i0 = 0; i0 < m; i0 += kTileRows) {
+    const std::size_t rows = std::min(kTileRows, m - i0);
+    // Lanes past the last row are zero and solve to zero.
+    for (std::size_t r = 0; r < kTileRows; ++r)
+      for (std::size_t p = 0; p < n; ++p)
+        t[p * kTileRows + r] = r < rows ? b(i0 + r, p) : 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      double acc[kTileRows];
+      std::copy_n(t + j * kTileRows, kTileRows, acc);
+      for (std::size_t p = 0; p < j; ++p) {
+        const double fpj = f(p, j);
+        const double* tp = t + p * kTileRows;
+        for (std::size_t r = 0; r < kTileRows; ++r) acc[r] -= tp[r] * fpj;
+      }
+      const double fjj = f(j, j);
+      for (std::size_t r = 0; r < kTileRows; ++r)
+        t[j * kTileRows + r] = acc[r] / fjj;
+    }
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t p = 0; p < n; ++p) b(i0 + r, p) = t[p * kTileRows + r];
+  }
+}
+
+// The diagonal-block solves of B ← B·U⁻¹ and B ← B·L⁻ᵀ: one tile, two ways
+// of reading the factor.
+void tiled_trsm_right_upper(ConstMatrixView u, MatrixView b) {
+  tiled_trsm_right(b, [u](std::size_t p, std::size_t j) { return u(p, j); });
+}
+
+void tiled_trsm_right_lower_trans(ConstMatrixView l, MatrixView b) {
+  tiled_trsm_right(b, [l](std::size_t p, std::size_t j) { return l(j, p); });
 }
 
 void small_getf2(MatrixView a) {
@@ -109,12 +164,12 @@ void trsm_right_upper(ConstMatrixView u, MatrixView b) {
   const std::size_t n = u.rows();
   ABFTC_REQUIRE(u.cols() == n, "triangular factor must be square");
   ABFTC_REQUIRE(b.cols() == n, "shape mismatch in trsm_right_upper");
-  if (!use_blocked() || n < kTrsmCutoff) {
+  if (!use_blocked()) {
     small_trsm_right_upper(u, b);
     return;
   }
   // Column-block j: X_j = (B_j − X_{<j}·U_{<j,j}) · U_jj⁻¹, the subtraction
-  // carried by gemm.
+  // carried by gemm, the diagonal block by the row tile.
   const std::size_t m = b.rows();
   for (std::size_t j0 = 0; j0 < n; j0 += kTrsmNb) {
     const std::size_t jb = std::min(kTrsmNb, n - j0);
@@ -122,7 +177,7 @@ void trsm_right_upper(ConstMatrixView u, MatrixView b) {
     if (j0 > 0)
       gemm(-1.0, b.block(0, 0, m, j0), Trans::No, u.block(0, j0, j0, jb),
            Trans::No, 1.0, bj);
-    small_trsm_right_upper(u.block(j0, j0, jb, jb), bj);
+    tiled_trsm_right_upper(u.block(j0, j0, jb, jb), bj);
   }
 }
 
@@ -149,12 +204,12 @@ void trsm_right_lower_trans(ConstMatrixView l, MatrixView b) {
   const std::size_t n = l.rows();
   ABFTC_REQUIRE(l.cols() == n, "triangular factor must be square");
   ABFTC_REQUIRE(b.cols() == n, "shape mismatch in trsm_right_lower_trans");
-  if (!use_blocked() || n < kTrsmCutoff) {
+  if (!use_blocked()) {
     small_trsm_right_lower_trans(l, b);
     return;
   }
   // Column-block j: X_j = (B_j − X_{<j}·Lᵀ_{<j,j}) · L_jjᵀ⁻¹ where
-  // Lᵀ_{<j,j} = L(j0:,0:j0)ᵀ.
+  // Lᵀ_{<j,j} = L(j0:,0:j0)ᵀ; the diagonal block goes through the row tile.
   const std::size_t m = b.rows();
   for (std::size_t j0 = 0; j0 < n; j0 += kTrsmNb) {
     const std::size_t jb = std::min(kTrsmNb, n - j0);
@@ -162,7 +217,7 @@ void trsm_right_lower_trans(ConstMatrixView l, MatrixView b) {
     if (j0 > 0)
       gemm(-1.0, b.block(0, 0, m, j0), Trans::No, l.block(j0, 0, jb, j0),
            Trans::Yes, 1.0, bj);
-    small_trsm_right_lower_trans(l.block(j0, j0, jb, jb), bj);
+    tiled_trsm_right_lower_trans(l.block(j0, j0, jb, jb), bj);
   }
 }
 
@@ -174,8 +229,8 @@ void getf2_nopiv(MatrixView a) {
     return;
   }
   // Right-looking blocked LU: factor the diagonal block with the reference
-  // loops, solve the block row/column against it, push the trailing update
-  // through gemm.
+  // loops, solve the block row against it with the reference loop and the
+  // block column with the row tile, push the trailing update through gemm.
   for (std::size_t off = 0; off < n; off += kFactorNb) {
     const std::size_t nb = std::min(kFactorNb, n - off);
     const std::size_t rest = n - off - nb;
@@ -183,7 +238,7 @@ void getf2_nopiv(MatrixView a) {
     small_getf2(diag);
     if (rest == 0) break;
     small_trsm_left_lower_unit(diag, a.block(off, off + nb, nb, rest));
-    small_trsm_right_upper(diag, a.block(off + nb, off, rest, nb));
+    tiled_trsm_right_upper(diag, a.block(off + nb, off, rest, nb));
     gemm(-1.0, a.block(off + nb, off, rest, nb), Trans::No,
          a.block(off, off + nb, nb, rest), Trans::No, 1.0,
          a.block(off + nb, off + nb, rest, rest));
@@ -208,7 +263,7 @@ void potf2_lower(MatrixView a) {
     small_potf2(diag);
     if (rest == 0) break;
     MatrixView panel = a.block(off + nb, off, rest, nb);
-    small_trsm_right_lower_trans(diag, panel);
+    tiled_trsm_right_lower_trans(diag, panel);
     for (std::size_t bj = off + nb; bj < n; bj += kFactorNb) {
       const std::size_t jb = std::min(kFactorNb, n - bj);
       // Diagonal block of the trailing update, lower triangle only.

@@ -37,6 +37,53 @@ std::optional<SnapshotMeta> find_meta(const std::vector<SnapshotMeta>& metas,
 
 }  // namespace
 
+void commit_snapshot(StorageBackend& backend, SnapshotMeta meta,
+                     std::span<const RegionSpan> regions,
+                     const WriterOptions& opts) {
+  std::vector<RegionId> ids;
+  std::vector<std::uint64_t> sizes;
+  ids.reserve(regions.size());
+  sizes.reserve(regions.size());
+  meta.bytes = 0;
+  for (const RegionSpan& r : regions) {
+    ids.push_back(r.id);
+    sizes.push_back(r.bytes.size());
+    meta.bytes += r.bytes.size();
+  }
+  const auto session =
+      backend.begin_snapshot(meta, std::move(ids), std::move(sizes));
+  std::vector<std::uint32_t> crcs(regions.size());
+  const auto hash = [regions, &crcs] {
+    for (std::size_t r = 0; r < regions.size(); ++r)
+      crcs[r] = common::crc32(regions[r].bytes);
+  };
+  const auto append = [regions, &session] {
+    for (const RegionSpan& r : regions) session->append(r.bytes);
+  };
+
+  // Inside a parallel region the pool may have no free worker to run the
+  // hashing task, and blocking on its future there can deadlock (unlike
+  // parallel_for, submit() has no caller-participates fallback).
+  if (!opts.async || meta.bytes <= opts.chunk_bytes ||
+      common::Executor::inside_parallel_region()) {
+    hash();
+    append();
+  } else {
+    common::Executor& ex = opts.executor != nullptr
+                               ? *opts.executor
+                               : common::Executor::global();
+    std::future<void> hashed = ex.submit(hash);
+    try {
+      append();
+    } catch (...) {
+      hashed.wait();  // the task reads the regions and writes `crcs`
+      throw;
+    }
+    hashed.get();
+  }
+  session->commit(crcs);
+}
+
 CkptWriter::CkptWriter(StorageBackend& backend, WriterOptions opts)
     : backend_(backend), opts_(opts) {
   ABFTC_REQUIRE(opts_.chunk_bytes > 0, "chunk size must be positive");
@@ -67,88 +114,19 @@ CkptId CkptWriter::commit(MemoryImage& image, CkptKind kind, double when,
   meta.kind = kind;
   meta.when = when;
   meta.entry_link = entry_link;
-  std::vector<std::uint64_t> sizes;
-  sizes.reserve(regions.size());
+  // The reference path (async = false) first copies every region into
+  // staging, so its copy, CRC and write costs sum; the bytes and CRCs are
+  // identical either way.
+  std::vector<std::vector<std::byte>> staging;
+  if (!opts_.async) staging.reserve(regions.size());
+  std::vector<RegionSpan> spans;
+  spans.reserve(regions.size());
   for (const RegionId id : regions) {
-    sizes.push_back(image.bytes(id).size());
-    meta.bytes += sizes.back();
+    std::span<const std::byte> bytes = image.bytes(id);
+    if (!opts_.async) bytes = staging.emplace_back(bytes.begin(), bytes.end());
+    spans.push_back({id, bytes});
   }
-  auto session = backend_.begin_snapshot(meta, regions, sizes);
-  std::vector<std::uint32_t> crcs(regions.size());
-
-  // Inside a parallel region the pool may have no free worker to run the
-  // CRC tasks, and blocking on futures there can deadlock (unlike
-  // parallel_for, submit() has no caller-participates fallback) — commits
-  // issued from parallel code run the serial path instead.
-  const bool async =
-      opts_.async && !common::Executor::inside_parallel_region();
-  if (!async) {
-    // Reference path: whole-region copy, then the CRC pass, then the write —
-    // the costs sum. Bytes and CRCs are identical to the pipeline below.
-    std::vector<std::byte> staging;
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-      const auto src = image.bytes(regions[r]);
-      staging.resize(src.size());
-      std::memcpy(staging.data(), src.data(), src.size());
-      common::Crc32 acc;
-      for (std::size_t off = 0; off < staging.size();
-           off += opts_.chunk_bytes)
-        acc.update(std::span(staging)
-                       .subspan(off, std::min(opts_.chunk_bytes,
-                                              staging.size() - off)));
-      crcs[r] = acc.value();
-      session->append(std::span(staging));
-    }
-    session->commit(crcs);
-  } else {
-    // The pipeline: regions flattened into fixed chunks, each read straight
-    // from the image. Per chunk a pool task CRCs the span while the caller
-    // hands the same span to the backend. No staging copy is needed: the
-    // image is caller-owned and outlives this synchronous commit, and every
-    // backend that keeps bytes past append() copies them.
-    struct Chunk {
-      std::size_t region;  // index into `regions`
-      std::span<const std::byte> bytes;
-    };
-    std::vector<Chunk> chunks;
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-      const auto src = image.bytes(regions[r]);
-      for (std::size_t off = 0; off < src.size(); off += opts_.chunk_bytes)
-        chunks.push_back(
-            {r, src.subspan(off, std::min(opts_.chunk_bytes,
-                                          src.size() - off))});
-    }
-
-    std::vector<std::future<std::uint32_t>> futs(chunks.size());
-    std::vector<std::uint32_t> chunk_crcs(chunks.size());
-    common::Executor& ex = executor();
-
-    // Outstanding CRC tasks read the image; never unwind past them.
-    const auto drain = [&] {
-      for (auto& f : futs)
-        if (f.valid()) f.wait();
-    };
-    try {
-      for (std::size_t i = 0; i < chunks.size(); ++i) {
-        futs[i] = ex.submit(
-            [bytes = chunks[i].bytes] { return common::crc32(bytes); });
-        session->append(chunks[i].bytes);
-      }
-      for (std::size_t i = 0; i < chunks.size(); ++i)
-        chunk_crcs[i] = futs[i].get();
-    } catch (...) {
-      drain();
-      throw;
-    }
-
-    // Fold the chunk CRCs per region, in chunk order.
-    std::vector<common::Crc32Chunks> folds(regions.size());
-    for (std::size_t i = 0; i < chunks.size(); ++i)
-      folds[chunks[i].region].add(chunk_crcs[i], chunks[i].bytes.size());
-    for (std::size_t r = 0; r < regions.size(); ++r)
-      crcs[r] = folds[r].value();
-    session->commit(crcs);
-  }
+  commit_snapshot(backend_, meta, spans, opts_);
 
   last_when_ = when;
   return next_id_++;

@@ -5,16 +5,15 @@
 /// It implements the protocol's checkpoint taxonomy (Full / Entry / Exit /
 /// Incremental, ckpt/image.hpp) over any backend — the composite runtime
 /// (core/runtime.hpp) drives one over a MemoryBackend, the storage
-/// calibrator over the backend it measures — and pipelines the commit: each
-/// region is streamed in fixed-size chunks read straight from the image (no
-/// staging copy) — the caller thread hands chunk i to the backend while a
-/// pool task (common::Executor::submit) runs the CRC of the same chunk
-/// concurrently (common::crc32: PCLMULQDQ folding where the CPU has it,
-/// slice-by-8 otherwise, same values either way). Commit latency therefore
-/// approaches max(write, crc) instead of their sum; per-region CRCs are
-/// folded from the chunk CRCs with crc32_combine, so the async path produces
-/// bit-identical snapshots to the serial copy→CRC→write reference
-/// (options.async = false, the benchmark baseline).
+/// calibrator over the backend it measures. Its commits go through
+/// commit_snapshot, the one commit routine, which the distributed launcher
+/// (dist/launcher.hpp) calls too: the regions stream straight from the image
+/// into the backend (no staging copy) while one pool task
+/// (common::Executor::submit) runs their CRCs (common::crc32: PCLMULQDQ
+/// folding where the CPU has it, slice-by-8 otherwise, same values either
+/// way). Commit latency therefore approaches max(write, crc) instead of
+/// their sum, and the snapshots are bit-identical to the serial
+/// copy→CRC→write reference (options.async = false, the benchmark baseline).
 ///
 /// Restores are verify-then-apply: every region CRC of every snapshot that
 /// will be applied is checked first (in parallel, on a ScopedArena) and only
@@ -23,6 +22,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "ckpt/io/backend.hpp"
@@ -34,13 +34,35 @@ class Executor;  // defined in common/executor.hpp
 namespace abftc::ckpt::io {
 
 struct WriterOptions {
-  /// Pipeline granularity: CRC-task / append size.
+  /// Snapshots no larger than this are hashed inline: a pool task would
+  /// cost more than it hides.
   std::size_t chunk_bytes = 1 << 20;
-  /// false: serial copy → CRC → write reference path (same bytes on disk).
+  /// false: serial copy → CRC → write reference path (same bytes on disk):
+  /// CkptWriter stages a copy of the regions, commit_snapshot hashes inline.
   bool async = true;
-  /// Pool the CRC tasks run on; nullptr = common::Executor::global().
+  /// Pool the hashing task runs on; nullptr = common::Executor::global().
   common::Executor* executor = nullptr;
 };
+
+/// One region of a snapshot to commit: its id and the bytes to stream.
+struct RegionSpan {
+  RegionId id = 0;
+  std::span<const std::byte> bytes;
+};
+
+/// Commit one snapshot: stream `regions`, in order, into a single
+/// begin_snapshot session on `backend` and seal it with their CRCs
+/// (`meta.bytes` is set to the region total). While the caller appends the
+/// regions, one task on `opts.executor` hashes them in the same order; the
+/// caller joins it before commit() and on every error, so no task outlives
+/// the call and a fork after it inherits none. The regions are hashed
+/// inline instead when the snapshot fits in one `opts.chunk_bytes`, when
+/// `opts.async` is false, or inside a parallel region (where blocking on a
+/// pool task can deadlock). The spans must not change during the call.
+/// Throws io_error from the backend.
+void commit_snapshot(StorageBackend& backend, SnapshotMeta meta,
+                     std::span<const RegionSpan> regions,
+                     const WriterOptions& opts = {});
 
 struct RestoreReport {
   double from_when = 0.0;          ///< timestamp of the protection point

@@ -12,8 +12,8 @@
 /// Three ways to compute the same value:
 ///  * one-shot:   crc32(data)
 ///  * streaming:  Crc32 acc; acc.update(chunk); ... ; acc.value()
-///    (chunks in order — lets the checkpoint writer overlap the CRC pass
-///    with I/O instead of hashing the whole buffer after the fact)
+///    (chunks in order — lets the log backend verify a record it reads
+///    back in bounded pieces)
 ///  * parallel:   per-chunk crc32() from seed 0, folded with crc32_combine()
 ///    (chunks independent — the chunking, not the worker count, defines the
 ///    result, so parallel CRCs are bitwise reproducible)
@@ -39,7 +39,7 @@ namespace abftc::common {
 /// Fold of *independently* computed chunk CRCs (each from seed 0): add()
 /// them in chunk order and value() equals the one-shot crc32 of the
 /// concatenation. This is the one authoritative combine-order/length
-/// pairing for parallel CRC users (checkpoint store and writer) — a wrong
+/// pairing for CRC folds (the log backend's record CRC) — a wrong
 /// len pairing yields a stable but wrong CRC, so don't hand-roll the fold.
 /// Starting from 0 needs no seeding special case: crc32_combine(0, c, n)
 /// == c for every n (the zero register is a fixed point of the operator).

@@ -15,7 +15,7 @@
 
 #include "abft/checksum.hpp"
 #include "abft/kernels.hpp"
-#include "common/crc32.hpp"
+#include "ckpt/io/writer.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -213,32 +213,22 @@ void Launcher::checkpoint(std::size_t boundary, RunReport& report) {
   ++report.checkpoints;
   const auto t0 = Clock::now();
 
-  // Zero-copy commit: every region streams straight out of the arena, and
-  // its CRC is taken from the same span. The arena is quiescent here — each
-  // rank answered Done and waits in recv — so the bytes cannot move under
-  // the hash or the write.
+  // Zero-copy commit through the shared routine: every region streams
+  // straight out of the arena while one pool task hashes the same spans.
+  // The arena is quiescent here — each rank answered Done and waits in
+  // recv — so the bytes cannot move under the hash or the write, and the
+  // routine joins its task before returning, so no later fork inherits it.
   std::uint64_t progress[2] = {boundary, frozen_steps_};
   const Regions regions = snapshot_regions(progress);
+  std::array<ckpt::io::RegionSpan, std::tuple_size_v<Regions>> spans;
+  for (ckpt::RegionId id = 0; id < regions.size(); ++id)
+    spans[id] = {id, regions[id]};
   ckpt::io::SnapshotMeta meta;
   meta.id = static_cast<ckpt::CkptId>(boundary + 1);
   meta.kind = ckpt::CkptKind::Full;
   meta.when = static_cast<double>(boundary);
-  std::vector<ckpt::RegionId> ids;
-  std::vector<std::uint64_t> sizes;
-  for (ckpt::RegionId id = 0; id < regions.size(); ++id) {
-    ids.push_back(id);
-    sizes.push_back(regions[id].size());
-    meta.bytes += regions[id].size();
-  }
   try {
-    const auto session =
-        backend_.begin_snapshot(meta, std::move(ids), std::move(sizes));
-    std::vector<std::uint32_t> crcs;
-    for (const std::span<const std::byte> r : regions) {
-      crcs.push_back(common::crc32(r));
-      session->append(r);
-    }
-    session->commit(crcs);
+    ckpt::io::commit_snapshot(backend_, meta, spans);
   } catch (const ckpt::io::io_error&) {
     // An injected (or real) commit failure costs this protection point but
     // not the run: recovery falls back to the previous snapshot.

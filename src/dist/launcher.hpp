@@ -42,10 +42,12 @@
 ///     (which works on stopped processes), and recovers via the death path.
 ///
 /// A checkpoint streams the four arena regions (progress, matrix, the two
-/// stacked accumulators) straight into a backend WriteSession, hashing each
-/// region from the same span, without an intermediate copy. That is safe
-/// because the arena is quiescent at every boundary: each rank has answered
-/// Done and waits for its next command.
+/// stacked accumulators) through ckpt::io::commit_snapshot, the commit
+/// routine CkptWriter uses too: the regions go straight from the arena into
+/// one backend WriteSession, without an intermediate copy, while one pool
+/// task hashes them; the routine joins that task before it returns. That is
+/// safe because the arena is quiescent at every boundary: each rank has
+/// answered Done and waits for its next command.
 ///
 /// Waiting is event-driven on both sides. A worker sleeps in FUTEX_WAIT on
 /// its command mailbox's seq word and `post` wakes it. The coordinator

@@ -447,10 +447,92 @@ TEST_P(WriterRoundTrip, AsyncAndSerialProduceIdenticalSnapshots) {
   }
 }
 
+TEST_P(WriterRoundTrip, InlineAndPooledHashingMatchTheSerialReference) {
+  // A 4.2 KB image: one chunk at 64 KiB, so hashed inline; five chunks at
+  // 1 KiB, so hashed by a pool task while the caller appends.
+  const auto backend = make_backend(spec());
+  ImageFixture f(3000, 1200);
+  const WriterOptions modes[] = {
+      {.chunk_bytes = 64 * 1024, .async = false},
+      {.chunk_bytes = 64 * 1024, .async = true},
+      {.chunk_bytes = 1024, .async = true}};
+  double when = 1.0;
+  for (const WriterOptions& opts : modes) {
+    CkptWriter writer(*backend, opts);
+    writer.take_full(f.image, when);
+    when += 1.0;
+  }
+  const auto metas = backend->list();
+  ASSERT_EQ(metas.size(), 3u);
+  const SnapshotBlob ref = backend->read_snapshot(metas[0].id);
+  for (std::size_t m = 1; m < metas.size(); ++m) {
+    const SnapshotBlob blob = backend->read_snapshot(metas[m].id);
+    ASSERT_EQ(blob.regions.size(), ref.regions.size());
+    for (std::size_t i = 0; i < ref.regions.size(); ++i) {
+      EXPECT_EQ(blob.regions[i].crc, ref.regions[i].crc)
+          << "mode " << m << " region " << i;
+      EXPECT_EQ(blob.regions[i].payload, ref.regions[i].payload)
+          << "mode " << m << " region " << i;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Backends, WriterRoundTrip,
     ::testing::Values("memory", "file", "mmap", "log"),
     [](const auto& info) { return std::string(info.param); });
+
+// A backend whose sessions fail on their second append and store nothing.
+class FailingAppendBackend final : public StorageBackend {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "failing-append";
+  }
+  void open() override {}
+  [[nodiscard]] SnapshotBlob read_snapshot(CkptId) const override {
+    throw io_error("nothing stored");
+  }
+  [[nodiscard]] std::vector<SnapshotMeta> list() const override { return {}; }
+  void drop(CkptId) override {}
+  [[nodiscard]] std::unique_ptr<WriteSession> begin_snapshot(
+      const SnapshotMeta&, std::vector<RegionId>,
+      std::vector<std::uint64_t>) override {
+    return std::make_unique<Session>();
+  }
+
+ private:
+  class Session final : public WriteSession {
+   public:
+    void append(std::span<const std::byte>) override {
+      if (++appends_ == 2) throw io_error("injected append failure");
+    }
+    void commit(const std::vector<std::uint32_t>&) override {
+      ADD_FAILURE() << "commit after a failed append";
+    }
+
+   private:
+    int appends_ = 0;
+  };
+};
+
+TEST(CommitSnapshot, AppendFailureJoinsTheHashingTaskAndRethrows) {
+  // Two 1 MiB regions at 64 KiB chunks: the pool task hashes both while
+  // the second append throws. The task reads the regions and writes the
+  // routine's CRC slots, so it must be joined before the error leaves the
+  // call; the sanitizer jobs catch a task that outlives it.
+  FailingAppendBackend backend;
+  common::Executor ex(2);
+  for (int round = 0; round < 8; ++round) {
+    const auto a = pattern_bytes(1 << 20, 1);
+    const auto b = pattern_bytes(1 << 20, 2);
+    const RegionSpan regions[] = {{0, a}, {1, b}};
+    SnapshotMeta meta;
+    meta.id = 1;
+    EXPECT_THROW(commit_snapshot(backend, meta, regions,
+                                 {.chunk_bytes = 64 * 1024, .executor = &ex}),
+                 io_error);
+  }
+}
 
 TEST(CkptWriter, ExitValidatesCoverageAndEntryKind) {
   MemoryBackend backend;

@@ -30,6 +30,7 @@
 #include "abft/matrix.hpp"
 #include "ckpt/io/backend.hpp"
 #include "ckpt/io/faulting.hpp"
+#include "ckpt/io/writer.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -755,21 +756,15 @@ TEST(DistLauncher, TornCheckpointFallsBackToOlderSnapshot) {
   EXPECT_EQ(abft::max_abs_diff(injected.lu(), clean.lu()), 0.0);
 }
 
-TEST(DistLauncher, CleanRunCommitsVerifiableSnapshotsStraightFromTheArena) {
-  const DistConfig cfg = small_config();
-  ckpt::io::MemoryBackend backend;
-  Launcher launcher(cfg, backend);
-  const RunReport report = launcher.run();
-  ASSERT_TRUE(report.completed);
-  EXPECT_GT(report.commit_seconds, 0.0);
-  EXPECT_LT(report.commit_seconds, report.wall_seconds);
-
+// One Full snapshot per ckpt_every-th boundary k, id k+1, the four regions
+// in order (progress, matrix, the two stacked accumulators), every CRC
+// intact, and progress == {k, k}: at a boundary the first k block rows are
+// exactly the frozen ones.
+void expect_arena_snapshots(const DistConfig& cfg,
+                            const ckpt::io::MemoryBackend& backend,
+                            const RunReport& report) {
   const DistLayout lay =
       DistLayout::compute(cfg.n, cfg.nb, cfg.group, cfg.ranks);
-  // One Full snapshot per ckpt_every-th boundary k, id k+1, the four regions
-  // in order (progress, matrix, the two stacked accumulators), every CRC
-  // intact, and progress == {k, k}: at a boundary the first k block rows are
-  // exactly the frozen ones.
   const auto metas = backend.list();
   ASSERT_EQ(metas.size(), report.checkpoints);
   for (std::size_t i = 0; i < metas.size(); ++i) {
@@ -792,6 +787,62 @@ TEST(DistLauncher, CleanRunCommitsVerifiableSnapshotsStraightFromTheArena) {
     EXPECT_EQ(progress[0], k);
     EXPECT_EQ(progress[1], k);
   }
+}
+
+TEST(DistLauncher, CleanRunCommitsVerifiableSnapshotsStraightFromTheArena) {
+  const DistConfig cfg = small_config();
+  ckpt::io::MemoryBackend backend;
+  Launcher launcher(cfg, backend);
+  const RunReport report = launcher.run();
+  ASSERT_TRUE(report.completed);
+  EXPECT_GT(report.commit_seconds, 0.0);
+  EXPECT_LT(report.commit_seconds, report.wall_seconds);
+  expect_arena_snapshots(cfg, backend, report);
+}
+
+// n=384, nb=32: ~2.7 MB per snapshot, several commit chunks, so every
+// commit hashes on a pool task while the launcher appends.
+DistConfig multi_chunk_config() {
+  DistConfig cfg = small_config();
+  cfg.n = 384;
+  cfg.nb = 32;
+  return cfg;
+}
+
+TEST(DistLauncher, MultiChunkSnapshotsHashOnThePoolAndVerify) {
+  const DistConfig cfg = multi_chunk_config();
+  ckpt::io::MemoryBackend backend;
+  Launcher launcher(cfg, backend);
+  const RunReport report = launcher.run();
+  ASSERT_TRUE(report.completed);
+  ASSERT_GT(report.checkpoints, 0u);
+  EXPECT_GT(backend.list().front().bytes,
+            2 * ckpt::io::WriterOptions{}.chunk_bytes);
+  expect_arena_snapshots(cfg, backend, report);
+}
+
+TEST(DistLauncher, FailedMultiChunkCommitThenKillRestoresTheOlderSnapshot) {
+  const DistConfig cfg = multi_chunk_config();
+  const auto clean_backend = ckpt::io::make_backend("memory");
+  Launcher clean(cfg, *clean_backend);
+  (void)clean.run();
+
+  // The commit of boundary 4 (write index 2) fails after its hashing task
+  // was joined; the kill at step 5 then forks a fresh rank. Recovery must
+  // fall back to boundary 2 and replay to the clean factors.
+  const auto inner = ckpt::io::make_backend("memory");
+  ckpt::io::FaultingBackend faulting(
+      *inner, {{4 / cfg.ckpt_every, ckpt::io::WriteFault::FailedCommit}});
+  Launcher injected(cfg, faulting);
+  const RunReport report = injected.run({{FaultKind::Kill, 5, 1}});
+
+  EXPECT_TRUE(report.completed);
+  EXPECT_EQ(faulting.faults_fired(), 1u);
+  EXPECT_EQ(report.restores, 1u);
+  EXPECT_EQ(report.respawns, 1u);
+  EXPECT_EQ(report.restored_to_steps, std::vector<std::size_t>{2});
+  EXPECT_LT(report.residual, 1e-8);
+  EXPECT_EQ(abft::max_abs_diff(injected.lu(), clean.lu()), 0.0);
 }
 
 TEST(DistLauncher, EveryCheckpointTornFallsBackToTheInitialImage) {

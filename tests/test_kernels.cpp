@@ -11,12 +11,14 @@
 #include <cstring>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "abft/blas.hpp"
 #include "abft/checksum.hpp"
 #include "abft/kernels.hpp"
 #include "common/crc32.hpp"
+#include "common/error.hpp"
 #include "common/executor.hpp"
 #include "common/topology.hpp"
 
@@ -316,6 +318,58 @@ TEST(BlockedTrsm, RightLowerTransMatchesNaive) {
     abft::trsm_right_lower_trans(l.view(), b_blocked.view());
   }
   EXPECT_LT(abft::max_abs_diff(b_naive, b_blocked), kTol);
+}
+
+// The blocked right-side solves at the panel shapes of the dist workloads
+// (nb = 32 and 64, below the old blocked cutoff), with row counts that
+// leave every remainder of the 32-row tile: empty, one row, one short of a
+// tile, one past it, and full-tile multiples.
+TEST(BlockedTrsm, RightSolvesAtPanelShapesMatchNaive) {
+  using Solve = void (*)(ConstMatrixView, MatrixView);
+  const std::pair<const char*, Solve> ops[] = {
+      {"right_upper", abft::trsm_right_upper},
+      {"right_lower_trans", abft::trsm_right_lower_trans}};
+  for (const std::size_t n : {32u, 64u}) {
+    const Matrix u = upper_factor(n, 81 + n);
+    const Matrix l = lower_factor(n, 91 + n);
+    for (const std::size_t rows : {0u, 1u, 31u, 33u, 150u, 1024u}) {
+      // A Matrix needs a row; the solves see a view of exactly `rows`.
+      const Matrix b0 = random_matrix(std::max<std::size_t>(rows, 1), n,
+                                      101 + rows);
+      for (const auto& [name, solve] : ops) {
+        const Matrix& f = solve == abft::trsm_right_upper ? u : l;
+        Matrix b_naive = b0;
+        Matrix b_blocked = b0;
+        {
+          KernelPolicyGuard guard({KernelPath::naive, 1});
+          solve(f.view(), b_naive.view().block(0, 0, rows, n));
+        }
+        {
+          KernelPolicyGuard guard({KernelPath::blocked, 1});
+          solve(f.view(), b_blocked.view().block(0, 0, rows, n));
+        }
+        EXPECT_LT(abft::max_abs_diff(b_naive, b_blocked), kTol)
+            << name << " n=" << n << " rows=" << rows;
+      }
+    }
+  }
+}
+
+TEST(BlockedTrsm, RightSolvesThrowOnAZeroPivot) {
+  KernelPolicyGuard guard({KernelPath::blocked, 1});
+  for (const std::size_t n : {64u, 192u}) {
+    Matrix u = upper_factor(n, 111);
+    Matrix l = lower_factor(n, 112);
+    u(n - 2, n - 2) = 0.0;
+    l(n - 2, n - 2) = 0.0;
+    Matrix b = random_matrix(40, n, 113);
+    EXPECT_THROW(abft::trsm_right_upper(u.view(), b.view()),
+                 common::invariant_error)
+        << "n=" << n;
+    EXPECT_THROW(abft::trsm_right_lower_trans(l.view(), b.view()),
+                 common::invariant_error)
+        << "n=" << n;
+  }
 }
 
 // --- Factorizations ---------------------------------------------------------
