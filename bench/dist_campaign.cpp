@@ -22,8 +22,8 @@
 /// the analytical model, demonstrating measured-vs-model waste.
 ///
 /// The JSON artifact (BENCH_dist_campaign.json with bare --json) carries
-/// the config, calibration constants, one record per cell, and the
-/// aggregate gates.
+/// the config, calibration constants, one record per cell, the rank forks
+/// of the campaign's one warm launcher, and the aggregate gates.
 
 #include <cstdint>
 #include <cstdio>
@@ -128,6 +128,7 @@ void emit_json(const std::string& path, const dist::CampaignReport& report) {
   json.end_array();
   json.kv("cells_run", report.cells.size());
   json.kv("unrecovered", report.unrecovered);
+  json.kv("forks", report.forks);
   json.kv("mean_ratio", report.mean_ratio);
   json.kv("max_ratio", report.max_ratio);
   json.end_object();

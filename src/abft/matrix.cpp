@@ -9,6 +9,10 @@ Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
   ABFTC_REQUIRE(rows > 0 && cols > 0, "matrix dimensions must be positive");
 }
 
+Matrix::Matrix(ConstMatrixView src) : Matrix(src.rows(), src.cols()) {
+  copy_into(src, view());
+}
+
 Matrix Matrix::zeros(std::size_t rows, std::size_t cols) {
   return Matrix(rows, cols, 0.0);
 }
@@ -51,12 +55,6 @@ Matrix Matrix::spd(std::size_t n, common::Rng& rng) {
   return m;
 }
 
-double Matrix::frobenius_norm() const {
-  double s = 0.0;
-  for (const double x : data_) s += x * x;
-  return std::sqrt(s);
-}
-
 double ConstMatrixView::max_abs() const {
   double m = 0.0;
   for (std::size_t i = 0; i < rows_; ++i)
@@ -77,17 +75,17 @@ double max_abs_diff(ConstMatrixView a, ConstMatrixView b) {
   return m;
 }
 
-double relative_error(const Matrix& a, const Matrix& b) {
+double relative_error(ConstMatrixView a, ConstMatrixView b) {
   ABFTC_REQUIRE(a.rows() == b.rows() && a.cols() == b.cols(),
                 "shape mismatch");
-  double num = 0.0;
+  double num = 0.0, den = 0.0;
   for (std::size_t i = 0; i < a.rows(); ++i)
     for (std::size_t j = 0; j < a.cols(); ++j) {
       const double d = a(i, j) - b(i, j);
       num += d * d;
+      den += b(i, j) * b(i, j);
     }
-  const double den = b.frobenius_norm();
-  return std::sqrt(num) / (den + 1e-300);
+  return std::sqrt(num) / (std::sqrt(den) + 1e-300);
 }
 
 void copy_into(ConstMatrixView src, MatrixView dst) {

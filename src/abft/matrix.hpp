@@ -54,6 +54,8 @@ class ConstMatrixView {
   }
   ConstMatrixView(MatrixView v)  // NOLINT(google-explicit-constructor)
       : data_(v.data()), rows_(v.rows()), cols_(v.cols()), ld_(v.ld()) {}
+  /// The whole of `m`; valid while `m` lives and keeps its shape.
+  ConstMatrixView(const Matrix& m);  // NOLINT(google-explicit-constructor)
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
@@ -83,6 +85,8 @@ class Matrix {
  public:
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
+  /// An owning copy of `src`.
+  explicit Matrix(ConstMatrixView src);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
@@ -128,7 +132,6 @@ class Matrix {
   [[nodiscard]] static Matrix spd(std::size_t n, common::Rng& rng);
 
   // Reductions ---------------------------------------------------------------
-  [[nodiscard]] double frobenius_norm() const;
   [[nodiscard]] double max_abs() const;
 
  private:
@@ -136,14 +139,14 @@ class Matrix {
   std::vector<double> data_;
 };
 
+inline ConstMatrixView::ConstMatrixView(const Matrix& m)
+    : ConstMatrixView(m.view()) {}
+
 /// max |a - b| over all entries (shape must match).
 [[nodiscard]] double max_abs_diff(ConstMatrixView a, ConstMatrixView b);
-[[nodiscard]] inline double max_abs_diff(const Matrix& a, const Matrix& b) {
-  return max_abs_diff(a.view(), b.view());
-}
 
 /// ||a − b||_F / (||b||_F + tiny): relative error for verification.
-[[nodiscard]] double relative_error(const Matrix& a, const Matrix& b);
+[[nodiscard]] double relative_error(ConstMatrixView a, ConstMatrixView b);
 
 /// Copy `src` into `dst` (shapes must match).
 void copy_into(ConstMatrixView src, MatrixView dst);

@@ -113,11 +113,13 @@ bool sites_match(std::vector<FaultSite> a, std::vector<FaultSite> b) {
   return a == b;
 }
 
-Calibration calibrate(const DistConfig& cfg, const CampaignOptions& options) {
+/// Calibrate on the campaign's launcher once it is warm, so t_clean pays
+/// the same fixed costs as every cell.
+Calibration calibrate(Launcher& clean, const DistConfig& cfg,
+                      const CampaignOptions& options) {
   const CellStorage storage = storage_for(options.storage, "clean");
   auto backend = ckpt::io::make_backend(storage.spec);
-  Launcher clean(cfg, *backend);
-  const RunReport rep = clean.run();
+  const RunReport rep = clean.run(cfg, *backend);
   ABFTC_CHECK(rep.completed, "calibration run did not complete");
 
   Calibration calib;
@@ -173,7 +175,18 @@ CampaignReport run_campaign(const DistConfig& cfg, const CampaignSpec& spec,
   report.config = base;
   report.spec = spec;
   report.options = options;
-  report.calib = calibrate(base, options);
+
+  // One launcher serves the whole campaign. Its cold first run is the
+  // reference solve: the clean factors every recovered cell must reproduce,
+  // copied out of the arena before the next run overwrites it.
+  const CellStorage ref_storage = storage_for(options.storage, "ref");
+  const auto ref_backend = ckpt::io::make_backend(ref_storage.spec);
+  Launcher pool(base, *ref_backend);
+  (void)pool.run();
+  const abft::Matrix clean_lu(pool.lu());
+  cleanup(ref_storage);
+
+  report.calib = calibrate(pool, base, options);
 
   // Hang cells wait out the step deadline before recovery; derive a tight
   // one from the calibrated step times so a campaign doesn't sit out the
@@ -182,17 +195,6 @@ CampaignReport run_campaign(const DistConfig& cfg, const CampaignSpec& spec,
   for (const double s : report.calib.step_seconds)
     max_step = std::max(max_step, s);
   report.calib.hang_timeout_s = std::max(0.25, 20.0 * max_step);
-
-  // The clean factors every recovered cell must reproduce.
-  abft::Matrix clean_lu;
-  {
-    const CellStorage storage = storage_for(options.storage, "ref");
-    auto backend = ckpt::io::make_backend(storage.spec);
-    Launcher ref(base, *backend);
-    (void)ref.run();
-    clean_lu = ref.lu();
-    cleanup(storage);
-  }
 
   for (const std::size_t index :
        spec.shard_indices(options.shard, options.nshards)) {
@@ -223,8 +225,7 @@ CampaignReport run_campaign(const DistConfig& cfg, const CampaignSpec& spec,
       faults.push_back({cell.kind, cell.step, cell.rank});
     }
 
-    Launcher launcher(cell_cfg, *effective);
-    const RunReport rep = launcher.run(faults);
+    const RunReport rep = pool.run(cell_cfg, *effective, faults);
 
     CellOutcome out;
     out.cell = cell;
@@ -249,7 +250,7 @@ CampaignReport run_campaign(const DistConfig& cfg, const CampaignSpec& spec,
     out.injected = rep.injected;
     out.located = rep.located;
     out.site_match = sites_match(rep.injected, rep.located);
-    out.factor_error = abft::relative_error(launcher.lu(), clean_lu);
+    out.factor_error = abft::relative_error(pool.lu(), clean_lu);
     // Recovered = the run survived AND produced the right answer: the
     // checksum invariants hold and the factors match the uninjected run
     // (bitwise for kill/torn via restore+replay; to reconstruction rounding
@@ -261,6 +262,7 @@ CampaignReport run_campaign(const DistConfig& cfg, const CampaignSpec& spec,
     cleanup(storage);
   }
 
+  report.forks = pool.forks();
   double sum = 0.0;
   for (const CellOutcome& c : report.cells) {
     sum += c.ratio;
@@ -336,6 +338,8 @@ class DistEvaluator final : public core::Evaluator {
 
     core::EvalResult result;
     try {
+      // Both runs are cold, each on its own launcher: a cold clean run
+      // against a warm faulty one would bias the measured waste.
       auto clean_backend = ckpt::io::make_backend(opts.storage);
       Launcher clean(cfg, *clean_backend);
       const RunReport clean_rep = clean.run();

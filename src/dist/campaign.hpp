@@ -3,11 +3,15 @@
 /// Campaign execution over the dist runtime, and the "dist" Evaluator that
 /// plugs measured survival into the experiment engine.
 ///
-/// `run_campaign` executes every cell of a CampaignSpec shard: one fresh
-/// Launcher per cell over a fresh storage backend, with the cell's fault
-/// injected for real (SIGKILL / bit flip / torn checkpoint write). Each
-/// cell's measured wall time is compared against a model-predicted
-/// completion time assembled from a calibration pass:
+/// `run_campaign` executes every cell of a CampaignSpec shard on one warm
+/// Launcher (launcher.hpp): its cold first run is the reference solve, its
+/// second the calibration, and then every cell runs on it over a fresh
+/// storage backend, with the cell's fault injected for real (SIGKILL / bit
+/// flip / torn checkpoint write). The ranks are forked once per campaign
+/// and re-forked only when one dies, so a cell's time excludes fork and
+/// arena set-up, as the calibration's does. Each cell's measured wall time
+/// is compared against a model-predicted completion time assembled from
+/// the calibration:
 ///
 ///   kill  t = t_clean + restore + Σ step_s[c..s]   (c = covering boundary)
 ///   torn  same, with c the boundary *before* the torn one (the restore
@@ -97,6 +101,9 @@ struct CampaignReport {
   Calibration calib;
   std::vector<CellOutcome> cells;  ///< this shard's cells, ascending index
   std::size_t unrecovered = 0;
+  /// Rank processes forked over the campaign: `ranks` once, plus one per
+  /// dead rank replaced, so forks == ranks + Σ cells[i].respawns.
+  std::size_t forks = 0;
   double mean_ratio = 0.0;
   double max_ratio = 0.0;
 };

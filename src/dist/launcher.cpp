@@ -60,7 +60,7 @@ struct Launcher::Rank {
 };
 
 Launcher::Launcher(DistConfig cfg, ckpt::io::StorageBackend& backend)
-    : cfg_(cfg), backend_(backend) {
+    : cfg_(cfg), default_backend_(backend) {
   layout_ = DistLayout::compute(cfg_.n, cfg_.nb, cfg_.group, cfg_.ranks);
   nbk_ = layout_.nbk;
   ABFTC_REQUIRE(cfg_.ckpt_every > 0, "ckpt_every must be positive");
@@ -75,22 +75,25 @@ Launcher::Launcher(DistConfig cfg, ckpt::io::StorageBackend& backend)
 
 Launcher::~Launcher() { reap_all(); }
 
+void Launcher::bury(Rank& rank) noexcept {
+  int status = 0;
+  ::waitpid(rank.pid, &status, 0);
+  rank.pid = -1;
+  ::close(rank.ready_fd);
+  rank.ready_fd = -1;
+}
+
 void Launcher::reap_all() noexcept {
-  for (Rank& r : ranks_) {
-    if (r.pid > 0) {
-      ::kill(r.pid, SIGKILL);
-      int status = 0;
-      ::waitpid(r.pid, &status, 0);
-      r.pid = -1;
-    }
-    if (r.ready_fd >= 0) {
-      ::close(r.ready_fd);
-      r.ready_fd = -1;
-    }
+  for (Rank& rank : ranks_) {
+    if (rank.pid <= 0) continue;
+    ::kill(rank.pid, SIGKILL);
+    bury(rank);
   }
 }
 
 void Launcher::spawn(std::size_t r) {
+  reset(shared_.cmd[r]);
+  reset(shared_.rsp[r]);
   int fds[2];
   if (::pipe(fds) != 0) throw dist_error("pipe() for ready handshake failed");
   const pid_t coordinator = ::getpid();
@@ -122,6 +125,41 @@ void Launcher::spawn(std::size_t r) {
   ranks_[r].pid = pid;
   ranks_[r].ready_fd = fds[0];
   ranks_[r].rsp_seen = shared_.rsp[r].seq.load(std::memory_order_acquire);
+  ++forks_;
+}
+
+void Launcher::prepare(RunReport& report) {
+  const bool cold = arena_ == nullptr;
+  if (cold) {
+    arena_ = std::make_unique<SharedRegion>(layout_.total_bytes);
+    shared_ = SharedState::attach(arena_->data(), layout_);
+    shared_.ctl->magic = kArenaMagic;
+    shared_.ctl->n = cfg_.n;
+    shared_.ctl->nb = cfg_.nb;
+    shared_.ctl->group = cfg_.group;
+    shared_.ctl->nranks = cfg_.ranks;
+    common::Rng rng(cfg_.seed);
+    a0_ = abft::Matrix::diag_dominant(cfg_.n, rng);
+    cs0_ = abft::row_group_checksum_pair(a0_, cfg_.nb, cfg_.group);
+    owner_ = std::this_thread::get_id();
+  }
+  // Every live rank idles in recv, so the arena is quiescent.
+  load_initial();
+  max_boundary_attempted_ = std::numeric_limits<std::size_t>::max();
+
+  // A rank that died idle since the last run has hung up its ready pipe
+  // with no command outstanding: reap it so the loop below replaces it.
+  for (Rank& rank : ranks_) {
+    if (rank.pid <= 0) continue;
+    pollfd pfd{rank.ready_fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 0) > 0 && (pfd.revents & (POLLHUP | POLLERR)) != 0)
+      bury(rank);
+  }
+  for (std::size_t r = 0; r < cfg_.ranks; ++r) {
+    if (ranks_[r].pid > 0) continue;
+    spawn(r);
+    if (!cold) ++report.respawns;
+  }
 }
 
 bool Launcher::await_done(std::size_t r, std::size_t k, RunReport& report) {
@@ -130,14 +168,7 @@ bool Launcher::await_done(std::size_t r, std::size_t k, RunReport& report) {
   const auto t0 = Clock::now();
   const auto deadline =
       t0 + std::chrono::duration_cast<Clock::duration>(
-               std::chrono::duration<double>(cfg_.step_timeout_s));
-  const auto bury = [&] {
-    int status = 0;
-    ::waitpid(rank.pid, &status, 0);
-    rank.pid = -1;
-    ::close(rank.ready_fd);
-    rank.ready_fd = -1;
-  };
+               std::chrono::duration<double>(step_timeout_s_));
   bool hung_up = false;
   while (true) {
     // A Done posted just before the rank died still counts, so the frame
@@ -150,7 +181,7 @@ bool Launcher::await_done(std::size_t r, std::size_t k, RunReport& report) {
       return true;
     }
     if (hung_up) {  // every write end closed and no frame: the rank died
-      bury();
+      bury(rank);
       return false;
     }
     const auto left = deadline - Clock::now();
@@ -162,7 +193,7 @@ bool Launcher::await_done(std::size_t r, std::size_t k, RunReport& report) {
       ++report.hangs;
       report.hang_wait_seconds += seconds_since(t0);
       ::kill(rank.pid, SIGKILL);
-      bury();
+      bury(rank);
       return false;
     }
     const auto ns =
@@ -228,7 +259,7 @@ void Launcher::checkpoint(std::size_t boundary, RunReport& report) {
   meta.kind = ckpt::CkptKind::Full;
   meta.when = static_cast<double>(boundary);
   try {
-    ckpt::io::commit_snapshot(backend_, meta, spans);
+    ckpt::io::commit_snapshot(*backend_, meta, spans);
   } catch (const ckpt::io::io_error&) {
     // An injected (or real) commit failure costs this protection point but
     // not the run: recovery falls back to the previous snapshot.
@@ -251,7 +282,7 @@ void Launcher::load_initial() {
 
 std::size_t Launcher::restore_and_respawn(RunReport& report) {
   const auto t0 = Clock::now();
-  if (const auto blob = ckpt::io::latest_restorable(backend_))
+  if (const auto blob = ckpt::io::latest_restorable(*backend_))
     load_blob(*blob);
   else
     load_initial();
@@ -262,8 +293,6 @@ std::size_t Launcher::restore_and_respawn(RunReport& report) {
 
   for (std::size_t r = 0; r < cfg_.ranks; ++r) {
     if (ranks_[r].pid > 0) continue;
-    reset(shared_.cmd[r]);
-    reset(shared_.rsp[r]);
     spawn(r);
     ++report.respawns;
   }
@@ -452,8 +481,22 @@ void Launcher::inject_flip(const Injection& inj, std::uint64_t seed,
 }
 
 RunReport Launcher::run(const std::vector<Injection>& faults) {
-  ABFTC_REQUIRE(!ran_, "a Launcher runs once; construct a fresh one");
-  ran_ = true;
+  return run(cfg_, default_backend_, faults);
+}
+
+RunReport Launcher::run(const DistConfig& cfg,
+                        ckpt::io::StorageBackend& backend,
+                        const std::vector<Injection>& faults) {
+  ABFTC_REQUIRE(cfg.n == cfg_.n && cfg.nb == cfg_.nb &&
+                    cfg.ranks == cfg_.ranks && cfg.group == cfg_.group &&
+                    cfg.seed == cfg_.seed && cfg.ckpt_every == cfg_.ckpt_every &&
+                    cfg.blind == cfg_.blind &&
+                    cfg.verify_threads == cfg_.verify_threads,
+                "a Launcher's shape is fixed; only the backend, flip_seed and "
+                "step_timeout_s may change between runs");
+  ABFTC_REQUIRE(owner_ == std::thread::id{} ||
+                    owner_ == std::this_thread::get_id(),
+                "run() must come from the thread that forked the ranks");
   for (const Injection& f : faults) {
     ABFTC_REQUIRE(f.step < nbk_, "injection step out of range");
     ABFTC_REQUIRE(f.rank < cfg_.ranks, "injection rank out of range");
@@ -465,28 +508,27 @@ RunReport Launcher::run(const std::vector<Injection>& faults) {
   serial.threads = 1;
   const abft::KernelPolicyGuard guard(serial);
 
+  backend_ = &backend;
+  step_timeout_s_ = cfg.step_timeout_s;
   RunReport report;
   const auto wall0 = Clock::now();
+  try {
+    prepare(report);
+    factor(faults, cfg.flip_seed != 0 ? cfg.flip_seed : cfg.seed, report);
+  } catch (...) {
+    // A run cut short can leave ranks mid-command over the arena: the next
+    // run forks fresh ones instead of trusting them.
+    reap_all();
+    throw;
+  }
+  report.residual = residual_now();
+  report.wall_seconds = seconds_since(wall0);
+  report.completed = true;
+  return report;
+}
 
-  // --- arena + initial state ------------------------------------------------
-  arena_ = std::make_unique<SharedRegion>(layout_.total_bytes);
-  shared_ = SharedState::attach(arena_->data(), layout_);
-  shared_.ctl->magic = kArenaMagic;
-  shared_.ctl->n = cfg_.n;
-  shared_.ctl->nb = cfg_.nb;
-  shared_.ctl->group = cfg_.group;
-  shared_.ctl->nranks = cfg_.ranks;
-
-  // The pristine state doubles as the restart-from-scratch image that
-  // restore_and_respawn falls back to when storage holds nothing restorable.
-  common::Rng rng(cfg_.seed);
-  a0_ = abft::Matrix::diag_dominant(cfg_.n, rng);
-  cs0_ = abft::row_group_checksum_pair(a0_, cfg_.nb, cfg_.group);
-  load_initial();
-
-  for (std::size_t r = 0; r < cfg_.ranks; ++r) spawn(r);
-
-  // --- the factorization loop ----------------------------------------------
+void Launcher::factor(const std::vector<Injection>& faults,
+                      std::uint64_t flip_base, RunReport& report) {
   std::vector<bool> consumed(faults.size(), false);
   const auto pending_at = [&](std::size_t step) -> const Injection* {
     for (std::size_t i = 0; i < faults.size(); ++i)
@@ -540,9 +582,7 @@ RunReport Launcher::run(const std::vector<Injection>& faults) {
 
     if (inj != nullptr &&
         (inj->kind == FaultKind::Flip || inj->kind == FaultKind::Flip2)) {
-      const std::uint64_t base =
-          cfg_.flip_seed != 0 ? cfg_.flip_seed : cfg_.seed;
-      std::uint64_t mix = base + 0x9e3779b97f4a7c15ULL * (inj->step + 1);
+      std::uint64_t mix = flip_base + 0x9e3779b97f4a7c15ULL * (inj->step + 1);
       inject_flip(*inj, common::splitmix64(mix), report);
     }
 
@@ -564,34 +604,6 @@ RunReport Launcher::run(const std::vector<Injection>& faults) {
     }
     ++k;
   }
-
-  // --- final state + teardown ----------------------------------------------
-  report.residual = residual_now();
-  const auto copy_out = [](const double* src, std::size_t rows,
-                           std::size_t cols) {
-    abft::Matrix m(rows, cols);
-    std::memcpy(m.storage().data(), src, rows * cols * sizeof(double));
-    return m;
-  };
-  lu_ = copy_out(shared_.matrix, layout_.n, layout_.n);
-  active_ = copy_out(shared_.active, 2 * layout_.csr, layout_.n);
-  frozen_ = copy_out(shared_.frozen, 2 * layout_.csr, layout_.n);
-
-  for (std::size_t r = 0; r < cfg_.ranks; ++r) {
-    if (ranks_[r].pid <= 0) continue;
-    post(shared_.cmd[r], MsgType::Shutdown);
-    (void)await_done(r, 0, report);
-    if (ranks_[r].pid > 0) {
-      int status = 0;
-      ::waitpid(ranks_[r].pid, &status, 0);
-      ranks_[r].pid = -1;
-      ::close(ranks_[r].ready_fd);
-      ranks_[r].ready_fd = -1;
-    }
-  }
-  report.wall_seconds = seconds_since(wall0);
-  report.completed = true;
-  return report;
 }
 
 }  // namespace abftc::dist

@@ -2,12 +2,33 @@
 /// \file launcher.hpp
 /// The coordinator of the distributed fault-injection runtime.
 ///
-/// `Launcher::run` forks `ranks` worker processes over a shared-memory
-/// arena (channel.hpp) and drives the panel-cyclic ABFT LU (worker.hpp)
+/// `Launcher::run` drives the panel-cyclic ABFT LU (worker.hpp) over
+/// `ranks` forked worker processes and a shared-memory arena (channel.hpp)
 /// step by step, taking checkpoints through a ckpt::io::StorageBackend at
 /// every `ckpt_every`-th block-step boundary and injecting the requested
-/// faults. Recovery composes the repo's two protection mechanisms exactly
-/// as the paper's composite strategy prescribes:
+/// faults.
+///
+/// Lifecycle: a Launcher is a warm rank pool.
+///   - The first run() maps the arena, builds the pristine matrix and its
+///     step-0 accumulator, and forks the ranks. All of them live until
+///     ~Launcher, which SIGKILLs and reaps the ranks.
+///   - Every run() copies that pristine image into the arena, forgets the
+///     previous run's checkpoint boundaries, and forks only the ranks that
+///     are dead — also one that died idle between runs (its ready pipe hung
+///     up). Such a replacement counts in `respawns`, never as a restore.
+///   - A run's backend, `flip_seed` and `step_timeout_s` may differ between
+///     runs. The other DistConfig fields fix the launcher's shape; run()
+///     with a different shape throws precondition_error.
+///   - PR_SET_PDEATHSIG ties each rank to the thread that forked it, so the
+///     thread of the first run() owns the pool: run() from any other thread
+///     throws precondition_error.
+///   - Results are views, not copies: lu(), the accumulator views and the
+///     ladder primitives read the arena as the last run() left it. A view
+///     stays valid until the next run() or the launcher's destruction;
+///     copy it (abft::Matrix(view)) to keep it longer.
+///
+/// Recovery composes the repo's two protection mechanisms exactly as the
+/// paper's composite strategy prescribes:
 ///
 ///   process death (kill/torn) → seen as POLLHUP on the rank's ready
 ///     pipe and reaped via waitpid; restore the newest restorable snapshot
@@ -15,8 +36,8 @@
 ///     respawn the dead rank, replay the lost steps. Workers are stateless
 ///     between commands, so survivors need no handling at all. If storage
 ///     holds nothing restorable the run falls back to its initial image —
-///     the pristine matrix and accumulators run() built the arena from —
-///     and restarts from step 0.
+///     the pristine matrix and accumulators every run starts from — and
+///     restarts from step 0.
 ///
 ///   silent data corruption (flip/flip2) → the checksum-invariant residual
 ///     detects it at a step boundary; the poisoned element is then
@@ -62,6 +83,7 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "abft/matrix.hpp"
@@ -181,34 +203,44 @@ struct RunReport {
 
 class Launcher {
  public:
-  /// `backend` is borrowed (campaigns wrap one in a FaultingBackend and
-  /// reuse it per cell); it must be open and outlive the launcher.
+  /// `backend` is borrowed: run() without one commits there, so it must be
+  /// open and outlive every such run().
   Launcher(DistConfig cfg, ckpt::io::StorageBackend& backend);
+  /// SIGKILLs and reaps every rank.
   ~Launcher();
   Launcher(const Launcher&) = delete;
   Launcher& operator=(const Launcher&) = delete;
 
   /// Factor once, injecting `faults` (at most one per step; steps in
-  /// [0, nbk)). Callable once per Launcher.
+  /// [0, nbk)), with the construction config and backend. Snapshot ids
+  /// restart at 1 every run, so each run needs a backend holding none of
+  /// an earlier run's: a reused one throws on the duplicate id.
   RunReport run(const std::vector<Injection>& faults = {});
+  /// Factor once on `backend` (borrowed for the run) with `cfg`'s per-run
+  /// fields; `cfg`'s shape must equal the construction config's.
+  RunReport run(const DistConfig& cfg, ckpt::io::StorageBackend& backend,
+                const std::vector<Injection>& faults = {});
 
   [[nodiscard]] const DistConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] std::size_t block_steps() const noexcept { return nbk_; }
+  /// Rank processes forked over the launcher's lifetime: `ranks` at the
+  /// first run, plus one per dead rank replaced since.
+  [[nodiscard]] std::size_t forks() const noexcept { return forks_; }
 
-  // Final state, copied out of the arena after run() — valid afterwards.
-  // The accumulator accessors view the halves of the stacked copies.
-  [[nodiscard]] const abft::Matrix& lu() const noexcept { return lu_; }
+  // The last run's final state, viewed in the arena (see the lifecycle
+  // above). The accumulator accessors view the halves of the stacked ones.
+  [[nodiscard]] abft::ConstMatrixView lu() const { return shared_.lu().a; }
   [[nodiscard]] abft::ConstMatrixView active_cs() const {
-    return active_.block(0, 0, layout_.csr, layout_.n);
+    return shared_.lu().active.block(0, 0, layout_.csr, layout_.n);
   }
   [[nodiscard]] abft::ConstMatrixView frozen_cs() const {
-    return frozen_.block(0, 0, layout_.csr, layout_.n);
+    return shared_.lu().frozen.block(0, 0, layout_.csr, layout_.n);
   }
   [[nodiscard]] abft::ConstMatrixView weighted_active_cs() const {
-    return active_.block(layout_.csr, 0, layout_.csr, layout_.n);
+    return shared_.lu().active.block(layout_.csr, 0, layout_.csr, layout_.n);
   }
   [[nodiscard]] abft::ConstMatrixView weighted_frozen_cs() const {
-    return frozen_.block(layout_.csr, 0, layout_.csr, layout_.n);
+    return shared_.lu().frozen.block(layout_.csr, 0, layout_.csr, layout_.n);
   }
 
   // The recovery ladder's primitives over the arena's current state. After
@@ -226,8 +258,18 @@ class Launcher {
  private:
   struct Rank;  // pid + ready fd + mailbox cursors
 
+  /// Zero rank r's mailboxes and fork it; the rank must be dead.
   void spawn(std::size_t r);
+  /// waitpid a dead (or SIGKILLed) rank and close its ready pipe.
+  void bury(Rank& rank) noexcept;
   void reap_all() noexcept;
+  /// Ready the pool for a run: on the first, map the arena, build the
+  /// pristine image and fork every rank; then load the image and replace
+  /// any rank that died, counting the replacements in `report.respawns`.
+  void prepare(RunReport& report);
+  /// The step loop: factor from the pristine image to completion.
+  void factor(const std::vector<Injection>& faults, std::uint64_t flip_base,
+              RunReport& report);
   [[nodiscard]] bool await_done(std::size_t r, std::size_t k,
                                 RunReport& report);
   /// Commit boundary `boundary` (id boundary+1, kind Full) zero-copy from
@@ -252,13 +294,17 @@ class Launcher {
   void load_initial();
 
   DistConfig cfg_;
-  ckpt::io::StorageBackend& backend_;
+  ckpt::io::StorageBackend& default_backend_;
+  ckpt::io::StorageBackend* backend_ = nullptr;  ///< the current run's
+  double step_timeout_s_ = 0.0;                  ///< the current run's
   DistLayout layout_;
   std::size_t nbk_ = 0;
   std::unique_ptr<SharedRegion> arena_;
   SharedState shared_;
   std::vector<Rank> ranks_;
-  /// The pristine matrix and its step-0 stacked accumulator: the arena's
+  std::thread::id owner_;  ///< the thread that forks the ranks
+  std::size_t forks_ = 0;
+  /// The pristine matrix and its step-0 stacked accumulator: every run's
   /// starting state and the restart-from-scratch image.
   abft::Matrix a0_, cs0_;
   /// Highest boundary whose checkpoint was already attempted (SIZE_MAX =
@@ -266,8 +312,6 @@ class Launcher {
   std::size_t max_boundary_attempted_ = std::numeric_limits<std::size_t>::max();
   std::size_t frozen_steps_ = 0;  ///< block rows frozen in the arena state
   unsigned verify_threads_ = 1;   ///< resolved from cfg_.verify_threads
-  bool ran_ = false;
-  abft::Matrix lu_, active_, frozen_;
 };
 
 }  // namespace abftc::dist

@@ -67,8 +67,9 @@ void worker_main(void* arena, const DistLayout& lay, std::size_t rank,
   // campaign by that long. The getppid() check closes the window in which
   // the coordinator died before the prctl: the rank was already reparented
   // and the death signal will never come. The signal follows the forking
-  // thread, not the process; Launcher forks and reaps every rank inside one
-  // run() call, so that thread always outlives its ranks.
+  // thread, not the process. A Launcher's ranks idle between runs and live
+  // until ~Launcher, so it forks only from the thread of its first run()
+  // and refuses run() from any other thread.
   if (::prctl(PR_SET_PDEATHSIG, SIGKILL) != 0 || ::getppid() != coordinator)
     ::_exit(100);
 

@@ -404,11 +404,40 @@ TEST(DistLauncher, RepeatRunsAreBitwiseIdentical) {
   EXPECT_EQ(abft::max_abs_diff(first.lu(), second.lu()), 0.0);
 }
 
-TEST(DistLauncher, RunsOnceOnly) {
+TEST(DistLauncher, ShapeIsFixedButPerRunFieldsMayChange) {
+  const DistConfig cfg = small_config();
   const auto backend = ckpt::io::make_backend("memory");
-  Launcher launcher(small_config(), *backend);
+  Launcher launcher(cfg, *backend);
   (void)launcher.run();
-  EXPECT_THROW((void)launcher.run(), common::precondition_error);
+
+  // Every field but the backend, flip_seed and step_timeout_s fixes the
+  // arena, the ranks or the pristine image: changing one throws.
+  const std::vector<void (*)(DistConfig&)> reshapes = {
+      [](DistConfig& c) { c.n = 48; },
+      [](DistConfig& c) { c.nb = 32; },
+      [](DistConfig& c) { c.ranks = 3; },
+      [](DistConfig& c) { c.group = 2; },
+      [](DistConfig& c) { c.seed += 1; },
+      [](DistConfig& c) { c.ckpt_every = 3; },
+      [](DistConfig& c) { c.blind = !c.blind; },
+      [](DistConfig& c) { c.verify_threads = 3; },
+  };
+  for (const auto reshape : reshapes) {
+    DistConfig other = cfg;
+    reshape(other);
+    const auto fresh = ckpt::io::make_backend("memory");
+    EXPECT_THROW((void)launcher.run(other, *fresh), common::precondition_error);
+  }
+
+  DistConfig per_run = cfg;
+  per_run.flip_seed = 7;
+  per_run.step_timeout_s = 5.0;
+  const auto fresh = ckpt::io::make_backend("memory");
+  const RunReport report =
+      launcher.run(per_run, *fresh, {{FaultKind::Flip, 2, 1}});
+  EXPECT_TRUE(report.completed);
+  EXPECT_EQ(report.reconstructions, 1u);
+  EXPECT_EQ(launcher.forks(), cfg.ranks);
 }
 
 TEST(DistLauncher, KillRecoversByRestoreAndReplay) {
@@ -666,6 +695,172 @@ TEST(DistLauncher, RanksDieWithTheirCoordinator) {
     EXPECT_FALSE(alive(p)) << "rank pid " << p << " outlived its coordinator";
     if (alive(p)) ::kill(p, SIGKILL);
   }
+}
+
+/// Row-by-row bit equality of two views (NaN-safe, unlike max_abs_diff).
+bool bitwise_equal(abft::ConstMatrixView a, abft::ConstMatrixView b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    if (std::memcmp(a.data() + i * a.ld(), b.data() + i * b.ld(),
+                    a.cols() * sizeof(double)) != 0)
+      return false;
+  return true;
+}
+
+/// The launcher's own rank processes: children of this process that were
+/// not there before it forked.
+std::vector<pid_t> ranks_of(const std::vector<pid_t>& before) {
+  std::vector<pid_t> ranks;
+  for (const pid_t p : children_of(::getpid()))
+    if (std::find(before.begin(), before.end(), p) == before.end())
+      ranks.push_back(p);
+  std::sort(ranks.begin(), ranks.end());
+  return ranks;
+}
+
+/// One run's inputs: its faults and, for a torn run, the write to tear.
+struct RunCase {
+  std::vector<Injection> faults;
+  std::optional<std::size_t> torn_write;
+};
+
+/// Run `rc` on `launcher` into a fresh memory store.
+RunReport run_case(Launcher& launcher, const DistConfig& cfg,
+                   const RunCase& rc) {
+  const auto inner = ckpt::io::make_backend("memory");
+  if (!rc.torn_write) return launcher.run(cfg, *inner, rc.faults);
+  ckpt::io::FaultingBackend faulting(
+      *inner, {{*rc.torn_write, ckpt::io::WriteFault::TornPayload}});
+  return launcher.run(cfg, faulting, rc.faults);
+}
+
+TEST(DistLauncher, WarmRunsMatchFreshLaunchers) {
+  DistConfig cfg = small_config();
+  cfg.blind = true;
+  const std::vector<RunCase> cases = {
+      {{}, std::nullopt},
+      {{{FaultKind::Kill, 3, 1}}, std::nullopt},
+      {{{FaultKind::Flip, 2, 0}}, std::nullopt},
+      {{{FaultKind::Torn, 4, 0}}, 4 / cfg.ckpt_every},
+      {{{FaultKind::Flip2, 5, 1}}, std::nullopt},
+      {{}, std::nullopt},
+  };
+  const auto unused = ckpt::io::make_backend("memory");
+  Launcher pool(cfg, *unused);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("run " + std::to_string(i));
+    DistConfig run_cfg = cfg;
+    run_cfg.flip_seed = 100 + i;
+    const RunReport warm = run_case(pool, run_cfg, cases[i]);
+    Launcher fresh(cfg, *unused);
+    const RunReport cold = run_case(fresh, run_cfg, cases[i]);
+
+    EXPECT_TRUE(warm.completed);
+    EXPECT_EQ(warm.completed, cold.completed);
+    EXPECT_EQ(warm.checkpoints, cold.checkpoints);
+    EXPECT_EQ(warm.restores, cold.restores);
+    EXPECT_EQ(warm.respawns, cold.respawns);
+    EXPECT_EQ(warm.reconstructions, cold.reconstructions);
+    EXPECT_EQ(warm.locates, cold.locates);
+    EXPECT_EQ(warm.escalations, cold.escalations);
+    EXPECT_EQ(warm.hangs, cold.hangs);
+    EXPECT_EQ(warm.restored_to_steps, cold.restored_to_steps);
+    EXPECT_EQ(warm.step_seconds.size(), cold.step_seconds.size());
+    EXPECT_EQ(warm.injected, cold.injected);
+    EXPECT_EQ(warm.located, cold.located);
+    EXPECT_EQ(warm.residual, cold.residual);
+    EXPECT_TRUE(bitwise_equal(pool.lu(), fresh.lu()));
+    EXPECT_TRUE(bitwise_equal(pool.active_cs(), fresh.active_cs()));
+    EXPECT_TRUE(bitwise_equal(pool.frozen_cs(), fresh.frozen_cs()));
+    EXPECT_TRUE(
+        bitwise_equal(pool.weighted_active_cs(), fresh.weighted_active_cs()));
+    EXPECT_TRUE(
+        bitwise_equal(pool.weighted_frozen_cs(), fresh.weighted_frozen_cs()));
+  }
+  // Forked once, plus one per rank a kill or torn run lost (a flip2 run
+  // restores without a death).
+  std::size_t lost = 0;
+  for (const RunCase& rc : cases)
+    for (const Injection& f : rc.faults)
+      lost += f.kind == FaultKind::Kill || f.kind == FaultKind::Torn;
+  EXPECT_EQ(pool.forks(), cfg.ranks + lost);
+}
+
+TEST(DistLauncher, WarmRanksKeepTheirPidsAndDieWithTheLauncher) {
+  const DistConfig cfg = small_config();
+  const std::vector<pid_t> before = children_of(::getpid());
+  {
+    const auto b1 = ckpt::io::make_backend("memory");
+    Launcher launcher(cfg, *b1);
+    (void)launcher.run();
+    const std::vector<pid_t> first = ranks_of(before);
+    ASSERT_EQ(first.size(), cfg.ranks);
+
+    const auto b2 = ckpt::io::make_backend("memory");
+    EXPECT_TRUE(launcher.run(cfg, *b2).completed);
+    EXPECT_EQ(ranks_of(before), first);  // the same processes served both
+    EXPECT_EQ(launcher.forks(), cfg.ranks);
+  }
+  EXPECT_TRUE(ranks_of(before).empty()) << "a rank outlived ~Launcher";
+}
+
+TEST(DistLauncher, RankKilledBetweenRunsIsReplacedBeforeTheNextRun) {
+  const DistConfig cfg = small_config();
+  const std::vector<pid_t> before = children_of(::getpid());
+  const auto b1 = ckpt::io::make_backend("memory");
+  Launcher launcher(cfg, *b1);
+  (void)launcher.run();
+  const abft::Matrix first(launcher.lu());
+
+  const std::vector<pid_t> ranks = ranks_of(before);
+  ASSERT_EQ(ranks.size(), cfg.ranks);
+  const pid_t victim = ranks.front();
+  ASSERT_EQ(::kill(victim, SIGKILL), 0);
+  // Wait until the victim is a zombie: its ready pipe has hung up.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (std::chrono::steady_clock::now() < give_up) {
+    const auto st = proc_stat(victim);
+    if (st && st->state == 'Z') break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // The corpse is found and replaced before the first step, so the run
+  // itself sees no death: nothing is restored.
+  const auto b2 = ckpt::io::make_backend("memory");
+  const RunReport report = launcher.run(cfg, *b2);
+  EXPECT_TRUE(report.completed);
+  EXPECT_EQ(report.restores, 0u);
+  EXPECT_EQ(report.respawns, 1u);
+  EXPECT_EQ(launcher.forks(), cfg.ranks + 1);
+  EXPECT_TRUE(bitwise_equal(launcher.lu(), first));
+  const std::vector<pid_t> now = ranks_of(before);
+  EXPECT_EQ(now.size(), cfg.ranks);
+  EXPECT_EQ(std::count(now.begin(), now.end(), victim), 0);
+}
+
+TEST(DistLauncher, RunFromAnotherThreadThrows) {
+  const DistConfig cfg = small_config();
+  const auto b1 = ckpt::io::make_backend("memory");
+  Launcher launcher(cfg, *b1);
+  (void)launcher.run();
+
+  // The ranks' parent-death signal follows the thread that forked them, so
+  // only that thread may drive (and respawn into) the pool.
+  bool threw = false;
+  std::thread other([&] {
+    const auto b2 = ckpt::io::make_backend("memory");
+    try {
+      (void)launcher.run(cfg, *b2);
+    } catch (const common::precondition_error&) {
+      threw = true;
+    }
+  });
+  other.join();
+  EXPECT_TRUE(threw);
+
+  const auto b3 = ckpt::io::make_backend("memory");
+  EXPECT_TRUE(launcher.run(cfg, *b3).completed);
 }
 
 TEST(DistLauncher, Flip2SitesAreLocalizedForEveryFlipSeed) {
@@ -1001,6 +1196,90 @@ TEST(DistCampaign, ShardsCoverTheCampaignExactlyOnce) {
       EXPECT_TRUE(indices.insert(c.cell.index).second);
   }
   EXPECT_EQ(indices.size(), spec.cell_count());
+}
+
+
+/// A campaign's cells replayed by hand on one fresh launcher each: what
+/// the campaign's warm launcher must reproduce cell for cell.
+std::vector<CellOutcome> fresh_launcher_cells(const CampaignReport& pooled) {
+  const DistConfig& base = pooled.config;
+  const auto unused = ckpt::io::make_backend("memory");
+  Launcher ref(base, *unused);
+  (void)ref.run();
+  const abft::Matrix clean_lu(ref.lu());
+
+  std::vector<CellOutcome> cells;
+  for (const CellOutcome& p : pooled.cells) {
+    const Cell& cell = p.cell;
+    DistConfig cfg = base;
+    cfg.flip_seed = cell_seed(base.seed, cell.index);
+    if (cell.kind == FaultKind::Hang)
+      cfg.step_timeout_s = pooled.calib.hang_timeout_s;
+    RunCase rc;
+    rc.faults = {{cell.kind, cell.step, cell.rank}};
+    if (cell.kind == FaultKind::Torn) rc.torn_write = cell.step / base.ckpt_every;
+    Launcher fresh(base, *unused);
+    const RunReport rep = run_case(fresh, cfg, rc);
+
+    CellOutcome out;
+    out.cell = cell;
+    out.residual = rep.residual;
+    out.factor_error = abft::relative_error(fresh.lu(), clean_lu);
+    out.recovered =
+        rep.completed && rep.residual < 1e-7 && out.factor_error < 1e-8;
+    out.restores = rep.restores;
+    out.reconstructions = rep.reconstructions;
+    out.respawns = rep.respawns;
+    out.escalations = rep.escalations;
+    out.hangs = rep.hangs;
+    out.injected = rep.injected;
+    out.located = rep.located;
+    cells.push_back(out);
+  }
+  return cells;
+}
+
+TEST(DistCampaign, PooledCampaignMatchesFreshLaunchersPerCell) {
+  DistConfig cfg = small_config();
+  cfg.n = 192;
+  cfg.nb = 32;
+  cfg.ranks = 3;
+  CampaignOptions options;
+  options.blind = true;
+  for (const char* text : {"steps:0-5,ranks:0-2,kinds:kill+flip+torn+flip2",
+                           "steps:0-1,ranks:0-1,kinds:hang"}) {
+    SCOPED_TRACE(text);
+    const CampaignSpec spec = CampaignSpec::parse(text);
+    const CampaignReport pooled = run_campaign(cfg, spec, options);
+    ASSERT_EQ(pooled.cells.size(), spec.cell_count());
+    EXPECT_EQ(pooled.unrecovered, 0u);
+
+    // The campaign forked its ranks once and re-forked only dead ones.
+    std::size_t respawns = 0;
+    for (const CellOutcome& c : pooled.cells) respawns += c.respawns;
+    EXPECT_EQ(pooled.forks, cfg.ranks + respawns);
+
+    const std::vector<CellOutcome> fresh = fresh_launcher_cells(pooled);
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      const CellOutcome& p = pooled.cells[i];
+      const CellOutcome& f = fresh[i];
+      SCOPED_TRACE("cell " + std::to_string(p.cell.index));
+      EXPECT_EQ(p.recovered, f.recovered);
+      EXPECT_EQ(p.residual, f.residual);
+      EXPECT_EQ(p.factor_error, f.factor_error);  // bitwise-equal factors
+      EXPECT_EQ(p.restores, f.restores);
+      EXPECT_EQ(p.reconstructions, f.reconstructions);
+      EXPECT_EQ(p.respawns, f.respawns);
+      EXPECT_EQ(p.escalations, f.escalations);
+      EXPECT_EQ(p.hangs, f.hangs);
+      EXPECT_EQ(p.injected, f.injected);
+      EXPECT_EQ(p.located, f.located);
+      EXPECT_EQ(p.site_match, f.injected.size() == f.located.size() &&
+                                  std::is_permutation(f.injected.begin(),
+                                                      f.injected.end(),
+                                                      f.located.begin()));
+    }
+  }
 }
 
 }  // namespace
