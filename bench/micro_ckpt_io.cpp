@@ -21,10 +21,20 @@
 /// support concurrent committers are serialized on a mutex — their flat
 /// (or falling) curve against the log backend's rising one is the point of
 /// the comparison, and CI gates log ≥ 2× file at 4 committers.
+///
+/// A third scenario takes one snapshot shaped like the dist runtime's at
+/// n=192 (16 B progress + 288 KiB matrix + 2 × 192 KiB accumulators) per
+/// backend. The `dist_shape` block reports, best of reps, the payload
+/// appends against the seal (WriteSession::commit: table, trailer, flush),
+/// and a restore straight into the destination spans (restore_latest_into)
+/// against latest_restorable plus a copy into the same spans. CI gates the
+/// log backend's seal ≤ 0.25× its appends and its in-place restore ≤ 0.6×
+/// the blob restore.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -144,6 +154,81 @@ ScalingRow committer_cell(const std::string& kind, const std::string& dir,
   return row;
 }
 
+struct DistShapeRow {
+  std::string backend;
+  std::size_t bytes = 0;
+  double append_s = 0.0;        ///< the payload stream's append() calls
+  double seal_s = 0.0;          ///< WriteSession::commit()
+  double restore_blob_s = 0.0;  ///< latest_restorable + copy into the spans
+  double restore_into_s = 0.0;  ///< restore_latest_into the spans
+};
+
+/// One dist-shape cell: commit a dist-sized snapshot through a session
+/// (appends and seal timed apart), restore it both ways into the same
+/// destination spans, drop it; best of `reps`.
+DistShapeRow dist_shape_cell(const std::string& kind, const std::string& dir,
+                             int reps) {
+  const std::size_t sizes[] = {16, 288 * 1024, 192 * 1024, 192 * 1024};
+  std::vector<std::vector<std::byte>> src;
+  std::vector<std::uint32_t> crcs;
+  std::size_t total = 0;
+  for (const std::size_t n : sizes) {
+    std::vector<std::byte>& r = src.emplace_back(n);
+    for (std::size_t i = 0; i < n; ++i)
+      r[i] = static_cast<std::byte>(((i + total) * 2654435761u) >> 17);
+    crcs.push_back(common::crc32(std::span(r)));
+    total += n;
+  }
+  std::vector<std::byte> dst(total);
+  std::vector<std::span<std::byte>> spans;
+  for (std::size_t off = 0; const std::size_t n : sizes) {
+    spans.emplace_back(dst.data() + off, n);
+    off += n;
+  }
+
+  DistShapeRow row;
+  row.backend = kind;
+  row.bytes = total;
+  row.append_s = row.seal_s = std::numeric_limits<double>::infinity();
+  row.restore_blob_s = row.restore_into_s = row.append_s;
+  const std::string store = dir + "/dist_shape_" + kind;
+  fs::remove_all(store);
+  fs::create_directories(store);
+  auto backend = ckpt::io::make_backend(backend_spec(kind, store, total));
+  for (int rep = 0; rep < reps; ++rep) {
+    ckpt::io::SnapshotMeta meta;
+    meta.id = static_cast<ckpt::CkptId>(rep + 1);
+    meta.when = static_cast<double>(rep);
+    meta.bytes = total;
+    std::vector<ckpt::RegionId> ids{0, 1, 2, 3};
+    auto session = backend->begin_snapshot(
+        meta, ids, std::vector<std::uint64_t>(std::begin(sizes),
+                                              std::end(sizes)));
+    auto t0 = Clock::now();
+    for (const auto& r : src) session->append(std::span(r));
+    row.append_s = std::min(row.append_s, seconds_since(t0));
+    t0 = Clock::now();
+    session->commit(crcs);
+    row.seal_s = std::min(row.seal_s, seconds_since(t0));
+    session.reset();
+
+    t0 = Clock::now();
+    const auto blob = ckpt::io::latest_restorable(*backend);
+    if (!blob) throw ckpt::io::io_error("dist-shape snapshot did not restore");
+    for (const ckpt::io::RegionBlob& r : blob->regions)
+      std::memcpy(spans[r.region].data(), r.payload.data(), r.payload.size());
+    row.restore_blob_s = std::min(row.restore_blob_s, seconds_since(t0));
+    t0 = Clock::now();
+    if (!ckpt::io::restore_latest_into(*backend, spans))
+      throw ckpt::io::io_error("dist-shape snapshot did not restore in place");
+    row.restore_into_s = std::min(row.restore_into_s, seconds_since(t0));
+    backend->drop(meta.id);
+  }
+  backend.reset();
+  fs::remove_all(store);
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -234,6 +319,10 @@ int main(int argc, char** argv) {
                                        commit_bytes, reps,
                                        std::span(storm)));
 
+  std::vector<DistShapeRow> dist_rows;
+  for (const std::string& kind : backends)
+    dist_rows.push_back(dist_shape_cell(kind, dir, std::max(reps, 8)));
+
   std::ofstream out(out_path);
   if (!out) {
     std::cerr << "error: cannot open '" << out_path << "' for writing\n";
@@ -271,6 +360,20 @@ int main(int argc, char** argv) {
     json.end_object();
   }
   json.end_array();
+  json.key("dist_shape").begin_array();
+  for (const DistShapeRow& r : dist_rows) {
+    json.begin_object();
+    json.kv("backend", r.backend);
+    json.kv("bytes", r.bytes);
+    json.kv("append_ms", r.append_s * 1e3);
+    json.kv("seal_ms", r.seal_s * 1e3);
+    json.kv("seal_over_append", r.seal_s / r.append_s);
+    json.kv("restore_blob_ms", r.restore_blob_s * 1e3);
+    json.kv("restore_into_ms", r.restore_into_s * 1e3);
+    json.kv("into_over_blob", r.restore_into_s / r.restore_blob_s);
+    json.end_object();
+  }
+  json.end_array();
   json.end_object();
 
   for (const Row& r : rows)
@@ -284,6 +387,12 @@ int main(int argc, char** argv) {
     std::cout << r.backend << " committers=" << r.committers
               << " wall=" << r.wall_s * 1e3 << "ms"
               << " aggregate=" << r.commit_MBps << "MB/s\n";
+  for (const DistShapeRow& r : dist_rows)
+    std::cout << r.backend << " dist-shape " << r.bytes << "B"
+              << " append=" << r.append_s * 1e3 << "ms"
+              << " seal=" << r.seal_s * 1e3 << "ms"
+              << " restore blob=" << r.restore_blob_s * 1e3 << "ms"
+              << " in-place=" << r.restore_into_s * 1e3 << "ms\n";
   std::cout << "best async-over-serial speedup " << best_speedup
             << "x; wrote " << out_path << "\n";
   return 0;

@@ -4,9 +4,11 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <numeric>
 #include <sstream>
 
+#include "ckpt/io/detail.hpp"
 #include "ckpt/io/log_backend.hpp"
 #include "common/cli.hpp"
 #include "common/crc32.hpp"
@@ -76,10 +78,33 @@ void write_via_session(StorageBackend& backend, const SnapshotBlob& blob) {
   session->commit(crcs);
 }
 
+SnapshotBlob read_blob(
+    const std::function<ReadResult(const RegionSink&)>& read) {
+  SnapshotBlob blob;
+  ReadResult result =
+      read([&blob](RegionId region, std::uint64_t bytes) {
+        // Moving a RegionBlob when the vector grows keeps its payload
+        // buffer, so spans handed out earlier stay valid.
+        RegionBlob& r = blob.regions.emplace_back();
+        r.region = region;
+        r.payload.resize(bytes);
+        return std::span(r.payload);
+      });
+  blob.meta = result.meta;
+  for (std::size_t i = 0; i < blob.regions.size(); ++i)
+    blob.regions[i].crc = result.crcs[i];
+  return blob;
+}
+
 }  // namespace detail
 
 void StorageBackend::write_snapshot(const SnapshotBlob& blob) {
   detail::write_via_session(*this, blob);
+}
+
+SnapshotBlob StorageBackend::read_snapshot(CkptId id) const {
+  return detail::read_blob(
+      [this, id](const RegionSink& sink) { return read_regions(id, sink); });
 }
 
 // --- MemoryBackend ----------------------------------------------------------
@@ -150,9 +175,20 @@ std::unique_ptr<StorageBackend::WriteSession> MemoryBackend::begin_snapshot(
   return std::make_unique<Session>(*this, meta, regions, region_sizes);
 }
 
-SnapshotBlob MemoryBackend::read_snapshot(CkptId id) const {
-  for (const SnapshotBlob& s : snapshots_)
-    if (s.meta.id == id) return s;
+ReadResult MemoryBackend::read_regions(CkptId id,
+                                      const RegionSink& sink) const {
+  for (const SnapshotBlob& s : snapshots_) {
+    if (s.meta.id != id) continue;
+    ReadResult result{s.meta, {}};
+    result.crcs.reserve(s.regions.size());
+    for (const RegionBlob& r : s.regions) {
+      const std::span<std::byte> dst =
+          detail::sink_span(sink, r.region, r.payload.size());
+      std::memcpy(dst.data(), r.payload.data(), r.payload.size());
+      result.crcs.push_back(r.crc);
+    }
+    return result;
+  }
   throw io_error("unknown snapshot id " + std::to_string(id));
 }
 
@@ -178,18 +214,63 @@ std::size_t MemoryBackend::stored_bytes() const noexcept {
   return n;
 }
 
-std::optional<SnapshotBlob> latest_restorable(const StorageBackend& backend) {
+namespace {
+
+/// The restore walk: list() from newest to oldest, returning what
+/// `restore(id)` yields for the first snapshot it does not reject with
+/// io_error.
+template <class Restore>
+auto newest_restorable(const StorageBackend& backend, const Restore& restore)
+    -> std::optional<decltype(restore(CkptId{}))> {
   const std::vector<SnapshotMeta> metas = backend.list();
   for (auto it = metas.rbegin(); it != metas.rend(); ++it) {
     try {
-      SnapshotBlob blob = backend.read_snapshot(it->id);
-      blob.verify();
-      return blob;
+      return restore(it->id);
     } catch (const io_error&) {
       // Torn, truncated or corrupt — fall back to the next-older snapshot.
     }
   }
   return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<SnapshotBlob> latest_restorable(const StorageBackend& backend) {
+  return newest_restorable(backend, [&backend](CkptId id) {
+    SnapshotBlob blob = backend.read_snapshot(id);
+    blob.verify();
+    return blob;
+  });
+}
+
+std::optional<SnapshotMeta> restore_latest_into(
+    const StorageBackend& backend,
+    std::span<const std::span<std::byte>> regions) {
+  std::vector<RegionId> order;  // region ids in the order the sink saw them
+  order.reserve(regions.size());
+  const RegionSink sink = [&](RegionId region, std::uint64_t bytes) {
+    if (region >= regions.size() || bytes != regions[region].size() ||
+        std::find(order.begin(), order.end(), region) != order.end())
+      throw io_error("snapshot region " + std::to_string(region) + " (" +
+                     std::to_string(bytes) +
+                     " bytes) does not match the restore layout");
+    order.push_back(region);
+    return regions[region];
+  };
+  return newest_restorable(backend, [&](CkptId id) {
+    order.clear();
+    const ReadResult read = backend.read_regions(id, sink);
+    if (order.size() != regions.size())
+      throw io_error("snapshot " + std::to_string(id) + " holds " +
+                     std::to_string(order.size()) +
+                     " regions where the restore layout has " +
+                     std::to_string(regions.size()));
+    for (std::size_t i = 0; i < order.size(); ++i)
+      if (common::crc32(regions[order[i]]) != read.crcs[i])
+        throw io_error("snapshot " + std::to_string(id) + " region " +
+                       std::to_string(order[i]) + " payload CRC mismatch");
+    return read.meta;
+  });
 }
 
 // --- make_backend -----------------------------------------------------------

@@ -24,6 +24,13 @@
 /// (manifest entry / committed flag / framed trailer) — a crash mid-write
 /// leaves a torn snapshot that readers reject instead of half-restoring.
 ///
+/// Reads have one primitive per backend, read_regions(): it validates the
+/// snapshot's structure, then reads each region's payload into memory a
+/// caller-supplied RegionSink names. read_snapshot (a heap blob),
+/// latest_restorable and restore_latest_into (straight into caller spans,
+/// CRCs verified in place) are built on it, and the last two share one
+/// newest→oldest walk.
+///
 /// Backends are deliberately *not* thread-safe: one CkptWriter drives one
 /// backend (coordinated checkpoints serialize commits by construction).
 /// Parallelism lives above, in the writer's copy/CRC/write pipeline. The
@@ -32,6 +39,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -77,6 +85,22 @@ struct SnapshotBlob {
   void verify() const;
 };
 
+/// Where a read puts one region's payload. Called once per stored region,
+/// in stored order, with the region id and its stored size; returns the
+/// destination, which must be exactly that many bytes and stay valid until
+/// the read returns. A sink rejects a layout it cannot hold by throwing
+/// io_error. It must not call back into the backend (the log backend reads
+/// under its index lock).
+using RegionSink =
+    std::function<std::span<std::byte>(RegionId region, std::uint64_t bytes)>;
+
+/// What a read reports besides the payload: the snapshot's metadata and the
+/// stored CRC of each region, in the order the sink was called.
+struct ReadResult {
+  SnapshotMeta meta;
+  std::vector<std::uint32_t> crcs;
+};
+
 /// Pluggable snapshot storage. See the file comment for the four
 /// implementations and make_backend() for the `--storage=` spec syntax.
 class StorageBackend {
@@ -104,10 +128,21 @@ class StorageBackend {
   /// provide — so blob and streaming writes cannot diverge.
   virtual void write_snapshot(const SnapshotBlob& blob);
 
-  /// Read a snapshot back. Structural integrity (magic, committed flag,
-  /// sizes) is checked here; payload CRC verification is the reader's job
-  /// (SnapshotBlob::verify), so the hash pass isn't paid twice.
-  [[nodiscard]] virtual SnapshotBlob read_snapshot(CkptId id) const = 0;
+  /// The backend's read primitive. Checks the snapshot's structure (magic,
+  /// committed flag, header and region-table CRCs, region sizes summing to
+  /// meta.bytes) before the first sink call, then reads each region's
+  /// payload straight into the span the sink returns. Payload CRCs are the
+  /// caller's to verify, so the hash pass is paid once, where the bytes
+  /// land. Throws io_error for an unknown id, a torn or truncated snapshot,
+  /// or a sink that rejects the layout; the spans handed out so far then
+  /// hold unspecified bytes.
+  [[nodiscard]] virtual ReadResult read_regions(CkptId id,
+                                                const RegionSink& sink) const = 0;
+
+  /// Read a snapshot back into a heap blob: read_regions with a sink that
+  /// allocates one payload vector per region. Payload CRCs are not checked
+  /// (SnapshotBlob::verify).
+  [[nodiscard]] SnapshotBlob read_snapshot(CkptId id) const;
 
   /// Metadata of every committed snapshot, in commit order.
   [[nodiscard]] virtual std::vector<SnapshotMeta> list() const = 0;
@@ -165,6 +200,19 @@ void write_via_session(StorageBackend& backend, const SnapshotBlob& blob);
 [[nodiscard]] std::optional<SnapshotBlob> latest_restorable(
     const StorageBackend& backend);
 
+/// The same newest→oldest walk, restoring straight into caller memory:
+/// `regions[i]` receives the payload of region id i. A snapshot restores
+/// when it holds exactly regions.size() regions, each id once and each of
+/// its span's size, and every payload CRC verifies in place; anything else
+/// (a torn, truncated or corrupt snapshot, a different region layout)
+/// falls back to the next-older one. Returns the restored snapshot's meta,
+/// or nullopt when nothing restores — the spans then hold unspecified bytes
+/// (pieces of rejected snapshots), so the caller must rewrite them. Never
+/// writes outside the spans.
+[[nodiscard]] std::optional<SnapshotMeta> restore_latest_into(
+    const StorageBackend& backend,
+    std::span<const std::span<std::byte>> regions);
+
 /// Backend factory from a storage spec:
 ///
 ///   memory                 in-RAM snapshots
@@ -191,7 +239,8 @@ class MemoryBackend final : public StorageBackend {
     return "memory";
   }
   void open() override {}
-  [[nodiscard]] SnapshotBlob read_snapshot(CkptId id) const override;
+  [[nodiscard]] ReadResult read_regions(CkptId id,
+                                        const RegionSink& sink) const override;
   [[nodiscard]] std::vector<SnapshotMeta> list() const override;
   void drop(CkptId id) override;
   /// Streams straight into the stored blob's region payloads.
@@ -224,7 +273,8 @@ class FileBackend final : public StorageBackend {
     return "file";
   }
   void open() override;
-  [[nodiscard]] SnapshotBlob read_snapshot(CkptId id) const override;
+  [[nodiscard]] ReadResult read_regions(CkptId id,
+                                        const RegionSink& sink) const override;
   [[nodiscard]] std::vector<SnapshotMeta> list() const override;
   void drop(CkptId id) override;
   [[nodiscard]] std::unique_ptr<WriteSession> begin_snapshot(
@@ -259,7 +309,8 @@ class MmapBackend final : public StorageBackend {
     return "mmap";
   }
   void open() override;
-  [[nodiscard]] SnapshotBlob read_snapshot(CkptId id) const override;
+  [[nodiscard]] ReadResult read_regions(CkptId id,
+                                        const RegionSink& sink) const override;
   [[nodiscard]] std::vector<SnapshotMeta> list() const override;
   void drop(CkptId id) override;
   [[nodiscard]] std::unique_ptr<WriteSession> begin_snapshot(

@@ -1,10 +1,10 @@
 #pragma once
 /// \file detail.hpp
-/// Internal helpers shared by the file, mmap and log backends. Not part of
-/// the public ckpt::io surface — the on-disk formats embed the same 24-byte
-/// region record, and keeping it (plus the errno/fd plumbing and the
-/// full-length read/write loops) in one place means the layouts and their
-/// EINTR handling cannot silently drift apart.
+/// Internal helpers shared by the backends. Not part of the public
+/// ckpt::io surface — the on-disk formats embed the same 24-byte region
+/// record, and keeping it (plus the errno/fd plumbing, the full-length
+/// read/write loops and the read sinks) in one place means the layouts and
+/// their EINTR handling cannot silently drift apart.
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -13,9 +13,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <span>
 #include <string>
 
 #include "ckpt/io/backend.hpp"
+#include "common/error.hpp"
 
 namespace abftc::ckpt::io::detail {
 
@@ -28,6 +31,32 @@ struct RegionEntry {
   std::uint32_t pad = 0;
 };
 static_assert(sizeof(RegionEntry) == 24, "on-medium region entry layout");
+
+/// Payload bytes a region table describes, saturating at UINT64_MAX so a
+/// corrupt table cannot wrap around to a plausible sum.
+inline std::uint64_t payload_sum(std::span<const RegionEntry> entries) {
+  std::uint64_t total = 0;
+  for (const RegionEntry& e : entries)
+    total = e.bytes > UINT64_MAX - total ? UINT64_MAX : total + e.bytes;
+  return total;
+}
+
+/// Ask `sink` where region `region` (`bytes` long) goes. A span of any
+/// other size is a broken sink, reported before a byte is written.
+inline std::span<std::byte> sink_span(const RegionSink& sink, RegionId region,
+                                      std::uint64_t bytes) {
+  const std::span<std::byte> dst = sink(region, bytes);
+  ABFTC_REQUIRE(dst.size() == bytes,
+                "read sink returned a span of the wrong size");
+  return dst;
+}
+
+/// Run a read routine (`read` calls it with the sink it is given) with a
+/// sink that allocates one payload vector per region, and collect the
+/// result as a blob: read_snapshot, and the log backend's record reads,
+/// which compaction uses too.
+[[nodiscard]] SnapshotBlob read_blob(
+    const std::function<ReadResult(const RegionSink&)>& read);
 
 [[noreturn]] inline void sys_error(const std::string& what) {
   throw io_error(what + ": " + std::strerror(errno));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -9,23 +10,32 @@ namespace abftc::ckpt::io {
 
 /// Wraps the inner session. TornPayload streams a bit-flipped copy of every
 /// chunk (XOR 0xFF — guaranteed to differ from the real payload, so the
-/// caller-supplied CRCs cannot match at restore) and commits normally.
+/// caller-supplied CRCs cannot match at restore) and commits normally. The
+/// copy goes through one reused bounce buffer of at most kBounceBytes, in
+/// pieces, so a torn commit allocates nothing per chunk.
 /// FailedCommit streams faithfully but throws from commit() without ever
 /// committing the inner session; destroying the inner session uncommitted
 /// leaves no visible snapshot, exactly like a writer killed pre-commit.
 class FaultingBackend::Session final : public StorageBackend::WriteSession {
  public:
+  static constexpr std::size_t kBounceBytes = 64 * 1024;
+
   Session(std::unique_ptr<WriteSession> inner, WriteFault fault)
-      : inner_(std::move(inner)), fault_(fault) {}
+      : inner_(std::move(inner)),
+        fault_(fault),
+        bounce_(fault == WriteFault::TornPayload ? kBounceBytes : 0) {}
 
   void append(std::span<const std::byte> chunk) override {
-    if (fault_ == WriteFault::TornPayload) {
-      std::vector<std::byte> torn(chunk.size());
-      std::transform(chunk.begin(), chunk.end(), torn.begin(),
-                     [](std::byte b) { return b ^ std::byte{0xFF}; });
-      inner_->append(std::span<const std::byte>(torn));
-    } else {
+    if (fault_ != WriteFault::TornPayload) {
       inner_->append(chunk);
+      return;
+    }
+    while (!chunk.empty()) {
+      const std::size_t take = std::min(chunk.size(), bounce_.size());
+      std::transform(chunk.begin(), chunk.begin() + take, bounce_.begin(),
+                     [](std::byte b) { return b ^ std::byte{0xFF}; });
+      inner_->append(std::span<const std::byte>(bounce_.data(), take));
+      chunk = chunk.subspan(take);
     }
   }
 
@@ -38,6 +48,7 @@ class FaultingBackend::Session final : public StorageBackend::WriteSession {
  private:
   std::unique_ptr<WriteSession> inner_;
   WriteFault fault_;
+  std::vector<std::byte> bounce_;  ///< TornPayload's XOR staging
 };
 
 FaultingBackend::FaultingBackend(StorageBackend& inner,
@@ -46,8 +57,9 @@ FaultingBackend::FaultingBackend(StorageBackend& inner,
 
 void FaultingBackend::open() { inner_.open(); }
 
-SnapshotBlob FaultingBackend::read_snapshot(CkptId id) const {
-  return inner_.read_snapshot(id);
+ReadResult FaultingBackend::read_regions(CkptId id,
+                                        const RegionSink& sink) const {
+  return inner_.read_regions(id, sink);
 }
 
 std::vector<SnapshotMeta> FaultingBackend::list() const {

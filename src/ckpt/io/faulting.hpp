@@ -17,8 +17,8 @@
 ///
 /// The decorator is how `torn`-kind campaign cells reach the dist runtime:
 /// the runtime believes the checkpoint landed, and only a later restore
-/// discovers it must fall back past it (latest_restorable does exactly
-/// that walk). Faults target writes by index — the Nth begin_snapshot /
+/// discovers it must fall back past it (latest_restorable and
+/// restore_latest_into do exactly that walk). Faults target writes by index — the Nth begin_snapshot /
 /// write_snapshot since construction — so campaign cells stay
 /// deterministic and replayable.
 
@@ -48,7 +48,8 @@ class FaultingBackend final : public StorageBackend {
     return "faulting";
   }
   void open() override;
-  [[nodiscard]] SnapshotBlob read_snapshot(CkptId id) const override;
+  [[nodiscard]] ReadResult read_regions(CkptId id,
+                                        const RegionSink& sink) const override;
   [[nodiscard]] std::vector<SnapshotMeta> list() const override;
   void drop(CkptId id) override;
   [[nodiscard]] std::unique_ptr<WriteSession> begin_snapshot(

@@ -328,7 +328,8 @@ std::unique_ptr<StorageBackend::WriteSession> FileBackend::begin_snapshot(
                                    std::move(region_sizes));
 }
 
-SnapshotBlob FileBackend::read_snapshot(CkptId id) const {
+ReadResult FileBackend::read_regions(CkptId id,
+                                    const RegionSink& sink) const {
   const std::string path = snapshot_path(id);
   bool known = false;
   for (const SnapshotMeta& m : manifest_) known |= m.id == id;
@@ -363,24 +364,25 @@ SnapshotBlob FileBackend::read_snapshot(CkptId id) const {
       common::crc32(
           std::span(table.data(), h.region_count * sizeof(RegionEntry))))
     throw io_error("snapshot region table corrupted: " + path);
-  std::memcpy(entries.data(), table.data(),
-              h.region_count * sizeof(RegionEntry));
+  if (!entries.empty())
+    std::memcpy(entries.data(), table.data(),
+                h.region_count * sizeof(RegionEntry));
+  if (detail::payload_sum(entries) != h.payload_bytes)
+    throw io_error("snapshot region table does not sum to its payload: " +
+                   path);
 
-  SnapshotBlob blob;
-  blob.meta = SnapshotMeta{h.id, static_cast<CkptKind>(h.kind), h.when,
-                           h.entry_link, h.payload_bytes};
-  blob.regions.reserve(entries.size());
+  ReadResult result{SnapshotMeta{h.id, static_cast<CkptKind>(h.kind), h.when,
+                                 h.entry_link, h.payload_bytes},
+                    {}};
+  result.crcs.reserve(entries.size());
   std::uint64_t off = h.payload_offset;
   for (const RegionEntry& e : entries) {
-    RegionBlob r;
-    r.region = e.region;
-    r.crc = e.crc;
-    r.payload.resize(e.bytes);
-    pread_all(fd.fd, r.payload.data(), e.bytes, off, path);
+    const std::span<std::byte> dst = detail::sink_span(sink, e.region, e.bytes);
+    pread_all(fd.fd, dst.data(), dst.size(), off, path);
     off += e.bytes;
-    blob.regions.push_back(std::move(r));
+    result.crcs.push_back(e.crc);
   }
-  return blob;
+  return result;
 }
 
 std::vector<SnapshotMeta> FileBackend::list() const { return manifest_; }

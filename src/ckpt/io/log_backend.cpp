@@ -550,7 +550,8 @@ std::unique_ptr<StorageBackend::WriteSession> LogBackend::begin_snapshot(
                                    std::move(region_sizes));
 }
 
-SnapshotBlob LogBackend::read_record(const RecordLoc& loc) const {
+ReadResult LogBackend::read_record_into(const RecordLoc& loc,
+                                       const RegionSink& sink) const {
   FdGuard fd{::open(loc.file.c_str(), O_RDONLY)};
   if (fd.fd < 0) sys_error("open " + loc.file);
 
@@ -579,32 +580,38 @@ SnapshotBlob LogBackend::read_record(const RecordLoc& loc) const {
   if (h.region_count > 0)
     std::memcpy(entries.data(), table.data(),
                 h.region_count * sizeof(RegionEntry));
+  if (detail::payload_sum(entries) != h.payload_bytes)
+    throw io_error("log record region table does not sum to its payload: " +
+                   loc.file);
 
-  SnapshotBlob blob;
-  blob.meta = SnapshotMeta{h.id, static_cast<CkptKind>(h.kind), h.when,
-                           h.entry_link, h.payload_bytes};
-  blob.regions.reserve(entries.size());
+  ReadResult result{SnapshotMeta{h.id, static_cast<CkptKind>(h.kind), h.when,
+                                 h.entry_link, h.payload_bytes},
+                    {}};
+  result.crcs.reserve(entries.size());
   std::uint64_t off = loc.offset + sizeof(h) + table_len;
   for (const RegionEntry& e : entries) {
-    RegionBlob r;
-    r.region = e.region;
-    r.crc = e.crc;
-    r.payload.resize(e.bytes);
-    pread_all(fd.fd, r.payload.data(), e.bytes, off, loc.file);
+    const std::span<std::byte> dst = detail::sink_span(sink, e.region, e.bytes);
+    pread_all(fd.fd, dst.data(), dst.size(), off, loc.file);
     off += e.bytes;
-    blob.regions.push_back(std::move(r));
+    result.crcs.push_back(e.crc);
   }
-  return blob;
+  return result;
 }
 
-SnapshotBlob LogBackend::read_snapshot(CkptId id) const {
+SnapshotBlob LogBackend::read_record(const RecordLoc& loc) const {
+  return detail::read_blob([this, &loc](const RegionSink& sink) {
+    return read_record_into(loc, sink);
+  });
+}
+
+ReadResult LogBackend::read_regions(CkptId id, const RegionSink& sink) const {
   // Held across the whole read: the compaction pass relocates/unlinks
   // segments under this lock, so a record cannot vanish mid-read.
   std::lock_guard idx(index_m_);
   const auto it = by_id_.find(id);
   if (it == by_id_.end())
     throw io_error("unknown snapshot id " + std::to_string(id));
-  return read_record(order_.at(it->second));
+  return read_record_into(order_.at(it->second), sink);
 }
 
 std::vector<SnapshotMeta> LogBackend::list() const {

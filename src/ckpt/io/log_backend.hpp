@@ -94,7 +94,8 @@ class LogBackend final : public StorageBackend {
     return "log";
   }
   void open() override;
-  [[nodiscard]] SnapshotBlob read_snapshot(CkptId id) const override;
+  [[nodiscard]] ReadResult read_regions(CkptId id,
+                                        const RegionSink& sink) const override;
   [[nodiscard]] std::vector<SnapshotMeta> list() const override;
   void drop(CkptId id) override;
   [[nodiscard]] std::unique_ptr<WriteSession> begin_snapshot(
@@ -153,10 +154,14 @@ class LogBackend final : public StorageBackend {
   /// compact_every commits accumulated.
   void maybe_compact();
 
-  /// Read one record back as a blob, validating framing and CRC structure
-  /// (payload CRCs are verify()'s job). Opens its own fd; the caller must
-  /// guarantee the file outlives the call (hold index_m_, or be the
-  /// compaction pass, which is the only deleter).
+  /// The read primitive over one record: validate its framing and region
+  /// table, then read each region into the sink's span (payload CRCs are
+  /// the caller's). Opens its own fd; the caller must guarantee the file
+  /// outlives the call (hold index_m_, or be the compaction pass, which is
+  /// the only deleter).
+  [[nodiscard]] ReadResult read_record_into(const RecordLoc& loc,
+                                            const RegionSink& sink) const;
+  /// read_record_into with the allocating sink (compaction's reads).
   [[nodiscard]] SnapshotBlob read_record(const RecordLoc& loc) const;
   /// Serialize a snapshot as one framed record (compaction's fold output).
   [[nodiscard]] static std::vector<std::byte> encode_record(

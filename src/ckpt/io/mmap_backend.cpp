@@ -298,7 +298,8 @@ std::unique_ptr<StorageBackend::WriteSession> MmapBackend::begin_snapshot(
                                    std::move(region_sizes));
 }
 
-SnapshotBlob MmapBackend::read_snapshot(CkptId id) const {
+ReadResult MmapBackend::read_regions(CkptId id,
+                                    const RegionSink& sink) const {
   const Arena* a = arena();
   const Slot* s = a->find(id);
   if (s == nullptr)
@@ -307,27 +308,25 @@ SnapshotBlob MmapBackend::read_snapshot(CkptId id) const {
       capacity_)
     throw io_error("corrupt slot record for snapshot " + std::to_string(id));
 
-  SnapshotBlob blob;
-  blob.meta = SnapshotMeta{s->id, static_cast<CkptKind>(s->kind), s->when,
-                           s->entry_link, s->bytes};
   std::vector<RegionEntry> entries(s->region_count);
-  std::memcpy(entries.data(), a->base() + s->offset,
-              s->region_count * sizeof(RegionEntry));
-  std::uint64_t off = s->offset + align8(s->region_count * sizeof(RegionEntry));
-  std::uint64_t total = 0;
-  for (const RegionEntry& e : entries) total += e.bytes;
-  if (total != s->bytes)
+  if (!entries.empty())
+    std::memcpy(entries.data(), a->base() + s->offset,
+                s->region_count * sizeof(RegionEntry));
+  if (detail::payload_sum(entries) != s->bytes)
     throw io_error("corrupt region table for snapshot " + std::to_string(id));
-  blob.regions.reserve(entries.size());
+
+  ReadResult result{SnapshotMeta{s->id, static_cast<CkptKind>(s->kind),
+                                 s->when, s->entry_link, s->bytes},
+                    {}};
+  result.crcs.reserve(entries.size());
+  std::uint64_t off = s->offset + align8(s->region_count * sizeof(RegionEntry));
   for (const RegionEntry& e : entries) {
-    RegionBlob r;
-    r.region = e.region;
-    r.crc = e.crc;
-    r.payload.assign(a->base() + off, a->base() + off + e.bytes);
+    const std::span<std::byte> dst = detail::sink_span(sink, e.region, e.bytes);
+    std::memcpy(dst.data(), a->base() + off, dst.size());
     off += e.bytes;
-    blob.regions.push_back(std::move(r));
+    result.crcs.push_back(e.crc);
   }
-  return blob;
+  return result;
 }
 
 std::vector<SnapshotMeta> MmapBackend::list() const {

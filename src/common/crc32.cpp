@@ -151,18 +151,42 @@ std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed) {
 
 namespace {
 
-/// 32x32 GF(2) matrix (one column per register bit) times a register vector.
-inline std::uint32_t gf2_times(const std::array<std::uint32_t, 32>& m,
-                               std::uint32_t vec) noexcept {
-  std::uint32_t sum = 0;
-  for (std::size_t i = 0; vec != 0; vec >>= 1, ++i)
-    if (vec & 1u) sum ^= m[i];
-  return sum;
+/// Polynomial arithmetic modulo P in the CRC's bit-reflected domain: bit 31
+/// holds the coefficient of x^0, bit 0 that of x^31 (zlib ≥ 1.2.12).
+constexpr std::uint32_t kPoly = 0xEDB88320u;
+
+/// a·b mod P: shift-and-add over a's set bits, multiplying b by x per bit.
+constexpr std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) noexcept {
+  std::uint32_t m = 1u << 31, p = 0;
+  for (;;) {
+    if ((a & m) != 0) {
+      p ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
+    m >>= 1;
+    b = (b & 1) != 0 ? (b >> 1) ^ kPoly : b >> 1;
+  }
+  return p;
 }
 
-inline void gf2_square(std::array<std::uint32_t, 32>& out,
-                       const std::array<std::uint32_t, 32>& m) noexcept {
-  for (std::size_t i = 0; i < 32; ++i) out[i] = gf2_times(m, m[i]);
+/// kX2n[k] = x^(2^k) mod P. The sequence has period 32 (x^(2^32) ≡ x mod
+/// P), so 32 entries cover every exponent.
+constexpr std::array<std::uint32_t, 32> make_x2n_table() {
+  std::array<std::uint32_t, 32> t{};
+  std::uint32_t p = 1u << 30;  // x^1
+  t[0] = p;
+  for (std::size_t k = 1; k < t.size(); ++k) t[k] = p = multmodp(p, p);
+  return t;
+}
+
+constexpr auto kX2n = make_x2n_table();
+
+/// x^(n·2^k) mod P: one table multiply per set bit of n.
+std::uint32_t x2nmodp(std::uint64_t n, unsigned k) noexcept {
+  std::uint32_t p = 1u << 31;  // x^0
+  for (; n != 0; n >>= 1, ++k)
+    if ((n & 1) != 0) p = multmodp(kX2n[k & 31], p);
+  return p;
 }
 
 }  // namespace
@@ -170,31 +194,9 @@ inline void gf2_square(std::array<std::uint32_t, 32>& out,
 std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
                             std::size_t len_b) {
   if (len_b == 0) return crc_a;
-
-  // `odd` starts as the operator advancing the register by one zero *bit*:
-  // column 0 is the polynomial (feedback of the low bit), column i the shift
-  // of bit i into bit i-1. Repeated squaring yields the 2^k-zero-bit
-  // operators, applied for each set bit of the zero count (8 * len_b bits;
-  // the first square inside the loop makes `even` the one-zero-byte
-  // operator, so the loop walks the *byte* count).
-  std::array<std::uint32_t, 32> odd{}, even{};
-  odd[0] = 0xEDB88320u;
-  for (std::size_t i = 1; i < 32; ++i) odd[i] = 1u << (i - 1);
-  gf2_square(even, odd);  // two zero bits
-  gf2_square(odd, even);  // four zero bits
-
-  std::size_t len = len_b;
-  do {
-    gf2_square(even, odd);
-    if (len & 1u) crc_a = gf2_times(even, crc_a);
-    len >>= 1;
-    if (len == 0) break;
-    gf2_square(odd, even);
-    if (len & 1u) crc_a = gf2_times(odd, crc_a);
-    len >>= 1;
-  } while (len != 0);
-
-  return crc_a ^ crc_b;
+  // Appending |B| bytes multiplies A's register by x^(8·|B|) mod P; B's own
+  // CRC then adds in (the pre/post inversions cancel across the seam).
+  return multmodp(x2nmodp(len_b, 3), crc_a) ^ crc_b;
 }
 
 }  // namespace abftc::common

@@ -52,7 +52,7 @@ namespace abftc::dist {
 struct Calibration {
   double t_clean = 0.0;  ///< uninjected wall time (checkpoint writes incl.)
   std::vector<double> step_seconds;  ///< per block step, from the clean run
-  double restore_s = 0.0;  ///< newest-restorable read + verify
+  double restore_s = 0.0;  ///< rung-3 restore into the arena + verify
   double check_s = 0.0;    ///< checksum-residual verification sweep
   double recons_s = 0.0;   ///< one block reconstruction
   double locate_s = 0.0;   ///< one weighted/unweighted localization sweep

@@ -220,20 +220,6 @@ Launcher::Regions Launcher::snapshot_regions(std::uint64_t (&progress)[2]) {
           std::as_writable_bytes(std::span(shared_.frozen, acc))};
 }
 
-void Launcher::load_blob(const ckpt::io::SnapshotBlob& blob) {
-  std::uint64_t progress[2] = {0, 0};
-  const Regions regions = snapshot_regions(progress);
-  for (const ckpt::io::RegionBlob& r : blob.regions) {
-    ABFTC_CHECK(r.region < regions.size(),
-                "dist snapshot has an unknown region");
-    const std::span<std::byte> dst = regions[r.region];
-    ABFTC_CHECK(r.payload.size() == dst.size(),
-                "dist snapshot region has the wrong size");
-    std::memcpy(dst.data(), r.payload.data(), dst.size());
-  }
-  frozen_steps_ = static_cast<std::size_t>(progress[1]);
-}
-
 void Launcher::checkpoint(std::size_t boundary, RunReport& report) {
   // Replay revisits earlier boundaries; their snapshots already exist (or
   // already failed), so only first encounters write.
@@ -280,12 +266,23 @@ void Launcher::load_initial() {
   frozen_steps_ = 0;
 }
 
-std::size_t Launcher::restore_and_respawn(RunReport& report) {
-  const auto t0 = Clock::now();
-  if (const auto blob = ckpt::io::latest_restorable(*backend_))
-    load_blob(*blob);
+std::optional<ckpt::io::SnapshotMeta> Launcher::restore_now(
+    const ckpt::io::StorageBackend& backend) {
+  // A rejected snapshot may leave pieces of itself in the arena; the older
+  // one that verifies, or load_initial, rewrites every region.
+  std::uint64_t progress[2] = {0, 0};
+  const Regions regions = snapshot_regions(progress);
+  auto restored = ckpt::io::restore_latest_into(backend, regions);
+  if (restored)
+    frozen_steps_ = static_cast<std::size_t>(progress[1]);
   else
     load_initial();
+  return restored;
+}
+
+std::size_t Launcher::restore_and_respawn(RunReport& report) {
+  const auto t0 = Clock::now();
+  (void)restore_now(*backend_);
   const std::size_t resume = frozen_steps_;
   report.restore_seconds += seconds_since(t0);
   ++report.restores;
@@ -389,9 +386,9 @@ std::size_t Launcher::recover_from_corruption(std::size_t step,
   }
 
   // Rung 3+: reconstruction cannot explain (or did not repair) the damage —
-  // escalate to the checkpoint ladder. restore_and_respawn itself walks
-  // latest_restorable past torn snapshots and bottoms out at the initial
-  // image, so every deeper rung is already inside it.
+  // escalate to the checkpoint ladder. restore_now walks past torn
+  // snapshots and bottoms out at the initial image, so every deeper rung is
+  // already inside it.
   ++report.escalations;
   return restore_and_respawn(report);
 }

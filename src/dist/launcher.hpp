@@ -32,12 +32,18 @@
 ///
 ///   process death (kill/torn) → seen as POLLHUP on the rank's ready
 ///     pipe and reaped via waitpid; restore the newest restorable snapshot
-///     (ckpt::io::latest_restorable — skips torn writes) into the arena,
-///     respawn the dead rank, replay the lost steps. Workers are stateless
-///     between commands, so survivors need no handling at all. If storage
-///     holds nothing restorable the run falls back to its initial image —
-///     the pristine matrix and accumulators every run starts from — and
-///     restarts from step 0.
+///     into the arena, respawn the dead rank, replay the lost steps.
+///     Workers are stateless between commands, so survivors need no
+///     handling at all. The restore (restore_now, through
+///     ckpt::io::restore_latest_into) streams each region's payload from
+///     the backend straight into its arena span and verifies the CRCs
+///     there, with no heap copy in between; a torn or corrupt snapshot
+///     falls back to the next-older one. That is safe because the arena is
+///     quiescent at every restore, and every outcome rewrites all of it: a
+///     verified snapshot fills every region, and if storage holds nothing
+///     restorable the run falls back to its initial image — the pristine
+///     matrix and accumulators every run starts from — and restarts from
+///     step 0.
 ///
 ///   silent data corruption (flip/flip2) → the checksum-invariant residual
 ///     detects it at a step boundary; the poisoned element is then
@@ -51,8 +57,8 @@
 ///       rung 2  single-block damage, clean localization → wipe + rebuild
 ///               the block from the matching accumulator, re-verify.
 ///       rung 3  ambiguous / multi-block / residual persists → restore the
-///               newest restorable checkpoint and replay (latest_restorable
-///               walks past torn snapshots; the initial image is the final
+///               newest restorable checkpoint and replay (restore_now walks
+///               past torn snapshots; the initial image is the final
 ///               fallback).
 ///     Every rung is timed separately in RunReport so measured-vs-model
 ///     attributes cost to the rung actually taken.
@@ -82,6 +88,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -187,7 +194,7 @@ struct RunReport {
   std::size_t hangs = 0;  ///< live-but-silent ranks killed at the deadline
   std::vector<std::size_t> restored_to_steps;  ///< resume step per restore
   double commit_seconds = 0.0;     ///< checkpoint CRC + write, summed
-  double restore_seconds = 0.0;    ///< read + verify + copy-in, summed
+  double restore_seconds = 0.0;    ///< read into the arena + verify, summed
   double check_seconds = 0.0;      ///< residual verification, summed
   double recons_seconds = 0.0;     ///< checksum reconstruction, summed
   double locate_seconds = 0.0;     ///< residual-ratio localization, summed
@@ -254,6 +261,12 @@ class Launcher {
   [[nodiscard]] Localization locate_fault() const;
   /// Rung 2: rebuild `site`'s block from the matching accumulator.
   void reconstruct_block(const FaultSite& site);
+  /// Rung 3: restore the newest snapshot of `backend` that verifies
+  /// straight into the arena, or the initial image when none does, and
+  /// resume from its frozen step count. Overwrites the whole arena state.
+  /// Returns the restored snapshot's meta; nullopt means the initial image.
+  std::optional<ckpt::io::SnapshotMeta> restore_now(
+      const ckpt::io::StorageBackend& backend);
 
  private:
   struct Rank;  // pid + ready fd + mailbox cursors
@@ -288,7 +301,6 @@ class Launcher {
   /// accumulators.
   using Regions = std::array<std::span<std::byte>, 4>;
   [[nodiscard]] Regions snapshot_regions(std::uint64_t (&progress)[2]);
-  void load_blob(const ckpt::io::SnapshotBlob& blob);
   /// Copy the initial image (a0_, cs0_, zero frozen accumulator) into the
   /// arena and reset frozen_steps_ to 0.
   void load_initial();

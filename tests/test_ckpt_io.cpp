@@ -1,5 +1,6 @@
 // Tests for the checkpoint I/O subsystem: backend conformance
-// (memory/file/mmap through one parameterized suite), the CkptWriter
+// (memory/file/mmap/log through one parameterized suite, including the
+// restore straight into caller spans), the CkptWriter
 // async pipeline (bitwise-equal to the serial reference, all checkpoint
 // kinds, split restore composition across a backend reopen), integrity
 // rejection (corrupted payload, truncated file, torn snapshot), the
@@ -217,6 +218,112 @@ TEST_P(BackendConformance, AbandonedSessionLeavesNoSnapshot) {
   // The backend remains fully usable afterwards.
   backend->write_snapshot(sample_blob(9, 100, 100));
   EXPECT_EQ(backend->list().size(), 1u);
+}
+
+/// Caller memory for restore_latest_into: `sizes` spans carved out of one
+/// buffer with a sentinel-filled guard gap before, between and after them,
+/// so a write outside any span shows up.
+struct GuardedSpans {
+  static constexpr std::size_t kGuard = 64;
+  static constexpr std::byte kSentinel{0xA5};
+  std::vector<std::byte> buf;
+  std::vector<std::span<std::byte>> spans;
+
+  explicit GuardedSpans(const std::vector<std::size_t>& sizes) {
+    std::size_t total = kGuard;
+    for (const std::size_t s : sizes) total += s + kGuard;
+    buf.assign(total, kSentinel);
+    std::size_t off = kGuard;
+    for (const std::size_t s : sizes) {
+      spans.emplace_back(buf.data() + off, s);
+      off += s + kGuard;
+    }
+  }
+  [[nodiscard]] bool guards_intact() const {
+    std::size_t off = 0;
+    for (const auto& s : spans) {
+      const auto lo = static_cast<std::size_t>(s.data() - buf.data());
+      for (; off < lo; ++off)
+        if (buf[off] != kSentinel) return false;
+      off = lo + s.size();
+    }
+    for (; off < buf.size(); ++off)
+      if (buf[off] != kSentinel) return false;
+    return true;
+  }
+};
+
+TEST_P(BackendConformance, RestoreIntoSpansMatchesLatestRestorable) {
+  const auto backend = make_backend(spec());
+  backend->write_snapshot(sample_blob(1, 40000, 10000));
+  backend->write_snapshot(sample_blob(2, 40000, 10000));
+
+  const auto blob = latest_restorable(*backend);
+  ASSERT_TRUE(blob.has_value());
+  GuardedSpans dst({40000, 10000});
+  const auto meta = restore_latest_into(*backend, dst.spans);
+  ASSERT_TRUE(meta.has_value());
+  EXPECT_EQ(meta->id, 2u);
+  EXPECT_EQ(meta->bytes, blob->meta.bytes);
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_TRUE(std::ranges::equal(dst.spans[i], blob->regions[i].payload))
+        << "region " << i;
+  EXPECT_TRUE(dst.guards_intact());
+}
+
+TEST_P(BackendConformance, RestoreIntoSpansFallsBackPastATornNewest) {
+  const auto backend = make_backend(spec());
+  FaultingBackend faulty(*backend, {{1, WriteFault::TornPayload}});
+  const SnapshotBlob older = sample_blob(1, 90000, 5000);
+  faulty.write_snapshot(older);
+  faulty.write_snapshot(sample_blob(2, 90000, 5000));  // torn
+  ASSERT_EQ(faulty.list().size(), 2u);
+
+  GuardedSpans dst({90000, 5000});
+  const auto meta = restore_latest_into(faulty, dst.spans);
+  ASSERT_TRUE(meta.has_value());
+  EXPECT_EQ(meta->id, 1u);
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_TRUE(std::ranges::equal(dst.spans[i], older.regions[i].payload))
+        << "region " << i;
+  EXPECT_TRUE(dst.guards_intact());
+}
+
+TEST_P(BackendConformance, RestoreIntoSpansRejectsAnotherRegionLayout) {
+  const auto backend = make_backend(spec());
+  backend->write_snapshot(sample_blob(1, 4000, 1000));
+
+  // Too many regions, too few, and one of the wrong size: none restores,
+  // and nothing lands outside the spans.
+  for (const std::vector<std::size_t>& sizes :
+       {std::vector<std::size_t>{4000, 1000, 64},
+        std::vector<std::size_t>{4000}, std::vector<std::size_t>{4000, 999},
+        std::vector<std::size_t>{4001, 1000}}) {
+    GuardedSpans dst(sizes);
+    EXPECT_FALSE(restore_latest_into(*backend, dst.spans).has_value())
+        << sizes.size() << " spans";
+    EXPECT_TRUE(dst.guards_intact()) << sizes.size() << " spans";
+  }
+
+  // A newer snapshot of another layout falls back to the older one that
+  // matches.
+  backend->write_snapshot(sample_blob(2, 3000, 1000));
+  GuardedSpans dst({4000, 1000});
+  const auto meta = restore_latest_into(*backend, dst.spans);
+  ASSERT_TRUE(meta.has_value());
+  EXPECT_EQ(meta->id, 1u);
+  EXPECT_TRUE(std::ranges::equal(dst.spans[0], sample_blob(1, 4000, 1000)
+                                                   .regions[0]
+                                                   .payload));
+  EXPECT_TRUE(dst.guards_intact());
+}
+
+TEST_P(BackendConformance, RestoreIntoSpansOfAnEmptyStoreGivesNothing) {
+  const auto backend = make_backend(spec());
+  GuardedSpans dst({4000, 1000});
+  EXPECT_FALSE(restore_latest_into(*backend, dst.spans).has_value());
+  EXPECT_FALSE(latest_restorable(*backend).has_value());
+  EXPECT_TRUE(dst.guards_intact());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -489,7 +596,8 @@ class FailingAppendBackend final : public StorageBackend {
     return "failing-append";
   }
   void open() override {}
-  [[nodiscard]] SnapshotBlob read_snapshot(CkptId) const override {
+  [[nodiscard]] ReadResult read_regions(CkptId,
+                                        const RegionSink&) const override {
     throw io_error("nothing stored");
   }
   [[nodiscard]] std::vector<SnapshotMeta> list() const override { return {}; }
@@ -983,6 +1091,47 @@ TEST(LogBackendRecovery, MidFileCorruptionKeptButRejectedAtVerify) {
   const auto best = latest_restorable(*reopened);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(best->meta.id, 2u);
+}
+
+TEST(FaultingBackend, TornPayloadFlipsEveryByteAcrossBouncePieces) {
+  // Regions larger than the tear's bounce buffer, appended in one chunk
+  // each, and in odd pieces: every stored byte is the original XOR 0xFF.
+  MemoryBackend inner;
+  FaultingBackend faulty(inner, {{0, WriteFault::TornPayload},
+                                 {1, WriteFault::TornPayload}});
+  const SnapshotBlob blob = sample_blob(1, 300000, 70001);
+  faulty.write_snapshot(blob);
+  const SnapshotBlob streamed = sample_blob(2, 200000, 5);
+  {
+    auto session = faulty.begin_snapshot(
+        streamed.meta, {0, 1},
+        {streamed.regions[0].payload.size(), streamed.regions[1].payload.size()});
+    for (const RegionBlob& r : streamed.regions) {
+      std::span<const std::byte> rest(r.payload);
+      while (!rest.empty()) {
+        const std::size_t take = std::min<std::size_t>(rest.size(), 99999);
+        session->append(rest.first(take));
+        rest = rest.subspan(take);
+      }
+    }
+    session->commit({streamed.regions[0].crc, streamed.regions[1].crc});
+  }
+  EXPECT_EQ(faulty.faults_fired(), 2u);
+
+  for (const SnapshotBlob* want : {&blob, &streamed}) {
+    const SnapshotBlob back = inner.read_snapshot(want->meta.id);
+    ASSERT_EQ(back.regions.size(), want->regions.size());
+    for (std::size_t i = 0; i < back.regions.size(); ++i) {
+      const auto& got = back.regions[i].payload;
+      const auto& orig = want->regions[i].payload;
+      ASSERT_EQ(got.size(), orig.size());
+      for (std::size_t k = 0; k < got.size(); ++k)
+        ASSERT_EQ(got[k], orig[k] ^ std::byte{0xFF})
+            << "snapshot " << want->meta.id << " region " << i << " byte "
+            << k;
+    }
+    EXPECT_THROW(back.verify(), io_error);
+  }
 }
 
 TEST(LogBackendFaults, TornPayloadFallsBackAndFailedCommitLeavesNothing) {

@@ -724,8 +724,90 @@ TEST(Crc32, CombineMatchesConcatenation) {
     EXPECT_EQ(common::crc32_combine(a, b, buf.size() - split), whole)
         << "split=" << split;
   }
-  // Degenerate: appending nothing is the identity.
+
+  // Short second parts exercise the low table entries one bit at a time;
+  // 1 MiB and 688144 (a dist snapshot's payload at n=192) the long
+  // products.
+  std::vector<std::byte> big(1000 + (1u << 20));
+  for (auto& b : big) b = static_cast<std::byte>(rng() & 0xFF);
+  const auto a = std::span(big).first(1000);
+  const std::uint32_t crc_a = common::crc32(a);
+  for (const std::size_t len_b : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{8}, std::size_t{63},
+                                  std::size_t{64}, std::size_t{4095},
+                                  std::size_t{1} << 20, std::size_t{688144}}) {
+    const auto b = std::span(big).subspan(a.size(), len_b);
+    EXPECT_EQ(common::crc32_combine(crc_a, common::crc32(b), len_b),
+              common::crc32(std::span(big).first(a.size() + len_b)))
+        << "len_b=" << len_b;
+  }
+
+  // Degenerate: appending nothing is the identity, whatever crc_b says.
   EXPECT_EQ(common::crc32_combine(0x12345678u, 0x0u, 0), 0x12345678u);
+  EXPECT_EQ(common::crc32_combine(0xCBF43926u, 0xDEADBEEFu, 0), 0xCBF43926u);
+}
+
+TEST(Crc32, CombineIsAssociativeBeyond4GiB) {
+  // n, m > 2^32 push the exponent 8·len past 2^35, where the x^(2^k) table
+  // index wraps (k mod 32); regrouping the three parts must not matter.
+  common::Rng rng(0xA550C);
+  for (int trial = 0; trial < 64; ++trial) {
+    const auto a = static_cast<std::uint32_t>(rng());
+    const auto b = static_cast<std::uint32_t>(rng());
+    const auto c = static_cast<std::uint32_t>(rng());
+    const std::size_t n = (std::size_t{1} << 32) + rng.below(1u << 30) + 1;
+    const std::size_t m = (std::size_t{1} << 33) + rng.below(1u << 30) + 1;
+    EXPECT_EQ(common::crc32_combine(common::crc32_combine(a, b, n), c, m),
+              common::crc32_combine(a, common::crc32_combine(b, c, m), n + m))
+        << "trial " << trial;
+  }
+}
+
+/// The GF(2) matrix-squaring combine (zlib 1.2.11), the construction every
+/// stored record CRC was written with before the table-driven one.
+std::uint32_t matrix_crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                                   std::size_t len_b) {
+  if (len_b == 0) return crc_a;
+  using Mat = std::array<std::uint32_t, 32>;
+  const auto times = [](const Mat& mat, std::uint32_t vec) {
+    std::uint32_t sum = 0;
+    for (std::size_t i = 0; vec != 0; vec >>= 1, ++i)
+      if (vec & 1u) sum ^= mat[i];
+    return sum;
+  };
+  const auto square = [&](Mat& out, const Mat& mat) {
+    for (std::size_t i = 0; i < 32; ++i) out[i] = times(mat, mat[i]);
+  };
+  Mat odd{}, even{};
+  odd[0] = 0xEDB88320u;
+  for (std::size_t i = 1; i < 32; ++i) odd[i] = 1u << (i - 1);
+  square(even, odd);
+  square(odd, even);
+  do {
+    square(even, odd);
+    if (len_b & 1u) crc_a = times(even, crc_a);
+    len_b >>= 1;
+    if (len_b == 0) break;
+    square(odd, even);
+    if (len_b & 1u) crc_a = times(odd, crc_a);
+    len_b >>= 1;
+  } while (len_b != 0);
+  return crc_a ^ crc_b;
+}
+
+TEST(Crc32, CombineMatchesTheMatrixConstructionBitForBit) {
+  // Stores written before the table-driven combine must still verify: the
+  // two constructions agree on every (crc_a, crc_b, len_b).
+  common::Rng rng(0x1211);
+  for (int trial = 0; trial < 4000; ++trial) {
+    const auto a = static_cast<std::uint32_t>(rng());
+    const auto b = static_cast<std::uint32_t>(rng());
+    const std::size_t len =
+        static_cast<std::size_t>(rng() >> (24 + rng.below(40)));  // ≤ 2^40
+    ASSERT_EQ(common::crc32_combine(a, b, len),
+              matrix_crc32_combine(a, b, len))
+        << "len=" << len;
+  }
 }
 
 }  // namespace
