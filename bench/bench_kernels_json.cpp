@@ -4,8 +4,10 @@
 /// reference-loop vs compact-WY blocked Householder QR (with the φ overhead
 /// ratio of the ABFT-protected variant), plus the reference loops vs the
 /// blocked path of the two right-side triangular solves at the LU panel
-/// shape (a 64×64 factor, 1024 rows), and emits BENCH_kernels.json — the
-/// perf-trajectory artifact CI tracks across PRs.
+/// shape (a 64×64 factor, 1024 rows), plus the blind verification of the
+/// protected LU (the residual sweep and localization next to a memcpy of
+/// the same bytes), and emits BENCH_kernels.json — the perf-trajectory
+/// artifact CI tracks across PRs.
 ///
 ///   bench_kernels_json [sizes…] --reps=3 --threads=0 --out=BENCH_kernels.json
 ///
@@ -19,6 +21,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -28,10 +31,13 @@
 
 #include "abft/abft_qr.hpp"
 #include "abft/blas.hpp"
+#include "abft/checksum.hpp"
 #include "abft/kernels.hpp"
+#include "abft/lu_kernel.hpp"
 #include "common/cli.hpp"
 #include "common/executor.hpp"
 #include "common/json.hpp"
+#include "dist/launcher.hpp"
 
 using namespace abftc;
 using abft::Matrix;
@@ -68,6 +74,29 @@ struct TrsmCell {
   double max_abs_diff_vs_reference = 0.0;
 };
 
+struct VerifyCell {
+  std::size_t n = 0, nb = 0, group = 0;
+  std::size_t slots = 0;  ///< checksum slots: csr × n
+  std::size_t bytes = 0;  ///< payload + both stacked accumulators
+  unsigned threads = 1;   ///< the dist runtime's default verify_threads
+  double sweep_ns_per_slot_1t = 0.0;
+  double sweep_ns_per_slot = 0.0;  ///< at `threads`
+  double sweep_ms_1t = 0.0;
+  double locate_ms = 0.0;
+  double copy_ms = 0.0;  ///< memcpy of `bytes`
+  double sweep_over_copy = 0.0;  ///< sweep_ms_1t / copy_ms
+  double residual = 0.0;  ///< the sweep's value (kept so it is not elided)
+  std::size_t sites = 0;  ///< sites localization named (0: the state is clean)
+};
+
+// The verify cells' shapes: lu_faults' n = 192 and lu_steady's n = 1536,
+// both with groups of 3 block rows.
+struct VerifyShape {
+  std::size_t n, nb;
+};
+constexpr VerifyShape kVerifyShapes[] = {{192, 32}, {1536, 64}};
+constexpr std::size_t kVerifyGroup = 3;
+
 // The LU panel shape of the trsm cells: the owner rank's B·U⁻¹ solve at
 // nb = 64 over the rows below the diagonal block.
 constexpr std::size_t kTrsmFactor = 64;
@@ -101,6 +130,73 @@ double time_best_fresh(int reps, const std::function<void()>& reset,
     best = std::min(best, time_best(1, run));
   }
   return best;
+}
+
+// Best over `reps` samples of the mean time of `inner` back-to-back calls.
+double time_per_call(int reps, int inner, const std::function<void()>& run) {
+  return time_best(reps, [&] {
+           for (int i = 0; i < inner; ++i) run();
+         }) /
+         inner;
+}
+
+// A protected-LU state halfway through the factorization (half the block
+// rows frozen), then the sweep, localization and a same-byte memcpy.
+VerifyCell verify_cell(std::size_t n, std::size_t nb, int reps) {
+  common::Rng rng(29);
+  Matrix a = Matrix::diag_dominant(n, rng);
+  Matrix active = abft::row_group_checksum_pair(a, nb, kVerifyGroup);
+  Matrix frozen = Matrix::zeros(active.rows(), active.cols());
+  const abft::LuView s{a.view(), active.view(), frozen.view(), nb,
+                       kVerifyGroup};
+  const std::size_t nbk = n / nb, frozen_steps = nbk / 2;
+  for (std::size_t k = 0; k < frozen_steps; ++k) {
+    abft::lu_panel(s, k);
+    abft::lu_update(s, k, 0, nbk);
+  }
+
+  VerifyCell c;
+  c.n = n;
+  c.nb = nb;
+  c.group = kVerifyGroup;
+  c.slots = s.active.rows() / 2 * n;
+  c.bytes = (a.storage().size() + 2 * active.storage().size()) *
+            sizeof(double);
+  c.threads = std::min(4u, common::effective_threads(0));
+  // ~2M slots per timed sample, so the n=192 sweep is not timer noise.
+  const int inner =
+      static_cast<int>(std::max<std::size_t>(1, 2'000'000 / c.slots));
+  const auto sweep = [&](unsigned threads) {
+    return time_per_call(reps, inner, [&] {
+      c.residual = std::max(
+          c.residual, abft::lu_checksum_residual(s, frozen_steps, threads));
+    });
+  };
+  const double t1 = sweep(1), tn = sweep(c.threads);
+  c.sweep_ms_1t = t1 * 1e3;
+  c.sweep_ns_per_slot_1t = t1 / static_cast<double>(c.slots) * 1e9;
+  c.sweep_ns_per_slot = tn / static_cast<double>(c.slots) * 1e9;
+  c.locate_ms = time_per_call(reps, inner, [&] {
+                  c.sites += dist::locate_corruption(a, active, frozen, nb,
+                                                     kVerifyGroup,
+                                                     frozen_steps)
+                                 .sites.size();
+                }) *
+                1e3;
+
+  // The copy reads the same three arrays once into pre-faulted buffers.
+  std::vector<double> dst(c.bytes / sizeof(double), 1.0);
+  c.copy_ms = time_per_call(reps, inner, [&] {
+                double* out = dst.data();
+                for (const Matrix* m : {&a, &active, &frozen}) {
+                  std::memcpy(out, m->storage().data(),
+                              m->storage().size() * sizeof(double));
+                  out += m->storage().size();
+                }
+              }) *
+              1e3;
+  c.sweep_over_copy = c.sweep_ms_1t / c.copy_ms;
+  return c;
 }
 
 }  // namespace
@@ -263,6 +359,10 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::vector<VerifyCell> verify_cells;
+  for (const VerifyShape& shape : kVerifyShapes)
+    verify_cells.push_back(verify_cell(shape.n, shape.nb, std::max(reps, 3)));
+
   std::ofstream out(out_path);
   if (!out) {
     std::cerr << "error: cannot open '" << out_path << "' for writing\n";
@@ -320,6 +420,26 @@ int main(int argc, char** argv) {
     json.end_object();
   }
   json.end_array();
+  json.key("verify").begin_array();
+  for (const VerifyCell& c : verify_cells) {
+    json.begin_object();
+    json.kv("n", c.n);
+    json.kv("nb", c.nb);
+    json.kv("group", c.group);
+    json.kv("slots", c.slots);
+    json.kv("bytes", c.bytes);
+    json.kv("threads", c.threads);
+    json.kv("sweep_ns_per_slot_1t", c.sweep_ns_per_slot_1t);
+    json.kv("sweep_ns_per_slot", c.sweep_ns_per_slot);
+    json.kv("sweep_ms_1t", c.sweep_ms_1t);
+    json.kv("locate_ms", c.locate_ms);
+    json.kv("copy_ms", c.copy_ms);
+    json.kv("sweep_over_copy", c.sweep_over_copy);
+    json.kv("residual", c.residual);
+    json.kv("sites", c.sites);
+    json.end_object();
+  }
+  json.end_array();
   json.end_object();
 
   for (const Cell& c : cells)
@@ -337,6 +457,13 @@ int main(int argc, char** argv) {
               << " time=" << c.seconds << "s gflops=" << c.gflops
               << " speedup=" << c.speedup_vs_reference
               << " maxdiff=" << c.max_abs_diff_vs_reference << "\n";
+  for (const VerifyCell& c : verify_cells)
+    std::cout << "verify n=" << c.n << " nb=" << c.nb
+              << " sweep_1t=" << c.sweep_ns_per_slot_1t << "ns/slot"
+              << " sweep_" << c.threads << "t=" << c.sweep_ns_per_slot
+              << "ns/slot locate=" << c.locate_ms << "ms copy=" << c.copy_ms
+              << "ms sweep/copy=" << c.sweep_over_copy
+              << " residual=" << c.residual << "\n";
   std::cout << "wrote " << out_path << "\n";
   return 0;
 }

@@ -40,8 +40,8 @@ class AbftLu {
   [[nodiscard]] Matrix reconstruct_product() const;
 
   /// Max-abs residual of all four checksum invariants (sum + weighted,
-  /// active + frozen) at the current state (tests assert ~0 at every step
-  /// boundary).
+  /// active + frozen) at the current state, +Inf if it holds a NaN or Inf
+  /// (tests assert ~0 at every step boundary). The dist runtime's sweep.
   [[nodiscard]] double checksum_residual() const;
 
   /// The weighted halves of the stacked accumulators (Huang–Abraham

@@ -1,7 +1,6 @@
 #include "abft/lu_kernel.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "abft/blas.hpp"
@@ -33,6 +32,11 @@ void shift_pivot_row(const LuView& s, MatrixView acc, std::size_t k,
         acc(csr + row0 + r, j) -= w * v;
       }
     }
+}
+
+/// Address of element (i, j) of a read-only view.
+const double* at(ConstMatrixView v, std::size_t i, std::size_t j) {
+  return v.data() + i * v.ld() + j;
 }
 
 }  // namespace
@@ -75,30 +79,78 @@ void lu_update(const LuView& s, std::size_t k, std::size_t bj0,
   shift_pivot_row<true>(s, s.frozen, k, bj0, bj1);
 }
 
+void lu_row_residuals(const LuConstView& s, std::size_t frozen_steps,
+                      std::size_t row, std::size_t j0, std::size_t m,
+                      RowResiduals& out) {
+  const std::size_t r = row % s.nb, csr = s.csr();
+  const std::size_t first = (row / s.nb) * s.group;
+  // Members [0, nf) of the group are frozen, [nf, group) active.
+  const std::size_t nf =
+      std::clamp(frozen_steps, first, first + s.group) - first;
+  for (int c = 0; c < 2; ++c) {
+    std::fill_n(out.sum[c], m, 0.0);
+    std::fill_n(out.weighted[c], m, 0.0);
+  }
+  for (std::size_t k = 0; k < s.group; ++k) {
+    const int c = k < nf ? 1 : 0;
+    double* const e = out.sum[c];
+    double* const we = out.weighted[c];
+    const double* const v = at(s.a, (first + k) * s.nb + r, j0);
+    const double w = static_cast<double>(k + 1);
+    for (std::size_t j = 0; j < m; ++j) {
+      e[j] += v[j];
+      we[j] += w * v[j];
+    }
+  }
+  const ConstMatrixView stored[2] = {s.active, s.frozen};
+  for (int c = 0; c < 2; ++c) {
+    const double* const cs = at(stored[c], row, j0);
+    const double* const wcs = at(stored[c], csr + row, j0);
+    double* const e = out.sum[c];
+    double* const we = out.weighted[c];
+    for (std::size_t j = 0; j < m; ++j) {
+      e[j] -= cs[j];
+      we[j] -= wcs[j];
+    }
+  }
+}
+
+std::uint64_t worst_abs_bits(const RowResiduals& res, std::size_t m) {
+  std::uint64_t worst = 0;
+  for (int c = 0; c < 2; ++c)
+    for (std::size_t j = 0; j < m; ++j) {
+      worst = std::max(worst, abs_bits(res.sum[c][j]));
+      worst = std::max(worst, abs_bits(res.weighted[c][j]));
+    }
+  return worst;
+}
+
 double lu_checksum_residual(const LuConstView& s, std::size_t frozen_steps,
                             unsigned threads) {
   const std::size_t csr = s.csr(), n = s.a.cols();
-  std::vector<double> partial(csr, 0.0);
-  // Tiny shapes stay inline: below ~16k slots the dispatch overhead would
-  // dominate the sweep itself.
+  std::vector<std::uint64_t> partial(csr, 0);
+  // Small shapes stay inline. At ~2.5 ns per slot on one thread (the
+  // verify block of bench_kernels_json), a pool dispatch costs 3–7 µs, and
+  // measured on a 4-vCPU AVX-512 VM four threads first beat one at ~12k
+  // slots (n = 192, group 3: 12 288 slots, 30 µs either way) and win 1.3–2×
+  // from ~28k.
   if (csr * n < 16'384) threads = 1;
   common::parallel_for(
       csr,
       [&](std::size_t row) {
-        double worst = 0.0;
-        for (std::size_t j = 0; j < n; ++j) {
-          const SlotResidual res = lu_slot_residual(s, frozen_steps, row, j);
-          worst = std::max(worst, std::abs(res.sum[0]));
-          worst = std::max(worst, std::abs(res.sum[1]));
-          worst = std::max(worst, std::abs(res.weighted[0]));
-          worst = std::max(worst, std::abs(res.weighted[1]));
+        RowResiduals res;
+        std::uint64_t worst = 0;
+        for (std::size_t j0 = 0; j0 < n; j0 += kResidualChunk) {
+          const std::size_t m = std::min(kResidualChunk, n - j0);
+          lu_row_residuals(s, frozen_steps, row, j0, m, res);
+          worst = std::max(worst, worst_abs_bits(res, m));
         }
         partial[row] = worst;
       },
       threads);
-  double worst = 0.0;
-  for (const double p : partial) worst = std::max(worst, p);
-  return worst;
+  std::uint64_t worst = 0;
+  for (const std::uint64_t p : partial) worst = std::max(worst, p);
+  return abs_from_bits(worst);
 }
 
 void lu_rebuild_block(const LuView& s, std::size_t frozen_steps,

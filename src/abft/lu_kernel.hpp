@@ -47,6 +47,7 @@
 /// another kernel path).
 
 #include <cstddef>
+#include <cstdint>
 
 #include "abft/matrix.hpp"
 
@@ -81,38 +82,41 @@ void lu_panel(const LuView& s, std::size_t k);
 void lu_update(const LuView& s, std::size_t k, std::size_t bj0,
                std::size_t bj1);
 
-/// Recomputed-minus-stored residuals of one checksum slot (accumulator row
-/// `row` < csr, column `j`), per class: [0] active, [1] frozen.
-struct SlotResidual {
-  double sum[2];
-  double weighted[2];
-};
-/// Inline: the residual sweep calls it once per slot.
-[[nodiscard]] inline SlotResidual lu_slot_residual(const LuConstView& s,
-                                                   std::size_t frozen_steps,
-                                                   std::size_t row,
-                                                   std::size_t j) {
-  const std::size_t g = row / s.nb, r = row % s.nb, csr = s.csr();
-  double ea = 0.0, ef = 0.0, wa = 0.0, wf = 0.0;
-  for (std::size_t m = 0; m < s.group; ++m) {
-    const std::size_t bi = g * s.group + m;
-    const double v = s.a(bi * s.nb + r, j);
-    const double w = static_cast<double>(m + 1);
-    if (bi < frozen_steps) {
-      ef += v;
-      wf += w * v;
-    } else {
-      ea += v;
-      wa += w * v;
-    }
-  }
-  return {{ea - s.active(row, j), ef - s.frozen(row, j)},
-          {wa - s.active(csr + row, j), wf - s.frozen(csr + row, j)}};
-}
+/// Columns per call of the residual routine: four chunk rows of residuals
+/// (8 KiB) stay on the caller's stack and in L1.
+inline constexpr std::size_t kResidualChunk = 256;
 
-/// Worst |residual| of the four relations over every slot. Runs on
-/// parallel_for with one accumulator row per index and a serial max-fold,
-/// so the result is bitwise-identical for every `threads`.
+/// Recomputed-minus-stored residuals of one accumulator row over a column
+/// chunk, per relation and class: index [0] active, [1] frozen.
+struct RowResiduals {
+  double sum[2][kResidualChunk];
+  double weighted[2][kResidualChunk];
+};
+
+/// The one residual routine: fill `out`'s first `m` ≤ kResidualChunk
+/// columns with the four residuals of accumulator row `row` < csr over
+/// columns [j0, j0 + m). The group's frozen/active split is decided once per
+/// call, so the column loops carry no branch and vectorize. Per slot the
+/// addition order is the relations' own — member sums in group order from
+/// 0.0, then minus the stored value — so every caller of this routine sees
+/// the same value for the same slot.
+void lu_row_residuals(const LuConstView& s, std::size_t frozen_steps,
+                      std::size_t row, std::size_t j0, std::size_t m,
+                      RowResiduals& out);
+
+/// max abs_bits (matrix.hpp) over the first `m` columns of `res`'s four
+/// residual rows: the NaN-safe worst |r| of a chunk, as bits.
+[[nodiscard]] std::uint64_t worst_abs_bits(const RowResiduals& res,
+                                           std::size_t m);
+
+/// The verification sweep: the worst |residual| of the four relations over
+/// every slot. Contract:
+///   - NaN-safe: any non-finite residual (a NaN or Inf anywhere in the
+///     payload or either accumulator) returns +Inf, so every `> floor`
+///     check treats it as corruption;
+///   - bitwise-identical for every `threads`: parallel_for runs one
+///     accumulator row per index into its own slot and an integer max-fold
+///     (abs_bits) combines them, which is exact in any order.
 [[nodiscard]] double lu_checksum_residual(const LuConstView& s,
                                           std::size_t frozen_steps,
                                           unsigned threads);

@@ -68,11 +68,11 @@ double Matrix::max_abs() const { return view().max_abs(); }
 double max_abs_diff(ConstMatrixView a, ConstMatrixView b) {
   ABFTC_REQUIRE(a.rows() == b.rows() && a.cols() == b.cols(),
                 "shape mismatch");
-  double m = 0.0;
+  std::uint64_t worst = 0;
   for (std::size_t i = 0; i < a.rows(); ++i)
     for (std::size_t j = 0; j < a.cols(); ++j)
-      m = std::max(m, std::fabs(a(i, j) - b(i, j)));
-  return m;
+      worst = std::max(worst, abs_bits(a(i, j) - b(i, j)));
+  return abs_from_bits(worst);
 }
 
 double relative_error(ConstMatrixView a, ConstMatrixView b) {

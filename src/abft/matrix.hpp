@@ -4,7 +4,10 @@
 /// Matrix plus lightweight strided views so the blocked algorithms can
 /// operate on sub-blocks without copies.
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -142,7 +145,23 @@ class Matrix {
 inline ConstMatrixView::ConstMatrixView(const Matrix& m)
     : ConstMatrixView(m.view()) {}
 
-/// max |a - b| over all entries (shape must match).
+/// The NaN-safe max-|x| fold every residual check uses. |x| as its IEEE
+/// bits orders like |x| over the finite values, puts +Inf above them and NaN
+/// above all, so an integer max never drops a non-finite value the way
+/// std::max(worst, NaN) does. Branch-free, so the folds vectorize.
+[[nodiscard]] inline std::uint64_t abs_bits(double x) noexcept {
+  return std::bit_cast<std::uint64_t>(x) & 0x7FFF'FFFF'FFFF'FFFFULL;
+}
+/// The |x| a max over abs_bits stands for; a non-finite x reads as +Inf,
+/// which every `> floor` / `<= floor` judgement already treats as failure.
+[[nodiscard]] inline double abs_from_bits(std::uint64_t bits) noexcept {
+  return bits >= abs_bits(std::numeric_limits<double>::infinity())
+             ? std::numeric_limits<double>::infinity()
+             : std::bit_cast<double>(bits);
+}
+
+/// max |a - b| over all entries (shape must match); +Inf if any difference
+/// is non-finite (a NaN or Inf on either side).
 [[nodiscard]] double max_abs_diff(ConstMatrixView a, ConstMatrixView b);
 
 /// ||a − b||_F / (||b||_F + tiny): relative error for verification.

@@ -63,40 +63,42 @@ double replay_time(const Calibration& calib, std::size_t c, std::size_t s) {
 
 double predict(const Calibration& calib, const Cell& cell,
                std::size_t ckpt_every, bool blind) {
-  // Blind runs pay per-boundary verification in t_clean already; only the
-  // legacy mode adds a dedicated detection sweep for corruption cells.
+  // Blind runs pay per-boundary verification in t_clean already, and again
+  // for every boundary a replay re-verifies; only the legacy mode adds a
+  // dedicated detection sweep for corruption cells.
   const double detect = blind ? 0.0 : calib.check_s;
+  const double reverify = blind ? calib.check_s : 0.0;
+  // A death at step s replays [c, s]: boundaries c..s-1 were verified
+  // once already, s only now.
+  const auto replay_after_death = [&](std::size_t c) {
+    return calib.restore_s + replay_time(calib, c, cell.step) +
+           static_cast<double>(cell.step - c) * reverify;
+  };
+  const std::size_t covering = (cell.step / ckpt_every) * ckpt_every;
   switch (cell.kind) {
     case FaultKind::Flip:
       // detect → locate → reconstruct → re-verify.
       return calib.t_clean + detect + calib.locate_s + calib.recons_s +
              calib.check_s;
-    case FaultKind::Flip2: {
+    case FaultKind::Flip2:
       // detect → locate → escalate straight to the covering checkpoint
-      // (two located block rows rule out single-block reconstruction).
-      const std::size_t c = (cell.step / ckpt_every) * ckpt_every;
+      // (two located block rows rule out single-block reconstruction); the
+      // replay re-verifies every boundary c..s.
       return calib.t_clean + detect + calib.locate_s + calib.restore_s +
-             replay_time(calib, c, cell.step);
-    }
-    case FaultKind::Hang: {
+             replay_time(calib, covering, cell.step) +
+             static_cast<double>(cell.step - covering + 1) * reverify;
+    case FaultKind::Hang:
       // The victim sits out the deadline before SIGKILL + restore + replay.
-      const std::size_t c = (cell.step / ckpt_every) * ckpt_every;
-      return calib.t_clean + calib.hang_timeout_s + calib.restore_s +
-             replay_time(calib, c, cell.step);
-    }
-    case FaultKind::Kill: {
-      const std::size_t c = (cell.step / ckpt_every) * ckpt_every;
-      return calib.t_clean + calib.restore_s +
-             replay_time(calib, c, cell.step);
-    }
-    case FaultKind::Torn: {
+      return calib.t_clean + calib.hang_timeout_s +
+             replay_after_death(covering);
+    case FaultKind::Kill:
+      return calib.t_clean + replay_after_death(covering);
+    case FaultKind::Torn:
       // The covering boundary's snapshot is torn: restore falls back one
       // checkpoint period (or to the initial image when none is older).
-      const std::size_t torn = (cell.step / ckpt_every) * ckpt_every;
-      const std::size_t c = torn >= ckpt_every ? torn - ckpt_every : 0;
-      return calib.t_clean + calib.restore_s +
-             replay_time(calib, c, cell.step);
-    }
+      return calib.t_clean +
+             replay_after_death(covering >= ckpt_every ? covering - ckpt_every
+                                                       : 0);
   }
   return calib.t_clean;
 }

@@ -146,6 +146,7 @@ void Launcher::prepare(RunReport& report) {
   // Every live rank idles in recv, so the arena is quiescent.
   load_initial();
   max_boundary_attempted_ = std::numeric_limits<std::size_t>::max();
+  last_check_ = std::numeric_limits<double>::quiet_NaN();
 
   // A rank that died idle since the last run has hung up its ready pipe
   // with no command outstanding: reap it so the loop below replaces it.
@@ -303,44 +304,65 @@ double Launcher::residual_now() const {
                                     verify_threads_);
 }
 
+double Launcher::verify(RunReport& report) {
+  const auto t0 = Clock::now();
+  last_check_ = residual_now();
+  report.check_seconds += seconds_since(t0);
+  return last_check_;
+}
+
 Localization locate_corruption(abft::ConstMatrixView a,
                                abft::ConstMatrixView active,
                                abft::ConstMatrixView frozen, std::size_t nb,
                                std::size_t group, std::size_t frozen_steps) {
   const abft::LuConstView s{a, active, frozen, nb, group};
+  const std::uint64_t floor_bits = abft::abs_bits(kDetectFloor);
   Localization loc;
+  abft::RowResiduals res;
   for (std::size_t row = 0; row < s.csr(); ++row) {
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      // A single corrupted element with delta d at group position m leaves
-      // r1 = d in the sum relation and r2 = (m+1)·d in the weighted one for
-      // its class; r2/r1 names the victim exactly.
-      const abft::SlotResidual res =
-          abft::lu_slot_residual(s, frozen_steps, row, j);
-      for (int cls = 0; cls < 2; ++cls) {
-        const double r1 = res.sum[cls], r2 = res.weighted[cls];
-        if (std::abs(r1) <= kDetectFloor &&
-            std::abs(r2) <= kDetectFloor * static_cast<double>(group + 1))
-          continue;  // clean slot (weighted noise scales with the weights)
-        if (std::abs(r1) <= kDetectFloor) {
-          // Weighted-only residual: cancelling deltas or a corrupted
-          // accumulator — no single site explains it.
-          loc.ambiguous = true;
-          continue;
+    for (std::size_t j0 = 0; j0 < a.cols(); j0 += abft::kResidualChunk) {
+      const std::size_t m = std::min(abft::kResidualChunk, a.cols() - j0);
+      abft::lu_row_residuals(s, frozen_steps, row, j0, m, res);
+      // Fast path: all four relations hold to the floor over the whole
+      // chunk (a NaN or Inf never passes), so every slot in it is clean.
+      if (abft::worst_abs_bits(res, m) <= floor_bits) continue;
+      for (std::size_t j = 0; j < m; ++j) {
+        const std::size_t col = j0 + j;
+        // A single corrupted element with delta d at group position m
+        // leaves r1 = d in the sum relation and r2 = (m+1)·d in the
+        // weighted one for its class; r2/r1 names the victim exactly.
+        for (int cls = 0; cls < 2; ++cls) {
+          const double r1 = res.sum[cls][j], r2 = res.weighted[cls][j];
+          if (!std::isfinite(r1) || !std::isfinite(r2)) {
+            // A NaN or Inf in the state: no ratio can name a site.
+            loc.ambiguous = true;
+            continue;
+          }
+          if (std::abs(r1) <= kDetectFloor &&
+              std::abs(r2) <= kDetectFloor * static_cast<double>(group + 1))
+            continue;  // clean slot (weighted noise scales with the weights)
+          if (std::abs(r1) <= kDetectFloor) {
+            // Weighted-only residual: cancelling deltas or a corrupted
+            // accumulator — no single site explains it.
+            loc.ambiguous = true;
+            continue;
+          }
+          const double ratio = r2 / r1;
+          const double nearest = std::round(ratio);
+          if (nearest < 1.0 || nearest > static_cast<double>(group) ||
+              std::abs(ratio - nearest) > 0.05) {
+            loc.ambiguous = true;  // not a single-element signature
+            continue;
+          }
+          const std::size_t bi =
+              (row / nb) * group + static_cast<std::size_t>(nearest) - 1;
+          if ((bi < frozen_steps) != (cls == 1)) {
+            loc.ambiguous = true;  // named row lives in the other class
+            continue;
+          }
+          loc.sites.push_back(
+              FaultSite{bi, col / nb, bi * nb + row % nb, col});
         }
-        const double ratio = r2 / r1;
-        const double nearest = std::round(ratio);
-        if (nearest < 1.0 || nearest > static_cast<double>(group) ||
-            std::abs(ratio - nearest) > 0.05) {
-          loc.ambiguous = true;  // not a single-element signature
-          continue;
-        }
-        const std::size_t bi =
-            (row / nb) * group + static_cast<std::size_t>(nearest) - 1;
-        if ((bi < frozen_steps) != (cls == 1)) {
-          loc.ambiguous = true;  // named row lives in the other class
-          continue;
-        }
-        loc.sites.push_back(FaultSite{bi, j / nb, bi * nb + row % nb, j});
       }
     }
   }
@@ -379,10 +401,7 @@ std::size_t Launcher::recover_from_corruption(std::size_t step,
     reconstruct_block(loc.sites.front());
     report.recons_seconds += seconds_since(t0);
     ++report.reconstructions;
-    t0 = Clock::now();
-    const double res = residual_now();
-    report.check_seconds += seconds_since(t0);
-    if (res <= kDetectFloor) return step + 1;
+    if (verify(report) <= kDetectFloor) return step + 1;
   }
 
   // Rung 3+: reconstruction cannot explain (or did not repair) the damage —
@@ -518,7 +537,9 @@ RunReport Launcher::run(const DistConfig& cfg,
     reap_all();
     throw;
   }
-  report.residual = residual_now();
+  // A blind run's last act on the state was to verify it (the boundary
+  // check or the post-rebuild re-verify): no need to sweep it again.
+  report.residual = cfg_.blind ? last_check_ : residual_now();
   report.wall_seconds = seconds_since(wall0);
   report.completed = true;
   return report;
@@ -591,10 +612,8 @@ void Launcher::factor(const std::vector<Injection>& faults,
     if (cfg_.blind ||
         (inj != nullptr &&
          (inj->kind == FaultKind::Flip || inj->kind == FaultKind::Flip2))) {
-      const auto tc = Clock::now();
-      const double res = residual_now();
-      report.check_seconds += seconds_since(tc);
-      if (res > kDetectFloor) {
+      // Not `res > floor`: a non-finite residual must fail too.
+      if (!(verify(report) <= kDetectFloor)) {
         k = recover_from_corruption(k, report);
         continue;
       }

@@ -204,7 +204,10 @@ struct RunReport {
   /// never feeds a recovery decision.
   std::vector<FaultSite> injected;
   std::vector<FaultSite> located;
-  /// Checksum-invariant residual of the final state.
+  /// Checksum-invariant residual of the final state (+Inf if it holds a
+  /// NaN or Inf). A blind run reports its last check — the boundary check
+  /// or post-rebuild re-verify that was the last thing done to the final
+  /// state — instead of sweeping that state again; a legacy run sweeps it.
   double residual = std::numeric_limits<double>::quiet_NaN();
 };
 
@@ -254,8 +257,9 @@ class Launcher {
   // run() the arena holds the final state, so calibration times exactly the
   // work each rung pays for.
 
-  /// Worst violation of the four checksum invariants: the verification
-  /// sweep of every step-boundary check and post-rebuild re-verify.
+  /// Worst violation of the four checksum invariants (+Inf for a NaN or
+  /// Inf in the state): the verification sweep of every step-boundary check
+  /// and post-rebuild re-verify.
   [[nodiscard]] double residual_now() const;
   /// Rung 1: localize corruption from the weighted/unweighted residuals.
   [[nodiscard]] Localization locate_fault() const;
@@ -296,6 +300,9 @@ class Launcher {
   /// returns the step to resume from.
   [[nodiscard]] std::size_t recover_from_corruption(std::size_t step,
                                                     RunReport& report);
+  /// residual_now() as a timed check: adds to `report.check_seconds` and
+  /// keeps the value in last_check_.
+  double verify(RunReport& report);
   /// A dist snapshot's regions, indexed by region id: `progress`
   /// ({boundary, frozen_steps}), then the arena's matrix and the two stacked
   /// accumulators.
@@ -323,6 +330,8 @@ class Launcher {
   /// none): replay after a restore must not re-write an existing snapshot.
   std::size_t max_boundary_attempted_ = std::numeric_limits<std::size_t>::max();
   std::size_t frozen_steps_ = 0;  ///< block rows frozen in the arena state
+  /// The last verify() of the current run (NaN before the first).
+  double last_check_ = std::numeric_limits<double>::quiet_NaN();
   unsigned verify_threads_ = 1;   ///< resolved from cfg_.verify_threads
 };
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -93,6 +94,25 @@ TEST(Checksum, DoubleKillSameGroupUnrecoverable) {
   kill_rank_blocks(a, 8, g, 2);  // (1,0): same grid column -> same groups
   EXPECT_THROW(recover_rank_from_row_checksums(a, cs, 8, g.prows, g, 0),
                unrecoverable_error);
+}
+
+TEST(Checksum, MaxAbsDiffReadsANonFiniteDifferenceAsInfinite) {
+  const double inf = std::numeric_limits<double>::infinity();
+  common::Rng rng(8);
+  const Matrix a = Matrix::random(16, 16, rng);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf,
+                           -inf}) {
+    Matrix b = a;
+    b(7, 3) = bad;
+    EXPECT_FALSE(max_abs_diff(a, b) <= 0.0) << bad;
+    EXPECT_EQ(max_abs_diff(a, b), inf) << bad;
+    EXPECT_EQ(max_abs_diff(b, b), inf) << bad;  // NaN − NaN, Inf − Inf
+  }
+  // The row-checksum residual it backs fails a NaN in the data.
+  Matrix c = a;
+  const Matrix cs = row_group_checksums(c, 8, 2);
+  c(2, 9) = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(row_checksum_residual(c, cs, 8, 2) <= 1e-8);
 }
 
 TEST(Checksum, GroupCountValidation) {

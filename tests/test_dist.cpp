@@ -13,10 +13,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -303,6 +305,12 @@ struct LocalizationFixture {
     return locate_corruption(a.view(), active.view(), frozen.view(), nb,
                              group, 0);
   }
+  /// The same state with every block row frozen: the pair moves to the
+  /// frozen accumulator and the active one drains to zero.
+  [[nodiscard]] Localization locate_all_frozen() const {
+    return locate_corruption(a.view(), frozen.view(), active.view(), nb,
+                             group, n / nb);
+  }
 };
 
 TEST(LocateCorruption, CleanStateNamesNothing) {
@@ -352,6 +360,27 @@ TEST(LocateCorruption, CancellingDeltasLeaveWeightedOnlyResidual) {
   // The sum relation cancels exactly; only the weighted one fires.
   fx.a(3 * fx.nb + 1, 9) += 0.5;
   fx.a(4 * fx.nb + 1, 9) -= 0.5;
+  const Localization loc = fx.locate();
+  EXPECT_TRUE(loc.ambiguous);
+  EXPECT_TRUE(loc.sites.empty());
+}
+
+TEST(LocateCorruption, NonFiniteResidualIsAmbiguous) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf,
+                           -inf})
+    for (const bool frozen : {false, true}) {
+      SCOPED_TRACE(std::to_string(bad) + (frozen ? " frozen" : " active"));
+      LocalizationFixture fx;
+      fx.a(4 * fx.nb + 3, 17) = bad;
+      const Localization loc =
+          frozen ? fx.locate_all_frozen() : fx.locate();
+      EXPECT_TRUE(loc.ambiguous);
+      EXPECT_TRUE(loc.sites.empty());
+    }
+  // A non-finite stored accumulator entry is just as unexplainable.
+  LocalizationFixture fx;
+  fx.active(fx.active.rows() / 2 + 2, 9) = std::nan("");
   const Localization loc = fx.locate();
   EXPECT_TRUE(loc.ambiguous);
   EXPECT_TRUE(loc.sites.empty());
@@ -551,6 +580,27 @@ TEST(DistLauncher, BlindFlipIsLocatedAndReconstructed) {
   EXPECT_EQ(report.located[0], report.injected[0]);
   EXPECT_LT(report.residual, 1e-8);
   EXPECT_LT(abft::relative_error(injected.lu(), clean.lu()), 1e-8);
+}
+
+TEST(DistLauncher, BlindRunReportsItsLastCheckAsTheFinalResidual) {
+  DistConfig cfg = small_config();
+  cfg.blind = true;
+  const auto backend = ckpt::io::make_backend("memory");
+  Launcher launcher(cfg, *backend);
+  const std::size_t last = launcher.block_steps() - 1;
+  // Clean; a flip repaired at the last boundary (the re-verify is the last
+  // check); a kill at the last step (the replay's check is).
+  const std::vector<std::vector<Injection>> runs = {
+      {}, {{FaultKind::Flip, last, 0}}, {{FaultKind::Kill, last, 1}}};
+  for (const auto& faults : runs) {
+    const auto store = ckpt::io::make_backend("memory");
+    const RunReport report = launcher.run(cfg, *store, faults);
+    ASSERT_TRUE(report.completed);
+    EXPECT_LT(report.residual, kDetectFloor);
+    // The sweep over the final state gives the same value, bit for bit.
+    EXPECT_EQ(report.residual, launcher.residual_now())
+        << "faults=" << faults.size();
+  }
 }
 
 TEST(DistLauncher, HangIsKilledAtTheDeadlineAndRecovered) {
@@ -1135,6 +1185,30 @@ TEST(DistCampaign, BlindMiniCampaignLocalizesAndEscalatesEveryCell) {
       default:
         FAIL() << "unexpected kind in this campaign";
     }
+  }
+}
+
+TEST(DistCampaign, BlindKillCellsPriceEveryReverifiedBoundary) {
+  DistConfig cfg = small_config();  // 6 block steps
+  cfg.ckpt_every = 3;               // replays of up to 3 steps
+  const auto spec = CampaignSpec::parse("steps:0-5,ranks:0,kinds:kill");
+  CampaignOptions options;
+  options.blind = true;
+
+  const CampaignReport report = run_campaign(cfg, spec, options);
+  ASSERT_EQ(report.cells.size(), spec.cell_count());
+  EXPECT_EQ(report.unrecovered, 0u);
+  const Calibration& calib = report.calib;
+  EXPECT_GT(calib.check_s, 0.0);
+  for (const CellOutcome& c : report.cells) {
+    // Restore to covering boundary b, replay steps b..s; a blind run
+    // re-verifies b..s-1 (s was never verified before the kill).
+    const std::size_t s = c.cell.step, b = s / cfg.ckpt_every * cfg.ckpt_every;
+    double replay = 0.0;
+    for (std::size_t k = b; k <= s; ++k) replay += calib.step_seconds[k];
+    const double expected = calib.t_clean + calib.restore_s + replay +
+                            static_cast<double>(s - b) * calib.check_s;
+    EXPECT_NEAR(c.predicted_seconds, expected, 1e-12) << "step " << s;
   }
 }
 
