@@ -57,8 +57,20 @@ void commit_snapshot(StorageBackend& backend, SnapshotMeta meta,
     for (std::size_t r = 0; r < regions.size(); ++r)
       crcs[r] = common::crc32(regions[r].bytes);
   };
+  // The payload is one stream, so regions whose bytes are adjacent in
+  // memory (a dist snapshot's matrix and accumulators share one arena
+  // span) go out as one append: same record bytes, fewer backend calls.
   const auto append = [regions, &session] {
-    for (const RegionSpan& r : regions) session->append(r.bytes);
+    std::span<const std::byte> run;
+    for (const RegionSpan& r : regions) {
+      if (!run.empty() && run.data() + run.size() == r.bytes.data()) {
+        run = {run.data(), run.size() + r.bytes.size()};
+        continue;
+      }
+      if (!run.empty()) session->append(run);
+      run = r.bytes;
+    }
+    if (!run.empty()) session->append(run);
   };
 
   // Inside a parallel region the pool may have no free worker to run the

@@ -58,7 +58,8 @@ struct RegionSpan {
 /// the call and a fork after it inherits none. The regions are hashed
 /// inline instead when the snapshot fits in one `opts.chunk_bytes`, when
 /// `opts.async` is false, or inside a parallel region (where blocking on a
-/// pool task can deadlock). The spans must not change during the call.
+/// pool task can deadlock). Regions adjacent in memory go to the session
+/// as one append. The spans must not change during the call.
 /// Throws io_error from the backend.
 void commit_snapshot(StorageBackend& backend, SnapshotMeta meta,
                      std::span<const RegionSpan> regions,

@@ -10,7 +10,9 @@
 /// Control traffic uses one single-slot SPSC `Mailbox` per direction per
 /// rank. The protocol is strict lockstep — the coordinator posts a command
 /// and waits for the matching response before posting the next — so one
-/// slot suffices and there is no queue to corrupt. Framing:
+/// slot suffices and there is no queue to corrupt. Inside a block step the
+/// ranks wait for each other on one shared word, the step gate, instead of
+/// on a second coordinator round trip. Framing:
 ///
 ///   sender:   write {type, args, crc}, release-store seq+1, FUTEX_WAKE
 ///   receiver: acquire-load seq; if it has not advanced, FUTEX_WAIT on its
@@ -19,8 +21,8 @@
 ///
 /// A SIGKILLed worker can leave a half-written payload behind, but only
 /// with seq un-bumped (the store is last) — the coordinator never reads it;
-/// it sees the rank's death on the ready pipe (launcher.hpp), reaps the
-/// corpse via waitpid, and runs recovery instead.
+/// it sees the rank's death on the ready pipe (launcher.hpp) and runs
+/// recovery instead.
 
 #include <atomic>
 #include <cstddef>
@@ -56,11 +58,13 @@ class SharedRegion {
   std::size_t len_ = 0;
 };
 
-/// Command / response vocabulary of the lockstep protocol.
+/// Command / response vocabulary of the lockstep protocol. One block step
+/// is one command per rank: the owner of block column k factors the panel
+/// and publishes `args[1]` on the step gate (below); every rank then updates
+/// its own columns once the gate reads that token (worker.hpp).
 enum class MsgType : std::uint32_t {
   None = 0,
-  Panel = 1,     ///< to owner(k): factor panel k         (args[0] = k)
-  Update = 2,    ///< to all ranks: update owned columns  (args[0] = k)
+  Update = 2,    ///< to all ranks: block step k  (args[0] = k, args[1] = token)
   Shutdown = 3,  ///< to a rank: exit cleanly
   Done = 4,      ///< from a rank: command complete       (args[0] echoes k)
 };
@@ -110,5 +114,25 @@ void post(Mailbox& mb, MsgType type, std::uint64_t a0 = 0, std::uint64_t a1 = 0,
 /// Zero a mailbox (coordinator, before respawning a dead rank, so the
 /// replacement starts from seq 0 with no stale frame visible).
 void reset(Mailbox& mb);
+
+/// The step gate: one 32-bit word in the shared arena that releases the
+/// ranks waiting on a block step's panel. The owner of step k publishes the
+/// step's token when its panel is done; the coordinator publishes
+/// `token | kStepAbort` when the step cannot finish (a rank died or the
+/// deadline passed), which releases the waiters without their updates.
+/// Tokens never carry the abort bit and are never 0 (the zeroed arena), so
+/// a word left over from an earlier step releases no one.
+inline constexpr std::uint32_t kStepAbort = std::uint32_t{1} << 31;
+
+/// Release-publish `value` on `gate` and wake every waiter (a shared futex,
+/// like `post`). Returns the value it replaced.
+std::uint32_t publish(std::atomic<std::uint32_t>& gate, std::uint32_t value);
+
+/// Wait until `gate` reads `token` (true: the panel is published) or
+/// `token | kStepAbort` (false). Spins briefly, then sleeps in FUTEX_WAIT;
+/// there is no deadline, because the coordinator aborts every step it
+/// stops waiting for.
+[[nodiscard]] bool await_gate(std::atomic<std::uint32_t>& gate,
+                              std::uint32_t token);
 
 }  // namespace abftc::dist

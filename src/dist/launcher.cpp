@@ -29,6 +29,16 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// The time left until `deadline` as a ppoll timeout (zero once it passed).
+timespec time_left(Clock::time_point deadline) {
+  const auto ns = std::max<std::int64_t>(
+      0, std::chrono::duration_cast<std::chrono::nanoseconds>(deadline -
+                                                              Clock::now())
+             .count());
+  return {static_cast<time_t>(ns / 1'000'000'000),
+          static_cast<long>(ns % 1'000'000'000)};
+}
+
 /// Empty a non-blocking doorbell pipe. Every wake drains it fully, so the
 /// 64 KiB pipe never fills and a ringing worker never blocks in write().
 void drain(int fd) {
@@ -36,6 +46,17 @@ void drain(int fd) {
   while (::read(fd, buf, sizeof(buf)) > 0) {
   }
 }
+
+/// waitpid a child to the end: a signal that interrupts the wait must not
+/// leave the zombie behind.
+void reap(pid_t pid) noexcept {
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+  }
+}
+
+/// How long a forked rank may take to ring its ready byte.
+constexpr std::chrono::seconds kBootTimeout{10};
 
 /// Minimum post-flip |Δ| the injector accepts: 10⁴× the detection floor, so
 /// a chosen site *provably* clears it instead of hoping the element was big.
@@ -57,6 +78,11 @@ struct Launcher::Rank {
   /// byte per Done (POLLIN), POLLHUP once the rank is dead.
   int ready_fd = -1;
   std::uint64_t rsp_seen = 0;
+  bool booting = false;  ///< forked; its ready byte not taken yet
+  bool hung_up = false;  ///< its ready pipe hung up: the rank is dead
+  // collect_step's per-step state.
+  bool pending = false;  ///< owes the current step its Done
+  bool killed = false;   ///< SIGKILLed as silent at a step deadline
 };
 
 Launcher::Launcher(DistConfig cfg, ckpt::io::StorageBackend& backend)
@@ -65,6 +91,7 @@ Launcher::Launcher(DistConfig cfg, ckpt::io::StorageBackend& backend)
   nbk_ = layout_.nbk;
   ABFTC_REQUIRE(cfg_.ckpt_every > 0, "ckpt_every must be positive");
   ranks_.resize(cfg_.ranks);
+  corpses_.reserve(cfg_.ranks);
   // Resolved here, outside the serial KernelPolicyGuard that run() holds:
   // the residual sweep passes this thread count to parallel_for explicitly.
   verify_threads_ =
@@ -75,23 +102,31 @@ Launcher::Launcher(DistConfig cfg, ckpt::io::StorageBackend& backend)
 
 Launcher::~Launcher() { reap_all(); }
 
-void Launcher::bury(Rank& rank) noexcept {
-  int status = 0;
-  ::waitpid(rank.pid, &status, 0);
-  rank.pid = -1;
+void Launcher::bury(Rank& rank) {
   ::close(rank.ready_fd);
-  rank.ready_fd = -1;
+  corpses_.push_back(rank.pid);  // within the capacity reserved up front
+  rank = Rank{};
+}
+
+void Launcher::reap_corpses() noexcept {
+  for (const pid_t pid : corpses_) reap(pid);
+  corpses_.clear();
+}
+
+void Launcher::kill_now(Rank& rank) noexcept {
+  ::kill(rank.pid, SIGKILL);
+  reap(rank.pid);
+  ::close(rank.ready_fd);
+  rank = Rank{};
 }
 
 void Launcher::reap_all() noexcept {
-  for (Rank& rank : ranks_) {
-    if (rank.pid <= 0) continue;
-    ::kill(rank.pid, SIGKILL);
-    bury(rank);
-  }
+  for (Rank& rank : ranks_)
+    if (rank.pid > 0) kill_now(rank);
+  reap_corpses();
 }
 
-void Launcher::spawn(std::size_t r) {
+void Launcher::fork_rank(std::size_t r) {
   reset(shared_.cmd[r]);
   reset(shared_.rsp[r]);
   int fds[2];
@@ -108,24 +143,52 @@ void Launcher::spawn(std::size_t r) {
     worker_main(arena_->data(), layout_, r, fds[1], coordinator);  // no return
   }
   ::close(fds[1]);
+  Rank& rank = ranks_[r];
+  rank = Rank{};
+  rank.pid = pid;
+  rank.ready_fd = fds[0];
+  rank.booting = true;
+  ++forks_;
+}
+
+void Launcher::await_ready(std::size_t r) {
   // Wait for the one-byte ready handshake; a child that dies before serving
-  // shows up as POLLHUP here instead of hanging the launcher.
-  pollfd pfd{fds[0], POLLIN, 0};
-  const int rc = ::poll(&pfd, 1, 10'000);
+  // shows up as POLLHUP here instead of hanging the launcher. A signal that
+  // interrupts the wait is no verdict: wait again for the time left.
+  Rank& rank = ranks_[r];
+  const auto deadline = Clock::now() + kBootTimeout;
+  pollfd pfd{rank.ready_fd, POLLIN, 0};
+  int rc = 0;
+  do {
+    const timespec left = time_left(deadline);
+    rc = ::ppoll(&pfd, 1, &left, nullptr);
+  } while (rc < 0 && errno == EINTR);
   char byte = 0;
-  if (rc <= 0 || ::read(fds[0], &byte, 1) != 1 ||
-      ::fcntl(fds[0], F_SETFL, O_NONBLOCK) != 0) {
-    ::close(fds[0]);
-    ::kill(pid, SIGKILL);
-    int status = 0;
-    ::waitpid(pid, &status, 0);
+  if (rc <= 0 || ::read(rank.ready_fd, &byte, 1) != 1 ||
+      ::fcntl(rank.ready_fd, F_SETFL, O_NONBLOCK) != 0) {
+    kill_now(rank);
     throw dist_error("worker rank " + std::to_string(r) +
                      " failed the ready handshake");
   }
-  ranks_[r].pid = pid;
-  ranks_[r].ready_fd = fds[0];
-  ranks_[r].rsp_seen = shared_.rsp[r].seq.load(std::memory_order_acquire);
-  ++forks_;
+  rank.booting = false;
+  rank.rsp_seen = shared_.rsp[r].seq.load(std::memory_order_acquire);
+}
+
+std::size_t Launcher::fork_replacements() {
+  std::size_t forked = 0;
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    if (ranks_[r].pid > 0) continue;
+    fork_rank(r);
+    ++forked;
+  }
+  return forked;
+}
+
+void Launcher::finish_replacements() {
+  for (std::size_t r = 0; r < ranks_.size(); ++r)
+    if (ranks_[r].booting) await_ready(r);
+  // Every dead rank hung up its pipe long ago, so these waits are instant.
+  reap_corpses();
 }
 
 void Launcher::prepare(RunReport& report) {
@@ -143,72 +206,122 @@ void Launcher::prepare(RunReport& report) {
     cs0_ = abft::row_group_checksum_pair(a0_, cfg_.nb, cfg_.group);
     owner_ = std::this_thread::get_id();
   }
-  // Every live rank idles in recv, so the arena is quiescent.
-  load_initial();
-  max_boundary_attempted_ = std::numeric_limits<std::size_t>::max();
-  last_check_ = std::numeric_limits<double>::quiet_NaN();
-
   // A rank that died idle since the last run has hung up its ready pipe
-  // with no command outstanding: reap it so the loop below replaces it.
+  // with no command outstanding: bury it so it is replaced below.
   for (Rank& rank : ranks_) {
     if (rank.pid <= 0) continue;
     pollfd pfd{rank.ready_fd, POLLIN, 0};
     if (::poll(&pfd, 1, 0) > 0 && (pfd.revents & (POLLHUP | POLLERR)) != 0)
       bury(rank);
   }
-  for (std::size_t r = 0; r < cfg_.ranks; ++r) {
-    if (ranks_[r].pid > 0) continue;
-    spawn(r);
-    if (!cold) ++report.respawns;
-  }
+  // Replacements boot while the initial image loads: a booting rank touches
+  // only its mailboxes and the control block. Every live rank idles in
+  // recv, so the arena is quiescent.
+  const std::size_t forked = fork_replacements();
+  if (!cold) report.respawns += forked;
+  load_initial();
+  max_boundary_attempted_ = std::numeric_limits<std::size_t>::max();
+  last_check_ = std::numeric_limits<double>::quiet_NaN();
+  finish_replacements();
 }
 
-bool Launcher::await_done(std::size_t r, std::size_t k, RunReport& report) {
-  Rank& rank = ranks_[r];
-  if (rank.pid <= 0) return false;  // already known dead (killed before)
-  const auto t0 = Clock::now();
-  const auto deadline =
-      t0 + std::chrono::duration_cast<Clock::duration>(
-               std::chrono::duration<double>(step_timeout_s_));
-  bool hung_up = false;
+bool Launcher::collect_step(std::size_t k, std::uint32_t token,
+                            Clock::time_point t0, RunReport& report) {
+  std::atomic<std::uint32_t>& gate = shared_.ctl->step_gate;
+  const std::size_t owner = owner_of(k, cfg_.ranks);
+  const auto window = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(step_timeout_s_));
+  auto window_start = t0;
+  auto deadline = t0 + window;
+  bool ok = true;
+  // Whether the owner had published its panel when the gate was aborted.
+  bool aborted = false, published = false;
+  const auto abort_step = [&] {
+    ok = false;
+    if (aborted) return;
+    aborted = true;
+    // Releases every rank still waiting on the panel: it answers Done
+    // without updating, so it is back in recv before any restore.
+    published = publish(gate, token | kStepAbort) == token;
+  };
+  for (Rank& rank : ranks_) {
+    rank.pending = rank.pid > 0;  // every rank is live at a step's start
+    rank.killed = false;
+    if (!rank.pending) abort_step();
+  }
+
+  std::vector<pollfd> fds;
+  std::vector<std::size_t> polled;
+  fds.reserve(ranks_.size());
+  polled.reserve(ranks_.size());
   while (true) {
-    // A Done posted just before the rank died still counts, so the frame
-    // is checked before the hang-up.
-    if (auto msg = try_recv(shared_.rsp[r], rank.rsp_seen)) {
-      if (msg->type != MsgType::Done || msg->args[0] != k)
-        throw dist_error("rank " + std::to_string(r) +
-                         " answered out of protocol at step " +
-                         std::to_string(k));
-      return true;
+    fds.clear();
+    polled.clear();
+    for (std::size_t r = 0; r < ranks_.size(); ++r) {
+      Rank& rank = ranks_[r];
+      if (!rank.pending) continue;
+      // A Done posted just before the rank died still counts, so the frame
+      // is checked before the hang-up.
+      if (auto msg = try_recv(shared_.rsp[r], rank.rsp_seen)) {
+        if (msg->type != MsgType::Done || msg->args[0] != k)
+          throw dist_error("rank " + std::to_string(r) +
+                           " answered out of protocol at step " +
+                           std::to_string(k));
+        rank.pending = false;
+        continue;
+      }
+      if (rank.hung_up) {  // every write end closed and no frame: it died
+        rank.pending = false;
+        bury(rank);
+        abort_step();
+        continue;
+      }
+      fds.push_back({rank.ready_fd, POLLIN, 0});
+      polled.push_back(r);
     }
-    if (hung_up) {  // every write end closed and no frame: the rank died
-      bury(rank);
-      return false;
-    }
-    const auto left = deadline - Clock::now();
-    if (left <= Clock::duration::zero()) {
-      // Deadline with the pipe still open: the rank is alive but silent —
-      // SIGSTOPped, livelocked, or wedged. That distinction (livelock vs
+    if (fds.empty()) return ok;
+
+    const auto now = Clock::now();
+    if (now >= deadline) {
+      // Deadline with pipes still open: those ranks are alive but silent —
+      // SIGSTOPped, livelocked or wedged. That distinction (livelock vs
       // death) is worth a separate counter; the remedy is the same: SIGKILL
-      // (which stopped processes do honor) and let the death path recover.
-      ++report.hangs;
-      report.hang_wait_seconds += seconds_since(t0);
-      ::kill(rank.pid, SIGKILL);
-      bury(rank);
-      return false;
+      // (which stopped processes do honor) and recover by the death path.
+      for (const std::size_t r : polled)
+        if (ranks_[r].killed)
+          throw dist_error("rank " + std::to_string(r) +
+                           " outlived its SIGKILL by a whole step deadline");
+      abort_step();
+      // An owner that never published holds up every other rank, so it
+      // alone is silent: the rest were waiting on it and answer now that
+      // the gate is aborted. Otherwise each rank yet to answer is silent.
+      const bool owner_silent =
+          ranks_[owner].pending && !published &&
+          gate.load(std::memory_order_acquire) != token;
+      for (const std::size_t r : polled) {
+        if (owner_silent && r != owner) continue;
+        ++report.hangs;
+        ::kill(ranks_[r].pid, SIGKILL);
+        ranks_[r].killed = true;
+      }
+      report.hang_wait_seconds +=
+          std::chrono::duration<double>(now - window_start).count();
+      // A fresh window for the released ranks to answer and the killed
+      // ones to hang up.
+      window_start = now;
+      deadline = now + window;
+      continue;
     }
-    const auto ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(left).count();
-    const timespec timeout{static_cast<time_t>(ns / 1'000'000'000),
-                           static_cast<long>(ns % 1'000'000'000)};
-    pollfd pfd{rank.ready_fd, POLLIN, 0};
-    const int rc = ::ppoll(&pfd, 1, &timeout, nullptr);
+    const timespec left = time_left(deadline);
+    const int rc = ::ppoll(fds.data(), fds.size(), &left, nullptr);
     if (rc < 0 && errno != EINTR)
-      throw dist_error("ppoll on rank " + std::to_string(r) +
-                       "'s ready pipe failed");
+      throw dist_error("ppoll on the ranks' ready pipes failed");
     if (rc <= 0) continue;  // timeout or signal: re-check, then deadline
-    if ((pfd.revents & POLLIN) != 0) drain(rank.ready_fd);
-    hung_up = (pfd.revents & (POLLHUP | POLLERR)) != 0;
+    for (std::size_t i = 0; i < fds.size(); ++i) {
+      if ((fds[i].revents & POLLIN) != 0) drain(fds[i].fd);
+      if ((fds[i].revents & (POLLHUP | POLLERR)) != 0)
+        ranks_[polled[i]].hung_up = true;
+    }
   }
 }
 
@@ -282,18 +395,17 @@ std::optional<ckpt::io::SnapshotMeta> Launcher::restore_now(
 }
 
 std::size_t Launcher::restore_and_respawn(RunReport& report) {
+  // Fork the replacements first: they boot while the arena restores (a
+  // booting rank touches only its mailboxes and the control block). Their
+  // ready bytes and the corpses' exit statuses are taken afterwards.
+  report.respawns += fork_replacements();
   const auto t0 = Clock::now();
   (void)restore_now(*backend_);
   const std::size_t resume = frozen_steps_;
   report.restore_seconds += seconds_since(t0);
   ++report.restores;
   report.restored_to_steps.push_back(resume);
-
-  for (std::size_t r = 0; r < cfg_.ranks; ++r) {
-    if (ranks_[r].pid > 0) continue;
-    spawn(r);
-    ++report.respawns;
-  }
+  finish_replacements();
   return resume;
 }
 
@@ -563,33 +675,30 @@ void Launcher::factor(const std::vector<Injection>& faults,
 
     const auto t0 = Clock::now();
     const Injection* inj = pending_at(k);
-    const std::size_t owner = owner_of(k, cfg_.ranks);
-
-    post(shared_.cmd[owner], MsgType::Panel, k);
+    // A fault that takes its victim down is signalled before the step's
+    // commands go out, so it lands inside step k whatever the victim's role
+    // in it: a victim that got its command first could finish the step.
     if (inj != nullptr && inj->kind == FaultKind::Hang) {
-      // Hang/livelock: the victim stays alive but stops making progress
-      // mid-step. Its ready pipe never hangs up — only the response
-      // deadline can tell, which is exactly what this cell exercises.
+      // Hang/livelock: the victim stays alive but makes no progress. Its
+      // ready pipe never hangs up — only the step deadline can tell, which
+      // is exactly what this cell exercises.
       ::kill(ranks_[inj->rank].pid, SIGSTOP);
     } else if (inj != nullptr && inj->kind != FaultKind::Flip &&
                inj->kind != FaultKind::Flip2) {
-      // Kill / torn: SIGKILL the victim mid-step, right after the step's
-      // first command went out. (For torn the covering checkpoint write was
-      // already torn by the storage decorator.)
+      // Kill / torn: SIGKILL the victim mid-step. (For torn the covering
+      // checkpoint write was already torn by the storage decorator.)
       ::kill(ranks_[inj->rank].pid, SIGKILL);
     }
-    bool ok = await_done(owner, k, report);
 
-    if (ok) {
-      for (std::size_t r = 0; r < cfg_.ranks; ++r)
-        post(shared_.cmd[r], MsgType::Update, k);
-      // Collect every rank's response before deciding: survivors must
-      // finish their writes so the arena is quiescent when we restore.
-      for (std::size_t r = 0; r < cfg_.ranks; ++r)
-        ok = await_done(r, k, report) && ok;
-    }
-
-    if (!ok) {
+    // One command per rank carries the whole step; the owner releases the
+    // others through the step gate, not through another round trip here.
+    token_ = (token_ + 1) & ~kStepAbort;
+    if (token_ == 0) token_ = 1;
+    for (std::size_t r = 0; r < cfg_.ranks; ++r)
+      post(shared_.cmd[r], MsgType::Update, k, token_);
+    // Every rank answers or is found dead before the verdict, so the arena
+    // is quiescent when a failed step restores.
+    if (!collect_step(k, token_, t0, report)) {
       k = restore_and_respawn(report);
       continue;
     }

@@ -31,10 +31,13 @@
 /// paper's composite strategy prescribes:
 ///
 ///   process death (kill/torn) → seen as POLLHUP on the rank's ready
-///     pipe and reaped via waitpid; restore the newest restorable snapshot
-///     into the arena, respawn the dead rank, replay the lost steps.
-///     Workers are stateless between commands, so survivors need no
-///     handling at all. The restore (restore_now, through
+///     pipe; restore the newest restorable snapshot into the arena, respawn
+///     the dead rank, replay the lost steps. Workers are stateless between
+///     commands, so survivors need no handling at all. The death path runs
+///     fork → restore → ready → reap: the replacement is forked first and
+///     boots while the arena restores, its ready byte is taken after the
+///     restore, and only then is the corpse waitpid-ed (it hung up its pipe
+///     on exit, so that wait is instant). The restore (restore_now, through
 ///     ckpt::io::restore_latest_into) streams each region's payload from
 ///     the backend straight into its arena span and verifies the CRCs
 ///     there, with no heap copy in between; a torn or corrupt snapshot
@@ -65,8 +68,10 @@
 ///
 ///   hang/livelock (hang) → SIGSTOP leaves the victim alive but silent;
 ///     its ready pipe never hangs up, so only the response deadline
-///     fires: the coordinator counts a hang, SIGKILLs the stopped process
-///     (which works on stopped processes), and recovers via the death path.
+///     fires: the coordinator aborts the step, counts a hang for each
+///     silent rank, SIGKILLs it (which works on stopped processes), and
+///     recovers via the death path. A silent owner that never published its
+///     panel holds up everyone else, so then it alone counts.
 ///
 /// A checkpoint streams the four arena regions (progress, matrix, the two
 /// stacked accumulators) through ckpt::io::commit_snapshot, the commit
@@ -76,15 +81,31 @@
 /// safe because the arena is quiescent at every boundary: each rank has
 /// answered Done and waits for its next command.
 ///
+/// The step protocol: one coordinator round trip per block step. The
+/// coordinator signals the step's fault victim, if any, then posts
+/// Update(k, token) to every rank at once, with a fresh token per step
+/// execution. The owner of block column k factors the panel and publishes
+/// the token on the step gate (a 32-bit word in the control block); the
+/// other ranks wait for it there (a short spin, then FUTEX_WAIT) before
+/// their updates, and every rank answers one Done (worker.hpp).
+///
 /// Waiting is event-driven on both sides. A worker sleeps in FUTEX_WAIT on
 /// its command mailbox's seq word and `post` wakes it. The coordinator
-/// sleeps in one ppoll on the rank's ready pipe, with the remaining step
-/// deadline as the timeout; the worker rings one byte there after every
-/// Done post. POLLIN means a frame is there (drain the pipe, read the
-/// mailbox); POLLHUP with no frame means the rank died (waitpid, death
-/// path); the timeout means it hung (SIGKILL, `hangs`, death path).
+/// collects a step with one ppoll over all pending ranks' ready pipes, with
+/// the remaining step deadline as the timeout; a worker rings one byte on
+/// its pipe after every Done post. POLLIN means a frame is there (drain the
+/// pipe, read the mailbox); POLLHUP with no frame means the rank died. A
+/// death, or the deadline, aborts the step: the coordinator publishes
+/// `token | kStepAbort` on the gate, so ranks blocked on a dead or stopped
+/// owner answer without updating, and it collects every live rank's Done
+/// and every dead rank's hang-up before it restores. At the deadline each
+/// silent rank is SIGKILLed and counted in `hangs`, then waited for like
+/// any other death.
+
+#include <sys/types.h>
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -129,7 +150,7 @@ struct DistConfig {
 };
 
 /// One injection for a run. Kill and Torn both SIGKILL the victim right
-/// after the step's panel command is posted (for Torn the storage decorator
+/// before the step's commands are posted (for Torn the storage decorator
 /// has already torn the covering checkpoint); Hang SIGSTOPs it there
 /// instead; Flip corrupts one element after the step completes, Flip2
 /// corrupts two elements of one checksum group (same class, same block
@@ -275,10 +296,23 @@ class Launcher {
  private:
   struct Rank;  // pid + ready fd + mailbox cursors
 
-  /// Zero rank r's mailboxes and fork it; the rank must be dead.
-  void spawn(std::size_t r);
-  /// waitpid a dead (or SIGKILLed) rank and close its ready pipe.
-  void bury(Rank& rank) noexcept;
+  /// Zero rank r's mailboxes and fork it, without waiting for it to boot;
+  /// the rank must be dead.
+  void fork_rank(std::size_t r);
+  /// Take booting rank r's ready byte (retrying interrupted waits until
+  /// the boot deadline); throws dist_error if it never comes.
+  void await_ready(std::size_t r);
+  /// fork_rank every dead rank; returns how many.
+  std::size_t fork_replacements();
+  /// await_ready every booting rank, then reap the corpses they replace.
+  void finish_replacements();
+  /// Close a dead rank's ready pipe and queue its pid for reap_corpses.
+  void bury(Rank& rank);
+  /// waitpid every buried rank (retrying interrupted waits).
+  void reap_corpses() noexcept;
+  /// SIGKILL a live rank, reap it and close its ready pipe.
+  void kill_now(Rank& rank) noexcept;
+  /// SIGKILL and reap every rank, then the buried ones.
   void reap_all() noexcept;
   /// Ready the pool for a run: on the first, map the arena, build the
   /// pristine image and fork every rank; then load the image and replace
@@ -287,8 +321,12 @@ class Launcher {
   /// The step loop: factor from the pristine image to completion.
   void factor(const std::vector<Injection>& faults, std::uint64_t flip_base,
               RunReport& report);
-  [[nodiscard]] bool await_done(std::size_t r, std::size_t k,
-                                RunReport& report);
+  /// Wait for step k (posted at `t0` with `token`) to finish: every live
+  /// rank's Done and every dead rank's hang-up (see the step protocol
+  /// above). Returns false if any rank died or was silent at the deadline.
+  [[nodiscard]] bool collect_step(std::size_t k, std::uint32_t token,
+                                  std::chrono::steady_clock::time_point t0,
+                                  RunReport& report);
   /// Commit boundary `boundary` (id boundary+1, kind Full) zero-copy from
   /// the arena; a failed commit is swallowed (the run keeps the older
   /// protection points).
@@ -321,6 +359,9 @@ class Launcher {
   std::unique_ptr<SharedRegion> arena_;
   SharedState shared_;
   std::vector<Rank> ranks_;
+  /// Dead ranks' pids, reaped once their replacements are ready.
+  std::vector<pid_t> corpses_;
+  std::uint32_t token_ = 0;  ///< the last step's gate token
   std::thread::id owner_;  ///< the thread that forks the ranks
   std::size_t forks_ = 0;
   /// The pristine matrix and its step-0 stacked accumulator: every run's

@@ -118,16 +118,22 @@ void worker_main(void* arena, const DistLayout& lay, std::size_t rank,
     }
     if (!msg) continue;
     switch (msg->type) {
-      case MsgType::Panel:
-        abft::lu_panel(s.lu(), static_cast<std::size_t>(msg->args[0]));
+      case MsgType::Update: {
+        const auto k = static_cast<std::size_t>(msg->args[0]);
+        const auto token = static_cast<std::uint32_t>(msg->args[1]);
+        bool go = true;
+        if (owner_of(k, lay.nranks) == rank) {
+          abft::lu_panel(s.lu(), k);
+          (void)publish(s.ctl->step_gate, token);
+        } else {
+          go = await_gate(s.ctl->step_gate, token);
+        }
+        if (go)
+          for (std::size_t j = rank; j < lay.nbk; j += lay.nranks)
+            abft::lu_update(s.lu(), k, j, j + 1);
         answer(msg->args[0]);
         break;
-      case MsgType::Update:
-        for (std::size_t j = rank; j < lay.nbk; j += lay.nranks)
-          abft::lu_update(s.lu(), static_cast<std::size_t>(msg->args[0]), j,
-                          j + 1);
-        answer(msg->args[0]);
-        break;
+      }
       case MsgType::Shutdown:
         answer(msg->args[0]);
         ::_exit(0);

@@ -4,22 +4,32 @@
 /// ABFT-protected LU factorization.
 ///
 /// Ownership is panel-cyclic over block columns: rank `j % nranks` owns
-/// block column j of the matrix AND of both stacked accumulators. Every
-/// block step k splits into two commands that run the shared step kernel
-/// (lu_kernel.hpp, which states the algebra and its invariants):
+/// block column j of the matrix AND of both stacked accumulators. Block
+/// step k is one command to every rank, Update(k, token), running the shared
+/// step kernel (lu_kernel.hpp, which states the algebra and its invariants):
 ///
-///   Panel(k)  — owner(k) only: abft::lu_panel(k).
-///   Update(k) — every rank: abft::lu_update(k, j, j+1) for each owned
-///               block column j.
+///   owner(k)    — abft::lu_panel(k), then publish `token` on the step gate
+///                 (ControlBlock::step_gate), then abft::lu_update(k, j, j+1)
+///                 for each owned block column j.
+///   other ranks — wait until the gate reads `token`, then the same updates.
 ///
-/// No two ranks ever write the same bytes within a phase: Panel writes only
-/// column block k, Update writes only the executing rank's owned columns,
-/// and column block k is read-only during Update. Two runs are therefore
-/// bitwise identical whatever the rank count, which is what lets the
-/// launcher assert that restore + replay after a SIGKILL loses nothing.
+/// Every rank answers one Done per step. If the gate reads
+/// `token | kStepAbort` instead, the coordinator gave the step up (a rank
+/// died, or the deadline passed with the owner silent): the waiter answers
+/// Done without updating, and the coordinator restores before the arena is
+/// read again.
+///
+/// No two ranks ever write the same bytes within a step: the panel writes
+/// only column block k before the gate opens, each update writes only the
+/// executing rank's owned columns, and column block k is read-only once the
+/// gate is open. Per matrix column the operation sequence does not depend
+/// on the rank count, so two runs are bitwise identical whatever the rank
+/// count, which is what lets the launcher assert that restore + replay
+/// after a SIGKILL loses nothing.
 
 #include <sys/types.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -28,7 +38,7 @@
 
 namespace abftc::dist {
 
-inline constexpr std::uint64_t kArenaMagic = 0xABF7'D157'0000'0003ULL;
+inline constexpr std::uint64_t kArenaMagic = 0xABF7'D157'0000'0004ULL;
 
 /// Byte offsets of everything in the shared arena, derived from the
 /// problem shape. Both sides compute it; the control block holds the shape
@@ -55,11 +65,15 @@ struct DistLayout {
 };
 
 /// Run identity at arena offset 0, written by the coordinator before any
-/// fork; workers (including respawns) validate it on attach.
+/// fork; workers (including respawns) validate it on attach. The step gate
+/// follows it (channel.hpp: publish / await_gate).
 struct ControlBlock {
   std::uint64_t magic = 0;
   std::uint64_t n = 0, nb = 0, group = 0, nranks = 0;
+  std::atomic<std::uint32_t> step_gate{0};
 };
+static_assert(std::atomic<std::uint32_t>::is_always_lock_free,
+              "the cross-process step gate needs a lock-free 32-bit atomic");
 
 /// Typed windows into the arena for one process.
 struct SharedState {
@@ -92,8 +106,10 @@ struct SharedState {
 /// `coordinator` (the pid that forked it), pins the kernel policy to one
 /// inline thread (a forked child must never touch the parent's executor
 /// pool), signals readiness with one byte on `ready_fd`, then serves
-/// Panel/Update commands from its mailbox until Shutdown, ringing one more
-/// byte on `ready_fd` after every Done. Exits via _exit — never returns,
+/// Update commands from its mailbox until Shutdown, ringing one more byte
+/// on `ready_fd` after every Done. Booting touches only the control block
+/// and the rank's mailboxes, so the coordinator may restore the matrix
+/// regions while a replacement boots. Exits via _exit — never returns,
 /// never runs parent-inherited atexit handlers or flushes parent stdio
 /// buffers.
 [[noreturn]] void worker_main(void* arena, const DistLayout& lay,

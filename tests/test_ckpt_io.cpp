@@ -559,18 +559,30 @@ TEST_P(WriterRoundTrip, InlineAndPooledHashingMatchTheSerialReference) {
   // 1 KiB, so hashed by a pool task while the caller appends.
   const auto backend = make_backend(spec());
   ImageFixture f(3000, 1200);
+  // The same bytes with both regions in one buffer, back to back (as a
+  // dist snapshot's arena regions are): streamed as one append, except by
+  // the serial reference, which stages a copy of each region.
+  std::vector<std::byte> joined(f.lib);
+  joined.insert(joined.end(), f.rem.begin(), f.rem.end());
+  MemoryImage adjacent;
+  adjacent.add_region("lib", std::span(joined).first(f.lib.size()),
+                      RegionClass::Library);
+  adjacent.add_region("rem", std::span(joined).subspan(f.lib.size()),
+                      RegionClass::Remainder);
   const WriterOptions modes[] = {
       {.chunk_bytes = 64 * 1024, .async = false},
       {.chunk_bytes = 64 * 1024, .async = true},
       {.chunk_bytes = 1024, .async = true}};
   double when = 1.0;
-  for (const WriterOptions& opts : modes) {
-    CkptWriter writer(*backend, opts);
-    writer.take_full(f.image, when);
-    when += 1.0;
+  for (MemoryImage* image : {&f.image, &adjacent}) {
+    for (const WriterOptions& opts : modes) {
+      CkptWriter writer(*backend, opts);
+      writer.take_full(*image, when);
+      when += 1.0;
+    }
   }
   const auto metas = backend->list();
-  ASSERT_EQ(metas.size(), 3u);
+  ASSERT_EQ(metas.size(), 6u);
   const SnapshotBlob ref = backend->read_snapshot(metas[0].id);
   for (std::size_t m = 1; m < metas.size(); ++m) {
     const SnapshotBlob blob = backend->read_snapshot(metas[m].id);

@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -55,10 +58,10 @@ TEST(Mailbox, RoundTripsFrames) {
 
   EXPECT_FALSE(try_recv(mb, last_seen).has_value());  // nothing posted yet
 
-  post(mb, MsgType::Panel, 3, 7);
+  post(mb, MsgType::Update, 3, 7);
   const auto msg = try_recv(mb, last_seen);
   ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(msg->type, MsgType::Panel);
+  EXPECT_EQ(msg->type, MsgType::Update);
   EXPECT_EQ(msg->args[0], 3u);
   EXPECT_EQ(msg->args[1], 7u);
   EXPECT_EQ(last_seen, 1u);
@@ -155,6 +158,37 @@ TEST(Mailbox, IdleReceiverInAnotherProcessWakesPromptly) {
   // One post→reply round trip is two futex wakes; a sleep-poll receiver
   // would sit at its nap length here instead.
   EXPECT_LT(latency[10], 250e-6);
+}
+
+TEST(StepGate, ReleasesOnItsTokenOrItsAbortOnly) {
+  std::atomic<std::uint32_t> gate{0};
+  // A word left by an earlier step, aborted or not, releases no one.
+  EXPECT_EQ(publish(gate, 4 | kStepAbort), 0u);
+  bool published = false, aborted = true;
+  std::thread owner_waiter([&] { published = await_gate(gate, 5); });
+  std::thread abort_waiter([&] { aborted = !await_gate(gate, 6); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(publish(gate, 5), 4u | kStepAbort);  // the owner's panel is done
+  owner_waiter.join();
+  EXPECT_TRUE(published);
+  // The next step is given up while its waiter sleeps past the spin.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(publish(gate, 6 | kStepAbort), 5u);
+  abort_waiter.join();
+  EXPECT_TRUE(aborted);
+}
+
+TEST(StepGate, WakesAWaiterInAnotherProcess) {
+  SharedRegion region(sizeof(std::atomic<std::uint32_t>));
+  auto* gate = new (region.data()) std::atomic<std::uint32_t>(0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) ::_exit(await_gate(*gate, 9) ? 0 : 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  (void)publish(*gate, 9);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
 }
 
 // --- campaign enumeration ---------------------------------------------------
@@ -887,6 +921,162 @@ TEST(DistLauncher, RankKilledBetweenRunsIsReplacedBeforeTheNextRun) {
   const std::vector<pid_t> now = ranks_of(before);
   EXPECT_EQ(now.size(), cfg.ranks);
   EXPECT_EQ(std::count(now.begin(), now.end(), victim), 0);
+}
+
+/// Pids both lists hold.
+std::size_t shared_pids(const std::vector<pid_t>& a,
+                        const std::vector<pid_t>& b) {
+  return static_cast<std::size_t>(std::count_if(
+      a.begin(), a.end(), [&](pid_t p) {
+        return std::find(b.begin(), b.end(), p) != b.end();
+      }));
+}
+
+TEST(DistLauncher, SilentStepOwnerIsTheOnlyHangAndSurvivorsKeepTheirPids) {
+  DistConfig cfg = small_config();
+  cfg.ranks = 3;
+  cfg.step_timeout_s = 0.3;
+  const std::size_t k = 4;
+  const std::size_t owner = owner_of(k, cfg.ranks);
+  const std::vector<pid_t> before = children_of(::getpid());
+  const auto clean_backend = ckpt::io::make_backend("memory");
+  Launcher clean(cfg, *clean_backend);
+  (void)clean.run();
+  const std::vector<pid_t> others = ranks_of(before);
+
+  const auto backend = ckpt::io::make_backend("memory");
+  Launcher launcher(cfg, *backend);
+  (void)launcher.run();
+  std::vector<pid_t> mine;
+  for (const pid_t p : ranks_of(before))
+    if (std::find(others.begin(), others.end(), p) == others.end())
+      mine.push_back(p);
+  ASSERT_EQ(mine.size(), cfg.ranks);
+
+  // The stopped owner never publishes step k's panel, so the other two
+  // ranks wait on it until the deadline aborts the step. Only the owner is
+  // silent: they answer once released and live on.
+  const auto b2 = ckpt::io::make_backend("memory");
+  const RunReport report = launcher.run(cfg, *b2, {{FaultKind::Hang, k, owner}});
+  EXPECT_TRUE(report.completed);
+  EXPECT_EQ(report.hangs, 1u);
+  EXPECT_EQ(report.respawns, 1u);
+  EXPECT_EQ(report.restores, 1u);
+  EXPECT_TRUE(bitwise_equal(launcher.lu(), clean.lu()));
+  std::vector<pid_t> now;
+  for (const pid_t p : ranks_of(before))
+    if (std::find(others.begin(), others.end(), p) == others.end())
+      now.push_back(p);
+  EXPECT_EQ(now.size(), cfg.ranks);
+  EXPECT_EQ(shared_pids(now, mine), cfg.ranks - 1);
+}
+
+TEST(DistLauncher, KilledNonOwnerRestoresOnceAndReplaysBitwise) {
+  DistConfig cfg = small_config();
+  cfg.ranks = 3;
+  const std::size_t k = 4;
+  const std::size_t victim = (owner_of(k, cfg.ranks) + 1) % cfg.ranks;
+  const auto clean_backend = ckpt::io::make_backend("memory");
+  Launcher clean(cfg, *clean_backend);
+  (void)clean.run();
+
+  const auto backend = ckpt::io::make_backend("memory");
+  Launcher injected(cfg, *backend);
+  const RunReport report = injected.run({{FaultKind::Kill, k, victim}});
+  EXPECT_TRUE(report.completed);
+  EXPECT_EQ(report.hangs, 0u);
+  EXPECT_EQ(report.restores, 1u);
+  EXPECT_EQ(report.respawns, 1u);
+  ASSERT_EQ(report.restored_to_steps.size(), 1u);
+  EXPECT_EQ(report.restored_to_steps[0], k);  // covering boundary of step 4
+  EXPECT_TRUE(bitwise_equal(injected.lu(), clean.lu()));
+  EXPECT_TRUE(bitwise_equal(injected.active_cs(), clean.active_cs()));
+  EXPECT_TRUE(bitwise_equal(injected.frozen_cs(), clean.frozen_cs()));
+}
+
+TEST(DistLauncher, KilledRankIsReapedBeforeRunReturns) {
+  const DistConfig cfg = small_config();
+  const std::vector<pid_t> before = children_of(::getpid());
+  const auto b1 = ckpt::io::make_backend("memory");
+  Launcher launcher(cfg, *b1);
+  (void)launcher.run();
+  const std::vector<pid_t> ranks = ranks_of(before);
+  ASSERT_EQ(ranks.size(), cfg.ranks);
+
+  const auto b2 = ckpt::io::make_backend("memory");
+  const RunReport report = launcher.run(cfg, *b2, {{FaultKind::Kill, 3, 1}});
+  ASSERT_EQ(report.respawns, 1u);
+  // The live ranks are still our children; the dead one is already reaped,
+  // so waiting for it fails with ECHILD instead of finding a zombie.
+  std::size_t reaped = 0;
+  for (const pid_t p : ranks) {
+    int status = 0;
+    const pid_t rc = ::waitpid(p, &status, WNOHANG);
+    if (rc < 0) {
+      EXPECT_EQ(errno, ECHILD);
+      ++reaped;
+    } else {
+      EXPECT_EQ(rc, 0) << "a live rank had exited";
+    }
+  }
+  EXPECT_EQ(reaped, 1u);
+}
+
+extern "C" void ignore_alarm(int) {}
+
+TEST(DistLauncher, SignalsInterruptingSpawnAndReapAreRetried) {
+  // A host process's signal handler interrupts the coordinator's blocking
+  // waits: here a no-op SIGALRM without SA_RESTART every 200 µs, against
+  // runs that kill a rank and so fork, handshake and reap.
+  const DistConfig cfg = small_config();
+  const auto clean_backend = ckpt::io::make_backend("memory");
+  Launcher clean(cfg, *clean_backend);
+  (void)clean.run();
+  const std::vector<pid_t> before = children_of(::getpid());
+
+  struct sigaction act {};
+  act.sa_handler = ignore_alarm;
+  sigemptyset(&act.sa_mask);
+  act.sa_flags = 0;  // no SA_RESTART: interrupted calls fail with EINTR
+  struct sigaction old {};
+  ASSERT_EQ(::sigaction(SIGALRM, &act, &old), 0);
+  const itimerval every{{0, 200}, {0, 200}};
+  ASSERT_EQ(::setitimer(ITIMER_REAL, &every, nullptr), 0);
+
+  std::vector<RunReport> reports;
+  bool threw = false;
+  abft::Matrix last;
+  try {
+    const auto backend = ckpt::io::make_backend("memory");
+    Launcher launcher(cfg, *backend);
+    for (std::size_t step = 0; step < launcher.block_steps(); ++step) {
+      const auto b = ckpt::io::make_backend("memory");
+      reports.push_back(
+          launcher.run(cfg, *b, {{FaultKind::Kill, step, step % cfg.ranks}}));
+    }
+    last = abft::Matrix(launcher.lu());
+  } catch (const std::exception& e) {
+    threw = true;
+    ADD_FAILURE() << e.what();
+  }
+  const itimerval off{};
+  ::setitimer(ITIMER_REAL, &off, nullptr);
+  ::sigaction(SIGALRM, &old, nullptr);
+
+  ASSERT_FALSE(threw);
+  for (const RunReport& r : reports) {
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.respawns, 1u);
+    EXPECT_EQ(r.restores, 1u);
+  }
+  EXPECT_TRUE(bitwise_equal(last, clean.lu()));
+  // ~Launcher reaped its ranks, and every corpse before that: no zombie.
+  for (const pid_t p : children_of(::getpid())) {
+    if (std::find(before.begin(), before.end(), p) != before.end()) continue;
+    const auto st = proc_stat(p);
+    EXPECT_FALSE(st && st->state == 'Z') << "zombie rank " << p;
+  }
+  EXPECT_TRUE(ranks_of(before).empty());
 }
 
 TEST(DistLauncher, RunFromAnotherThreadThrows) {
