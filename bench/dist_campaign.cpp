@@ -5,7 +5,7 @@
 ///
 ///   dist_campaign --campaign=steps:0-5,ranks:0-3,kinds:kill+flip+torn+hang
 ///                 --ranks=4 --n=192 --nb=32 --group=3 --ckpt-every=2
-///                 --storage=mmap:/dev/shm/abftc_campaign?mb=16
+///                 --storage=log:/dev/shm/abftc_campaign
 ///                 --seed=3405676766 --shard=0/1 --blind=1 --json
 ///
 /// `--blind=1` runs every cell blind: the launcher verifies the checksum

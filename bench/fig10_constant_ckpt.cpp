@@ -12,7 +12,7 @@
 ///        --storage=SPEC  checkpoint storage to derive C/R from instead of
 ///                        the calibrated 60 s constant: analytic
 ///                        (pfs:GBps / buddy:GBps / nvram:GBps) or *measured*
-///                        (memory, file:DIR, mmap:PATH — the backend is
+///                        (memory, log:DIR — the backend is
 ///                        benchmarked and a StorageModel fitted, so the
 ///                        figure runs on measured checkpoint costs)
 ///        --bytes-per-node-gb=G  per-node checkpoint image size for

@@ -43,8 +43,8 @@ void require_valid_layout(const SnapshotMeta& meta,
                           const std::vector<RegionId>& regions,
                           const std::vector<std::uint64_t>& sizes) {
   ABFTC_REQUIRE(meta.id != 0, "snapshot id 0 is reserved");
-  // A non-finite timestamp would serialize as `null` in the file backend's
-  // manifest and poison every later open of the store.
+  // A non-finite timestamp places the snapshot nowhere on the run's
+  // timeline, so no restore could order it against the others.
   ABFTC_REQUIRE(std::isfinite(meta.when),
                 "snapshot timestamp must be finite");
   ABFTC_REQUIRE(regions.size() == sizes.size(),
@@ -334,24 +334,6 @@ std::unique_ptr<StorageBackend> make_backend(std::string_view spec) {
   if (p.scheme == "memory") {
     ABFTC_REQUIRE(p.rest.empty(), "memory backend takes no path");
     backend = std::make_unique<MemoryBackend>();
-  } else if (p.scheme == "file") {
-    ABFTC_REQUIRE(!p.rest.empty(), "file backend needs a directory: file:DIR");
-    FileBackend::Options opts;
-    opts.direct = spec_option(p.options, "direct") == "1";
-    backend = std::make_unique<FileBackend>(p.rest, opts);
-  } else if (p.scheme == "mmap") {
-    ABFTC_REQUIRE(!p.rest.empty(), "mmap backend needs a path: mmap:PATH");
-    std::size_t capacity = MmapBackend::kDefaultCapacity;
-    if (const std::string mb = spec_option(p.options, "mb"); !mb.empty()) {
-      char* end = nullptr;
-      errno = 0;
-      const long val = std::strtol(mb.c_str(), &end, 10);
-      ABFTC_REQUIRE(end != mb.c_str() && *end == '\0' && errno == 0 &&
-                        val > 0 && val <= (1l << 40),
-                    "malformed mmap arena capacity '?mb=" + mb + "'");
-      capacity = static_cast<std::size_t>(val) << 20;
-    }
-    backend = std::make_unique<MmapBackend>(p.rest, capacity);
   } else if (p.scheme == "log") {
     ABFTC_REQUIRE(!p.rest.empty(), "log backend needs a directory: log:DIR");
     LogBackend::Options opts;
@@ -367,8 +349,7 @@ std::unique_ptr<StorageBackend> make_backend(std::string_view spec) {
     backend = std::make_unique<LogBackend>(p.rest, opts);
   } else {
     ABFTC_REQUIRE(false, "unknown storage backend scheme '" + p.scheme +
-                             "' (known: memory, file:DIR, mmap:PATH, "
-                             "log:DIR)");
+                             "' (known: memory, log:DIR)");
   }
   backend->open();
   return backend;

@@ -5,24 +5,18 @@
 /// ckpt::StorageModel *predicts* C/R from assumed bandwidths; this layer
 /// *performs* the I/O so the Section V-C hypotheses (remote-PFS vs scalable
 /// in-node storage, Figs 8–10) can be anchored in measured checkpoint costs.
-/// Four backends implement the same contract:
+/// Two backends implement the same contract:
 ///
-///  * MemoryBackend — snapshots held in RAM (the composite runtime's store);
-///    zero durability, memcpy speed.
-///  * FileBackend   — one file per snapshot plus a small manifest; fsync on
-///    commit, O_DIRECT optional (falls back to buffered I/O where the
-///    filesystem refuses it, e.g. tmpfs).
-///  * MmapBackend   — a preallocated mmap'd arena with a slot table; msync
-///    on commit. Bump allocation: drop() frees the slot; space is reclaimed
-///    when the dropped snapshot was the newest or the arena empties.
-///  * LogBackend    — sharded append-only changelog segments with CRC-framed
-///    records, background compaction and an optional io_uring submission
-///    path (log_backend.hpp). The one backend built for concurrent
-///    committers.
+///  * MemoryBackend — snapshots held in RAM (tests, the composite runtime and
+///    the dist runtime's in-RAM store); zero durability, memcpy speed.
+///  * LogBackend    — the persistent store: sharded append-only changelog
+///    segments with CRC-framed records, Full+Incremental chains, background
+///    compaction and an optional io_uring submission path
+///    (log_backend.hpp). It is built for concurrent committers.
 ///
-/// Writes are two-phase everywhere: payload first, then the commit record
-/// (manifest entry / committed flag / framed trailer) — a crash mid-write
-/// leaves a torn snapshot that readers reject instead of half-restoring.
+/// Writes are two-phase: payload first, then the commit record (the log's
+/// framed trailer) — a crash mid-write leaves a torn snapshot that readers
+/// reject instead of half-restoring.
 ///
 /// Reads have one primitive per backend, read_regions(): it validates the
 /// snapshot's structure, then reads each region's payload into memory a
@@ -53,7 +47,7 @@
 namespace abftc::ckpt::io {
 
 /// Thrown when stored data cannot be read back faithfully: unknown id, torn
-/// (uncommitted) snapshot, truncated file, CRC mismatch, arena exhausted.
+/// (uncommitted) snapshot, truncated segment, CRC mismatch.
 class io_error : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -101,13 +95,13 @@ struct ReadResult {
   std::vector<std::uint32_t> crcs;
 };
 
-/// Pluggable snapshot storage. See the file comment for the four
+/// Pluggable snapshot storage. See the file comment for the two
 /// implementations and make_backend() for the `--storage=` spec syntax.
 class StorageBackend {
  public:
   virtual ~StorageBackend() = default;
 
-  /// Backend kind: "memory", "file", "mmap", "log".
+  /// Backend kind: "memory", "log", or a decorator's own ("faulting").
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
   /// True when independent threads may each drive their own WriteSession
@@ -117,19 +111,20 @@ class StorageBackend {
     return false;
   }
 
-  /// Attach to the target: create the directory/arena on first use, load
-  /// any existing manifest/slot table after a restart. Idempotent (a
-  /// re-open rescans persistent state). make_backend() calls this.
+  /// Attach to the target: create the store on first use, rescan any
+  /// existing segments after a restart. Idempotent (a re-open rescans
+  /// persistent state). make_backend() calls this.
   virtual void open() = 0;
 
-  /// Persist a complete snapshot; durable (fsync/msync'd) on return.
+  /// Persist a complete snapshot; durable on return (the log fdatasyncs
+  /// unless opened with flush=0).
   /// Rejects duplicate ids. The default implementation streams the blob
   /// through begin_snapshot() — the one write primitive a backend must
   /// provide — so blob and streaming writes cannot diverge.
   virtual void write_snapshot(const SnapshotBlob& blob);
 
   /// The backend's read primitive. Checks the snapshot's structure (magic,
-  /// committed flag, header and region-table CRCs, region sizes summing to
+  /// header and region-table CRCs, region sizes summing to
   /// meta.bytes) before the first sink call, then reads each region's
   /// payload straight into the span the sink returns. Payload CRCs are the
   /// caller's to verify, so the hash pass is paid once, where the bytes
@@ -216,8 +211,6 @@ void write_via_session(StorageBackend& backend, const SnapshotBlob& blob);
 /// Backend factory from a storage spec:
 ///
 ///   memory                 in-RAM snapshots
-///   file:DIR[?direct=1]    one file per snapshot under DIR (+ MANIFEST)
-///   mmap:PATH[?mb=N]       preallocated arena file (default 256 MiB)
 ///   log:DIR[?shards=N&uring=1&flush=0&compact=K]
 ///                          sharded append-only changelog under DIR
 ///                          (default 8 shards; uring=1 opts into io_uring
@@ -254,83 +247,6 @@ class MemoryBackend final : public StorageBackend {
  private:
   class Session;
   std::vector<SnapshotBlob> snapshots_;  // commit order
-};
-
-class FileBackend final : public StorageBackend {
- public:
-  struct Options {
-    /// Open payload files with O_DIRECT (page-cache bypass, 4 KiB-aligned
-    /// bounce writes). Falls back to buffered I/O when the filesystem
-    /// rejects it (tmpfs does); direct_active() tells which happened.
-    bool direct = false;
-  };
-
-  explicit FileBackend(std::string directory);
-  FileBackend(std::string directory, Options opts);
-  ~FileBackend() override;
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "file";
-  }
-  void open() override;
-  [[nodiscard]] ReadResult read_regions(CkptId id,
-                                        const RegionSink& sink) const override;
-  [[nodiscard]] std::vector<SnapshotMeta> list() const override;
-  void drop(CkptId id) override;
-  [[nodiscard]] std::unique_ptr<WriteSession> begin_snapshot(
-      const SnapshotMeta& meta, std::vector<RegionId> regions,
-      std::vector<std::uint64_t> region_sizes) override;
-
-  /// True when the last payload file was actually written with O_DIRECT.
-  [[nodiscard]] bool direct_active() const noexcept { return direct_active_; }
-  [[nodiscard]] const std::string& directory() const noexcept { return dir_; }
-
- private:
-  class Session;
-  [[nodiscard]] std::string snapshot_path(CkptId id) const;
-  void rewrite_manifest() const;
-  void record_commit(const SnapshotMeta& meta);
-
-  std::string dir_;
-  Options opts_;
-  bool direct_active_ = false;
-  std::vector<SnapshotMeta> manifest_;  // commit order
-};
-
-class MmapBackend final : public StorageBackend {
- public:
-  static constexpr std::size_t kDefaultCapacity = 256ull << 20;  // 256 MiB
-
-  explicit MmapBackend(std::string path,
-                       std::size_t capacity_bytes = kDefaultCapacity);
-  ~MmapBackend() override;
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "mmap";
-  }
-  void open() override;
-  [[nodiscard]] ReadResult read_regions(CkptId id,
-                                        const RegionSink& sink) const override;
-  [[nodiscard]] std::vector<SnapshotMeta> list() const override;
-  void drop(CkptId id) override;
-  [[nodiscard]] std::unique_ptr<WriteSession> begin_snapshot(
-      const SnapshotMeta& meta, std::vector<RegionId> regions,
-      std::vector<std::uint64_t> region_sizes) override;
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  /// Arena bytes past the bump cursor still available for payloads.
-  [[nodiscard]] std::size_t free_bytes() const noexcept;
-
- private:
-  class Session;
-  struct Arena;  // the mapped layout (header + slots + data)
-  void close_map() noexcept;
-  [[nodiscard]] Arena* arena() const;
-
-  std::string path_;
-  std::size_t capacity_;
-  void* map_ = nullptr;
-  std::size_t map_len_ = 0;
 };
 
 }  // namespace abftc::ckpt::io

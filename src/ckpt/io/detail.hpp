@@ -1,9 +1,10 @@
 #pragma once
 /// \file detail.hpp
-/// Internal helpers shared by the backends. Not part of the public
-/// ckpt::io surface — the on-disk formats embed the same 24-byte region
-/// record, and keeping it (plus the errno/fd plumbing, the full-length
-/// read/write loops and the read sinks) in one place means the layouts and
+/// Internal helpers shared by the backends and the log's compaction. Not
+/// part of the public ckpt::io surface — the log's records and its
+/// compacted segments embed the same 24-byte region record, and keeping it
+/// (plus the errno/fd plumbing, the full-length read/write loops and the
+/// read sinks) in one place means the commit and compaction paths and
 /// their EINTR handling cannot silently drift apart.
 
 #include <fcntl.h>
@@ -22,8 +23,8 @@
 
 namespace abftc::ckpt::io::detail {
 
-/// One region's record in a snapshot's on-medium table (file backend: after
-/// the header; mmap backend: at the slot's data offset).
+/// One region's record in a log record's region table (after the
+/// RecordHeader, log_format.hpp).
 struct RegionEntry {
   std::uint64_t region = 0;
   std::uint64_t bytes = 0;
@@ -101,7 +102,7 @@ inline void pread_all(int fd, void* buf, std::size_t n, std::uint64_t off,
       if (errno == EINTR) continue;
       sys_error("pread " + path);
     }
-    if (r == 0) throw io_error("truncated snapshot file: " + path);
+    if (r == 0) throw io_error("truncated segment file: " + path);
     p += r;
     off += static_cast<std::uint64_t>(r);
     n -= static_cast<std::size_t>(r);

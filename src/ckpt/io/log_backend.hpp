@@ -2,12 +2,11 @@
 /// \file log_backend.hpp
 /// LogBackend: an append-only, sharded changelog checkpoint store.
 ///
-/// Where FileBackend writes one file per snapshot and serializes every
-/// committer on a single MANIFEST rename, the log backend appends
-/// self-describing records to N shard segment files (`wal_<shard>_<gen>.log`)
-/// and needs no manifest at all: commit = append + flush + sequence
-/// advance. A snapshot id hashes to a shard, so concurrent committers on
-/// different shards never contend on an inode — this is the backend's
+/// The one persistent backend. It appends self-describing records to N
+/// shard segment files (`wal_<shard>_<gen>.log`) and needs no manifest at
+/// all: commit = append + flush + sequence advance. A snapshot id hashes to
+/// a shard, so concurrent committers on different shards never contend on
+/// an inode — this is the backend's
 /// reason to exist, and the one deliberate departure from the "backends are
 /// not thread-safe" rule in backend.hpp (concurrent_committers() is true;
 /// same-shard committers serialize on the shard lock).

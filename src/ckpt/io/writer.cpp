@@ -113,8 +113,8 @@ common::Executor& CkptWriter::executor() const {
 CkptId CkptWriter::commit(MemoryImage& image, CkptKind kind, double when,
                           CkptId entry_link,
                           const std::vector<RegionId>& regions) {
-  // Finite only: the file backend serializes `when` into its manifest, and
-  // a non-finite value would render as `null` and poison every later open.
+  // Finite only: +inf would pass the ordering check below and then refuse
+  // every later checkpoint.
   ABFTC_REQUIRE(std::isfinite(when), "checkpoint timestamp must be finite");
   ABFTC_REQUIRE(when >= last_when_,
                 "checkpoint timestamps must be non-decreasing");

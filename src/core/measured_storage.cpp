@@ -94,8 +94,6 @@ StorageResolver::StorageResolver() : impl_(std::make_shared<Impl>()) {
                              a.has_latency ? a.latency : 0.01);
   });
   add("memory", measured);
-  add("file", measured);
-  add("mmap", measured);
   add("log", measured);
 }
 
@@ -146,7 +144,7 @@ std::optional<ckpt::StorageModel> storage_model_from_args(
     const common::ArgParser& args) {
   if (!args.has("storage")) return std::nullopt;
   const std::string spec = args.get_string("storage", "");
-  ABFTC_REQUIRE(!spec.empty(), "--storage needs a spec (e.g. file:/tmp/ckpt)");
+  ABFTC_REQUIRE(!spec.empty(), "--storage needs a spec (e.g. log:/tmp/ckpt)");
   return StorageResolver::instance().resolve(spec);
 }
 

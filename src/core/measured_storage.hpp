@@ -10,11 +10,11 @@
 ///   buddy:GBps[,latency_s]    partner-node store (per-node link, Fig 10)
 ///   nvram:GBps[,latency_s]    node-local NVRAM
 ///   memory                    calibrated MemoryBackend (RAM speed)
-///   file:DIR[?direct=1]       calibrated FileBackend on DIR
-///   mmap:PATH[?mb=N]          calibrated MmapBackend arena at PATH
+///   log:DIR[?opts]            calibrated LogBackend under DIR (options as
+///                             in ckpt::io::make_backend, plus committers=N)
 ///
-/// Schemes live in a process-global registry so a new backend (io_uring,
-/// sharded manifests, ...) plugs into every driver by registering itself.
+/// Schemes live in a process-global registry so a new backend plugs into
+/// every driver by registering itself.
 
 #include <functional>
 #include <memory>

@@ -22,8 +22,8 @@ double seconds_since(Clock::time_point t0) {
 }
 
 /// Per-cell storage spec: "memory" is naturally isolated (fresh store per
-/// make_backend call); file/mmap paths get a ".cellN" suffix spliced in
-/// before any ?options tail so cells never share an arena or directory.
+/// make_backend call); log directories get a ".cellN" suffix spliced in
+/// before any ?options tail so cells never share a store.
 struct CellStorage {
   std::string spec;
   std::string path;  ///< filesystem path to clean up; empty for memory

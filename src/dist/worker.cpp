@@ -4,6 +4,8 @@
 #include <sys/prctl.h>
 #include <unistd.h>
 
+#include <algorithm>
+
 #include "abft/kernels.hpp"
 #include "common/error.hpp"
 
@@ -62,6 +64,15 @@ SharedState SharedState::attach(void* base, const DistLayout& lay) {
 
 void worker_main(void* arena, const DistLayout& lay, std::size_t rank,
                  int ready_fd, pid_t coordinator) {
+  // Hold no fd but 0-2 and the ready pipe. fork() copied the coordinator's
+  // whole table: the other ranks' ready-pipe read ends, and a store's
+  // segment fds, which would pin deleted segments (and their tmpfs pages)
+  // for as long as this rank lives. The arena is an anonymous mapping, so
+  // it needs no fd.
+  const auto keep = static_cast<unsigned>(ready_fd);
+  if (keep > 3) (void)::close_range(3, keep - 1, 0);
+  (void)::close_range(std::max(keep + 1, 3u), ~0u, 0);
+
   // Die with the coordinator. A rank idles in FUTEX_WAIT for up to its
   // hour-long recv deadline, so an orphan would otherwise outlive a killed
   // campaign by that long. The getppid() check closes the window in which

@@ -102,7 +102,8 @@ struct SharedState {
   return block_col % nranks;
 }
 
-/// Child-process entry point: arms PR_SET_PDEATHSIG so the rank dies with
+/// Child-process entry point: closes every inherited fd but 0-2 and
+/// `ready_fd`, arms PR_SET_PDEATHSIG so the rank dies with
 /// `coordinator` (the pid that forked it), pins the kernel policy to one
 /// inline thread (a forked child must never touch the parent's executor
 /// pool), signals readiness with one byte on `ready_fd`, then serves

@@ -117,8 +117,8 @@ TEST(Checksum, MaxAbsDiffReadsANonFiniteDifferenceAsInfinite) {
 
 TEST(Checksum, GroupCountValidation) {
   EXPECT_EQ(group_count(12, 3), 4u);
-  EXPECT_THROW(group_count(10, 3), common::precondition_error);
-  EXPECT_THROW(group_count(8, 0), common::precondition_error);
+  EXPECT_THROW((void)group_count(10, 3), common::precondition_error);
+  EXPECT_THROW((void)group_count(8, 0), common::precondition_error);
 }
 
 TEST(Matrix, GeneratorsHaveDocumentedProperties) {

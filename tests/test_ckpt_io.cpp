@@ -1,11 +1,11 @@
 // Tests for the checkpoint I/O subsystem: backend conformance
-// (memory/file/mmap/log through one parameterized suite, including the
-// restore straight into caller spans), the CkptWriter
-// async pipeline (bitwise-equal to the serial reference, all checkpoint
-// kinds, split restore composition across a backend reopen), integrity
-// rejection (corrupted payload, truncated file, torn snapshot), the
-// MeasuredStorage calibrator, the --storage resolver, and the chunked CRC
-// fold the writer's pipeline relies on.
+// (memory/log through one parameterized suite, including the restore
+// straight into caller spans), the CkptWriter async pipeline (bitwise-equal
+// to the serial reference, all checkpoint kinds, split restore composition
+// across a backend reopen), the log's recovery and integrity rejection
+// (corrupted payload, truncated tail, torn record), the MeasuredStorage
+// calibrator, the --storage resolver, and the chunked CRC fold the writer's
+// pipeline relies on.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -28,6 +29,7 @@
 #include "ckpt/io/calibrate.hpp"
 #include "ckpt/io/faulting.hpp"
 #include "ckpt/io/log_backend.hpp"
+#include "ckpt/io/log_format.hpp"
 #include "ckpt/io/uring.hpp"
 #include "ckpt/io/writer.hpp"
 #include "common/crc32.hpp"
@@ -116,18 +118,48 @@ struct ImageFixture {
   }
 };
 
-// --- backend conformance (same suite for memory / file / mmap) --------------
+/// The one segment of a single-shard log store.
+fs::path only_segment(const fs::path& store) {
+  fs::path wal;
+  for (const auto& entry : fs::directory_iterator(store))
+    if (entry.path().filename().string().starts_with("wal_")) {
+      EXPECT_TRUE(wal.empty()) << "more than one segment in " << store;
+      wal = entry.path();
+    }
+  EXPECT_FALSE(wal.empty()) << "no segment in " << store;
+  return wal;
+}
+
+/// XOR one byte of `file` at `pos` with `mask`.
+void flip_file_byte(const fs::path& file, std::streamoff pos, char mask) {
+  std::fstream io(file, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(io.good()) << file;
+  char b = 0;
+  io.seekg(pos);
+  io.read(&b, 1);
+  b = static_cast<char>(b ^ mask);
+  io.seekp(pos);
+  io.write(&b, 1);
+}
+
+/// Log segment layout (log_format.hpp): a 32-byte segment header, then
+/// records. A two-region record's payload starts after its 72-byte header,
+/// its region table and the table CRC + pad.
+constexpr std::streamoff kSegmentHeader = 32;
+constexpr std::streamoff kPayloadInRecord = 72 + 2 * 24 + 8;
+
+/// Store spec for a parameterized suite: "memory", or a log store in `tmp`.
+std::string backend_spec(const std::string& kind, const TempDir& tmp) {
+  if (kind == "memory") return "memory";
+  return "log:" + (tmp.path() / "store").string() + "?" + log_spec_options();
+}
+
+// --- backend conformance (same suite for memory / log) ----------------------
 
 class BackendConformance : public ::testing::TestWithParam<const char*> {
  protected:
   [[nodiscard]] std::string spec() const {
-    const std::string kind = GetParam();
-    if (kind == "memory") return "memory";
-    if (kind == "file") return "file:" + (tmp_.path() / "store").string();
-    if (kind == "log")
-      return "log:" + (tmp_.path() / "store").string() + "?" +
-             log_spec_options();
-    return "mmap:" + (tmp_.path() / "arena.ckpt").string() + "?mb=8";
+    return backend_spec(GetParam(), tmp_);
   }
   TempDir tmp_;
 };
@@ -327,163 +359,15 @@ TEST_P(BackendConformance, RestoreIntoSpansOfAnEmptyStoreGivesNothing) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Backends, BackendConformance,
-    ::testing::Values("memory", "file", "mmap", "log"),
+    Backends, BackendConformance, ::testing::Values("memory", "log"),
     [](const auto& info) { return std::string(info.param); });
-
-// --- persistence across reopen (file + mmap) --------------------------------
-
-TEST(FileBackendPersistence, SurvivesReopen) {
-  TempDir tmp;
-  const std::string spec = "file:" + (tmp.path() / "store").string();
-  {
-    const auto backend = make_backend(spec);
-    backend->write_snapshot(sample_blob(1, 5000, 2000));
-    backend->write_snapshot(sample_blob(2, 100, 900));
-  }
-  const auto reopened = make_backend(spec);
-  ASSERT_EQ(reopened->list().size(), 2u);
-  const SnapshotBlob back = reopened->read_snapshot(1);
-  EXPECT_NO_THROW(back.verify());
-  EXPECT_EQ(back.meta.bytes, 7000u);
-}
-
-TEST(MmapBackendPersistence, SurvivesReopenAndReclaimsWhenEmpty) {
-  TempDir tmp;
-  const std::string spec =
-      "mmap:" + (tmp.path() / "arena.ckpt").string() + "?mb=8";
-  {
-    const auto backend = make_backend(spec);
-    backend->write_snapshot(sample_blob(1, 5000, 2000));
-  }
-  const auto reopened = make_backend(spec);
-  ASSERT_EQ(reopened->list().size(), 1u);
-  EXPECT_NO_THROW(reopened->read_snapshot(1).verify());
-
-  auto* arena = dynamic_cast<MmapBackend*>(reopened.get());
-  ASSERT_NE(arena, nullptr);
-  const std::size_t free_before = arena->free_bytes();
-  reopened->drop(1);
-  EXPECT_GT(arena->free_bytes(), free_before);  // cursor rewound when empty
-}
-
-TEST(MmapBackend, DropOfNewestRewindsCursorDespiteHistory) {
-  // Write/restore/drop cycles (the calibrator, rotating protection points)
-  // must not leak arena space even when older snapshots stay live.
-  TempDir tmp;
-  const auto backend =
-      make_backend("mmap:" + (tmp.path() / "arena.ckpt").string() + "?mb=8");
-  backend->write_snapshot(sample_blob(1, 4000, 1000));  // long-lived history
-  auto* arena = dynamic_cast<MmapBackend*>(backend.get());
-  ASSERT_NE(arena, nullptr);
-  const std::size_t free_baseline = arena->free_bytes();
-  for (CkptId id = 2; id < 40; ++id) {
-    backend->write_snapshot(sample_blob(id, 50000, 10000));
-    backend->drop(id);
-    ASSERT_EQ(arena->free_bytes(), free_baseline) << "cycle " << id;
-  }
-  EXPECT_NO_THROW(backend->read_snapshot(1).verify());
-}
-
-TEST(MmapBackend, ReclaimsTornReservationOnReopen) {
-  TempDir tmp;
-  const fs::path arena = tmp.path() / "arena.ckpt";
-  const std::string spec = "mmap:" + arena.string() + "?mb=8";
-  std::size_t free_after_commit = 0;
-  {
-    const auto backend = make_backend(spec);
-    backend->write_snapshot(sample_blob(1, 1000, 500));
-    free_after_commit =
-        dynamic_cast<MmapBackend*>(backend.get())->free_bytes();
-  }
-  {
-    // Simulate a crash mid-session: a reserved-but-uncommitted slot and an
-    // advanced bump cursor reach the file (MAP_SHARED) without a commit.
-    std::fstream io(arena, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(io.good());
-    const std::uint32_t one = 1;
-    io.seekp(40 + 64);  // slot 1's `used` flag (header is 40 B, slots 64 B)
-    io.write(reinterpret_cast<const char*>(&one), 4);
-    std::uint64_t cursor = 0;
-    io.seekg(24);  // header.data_cursor
-    io.read(reinterpret_cast<char*>(&cursor), 8);
-    cursor += 1 << 20;
-    io.seekp(24);
-    io.write(reinterpret_cast<const char*>(&cursor), 8);
-  }
-  const auto backend = make_backend(spec);
-  ASSERT_EQ(backend->list().size(), 1u);  // the committed snapshot survives
-  EXPECT_EQ(dynamic_cast<MmapBackend*>(backend.get())->free_bytes(),
-            free_after_commit);  // the torn reservation was reclaimed
-  EXPECT_NO_THROW(backend->write_snapshot(sample_blob(2, 100, 100)));
-}
-
-TEST(MmapBackend, ReclaimsCommittedSlotWithTornGeometryOnReopen) {
-  // A SIGKILLed committer can leave a slot whose `committed` flag reached
-  // the file while the rest of the record did not (the flag is stored last,
-  // but page writeback order is not guaranteed across a crash). Such a slot
-  // is flagged live yet describes no snapshot inside the arena — open()
-  // must treat it as torn, not serve it.
-  TempDir tmp;
-  const fs::path arena = tmp.path() / "arena.ckpt";
-  const std::string spec = "mmap:" + arena.string() + "?mb=8";
-  std::size_t free_after_commit = 0;
-  {
-    const auto backend = make_backend(spec);
-    backend->write_snapshot(sample_blob(1, 1000, 500));
-    free_after_commit =
-        dynamic_cast<MmapBackend*>(backend.get())->free_bytes();
-  }
-  {
-    // Fabricate slot 1 by hand: used = committed = 1, id = 77, but with an
-    // offset outside the arena and seq = 0 (never issued). Header is 40 B,
-    // slots are 64 B: {used u32, committed u32, id u64, kind u32,
-    // region_count u32, when f64, entry_link u64, bytes u64, offset u64,
-    // seq u64}.
-    std::fstream io(arena, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(io.good());
-    const std::uint64_t slot1 = 40 + 64;
-    const std::uint32_t one = 1;
-    io.seekp(static_cast<std::streamoff>(slot1));
-    io.write(reinterpret_cast<const char*>(&one), 4);  // used
-    io.write(reinterpret_cast<const char*>(&one), 4);  // committed
-    const std::uint64_t id = 77;
-    io.write(reinterpret_cast<const char*>(&id), 8);
-    const std::uint64_t garbage_offset = 1ull << 40;  // far past capacity
-    io.seekp(static_cast<std::streamoff>(slot1 + 48));
-    io.write(reinterpret_cast<const char*>(&garbage_offset), 8);
-  }
-  const auto backend = make_backend(spec);
-  ASSERT_EQ(backend->list().size(), 1u);  // only the real snapshot is live
-  EXPECT_EQ(backend->list()[0].id, 1u);
-  EXPECT_THROW((void)backend->read_snapshot(77), io_error);
-  EXPECT_EQ(dynamic_cast<MmapBackend*>(backend.get())->free_bytes(),
-            free_after_commit);  // the phantom slot holds no arena bytes
-  EXPECT_NO_THROW(backend->write_snapshot(sample_blob(2, 100, 100)));
-}
-
-TEST(MmapBackend, ReportsArenaExhaustion) {
-  TempDir tmp;
-  const auto backend =
-      make_backend("mmap:" + (tmp.path() / "tiny.ckpt").string() + "?mb=1");
-  // ~1 MiB arena minus header: a 2 MiB snapshot cannot fit.
-  SnapshotBlob blob = sample_blob(1, 1 << 21, 1024);
-  EXPECT_THROW(backend->write_snapshot(blob), io_error);
-  EXPECT_TRUE(backend->list().empty());
-}
 
 // --- CkptWriter: pipeline correctness & taxonomy ----------------------------
 
 class WriterRoundTrip : public ::testing::TestWithParam<const char*> {
  protected:
   [[nodiscard]] std::string spec() const {
-    const std::string kind = GetParam();
-    if (kind == "memory") return "memory";
-    if (kind == "file") return "file:" + (tmp_.path() / "store").string();
-    if (kind == "log")
-      return "log:" + (tmp_.path() / "store").string() + "?" +
-             log_spec_options();
-    return "mmap:" + (tmp_.path() / "arena.ckpt").string() + "?mb=16";
+    return backend_spec(GetParam(), tmp_);
   }
   TempDir tmp_;
 };
@@ -597,8 +481,7 @@ TEST_P(WriterRoundTrip, InlineAndPooledHashingMatchTheSerialReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Backends, WriterRoundTrip,
-    ::testing::Values("memory", "file", "mmap", "log"),
+    Backends, WriterRoundTrip, ::testing::Values("memory", "log"),
     [](const auto& info) { return std::string(info.param); });
 
 // A backend whose sessions fail on their second append and store nothing.
@@ -796,10 +679,11 @@ TEST(CkptWriter, CompactDropsObsoleteSnapshots) {
 }
 
 TEST(CkptWriter, SplitSurvivesBackendReopen) {
-  // Entry+Exit written through one FileBackend instance, restored through a
+  // Entry+Exit written through one LogBackend instance, restored through a
   // fresh one — the composition works from persistent state alone.
   TempDir tmp;
-  const std::string spec = "file:" + (tmp.path() / "store").string();
+  const std::string spec =
+      "log:" + (tmp.path() / "store").string() + "?" + log_spec_options();
   ImageFixture f;
   std::vector<std::byte> lib_at_exit, rem_at_entry;
   {
@@ -827,142 +711,57 @@ TEST(CkptWriter, SplitSurvivesBackendReopen) {
 
 // --- integrity rejection ----------------------------------------------------
 
-/// Flip one payload byte of the snapshot file on disk.
-void corrupt_snapshot_file(const fs::path& store, CkptId id) {
-  const fs::path file = store / ("snap_" + std::to_string(id) + ".ckpt");
-  ASSERT_TRUE(fs::exists(file));
-  std::fstream io(file, std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(io.good());
-  io.seekp(-1, std::ios::end);  // last payload byte
-  const auto pos = io.tellp();
-  io.seekg(pos);
-  char b = 0;
-  io.read(&b, 1);
-  b = static_cast<char>(b ^ 0x01);
-  io.seekp(pos);
-  io.write(&b, 1);
-}
-
 TEST(LatestRestorable, SkipsCorruptNewestAndFallsBack) {
   TempDir tmp;
   const fs::path store = tmp.path() / "store";
-  const std::string spec = "file:" + store.string();
-  {
-    const auto backend = make_backend(spec);
-    EXPECT_FALSE(latest_restorable(*backend).has_value());  // empty store
-    backend->write_snapshot(sample_blob(1, 4000, 1000));
-    backend->write_snapshot(sample_blob(2, 4000, 1000));
-    const auto best = latest_restorable(*backend);
-    ASSERT_TRUE(best.has_value());
-    EXPECT_EQ(best->meta.id, 2u);  // newest wins while it verifies
-  }
-  corrupt_snapshot_file(store, 2);
-  const auto backend = make_backend(spec);
-  const auto best = latest_restorable(*backend);
+  const auto backend = make_backend("log:" + store.string() + "?shards=1");
+  EXPECT_FALSE(latest_restorable(*backend).has_value());  // empty store
+  backend->write_snapshot(sample_blob(1, 4000, 1000));
+  const auto second_at =
+      static_cast<std::streamoff>(fs::file_size(only_segment(store)));
+  backend->write_snapshot(sample_blob(2, 4000, 1000));
+  auto best = latest_restorable(*backend);
   ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(best->meta.id, 1u);  // falls back past the corrupt newest
+  EXPECT_EQ(best->meta.id, 2u);  // newest wins while it verifies
+
+  // Corrupt the newest payload under the open store: it stays listed, and
+  // the walk falls back past it.
+  flip_file_byte(only_segment(store), second_at + kPayloadInRecord + 100,
+                 0x01);
+  ASSERT_EQ(backend->list().size(), 2u);
+  best = latest_restorable(*backend);
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(best->meta.id, 1u);
   EXPECT_NO_THROW(best->verify());
 }
 
-TEST(FileBackendIntegrity, CorruptedPayloadFailsRestore) {
+TEST(LogBackendIntegrity, CorruptedPayloadFailsRestore) {
+  // A Full + Incremental chain whose Full (mid-file, so kept as committed)
+  // carries a flipped payload byte: the restore throws, and verify-then-
+  // apply leaves every byte of the image as it was.
   TempDir tmp;
   const fs::path store = tmp.path() / "store";
-  const std::string spec = "file:" + store.string();
+  const std::string spec = "log:" + store.string() + "?shards=1";
   ImageFixture f;
   {
     const auto backend = make_backend(spec);
     CkptWriter writer(*backend);
     writer.take_full(f.image, 1.0);
+    f.image.mark_dirty(1);
+    writer.take_incremental(f.image, 2.0);
   }
-  corrupt_snapshot_file(store, 1);
+  flip_file_byte(only_segment(store),
+                 kSegmentHeader + kPayloadInRecord + 100, 0x01);
 
   const auto backend = make_backend(spec);
+  ASSERT_EQ(backend->list().size(), 2u);
   CkptWriter writer(*backend);
-  const auto lib_before = f.lib;
+  std::fill(f.lib.begin(), f.lib.end(), std::byte{0x3C});
+  std::fill(f.rem.begin(), f.rem.end(), std::byte{0x3C});
+  const auto lib_before = f.lib, rem_before = f.rem;
   EXPECT_THROW(writer.restore_latest(f.image), io_error);
-  // Verify-then-apply: the image was not half-restored.
   EXPECT_EQ(f.lib, lib_before);
-}
-
-TEST(FileBackendIntegrity, TruncatedFileIsRejected) {
-  TempDir tmp;
-  const fs::path store = tmp.path() / "store";
-  const std::string spec = "file:" + store.string();
-  ImageFixture f;
-  {
-    const auto backend = make_backend(spec);
-    CkptWriter writer(*backend);
-    writer.take_full(f.image, 1.0);
-  }
-  const fs::path file = store / "snap_1.ckpt";
-  fs::resize_file(file, fs::file_size(file) - 1000);
-
-  const auto backend = make_backend(spec);
-  EXPECT_THROW((void)backend->read_snapshot(1), io_error);
-  CkptWriter writer(*backend);
-  EXPECT_THROW(writer.restore_latest(f.image), io_error);
-}
-
-TEST(FileBackendIntegrity, TornSnapshotIsRejected) {
-  TempDir tmp;
-  const fs::path store = tmp.path() / "store";
-  const std::string spec = "file:" + store.string();
-  {
-    const auto backend = make_backend(spec);
-    backend->write_snapshot(sample_blob(1, 4000, 1000));
-  }
-  // Recreate the exact state a crash between the payload write and the
-  // commit record leaves behind: committed = 0 (offset 12) with a *valid*
-  // header CRC (the phase-1 header is written with its own CRC), so the
-  // torn check — not the header-corruption check — must fire.
-  std::fstream io(store / "snap_1.ckpt",
-                  std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(io.good());
-  std::array<char, 72> header{};
-  io.read(header.data(), header.size());
-  std::memset(header.data() + 12, 0, 4);  // committed = 0
-  const std::uint32_t crc = common::crc32(
-      std::span(reinterpret_cast<const std::byte*>(header.data()), 64));
-  std::memcpy(header.data() + 64, &crc, 4);  // header_crc over bytes [0,64)
-  io.seekp(0);
-  io.write(header.data(), header.size());
-  io.close();
-
-  const auto backend = make_backend(spec);
-  try {
-    (void)backend->read_snapshot(1);
-    FAIL() << "torn snapshot was accepted";
-  } catch (const io_error& e) {
-    EXPECT_NE(std::string(e.what()).find("torn"), std::string::npos)
-        << "wrong rejection path: " << e.what();
-  }
-}
-
-TEST(MmapBackendIntegrity, CorruptedArenaPayloadFailsRestore) {
-  TempDir tmp;
-  const fs::path arena = tmp.path() / "arena.ckpt";
-  const std::string spec = "mmap:" + arena.string() + "?mb=8";
-  ImageFixture f;
-  {
-    const auto backend = make_backend(spec);
-    CkptWriter writer(*backend);
-    writer.take_full(f.image, 1.0);
-  }
-  {
-    // Flip a byte in the data area (past header + slot table).
-    std::fstream io(arena, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(io.good());
-    io.seekp(64 * 1024);
-    char b = 0;
-    io.seekg(64 * 1024);
-    io.read(&b, 1);
-    b = static_cast<char>(b ^ 0x80);
-    io.seekp(64 * 1024);
-    io.write(&b, 1);
-  }
-  const auto backend = make_backend(spec);
-  CkptWriter writer(*backend);
-  EXPECT_THROW(writer.restore_latest(f.image), io_error);
+  EXPECT_EQ(f.rem, rem_before);
 }
 
 // --- log backend ------------------------------------------------------------
@@ -1016,10 +815,7 @@ TEST(LogBackendRecovery, TruncatesExactlyTheTornSuffix) {
     const auto backend = make_backend(spec);
     backend->write_snapshot(sample_blob(1, 4000, 1000));
     backend->write_snapshot(sample_blob(2, 2000, 500));
-    for (const auto& entry : fs::directory_iterator(store))
-      if (entry.path().filename().string().starts_with("wal_"))
-        wal = entry.path();
-    ASSERT_FALSE(wal.empty());
+    wal = only_segment(store);
     committed_bytes = fs::file_size(wal);
   }
   // A crashed committer's half-written record: framing never completes.
@@ -1032,8 +828,71 @@ TEST(LogBackendRecovery, TruncatesExactlyTheTornSuffix) {
   ASSERT_EQ(reopened->list().size(), 2u);
   EXPECT_NO_THROW(reopened->read_snapshot(1).verify());
   EXPECT_NO_THROW(reopened->read_snapshot(2).verify());
-  // The suffix — and only the suffix — was cut back.
+  // The suffix — and only the suffix — was cut back, and the reclaimed
+  // space takes the next commit.
   EXPECT_EQ(fs::file_size(wal), committed_bytes);
+  reopened->write_snapshot(sample_blob(3, 100, 100));
+  EXPECT_EQ(make_backend(spec)->list().size(), 3u);
+}
+
+TEST(LogBackendRecovery, TailHeaderClaimingBytesPastTheSegmentIsTorn) {
+  // A crash can leave a tail header that reached the medium intact (its
+  // own CRC holds) while its region table and payload did not. Its lengths
+  // describe bytes the segment does not have: recovery must cut it, not
+  // serve it, and keep the store writable.
+  TempDir tmp;
+  const fs::path store = tmp.path() / "store";
+  const std::string spec = "log:" + store.string() + "?shards=1";
+  std::uintmax_t committed_bytes = 0;
+  {
+    const auto backend = make_backend(spec);
+    backend->write_snapshot(sample_blob(1, 1000, 500));
+    committed_bytes = fs::file_size(only_segment(store));
+  }
+  {
+    logf::RecordHeader h;
+    h.id = 77;
+    h.region_count = 1;
+    h.payload_bytes = 1ull << 40;  // far past the segment's end
+    h.seq = 2;
+    h.header_crc = common::crc32(std::span(
+        reinterpret_cast<const std::byte*>(&h),
+        offsetof(logf::RecordHeader, header_crc)));
+    std::ofstream io(only_segment(store), std::ios::binary | std::ios::app);
+    io.write(reinterpret_cast<const char*>(&h), sizeof(h));
+  }
+  const auto backend = make_backend(spec);
+  ASSERT_EQ(backend->list().size(), 1u);
+  EXPECT_EQ(backend->list()[0].id, 1u);
+  EXPECT_THROW((void)backend->read_snapshot(77), io_error);
+  EXPECT_EQ(fs::file_size(only_segment(store)), committed_bytes);
+  EXPECT_NO_THROW(backend->write_snapshot(sample_blob(2, 100, 100)));
+}
+
+TEST(LogBackendRecovery, TruncatedTailRecordIsRejectedThenCut) {
+  TempDir tmp;
+  const fs::path store = tmp.path() / "store";
+  const std::string spec = "log:" + store.string() + "?shards=1";
+  const auto backend = make_backend(spec);
+  backend->write_snapshot(sample_blob(1, 4000, 1000));
+  const fs::path wal = only_segment(store);
+  const std::uintmax_t after_first = fs::file_size(wal);
+  backend->write_snapshot(sample_blob(2, 4000, 1000));
+  fs::resize_file(wal, fs::file_size(wal) - 1000);
+
+  // Under the open store the cut record fails its read, and the restore
+  // walks past it.
+  EXPECT_THROW((void)backend->read_snapshot(2), io_error);
+  const auto best = latest_restorable(*backend);
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(best->meta.id, 1u);
+
+  // A reopen discards the truncated tail record as torn.
+  const auto reopened = make_backend(spec);
+  ASSERT_EQ(reopened->list().size(), 1u);
+  EXPECT_THROW((void)reopened->read_snapshot(2), io_error);
+  EXPECT_NO_THROW(reopened->read_snapshot(1).verify());
+  EXPECT_EQ(fs::file_size(wal), after_first);
 }
 
 TEST(LogBackendRecovery, CorruptTailRecordIsDiscardedAsTorn) {
@@ -1045,26 +904,15 @@ TEST(LogBackendRecovery, CorruptTailRecordIsDiscardedAsTorn) {
   {
     const auto backend = make_backend(spec);
     backend->write_snapshot(sample_blob(1, 4000, 1000));
-    for (const auto& entry : fs::directory_iterator(store))
-      if (entry.path().filename().string().starts_with("wal_"))
-        wal = entry.path();
-    ASSERT_FALSE(wal.empty());
+    wal = only_segment(store);
     after_first = fs::file_size(wal);
     backend->write_snapshot(sample_blob(2, 2000, 500));
   }
   // Flip one payload byte of the *tail* record: its commit was never
   // acknowledged as far as recovery can tell, so it is torn, not corrupt.
-  {
-    std::fstream io(wal, std::ios::in | std::ios::out | std::ios::binary);
-    const auto pos =
-        static_cast<std::streamoff>(after_first) + 72 + 2 * 24 + 8 + 100;
-    char b = 0;
-    io.seekg(pos);
-    io.read(&b, 1);
-    b = static_cast<char>(b ^ 0x40);
-    io.seekp(pos);
-    io.write(&b, 1);
-  }
+  flip_file_byte(
+      wal, static_cast<std::streamoff>(after_first) + kPayloadInRecord + 100,
+      0x40);
   const auto reopened = make_backend(spec);
   ASSERT_EQ(reopened->list().size(), 1u);
   EXPECT_EQ(reopened->list()[0].id, 1u);
@@ -1076,27 +924,15 @@ TEST(LogBackendRecovery, MidFileCorruptionKeptButRejectedAtVerify) {
   TempDir tmp;
   const fs::path store = tmp.path() / "store";
   const std::string spec = "log:" + store.string() + "?shards=1";
-  fs::path wal;
   {
     const auto backend = make_backend(spec);
     backend->write_snapshot(sample_blob(1, 4000, 1000));
     backend->write_snapshot(sample_blob(2, 2000, 500));
-    for (const auto& entry : fs::directory_iterator(store))
-      if (entry.path().filename().string().starts_with("wal_"))
-        wal = entry.path();
   }
   // Flip a payload byte of the *first* record: mid-file, so its commit was
   // acknowledged — recovery keeps it and verify() rejects it.
-  {
-    std::fstream io(wal, std::ios::in | std::ios::out | std::ios::binary);
-    const std::streamoff pos = 32 + 72 + 2 * 24 + 8 + 100;
-    char b = 0;
-    io.seekg(pos);
-    io.read(&b, 1);
-    b = static_cast<char>(b ^ 0x01);
-    io.seekp(pos);
-    io.write(&b, 1);
-  }
+  flip_file_byte(only_segment(store), kSegmentHeader + kPayloadInRecord + 100,
+                 0x01);
   const auto reopened = make_backend(spec);
   ASSERT_EQ(reopened->list().size(), 2u);
   EXPECT_THROW(reopened->read_snapshot(1).verify(), io_error);
@@ -1462,19 +1298,40 @@ TEST(StorageResolver, RejectsMalformedSpecs) {
                common::precondition_error);
   EXPECT_THROW((void)resolver.resolve("pfs:1.5garbage"),
                common::precondition_error);
-  EXPECT_THROW((void)make_backend("mmap:/tmp/x?mb=abc"),
+  EXPECT_THROW((void)make_backend("log:/tmp/x?shards=abc"),
                common::precondition_error);
-  EXPECT_THROW((void)make_backend("mmap:/tmp/x?mb=4x"),
+  EXPECT_THROW((void)make_backend("log:/tmp/x?shards=4x"),
                common::precondition_error);
-  EXPECT_THROW((void)make_backend("file:"), common::precondition_error);
+  EXPECT_THROW((void)make_backend("log:"), common::precondition_error);
+  // The one-file-per-snapshot and mmap-arena stores are gone: their specs
+  // are unknown schemes, and the message names the ones that remain.
+  TempDir tmp;
+  for (const std::string scheme : {"file", "mmap"}) {
+    const std::string spec = scheme + ":" + (tmp.path() / "x").string();
+    for (const bool resolve : {false, true}) {
+      try {
+        if (resolve)
+          (void)resolver.resolve(spec);
+        else
+          (void)make_backend(spec);
+        ADD_FAILURE() << spec << " was accepted";
+      } catch (const common::precondition_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("unknown storage"), std::string::npos) << what;
+        EXPECT_NE(what.find("log"), std::string::npos) << what;
+        EXPECT_NE(what.find("memory"), std::string::npos) << what;
+      }
+    }
+  }
+  EXPECT_TRUE(fs::is_empty(tmp.path()));  // nothing was created
 }
 
 TEST(StorageResolver, CalibratesMeasuredBackends) {
   TempDir tmp;
   auto& resolver = core::StorageResolver::instance();
   const auto model =
-      resolver.resolve("file:" + (tmp.path() / "store").string());
-  EXPECT_EQ(model.name, "measured:file");
+      resolver.resolve("log:" + (tmp.path() / "store").string());
+  EXPECT_EQ(model.name, "measured:log");
   EXPECT_GT(model.node_bandwidth, 0.0);
   // A measured local device is per-node storage: constant write time per
   // node count — the Fig 10 scalable regime.

@@ -4,7 +4,7 @@
 // forked Launcher end to end — clean runs vs the serial AbftLu reference,
 // SIGKILL + respawn + restore replay determinism, bit-flip reconstruction,
 // torn-checkpoint fallback, death/hang detection latency, orphaned ranks,
-// and a mini campaign in which every cell recovers.
+// the fds a rank keeps, and a mini campaign in which every cell recovers.
 
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -22,6 +22,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -921,6 +922,64 @@ TEST(DistLauncher, RankKilledBetweenRunsIsReplacedBeforeTheNextRun) {
   const std::vector<pid_t> now = ranks_of(before);
   EXPECT_EQ(now.size(), cfg.ranks);
   EXPECT_EQ(std::count(now.begin(), now.end(), victim), 0);
+}
+
+/// What each fd ≥ 3 of `pid` links to ("pipe:[N]", a path, ...).
+std::vector<std::string> fd_targets(pid_t pid) {
+  std::vector<std::string> out;
+  std::error_code ec;
+  const std::string dir = "/proc/" + std::to_string(pid) + "/fd";
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    if (std::stoi(entry.path().filename().string()) < 3) continue;
+    std::error_code link_ec;
+    const auto target = std::filesystem::read_symlink(entry.path(), link_ec);
+    if (!link_ec) out.push_back(target.string());
+  }
+  return out;
+}
+
+TEST(DistLauncher, RanksHoldNoFdOfTheCoordinator) {
+  // Three kill cells on one warm launcher, each committing to its own log
+  // store that is removed after the cell. Every replacement rank is forked
+  // while the coordinator holds that cell's segment fds and the other
+  // ranks' ready-pipe read ends; it must keep neither.
+  const DistConfig cfg = small_config();
+  const std::filesystem::path base =
+      std::filesystem::path(::testing::TempDir()) / "abftc_dist_rank_fds";
+  std::filesystem::remove_all(base);
+  const std::vector<pid_t> before = children_of(::getpid());
+  const auto unused = ckpt::io::make_backend("memory");
+  Launcher launcher(cfg, *unused);
+  for (std::size_t cell = 0; cell < 3; ++cell) {
+    const std::filesystem::path store = base / ("cell" + std::to_string(cell));
+    {
+      const auto backend =
+          ckpt::io::make_backend("log:" + store.string() + "?shards=2");
+      const RunReport report = launcher.run(
+          cfg, *backend, {{FaultKind::Kill, 3, cell % cfg.ranks}});
+      EXPECT_TRUE(report.completed) << "cell " << cell;
+      EXPECT_EQ(report.respawns, 1u) << "cell " << cell;
+    }
+    std::filesystem::remove_all(store);
+  }
+  std::filesystem::remove_all(base);
+
+  const std::vector<pid_t> ranks = ranks_of(before);
+  ASSERT_EQ(ranks.size(), cfg.ranks);
+  std::map<std::string, pid_t> pipe_holder;
+  for (const pid_t rank : ranks) {
+    for (const std::string& target : fd_targets(rank)) {
+      EXPECT_EQ(target.find("(deleted)"), std::string::npos)
+          << "rank " << rank << " holds " << target;
+      if (!target.starts_with("pipe:")) continue;
+      // Each ready pipe belongs to one rank: a second holder has another
+      // rank's read end.
+      const auto [it, fresh] = pipe_holder.emplace(target, rank);
+      EXPECT_TRUE(fresh) << "ranks " << it->second << " and " << rank
+                         << " both hold " << target;
+    }
+  }
+  EXPECT_EQ(launcher.forks(), cfg.ranks + 3);
 }
 
 /// Pids both lists hold.

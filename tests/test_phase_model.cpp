@@ -43,7 +43,7 @@ TEST(PeriodicPhase, DivergesWhenLossExceedsMtbf) {
 }
 
 TEST(PeriodicPhase, RejectsPeriodBelowCheckpoint) {
-  EXPECT_THROW(periodic_phase(100, 50, 60, 0, 0, 1000),
+  EXPECT_THROW((void)periodic_phase(100, 50, 60, 0, 0, 1000),
                common::precondition_error);
 }
 

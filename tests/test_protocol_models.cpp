@@ -194,13 +194,13 @@ TEST(AllModels, ToStringNames) {
 TEST(AllModels, ValidationRejectsNonsense) {
   ScenarioParams s = figure7_scenario(hours(2), 0.5);
   s.abft.phi = 0.5;
-  EXPECT_THROW(evaluate_composite(s), common::precondition_error);
+  EXPECT_THROW((void)evaluate_composite(s), common::precondition_error);
   s = figure7_scenario(hours(2), 0.5);
   s.epoch.alpha = 1.5;
-  EXPECT_THROW(evaluate_pure(s), common::precondition_error);
+  EXPECT_THROW((void)evaluate_pure(s), common::precondition_error);
   s = figure7_scenario(hours(2), 0.5);
   s.platform.mtbf = -1;
-  EXPECT_THROW(evaluate_bi(s), common::precondition_error);
+  EXPECT_THROW((void)evaluate_bi(s), common::precondition_error);
 }
 
 }  // namespace

@@ -17,7 +17,7 @@ TEST(ScaleFactor, Laws) {
   EXPECT_DOUBLE_EQ(scale_factor(ScalingLaw::Constant, 100.0), 1.0);
   EXPECT_DOUBLE_EQ(scale_factor(ScalingLaw::Sqrt, 100.0), 10.0);
   EXPECT_DOUBLE_EQ(scale_factor(ScalingLaw::Linear, 100.0), 100.0);
-  EXPECT_THROW(scale_factor(ScalingLaw::Sqrt, 0.0),
+  EXPECT_THROW((void)scale_factor(ScalingLaw::Sqrt, 0.0),
                common::precondition_error);
 }
 
@@ -134,12 +134,12 @@ TEST(StorageModels, Validation) {
 TEST(Scaling, ConfigValidation) {
   auto cfg = figure8_config();
   cfg.epochs = 0;
-  EXPECT_THROW(scenario_at(cfg, 1e4), common::precondition_error);
+  EXPECT_THROW((void)scenario_at(cfg, 1e4), common::precondition_error);
   cfg = figure8_config();
   cfg.base_library = cfg.base_general = 0.0;
-  EXPECT_THROW(scenario_at(cfg, 1e4), common::precondition_error);
+  EXPECT_THROW((void)scenario_at(cfg, 1e4), common::precondition_error);
   cfg = figure8_config();
-  EXPECT_THROW(scenario_at(cfg, -5), common::precondition_error);
+  EXPECT_THROW((void)scenario_at(cfg, -5), common::precondition_error);
 }
 
 }  // namespace

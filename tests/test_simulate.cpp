@@ -66,8 +66,9 @@ TEST(Plan, MirrorsModelDecisions) {
         const auto m = evaluate(p, s);
         const auto plan = make_plan(p, s);
         EXPECT_EQ(plan.abft_active, m.abft_active);
-        if (plan.general_periodic)
+        if (plan.general_periodic) {
           EXPECT_DOUBLE_EQ(plan.period_general, m.period_general);
+        }
       }
     }
 }
