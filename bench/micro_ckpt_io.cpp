@@ -16,11 +16,16 @@
 ///
 /// A second scenario measures the *commit storm*: per (backend, committer
 /// count) a fresh store takes `committers` concurrent writer threads, each
-/// committing several fixed-size snapshots; the `committer_scaling` block
-/// reports aggregate commit throughput per cell. Backends that don't
-/// support concurrent committers (memory) are serialized on a mutex. CI
-/// gates the log backend's sharding on its own curve: log at 4 committers
-/// ≥ 2× log at 1 committer, from the same run.
+/// committing 8 fixed-size snapshots; the `committer_scaling` block reports
+/// aggregate commit throughput per cell. Backends that don't support
+/// concurrent committers (memory) are serialized on a mutex. Beside the
+/// backends runs a `medium` cell: the same threads pwrite + fdatasync the
+/// same bytes into one private file each in the same directory — what the
+/// filesystem gives concurrent writers with no store in the way. Every rep
+/// runs every cell, odd reps in reverse order, so a store and its medium
+/// share the box's state and neither always runs first. CI gates the log
+/// backend's sharding against that baseline: log at 4 committers ≥ 0.75×
+/// medium at 4 committers, from the same run.
 ///
 /// A third scenario takes one snapshot shaped like the dist runtime's at
 /// n=192 (16 B progress + 288 KiB matrix + 2 × 192 KiB accumulators) per
@@ -31,10 +36,14 @@
 /// log backend's seal ≤ 0.25× its appends and its in-place restore ≤ 0.75×
 /// the blob restore.
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -46,6 +55,7 @@
 
 #include "ckpt/image.hpp"
 #include "ckpt/io/backend.hpp"
+#include "ckpt/io/detail.hpp"
 #include "ckpt/io/writer.hpp"
 #include "common/cli.hpp"
 #include "common/crc32.hpp"
@@ -80,67 +90,95 @@ std::string backend_spec(const std::string& kind, const std::string& dir) {
 }
 
 struct ScalingRow {
-  std::string backend;
+  std::string backend;  ///< a backend kind, or "medium"
   int committers = 0;
-  double wall_s = 0.0;        ///< best-of-reps round wall time
-  double commit_MBps = 0.0;   ///< aggregate across all committers
+  double wall_s = std::numeric_limits<double>::infinity();  ///< best round
+  double commit_MBps = 0.0;  ///< aggregate across all committers
 };
 
-/// One commit-storm cell: `committers` threads, each committing `per_thread`
-/// snapshots of `bytes` against a fresh store: each rep gets its own store
-/// directory, removed afterwards.
-ScalingRow committer_cell(const std::string& kind, const std::string& dir,
-                          int committers, int per_thread, std::size_t bytes,
-                          int reps, std::span<const std::byte> payload) {
-  ScalingRow row;
-  row.backend = kind;
-  row.committers = committers;
-  row.wall_s = std::numeric_limits<double>::infinity();
+/// Commits each storm thread makes per round.
+constexpr int kStormPerThread = 8;
 
-  ckpt::io::SnapshotBlob proto;
-  proto.meta.kind = ckpt::CkptKind::Full;
-  proto.meta.bytes = bytes;
-  ckpt::io::RegionBlob region;
-  region.region = 1;
-  region.crc = common::crc32(payload.subspan(0, bytes));
-  region.payload.assign(payload.begin(), payload.begin() + bytes);
-  proto.regions.push_back(std::move(region));
+/// Run fn(t) for t in [0, n) on n threads at once. Returns the wall time
+/// from the first spawn to the last join; rethrows the first exception a
+/// thread threw, after every thread joined.
+template <typename F>
+double timed_threads(int n, F fn) {
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  std::mutex m;
+  std::exception_ptr error;
+  const auto t0 = Clock::now();
+  for (int t = 0; t < n; ++t) {
+    threads.emplace_back([&, t] {
+      try {
+        fn(t);
+      } catch (...) {
+        std::lock_guard lock(m);
+        if (!error) error = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const double wall = seconds_since(t0);
+  if (error) std::rethrow_exception(error);
+  return wall;
+}
 
-  const std::string store = dir + "/cscale_" + kind;
-  const std::size_t total = bytes * committers * per_thread;
-  for (int rep = 0; rep < reps; ++rep) {
-    fs::remove_all(store);
-    fs::create_directories(store);
+/// One commit-storm round: `committers` threads, each committing
+/// kStormPerThread snapshots of `payload` against a fresh store in `store`
+/// (removed afterwards). Kind "medium" has no store: each thread pwrites and
+/// fdatasyncs the same bytes into a private file. Returns the wall time.
+double storm_round(const std::string& kind, const std::string& store,
+                   int committers, std::span<const std::byte> payload) {
+  namespace detail = ckpt::io::detail;
+  fs::remove_all(store);
+  fs::create_directories(store);
+  double wall = 0.0;
+  if (kind == "medium") {
+    wall = timed_threads(committers, [&](int t) {
+      const std::string path = store + "/medium_" + std::to_string(t);
+      const detail::FdGuard fd{
+          ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644)};
+      if (fd.fd < 0) detail::sys_error("create " + path);
+      for (int c = 0; c < kStormPerThread; ++c) {
+        detail::pwrite_all(fd.fd, payload.data(), payload.size(),
+                           c * payload.size(), "medium");
+        if (::fdatasync(fd.fd) != 0) detail::sys_error("fdatasync " + path);
+      }
+    });
+  } else {
+    ckpt::io::SnapshotBlob proto;
+    proto.meta.kind = ckpt::CkptKind::Full;
+    proto.meta.bytes = payload.size();
+    ckpt::io::RegionBlob region;
+    region.region = 1;
+    region.crc = common::crc32(payload);
+    region.payload.assign(payload.begin(), payload.end());
+    proto.regions.push_back(std::move(region));
+
+    // One blob per thread, copied before the clock starts: the round times
+    // commits, not a 4 MB memcpy per thread.
+    std::vector<ckpt::io::SnapshotBlob> blobs(committers, proto);
     auto backend = ckpt::io::make_backend(backend_spec(kind, store));
     const bool concurrent = backend->concurrent_committers();
     std::mutex serial;
-    std::vector<std::thread> threads;
-    threads.reserve(committers);
-    const auto t0 = Clock::now();
-    for (int t = 0; t < committers; ++t) {
-      threads.emplace_back([&, t] {
-        ckpt::io::SnapshotBlob blob = proto;
-        for (int c = 0; c < per_thread; ++c) {
-          blob.meta.id =
-              static_cast<ckpt::CkptId>(t * per_thread + c + 1);
-          blob.meta.when = static_cast<double>(blob.meta.id);
-          if (concurrent) {
-            backend->write_snapshot(blob);
-          } else {
-            std::lock_guard lock(serial);
-            backend->write_snapshot(blob);
-          }
+    wall = timed_threads(committers, [&](int t) {
+      ckpt::io::SnapshotBlob& blob = blobs[t];
+      for (int c = 0; c < kStormPerThread; ++c) {
+        blob.meta.id = static_cast<ckpt::CkptId>(t * kStormPerThread + c + 1);
+        blob.meta.when = static_cast<double>(blob.meta.id);
+        if (concurrent) {
+          backend->write_snapshot(blob);
+        } else {
+          std::lock_guard lock(serial);
+          backend->write_snapshot(blob);
         }
-      });
-    }
-    for (std::thread& th : threads) th.join();
-    row.wall_s = std::min(row.wall_s, seconds_since(t0));
-    backend.reset();
-    fs::remove_all(store);
+      }
+    });
   }
-  row.commit_MBps =
-      (static_cast<double>(total) / (1024.0 * 1024.0)) / row.wall_s;
-  return row;
+  fs::remove_all(store);
+  return wall;
 }
 
 struct DistShapeRow {
@@ -301,12 +339,26 @@ int main(int argc, char** argv) {
   std::vector<std::byte> storm(commit_bytes);
   for (std::size_t i = 0; i < storm.size(); ++i)
     storm[i] = static_cast<std::byte>((i * 2246822519u) >> 11);
+  std::vector<std::string> storm_kinds = backends;
+  storm_kinds.push_back("medium");
   std::vector<ScalingRow> scaling;
-  for (const std::string& kind : backends)
+  for (const std::string& kind : storm_kinds)
     for (const double c : committer_counts)
-      scaling.push_back(committer_cell(kind, dir, static_cast<int>(c), 3,
-                                       commit_bytes, reps,
-                                       std::span(storm)));
+      scaling.push_back({kind, static_cast<int>(c)});
+  // Odd reps run the cells in reverse, so each side of a store/medium pair
+  // runs first in half the reps.
+  for (int rep = 0; rep < reps; ++rep)
+    for (std::size_t i = 0; i < scaling.size(); ++i) {
+      ScalingRow& row =
+          scaling[rep % 2 == 0 ? i : scaling.size() - 1 - i];
+      row.wall_s = std::min(
+          row.wall_s, storm_round(row.backend, dir + "/cscale_" + row.backend,
+                                  row.committers, std::span(storm)));
+    }
+  for (ScalingRow& row : scaling)
+    row.commit_MBps = (static_cast<double>(commit_bytes) * row.committers *
+                       kStormPerThread / (1024.0 * 1024.0)) /
+                      row.wall_s;
 
   std::vector<DistShapeRow> dist_rows;
   for (const std::string& kind : backends)

@@ -1,17 +1,13 @@
 #include "abft/kernels.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstring>
-#include <memory>
-#include <vector>
+#include <new>
 
 #if defined(__AVX512F__) || (defined(__AVX2__) && defined(__FMA__))
 #include <immintrin.h>
 #endif
 
 #include "common/executor.hpp"
-#include "common/topology.hpp"
 
 namespace abftc::abft {
 
@@ -60,65 +56,13 @@ class AlignedBuf {
 };
 
 /// Reusable per-thread A-panel scratch, sized for the largest (mc × pc)
-/// panel once and kept for the thread's lifetime. Allocation reserves
-/// address space only; the first pack_a *writes* are what place the pages —
-/// on a pinned worker that first touch lands them on the worker's own NUMA
-/// node, which is the whole point of packing A worker-side.
+/// panel once and kept for the thread's lifetime, so no GEMM call pays an
+/// allocation for it.
 double* thread_apack() {
   // kMc is a multiple of kMr, so kMc·kKc bounds every padded panel.
   thread_local AlignedBuf buf(kMc * kKc);
   return buf.data();
 }
-
-/// Per-node replicas of the packed B panel for one (jc, pc0) iteration.
-/// The caller's copy (packed by pack_b) is always ready; the first worker
-/// to run on another node claims that node's replica slot, memcpys the
-/// caller's copy into node-local pages, and publishes it. Workers that
-/// lose the claim race or arrive before the copy is published simply read
-/// the caller's copy — never wait. Since every replica is a byte-identical
-/// copy, which one a micro-kernel reads can never change results.
-class BReplicaSet {
- public:
-  BReplicaSet(unsigned nodes, std::size_t capacity)
-      : capacity_(capacity), slots_(nodes) {}
-
-  /// Invalidate all replicas for a new packed payload of `bytes` bytes.
-  /// Must be called before the loop that uses them is dispatched (the loop
-  /// publication is the happens-before edge to the workers).
-  void reset(std::size_t bytes) {
-    bytes_ = bytes;
-    for (auto& s : slots_) {
-      s.claimed.store(false, std::memory_order_relaxed);
-      s.ready.store(false, std::memory_order_relaxed);
-    }
-  }
-
-  /// The panel pointer a worker on `node` should read: its node's replica
-  /// when available (claiming and copying it if this worker is first), the
-  /// caller's `src` otherwise.
-  const double* panel_for(unsigned node, const double* src) {
-    if (node >= slots_.size()) return src;
-    Slot& s = slots_[node];
-    if (s.ready.load(std::memory_order_acquire)) return s.buf->data();
-    if (!s.claimed.exchange(true, std::memory_order_acq_rel)) {
-      if (!s.buf) s.buf = std::make_unique<AlignedBuf>(capacity_);
-      std::memcpy(s.buf->data(), src, bytes_);
-      s.ready.store(true, std::memory_order_release);
-      return s.buf->data();
-    }
-    return src;
-  }
-
- private:
-  struct Slot {
-    std::unique_ptr<AlignedBuf> buf;  // lazily allocated, first-touch local
-    std::atomic<bool> claimed{false};
-    std::atomic<bool> ready{false};
-  };
-  std::size_t capacity_;
-  std::size_t bytes_ = 0;
-  std::vector<Slot> slots_;
-};
 
 inline double op_at(ConstMatrixView m, Trans t, std::size_t i, std::size_t j) {
   return t == Trans::No ? m(i, j) : m(j, i);
@@ -421,9 +365,6 @@ const KernelPolicy& kernel_policy() noexcept { return g_policy; }
 
 void set_kernel_policy(KernelPolicy p) noexcept {
   g_policy = p;
-  // The pinning opt-in lives on the executor (it owns the worker threads);
-  // the policy is the single knob users flip, so propagate it here.
-  common::Executor::global().set_worker_pinning(p.numa_pin);
 }
 
 unsigned resolved_threads(const KernelPolicy& p) noexcept {
@@ -491,19 +432,6 @@ void blocked_gemm(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b,
   const std::size_t bpack_cols = (std::min(n, kNc) + kNr - 1) / kNr * kNr;
   AlignedBuf bpack(kKc * bpack_cols);
 
-  // NUMA-aware packing (opt-in): with pinned workers on a multi-node
-  // machine, the shared packed B panel is replicated once per node so the
-  // kc-loop streams it from local memory instead of one socket. A-panels
-  // need nothing extra: each worker packs into its own thread-local scratch,
-  // already first-touch local.
-  const auto topo = common::Topology::system();
-  const bool replicate_b = common::Executor::global().worker_pinning() &&
-                           !topo->single_node();
-  std::unique_ptr<BReplicaSet> replicas;
-  if (replicate_b)
-    replicas = std::make_unique<BReplicaSet>(topo->node_count(),
-                                             kKc * bpack_cols);
-
   for (std::size_t jc = 0; jc < n; jc += kNc) {
     const std::size_t nc = std::min(kNc, n - jc);
     for (std::size_t pc0 = 0; pc0 < k; pc0 += kKc) {
@@ -512,13 +440,10 @@ void blocked_gemm(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b,
       // the first pass carries the β-scale, later passes accumulate.
       const double pass_beta = (pc0 == 0) ? beta : 1.0;
       pack_b(b, tb, pc0, pc, jc, nc, bpack.data());
-      const std::size_t packed_b_doubles = ((nc + kNr - 1) / kNr) * pc * kNr;
-      if (replicas) replicas->reset(packed_b_doubles * sizeof(double));
 
       // Row panels of C are disjoint, so each worker owns its output rows:
       // the accumulation order per element is fixed and results are
-      // bitwise-identical across thread counts — and across B replicas,
-      // which are byte-identical copies.
+      // bitwise-identical across thread counts.
       common::parallel_for(
           ic_panels,
           [&](std::size_t ic) {
@@ -526,13 +451,9 @@ void blocked_gemm(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b,
             const std::size_t mc = std::min(kMc, m - i0);
             double* const apack = thread_apack();
             pack_a(a, ta, alpha, i0, mc, pc0, pc, apack);
-            const double* bpanel = bpack.data();
-            if (replicas)
-              bpanel = replicas->panel_for(
-                  common::Executor::current_numa_node(), bpack.data());
             for (std::size_t jr = 0; jr < nc; jr += kNr) {
               const std::size_t nr = std::min(kNr, nc - jr);
-              const double* bp = bpanel + (jr / kNr) * pc * kNr;
+              const double* bp = bpack.data() + (jr / kNr) * pc * kNr;
               for (std::size_t ir = 0; ir < mc; ir += kMr) {
                 const std::size_t mr = std::min(kMr, mc - ir);
                 micro_kernel(pc, apack + (ir / kMr) * pc * kMr, bp,

@@ -32,13 +32,6 @@ struct KernelPolicy {
   KernelPath path = KernelPath::blocked;
   /// Worker threads for the blocked path; 0 = hardware concurrency.
   unsigned threads = 0;
-  /// NUMA opt-in: pin executor workers round-robin across the machine's
-  /// nodes and place GEMM packing node-locally (each worker's A-panel
-  /// scratch is first-touched on its own node; the packed B panel is
-  /// replicated once per node instead of read cross-socket). Single-node
-  /// machines ignore it. Placement never changes results — only where
-  /// buffers live.
-  bool numa_pin = false;
 };
 
 /// The worker count `p.threads` resolves to (cached hardware concurrency

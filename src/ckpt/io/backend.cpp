@@ -291,7 +291,7 @@ SpecParts split_spec(std::string_view spec) {
   if (qmark != std::string_view::npos) {
     p.options = std::string(body.substr(qmark + 1));
     // URL-style '&' and list-style ',' separators are interchangeable, so
-    // specs read naturally both quoted ("log:d?shards=4&uring=1") and
+    // specs read naturally both quoted ("log:d?shards=4&flush=0") and
     // comma-joined inside larger comma lists.
     std::replace(p.options.begin(), p.options.end(), '&', ',');
     body = body.substr(0, qmark);
@@ -304,14 +304,6 @@ SpecParts split_spec(std::string_view spec) {
     p.rest = std::string(body.substr(colon + 1));
   }
   return p;
-}
-
-/// "k1=v1,k2=v2" lookup via the shared structured-spec parser; empty string
-/// when the key is absent (or the whole option tail is empty).
-std::string spec_option(const std::string& options, std::string_view key) {
-  if (options.empty()) return {};
-  const auto items = common::parse_key_values(options, ',', '=');
-  return common::find_key_value(items, key).value_or(std::string{});
 }
 
 /// Strictly parse a positive integer option, with bounds.
@@ -332,20 +324,35 @@ std::unique_ptr<StorageBackend> make_backend(std::string_view spec) {
   const SpecParts p = split_spec(spec);
   std::unique_ptr<StorageBackend> backend;
   if (p.scheme == "memory") {
-    ABFTC_REQUIRE(p.rest.empty(), "memory backend takes no path");
+    ABFTC_REQUIRE(p.rest.empty() && p.options.empty(),
+                  "memory backend takes no path and no options");
     backend = std::make_unique<MemoryBackend>();
   } else if (p.scheme == "log") {
     ABFTC_REQUIRE(!p.rest.empty(), "log backend needs a directory: log:DIR");
     LogBackend::Options opts;
-    if (const std::string s = spec_option(p.options, "shards"); !s.empty())
-      opts.shards =
-          static_cast<unsigned>(spec_long(s, "log shard count", 1, 256));
-    opts.uring = spec_option(p.options, "uring") == "1";
-    if (const std::string f = spec_option(p.options, "flush"); !f.empty())
-      opts.flush = f != "0";
-    if (const std::string c = spec_option(p.options, "compact"); !c.empty())
-      opts.compact_every = static_cast<unsigned>(
-          spec_long(c, "log compaction interval", 1, 1l << 30));
+    if (!p.options.empty()) {
+      std::vector<std::string> seen;
+      for (const auto& [key, value] :
+           common::parse_key_values(p.options, ',', '=')) {
+        ABFTC_REQUIRE(std::find(seen.begin(), seen.end(), key) == seen.end(),
+                      "duplicate log option '" + key + "'");
+        seen.push_back(key);
+        if (key == "shards") {
+          opts.shards = static_cast<unsigned>(
+              spec_long(value, "log shard count", 1, 256));
+        } else if (key == "flush") {
+          ABFTC_REQUIRE(value == "0" || value == "1",
+                        "malformed log flush '" + value + "' (0 or 1)");
+          opts.flush = value == "1";
+        } else if (key == "compact") {
+          opts.compact_every = static_cast<unsigned>(
+              spec_long(value, "log compaction interval", 1, 1l << 30));
+        } else {
+          ABFTC_REQUIRE(false, "unknown log option '" + key +
+                                   "' (known: shards, flush, compact)");
+        }
+      }
+    }
     backend = std::make_unique<LogBackend>(p.rest, opts);
   } else {
     ABFTC_REQUIRE(false, "unknown storage backend scheme '" + p.scheme +

@@ -10,9 +10,9 @@
 ///  * MemoryBackend — snapshots held in RAM (tests, the composite runtime and
 ///    the dist runtime's in-RAM store); zero durability, memcpy speed.
 ///  * LogBackend    — the persistent store: sharded append-only changelog
-///    segments with CRC-framed records, Full+Incremental chains, background
-///    compaction and an optional io_uring submission path
-///    (log_backend.hpp). It is built for concurrent committers.
+///    segments with CRC-framed records, Full+Incremental chains and
+///    background compaction (log_backend.hpp). It is built for concurrent
+///    committers.
 ///
 /// Writes are two-phase: payload first, then the commit record (the log's
 /// framed trailer) — a crash mid-write leaves a torn snapshot that readers
@@ -211,16 +211,15 @@ void write_via_session(StorageBackend& backend, const SnapshotBlob& blob);
 /// Backend factory from a storage spec:
 ///
 ///   memory                 in-RAM snapshots
-///   log:DIR[?shards=N&uring=1&flush=0&compact=K]
+///   log:DIR[?shards=N&flush=0|1&compact=K]
 ///                          sharded append-only changelog under DIR
-///                          (default 8 shards; uring=1 opts into io_uring
-///                          submission, flush=0 skips per-commit fdatasync,
-///                          compact=K runs background compaction every K
-///                          commits)
+///                          (default 8 shards; flush=0 skips per-commit
+///                          fdatasync, compact=K runs background compaction
+///                          every K commits)
 ///
 /// Option separators may be ',' or '&' interchangeably. The backend is
-/// returned open()ed. Unknown schemes / malformed specs throw
-/// common::precondition_error.
+/// returned open()ed. Unknown schemes, unknown options and malformed values
+/// throw common::precondition_error before anything is created.
 [[nodiscard]] std::unique_ptr<StorageBackend> make_backend(
     std::string_view spec);
 

@@ -21,7 +21,6 @@
 #include "ckpt/io/detail.hpp"
 #include "ckpt/io/log_backend.hpp"
 #include "ckpt/io/log_format.hpp"
-#include "ckpt/io/uring.hpp"
 #include "common/crc32.hpp"
 
 namespace abftc::ckpt::io {
@@ -190,7 +189,6 @@ CompactionStats LogBackend::compact_now() {
       s->path.clear();
       s->gen = 0;
       s->tail = 0;
-      s->ring.reset();
     }
     live.reserve(order_.size());
     for (const auto& [seq, loc] : order_) live.emplace_back(seq, loc);

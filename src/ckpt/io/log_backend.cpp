@@ -17,7 +17,6 @@
 
 #include "ckpt/io/detail.hpp"
 #include "ckpt/io/log_format.hpp"
-#include "ckpt/io/uring.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/executor.hpp"
@@ -169,8 +168,7 @@ class LogBackend::Session final : public StorageBackend::WriteSession {
       registered_ = true;
     }
     try {
-      shard_ = &backend_.shard_for(meta_.id);
-      lock_ = std::unique_lock(shard_->m);
+      shard_ = &backend_.lock_shard(meta_.id, lock_);
       backend_.ensure_writable(*shard_);
     } catch (...) {
       unregister();
@@ -183,19 +181,9 @@ class LogBackend::Session final : public StorageBackend::WriteSession {
 
   ~Session() override {
     if (committed_) return;
-    // Abandoned/failed: wait out any in-flight uring ops (they reference
-    // our staging buffers), then cut the shard back to its committed tail.
-    if (shard_ != nullptr) {
-      if (shard_->ring != nullptr) {
-        try {
-          shard_->ring->drain();
-        } catch (const io_error&) {  // NOLINT(bugprone-empty-catch)
-          // Already aborting; the truncate below discards the bytes anyway.
-        }
-      }
-      if (shard_->fd >= 0)
-        (void)::ftruncate(shard_->fd, static_cast<off_t>(start_));
-    }
+    // Abandoned/failed: cut the shard back to its committed tail.
+    if (shard_ != nullptr && shard_->fd >= 0)
+      (void)::ftruncate(shard_->fd, static_cast<off_t>(start_));
     unregister();
   }
 
@@ -205,21 +193,6 @@ class LogBackend::Session final : public StorageBackend::WriteSession {
                   "payload stream exceeds the declared snapshot size");
     const std::uint64_t off = payload_off_ + received_;
     received_ += chunk.size();
-    if (shard_->ring != nullptr) {
-      // The chunk span is only valid during this call: stage an owned copy
-      // for the kernel to write from, reaped (and freed) at commit or when
-      // the staging cap is hit.
-      staged_.emplace_back(chunk.begin(), chunk.end());
-      staged_bytes_ += chunk.size();
-      shard_->ring->submit_pwrite(shard_->fd, staged_.back().data(),
-                                  staged_.back().size(), off);
-      if (staged_bytes_ >= kStagingCap) {
-        shard_->ring->drain();
-        staged_.clear();
-        staged_bytes_ = 0;
-      }
-      return;
-    }
     pwrite_all(shard_->fd, chunk.data(), chunk.size(), off, "log payload");
   }
 
@@ -229,11 +202,6 @@ class LogBackend::Session final : public StorageBackend::WriteSession {
                   "need one CRC per region");
     ABFTC_REQUIRE(received_ == meta_.bytes,
                   "payload stream shorter than the declared snapshot size");
-    if (shard_->ring != nullptr) {
-      shard_->ring->drain();
-      staged_.clear();
-      staged_bytes_ = 0;
-    }
     const std::uint64_t padded = align_up(meta_.bytes, 8);
     if (padded > meta_.bytes) {
       const std::byte zeros[8] = {};
@@ -284,15 +252,12 @@ class LogBackend::Session final : public StorageBackend::WriteSession {
     }
     shard_->tail = start_ + len;
     committed_ = true;
-    Shard* shard = std::exchange(shard_, nullptr);
+    shard_ = nullptr;
     lock_.unlock();
-    (void)shard;
     backend_.maybe_compact();
   }
 
  private:
-  static constexpr std::size_t kStagingCap = 8u << 20;  // uring copies held
-
   void unregister() noexcept {
     if (!registered_) return;
     std::lock_guard idx(backend_.index_m_);
@@ -309,8 +274,6 @@ class LogBackend::Session final : public StorageBackend::WriteSession {
   std::uint64_t start_ = 0;
   std::uint64_t payload_off_ = 0;
   std::uint64_t received_ = 0;
-  std::vector<std::vector<std::byte>> staged_;
-  std::size_t staged_bytes_ = 0;
   bool registered_ = false;
   bool committed_ = false;
 };
@@ -336,8 +299,17 @@ LogBackend::~LogBackend() {
     if (s->fd >= 0) ::close(s->fd);
 }
 
-LogBackend::Shard& LogBackend::shard_for(CkptId id) noexcept {
-  return *shards_[splitmix64(id) % shards_.size()];
+LogBackend::Shard& LogBackend::lock_shard(CkptId id,
+                                          std::unique_lock<std::mutex>& lock) {
+  const std::size_t n = shards_.size();
+  const std::size_t home = splitmix64(id) % n;
+  for (std::size_t i = 0; i < n; ++i) {
+    Shard& s = *shards_[(home + i) % n];
+    lock = std::unique_lock(s.m, std::try_to_lock);
+    if (lock.owns_lock()) return s;
+  }
+  lock = std::unique_lock(shards_[home]->m);
+  return *shards_[home];
 }
 
 void LogBackend::ensure_writable(Shard& shard) {
@@ -362,20 +334,12 @@ void LogBackend::ensure_writable(Shard& shard) {
     shard.fd = ::open(shard.path.c_str(), O_WRONLY);
     if (shard.fd < 0) sys_error("open " + shard.path);
   }
-  if (uring_ok_ && shard.ring == nullptr && !shard.ring_failed) {
-    try {
-      shard.ring = std::make_unique<UringQueue>();
-    } catch (const io_error&) {
-      shard.ring_failed = true;  // per-shard fallback to pwrite
-    }
-  }
 }
 
 void LogBackend::open() {
   std::error_code ec;
   fs::create_directories(dir_, ec);
   ABFTC_REQUIRE(!ec, "cannot create checkpoint directory " + dir_);
-  uring_ok_ = opts_.uring && UringQueue::supported();
 
   std::lock_guard idx(index_m_);
   order_.clear();
@@ -623,8 +587,8 @@ std::vector<SnapshotMeta> LogBackend::list() const {
 }
 
 void LogBackend::drop(CkptId id) {
-  Shard& shard = shard_for(id);
-  std::unique_lock lock(shard.m);
+  std::unique_lock<std::mutex> lock;
+  Shard& shard = lock_shard(id, lock);
   {
     std::lock_guard idx(index_m_);
     if (by_id_.find(id) == by_id_.end())

@@ -4,12 +4,12 @@
 ///
 /// The one persistent backend. It appends self-describing records to N
 /// shard segment files (`wal_<shard>_<gen>.log`) and needs no manifest at
-/// all: commit = append + flush + sequence advance. A snapshot id hashes to
-/// a shard, so concurrent committers on different shards never contend on
-/// an inode — this is the backend's
+/// all: commit = append + flush + sequence advance. Each commit takes a
+/// free shard (its id's hashed shard if no one holds it), so up to N
+/// concurrent committers never contend on an inode — this is the backend's
 /// reason to exist, and the one deliberate departure from the "backends are
 /// not thread-safe" rule in backend.hpp (concurrent_committers() is true;
-/// same-shard committers serialize on the shard lock).
+/// committers beyond N wait on a shard lock).
 ///
 /// Record framing (all integers little-endian, 8-byte alignment):
 ///
@@ -39,10 +39,8 @@
 /// duplicate records; the scan dedupes by sequence number (highest
 /// generation wins), so recovery is unaffected.
 ///
-/// io_uring (Options::uring): payload chunks are submitted through a
-/// per-shard UringQueue and reaped at commit, overlapping the appends of
-/// one commit inside the kernel. Probed at runtime; everything falls back
-/// to pwrite when unavailable (uring_active() tells which happened).
+/// Writes: each payload chunk is one pwrite at its final offset; the header
+/// and trailer are written at commit, then one fdatasync (Options::flush).
 
 #include <atomic>
 #include <cstdint>
@@ -64,16 +62,11 @@ class Executor;  // defined in common/executor.hpp
 
 namespace abftc::ckpt::io {
 
-class UringQueue;
-
 class LogBackend final : public StorageBackend {
  public:
   struct Options {
-    /// Segment shards; committers map to shards by id hash.
+    /// Segment shards: the number of committers that append at once.
     unsigned shards = 8;
-    /// Submit payload appends through io_uring (runtime-probed; pwrite
-    /// fallback when the kernel or container refuses).
-    bool uring = false;
     /// fdatasync each commit (and tombstone). false trades durability of
     /// the last few records for commit latency: a crash can tear several
     /// tail records instead of at most one.
@@ -116,7 +109,6 @@ class LogBackend final : public StorageBackend {
   [[nodiscard]] std::uint64_t live_bytes() const;
   /// Bytes across all segment files on disk (live + superseded + torn).
   [[nodiscard]] std::uint64_t segment_bytes() const;
-  [[nodiscard]] bool uring_active() const noexcept { return uring_ok_; }
   [[nodiscard]] unsigned shard_count() const noexcept {
     return opts_.shards;
   }
@@ -141,11 +133,13 @@ class LogBackend final : public StorageBackend {
     std::string path;
     std::uint64_t gen = 0;
     std::uint64_t tail = 0;  ///< append offset (committed bytes)
-    std::unique_ptr<UringQueue> ring;
-    bool ring_failed = false;  ///< ring creation failed once; stay on pwrite
   };
 
-  [[nodiscard]] Shard& shard_for(CkptId id) noexcept;
+  /// Lock a shard to append one record to: the id's hashed shard if it is
+  /// free, else the next free one, else wait for the hashed one. The index
+  /// maps an id to its file, so a record may live on any shard, and
+  /// committers whose ids hash together still append in parallel.
+  [[nodiscard]] Shard& lock_shard(CkptId id, std::unique_lock<std::mutex>& lock);
   /// Open (or create, after a roll) the shard's writable segment. Requires
   /// the shard lock.
   void ensure_writable(Shard& shard);
@@ -168,7 +162,6 @@ class LogBackend final : public StorageBackend {
 
   std::string dir_;
   Options opts_;
-  bool uring_ok_ = false;
 
   /// Guards the index (order_/by_id_/in_flight_), the seq/gen counters and
   /// stats_. Lock order: a shard lock may be held when taking index_m_,

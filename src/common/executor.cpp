@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/deque.hpp"
-#include "common/topology.hpp"
 
 namespace abftc::common {
 
@@ -35,10 +34,6 @@ constexpr std::size_t kStealChunksPerParticipant = 32;
 /// Nesting depth of the current thread: incremented while it executes chunks
 /// or tasks of any parallel region (pool worker or caller participation).
 thread_local unsigned t_nesting_depth = 0;
-
-/// The NUMA node (index into Topology::system()->nodes()) the pinning
-/// facility placed this thread on; 0 when unpinned.
-thread_local unsigned t_numa_node = 0;
 
 struct DepthGuard {
   DepthGuard() noexcept { ++t_nesting_depth; }
@@ -340,27 +335,6 @@ struct Executor::Impl {
   /// parking race-free without putting the deques under the mutex.
   std::atomic<std::uint64_t> work_epoch{0};
 
-  /// NUMA placement opt-in. `pin_generation` invalidates every worker's
-  /// cached pin state; workers (re-)apply placement at their next scan.
-  std::atomic<bool> pin_enabled{false};
-  std::atomic<std::uint64_t> pin_generation{0};
-
-  void apply_pinning(unsigned idx, std::uint64_t& seen) {
-    const std::uint64_t gen = pin_generation.load(std::memory_order_acquire);
-    if (gen == seen) return;
-    seen = gen;
-    if (pin_enabled.load(std::memory_order_relaxed)) {
-      const auto topo = Topology::system();
-      const unsigned node_idx = idx % topo->node_count();
-      if (pin_current_thread_to_cpus(topo->nodes()[node_idx].cpus)) {
-        t_numa_node = node_idx;
-        return;
-      }
-    }
-    unpin_current_thread();
-    t_numa_node = 0;
-  }
-
   void notify_if_idle() {
     if (idle.load(std::memory_order_relaxed) == 0) return;
     // Taking the mutex closes the race against a worker that passed the
@@ -451,9 +425,7 @@ struct Executor::Impl {
 
   void worker_main(unsigned idx) {
     t_worker = {this, idx};
-    std::uint64_t pin_seen = ~std::uint64_t{0};  // force the initial check
     for (;;) {
-      apply_pinning(idx, pin_seen);
       const std::uint64_t epoch = work_epoch.load(std::memory_order_acquire);
       if (run_one(idx)) continue;
       std::unique_lock lock(m);
@@ -541,19 +513,6 @@ ExecutorStats Executor::stats() const {
   }
   return out;
 }
-
-void Executor::set_worker_pinning(bool enabled) noexcept {
-  if (impl_->pin_enabled.exchange(enabled, std::memory_order_relaxed) ==
-      enabled)
-    return;
-  impl_->pin_generation.fetch_add(1, std::memory_order_release);
-}
-
-bool Executor::worker_pinning() const noexcept {
-  return impl_->pin_enabled.load(std::memory_order_relaxed);
-}
-
-unsigned Executor::current_numa_node() noexcept { return t_numa_node; }
 
 bool Executor::inside_parallel_region() noexcept {
   return t_nesting_depth > 0;

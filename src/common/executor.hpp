@@ -65,13 +65,7 @@
 /// deterministic under either schedule; only static additionally fixes the
 /// claim *order*, which no current caller depends on.
 ///
-/// NUMA (opt-in): `set_worker_pinning(true)` pins workers round-robin
-/// across the nodes of common::Topology::system() (sched_setaffinity; a
-/// failed pin degrades to unpinned). Pinning changes *where* a worker runs,
-/// never *what* it computes — every determinism guarantee above is
-/// unaffected — but it gives first-touch allocations inside workers (the
-/// GEMM packing buffers) a stable home node. `current_numa_node()` exposes
-/// the calling worker's node for placement decisions.
+/// Placement is the OS scheduler's: workers are never pinned to CPUs.
 
 #include <cstddef>
 #include <cstdint>
@@ -203,21 +197,6 @@ class Executor {
   /// Snapshot the scheduler counters (chunks claimed, steals, steal
   /// failures, park/unpark transitions), per worker plus the caller row.
   [[nodiscard]] ExecutorStats stats() const;
-
-  /// Opt in to (or out of) NUMA placement: when enabled, worker i is pinned
-  /// to the CPUs of Topology::system() node i % node_count — round-robin
-  /// across sockets, applied to existing workers at their next wakeup and
-  /// to new workers at creation. A failed pin (unsupported platform,
-  /// restricted affinity mask) silently leaves that worker unpinned.
-  /// Placement never changes results, only locality.
-  void set_worker_pinning(bool enabled) noexcept;
-  [[nodiscard]] bool worker_pinning() const noexcept;
-
-  /// The NUMA node the calling thread was pinned to by this facility
-  /// (0 for unpinned threads and external callers) — what first-touch
-  /// allocations on this thread will be local to, used by the GEMM packing
-  /// layer to pick the node-local B-panel copy.
-  [[nodiscard]] static unsigned current_numa_node() noexcept;
 
   /// True on a thread currently executing parallel work (a pool worker
   /// running a chunk or task, a spawned loop worker, or a caller running

@@ -47,26 +47,40 @@ AnalyticArgs parse_analytic(std::string_view spec) {
 }
 
 ckpt::StorageModel measured(std::string_view spec) {
-  auto backend = ckpt::io::make_backend(spec);
   ckpt::io::CalibrationOptions opts;
   // A `committers=N` option in the spec tail calibrates under commit
-  // contention (N concurrent writers per timed round) — the backend factory
-  // ignores the key, so e.g. "log:/tmp/s?shards=4,committers=4" both
-  // configures the store and dimensions its fit.
+  // contention (N concurrent writers per timed round). It dimensions the
+  // fit, not the store, so it is taken out before the rest of the spec goes
+  // to the backend factory: "log:/tmp/s?shards=4,committers=4" opens a
+  // 4-shard store and calibrates it with 4 writers.
+  std::string backend_spec(spec);
   const auto qmark = spec.find('?');
   if (qmark != std::string_view::npos) {
     std::string tail(spec.substr(qmark + 1));
     std::replace(tail.begin(), tail.end(), '&', ',');
-    const auto items = common::parse_key_values(tail, ',', '=');
-    if (const auto c = common::find_key_value(items, "committers")) {
+    backend_spec.resize(qmark);
+    std::string rest;
+    bool has_committers = false;
+    for (const auto& [key, value] :
+         common::parse_key_values(tail, ',', '=')) {
+      if (key != "committers") {
+        rest += (rest.empty() ? "" : ",") + key + "=" + value;
+        continue;
+      }
+      ABFTC_REQUIRE(!has_committers,
+                    "duplicate committers in storage spec: " +
+                        std::string(spec));
+      has_committers = true;
       char* end = nullptr;
-      const long n = std::strtol(c->c_str(), &end, 10);
-      ABFTC_REQUIRE(end != c->c_str() && *end == '\0' && n >= 1 && n <= 256,
+      const long n = std::strtol(value.c_str(), &end, 10);
+      ABFTC_REQUIRE(end != value.c_str() && *end == '\0' && n >= 1 && n <= 256,
                     "malformed committers count in storage spec: " +
                         std::string(spec));
       opts.committers = static_cast<int>(n);
     }
+    if (!rest.empty()) backend_spec += "?" + rest;
   }
+  auto backend = ckpt::io::make_backend(backend_spec);
   return ckpt::io::calibrate_backend(*backend, opts).model;
 }
 

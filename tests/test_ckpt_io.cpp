@@ -14,11 +14,13 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <random>
 #include <thread>
 #include <utility>
@@ -30,7 +32,6 @@
 #include "ckpt/io/faulting.hpp"
 #include "ckpt/io/log_backend.hpp"
 #include "ckpt/io/log_format.hpp"
-#include "ckpt/io/uring.hpp"
 #include "ckpt/io/writer.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
@@ -76,15 +77,6 @@ std::vector<std::byte> pattern_bytes(std::size_t n, unsigned seed) {
   std::mt19937 rng(seed);
   for (auto& b : out) b = static_cast<std::byte>(rng() & 0xFF);
   return out;
-}
-
-/// Option tail for log-backend specs, overridable from the environment so
-/// CI can re-run the shared suites with io_uring submission enabled
-/// (ABFTC_LOG_SPEC_OPTS="shards=4&uring=1"); defaults to the pwrite path.
-/// Tests doing byte-offset surgery on segment files pin their own options.
-std::string log_spec_options() {
-  const char* opts = std::getenv("ABFTC_LOG_SPEC_OPTS");
-  return (opts != nullptr && *opts != '\0') ? opts : "shards=4";
 }
 
 SnapshotBlob sample_blob(CkptId id, std::size_t bytes_a, std::size_t bytes_b) {
@@ -151,7 +143,7 @@ constexpr std::streamoff kPayloadInRecord = 72 + 2 * 24 + 8;
 /// Store spec for a parameterized suite: "memory", or a log store in `tmp`.
 std::string backend_spec(const std::string& kind, const TempDir& tmp) {
   if (kind == "memory") return "memory";
-  return "log:" + (tmp.path() / "store").string() + "?" + log_spec_options();
+  return "log:" + (tmp.path() / "store").string() + "?shards=4";
 }
 
 // --- backend conformance (same suite for memory / log) ----------------------
@@ -683,7 +675,7 @@ TEST(CkptWriter, SplitSurvivesBackendReopen) {
   // fresh one — the composition works from persistent state alone.
   TempDir tmp;
   const std::string spec =
-      "log:" + (tmp.path() / "store").string() + "?" + log_spec_options();
+      "log:" + (tmp.path() / "store").string() + "?shards=4";
   ImageFixture f;
   std::vector<std::byte> lib_at_exit, rem_at_entry;
   {
@@ -769,7 +761,7 @@ TEST(LogBackendIntegrity, CorruptedPayloadFailsRestore) {
 TEST(LogBackendPersistence, SurvivesReopenAcrossShards) {
   TempDir tmp;
   const std::string spec =
-      "log:" + (tmp.path() / "store").string() + "?" + log_spec_options();
+      "log:" + (tmp.path() / "store").string() + "?shards=4";
   {
     const auto backend = make_backend(spec);
     for (CkptId id = 1; id <= 9; ++id)
@@ -802,6 +794,39 @@ TEST(LogBackendPersistence, TombstoneSurvivesReopen) {
   ASSERT_EQ(reopened->list().size(), 1u);
   EXPECT_EQ(reopened->list()[0].id, 2u);
   EXPECT_THROW((void)reopened->read_snapshot(1), io_error);
+}
+
+TEST(LogBackendPersistence, CommittersWhoseIdsShareAShardAppendInParallel) {
+  // Ids 2 and 4 hash to the same shard of a 2-shard store. While a session
+  // for id 2 holds that shard, a commit of id 4 takes the other one instead
+  // of waiting; both records survive a reopen.
+  TempDir tmp;
+  const fs::path store = tmp.path() / "store";
+  const std::string spec = "log:" + store.string() + "?shards=2";
+  {
+    const auto backend = make_backend(spec);
+    const SnapshotBlob held = sample_blob(2, 4000, 1000);
+    auto session = backend->begin_snapshot(
+        held.meta, {held.regions[0].region, held.regions[1].region},
+        {held.regions[0].payload.size(), held.regions[1].payload.size()});
+    auto other = std::async(std::launch::async, [&] {
+      backend->write_snapshot(sample_blob(4, 5000, 1000));
+    });
+    EXPECT_EQ(other.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready)
+        << "a commit waited on a shard while another shard was free";
+    for (const RegionBlob& r : held.regions) session->append(r.payload);
+    session->commit({held.regions[0].crc, held.regions[1].crc});
+    other.get();
+  }
+  int segments = 0;
+  for (const auto& entry : fs::directory_iterator(store))
+    segments += entry.path().filename().string().starts_with("wal_") ? 1 : 0;
+  EXPECT_EQ(segments, 2);
+  const auto reopened = make_backend(spec);
+  ASSERT_EQ(reopened->list().size(), 2u);
+  for (const CkptId id : {CkptId{2}, CkptId{4}})
+    EXPECT_NO_THROW(reopened->read_snapshot(id).verify());
 }
 
 TEST(LogBackendRecovery, TruncatesExactlyTheTornSuffix) {
@@ -1184,51 +1209,6 @@ TEST(CompactionPlan, ConservativeWhenDamagedOrMixed) {
   EXPECT_EQ(plan.carry, (std::vector<std::uint64_t>{2, 3}));
 }
 
-TEST(LogBackendUring, RoundTripsWhenKernelSupportsIt) {
-  if (!UringQueue::supported())
-    GTEST_SKIP() << "io_uring unavailable in this kernel/container";
-  TempDir tmp;
-  const std::string spec =
-      "log:" + (tmp.path() / "store").string() + "?shards=2&uring=1";
-  const auto backend = make_backend(spec);
-  auto* log = dynamic_cast<LogBackend*>(backend.get());
-  ASSERT_NE(log, nullptr);
-  EXPECT_TRUE(log->uring_active());
-  for (CkptId id = 1; id <= 4; ++id)
-    backend->write_snapshot(sample_blob(id, 60000, 20000));
-  for (CkptId id = 1; id <= 4; ++id)
-    EXPECT_NO_THROW(backend->read_snapshot(id).verify());
-  // The uring-written store reopens fine without uring.
-  LogBackend plain((tmp.path() / "store").string(),
-                   LogBackend::Options{.shards = 2});
-  plain.open();
-  EXPECT_EQ(plain.list().size(), 4u);
-}
-
-TEST(UringQueue, WritesLandAtTheirOffsets) {
-  if (!UringQueue::supported())
-    GTEST_SKIP() << "io_uring unavailable in this kernel/container";
-  TempDir tmp;
-  const fs::path file = tmp.path() / "uring.bin";
-  const int fd = ::open(file.c_str(), O_WRONLY | O_CREAT, 0644);
-  ASSERT_GE(fd, 0);
-  const auto a = pattern_bytes(3000, 7), b = pattern_bytes(5000, 8);
-  {
-    UringQueue queue(4);
-    queue.submit_pwrite(fd, a.data(), a.size(), 0);
-    queue.submit_pwrite(fd, b.data(), b.size(), a.size());
-    queue.drain();
-    EXPECT_EQ(queue.in_flight(), 0u);
-  }
-  ::close(fd);
-  std::ifstream in(file, std::ios::binary);
-  std::vector<char> back(a.size() + b.size());
-  in.read(back.data(), static_cast<std::streamsize>(back.size()));
-  ASSERT_EQ(static_cast<std::size_t>(in.gcount()), back.size());
-  EXPECT_EQ(std::memcmp(back.data(), a.data(), a.size()), 0);
-  EXPECT_EQ(std::memcmp(back.data() + a.size(), b.data(), b.size()), 0);
-}
-
 // --- calibrator -------------------------------------------------------------
 
 TEST(Calibrator, FitsBandwidthWithinTwoXOfMeasured) {
@@ -1323,7 +1303,52 @@ TEST(StorageResolver, RejectsMalformedSpecs) {
       }
     }
   }
+  // log: takes shards, flush (exactly 0 or 1) and compact, each at most
+  // once; any other key, a repeated key, or a flush that is not 0/1 throws
+  // from both entry points before the store directory exists. committers=
+  // belongs to the resolver only.
+  const std::string bad_dir = (tmp.path() / "bad").string();
+  for (const std::string opts :
+       {"uring=1", "shrads=2", "flush=yes", "flush=true", "flush=",
+        "shards=2&shards=4"}) {
+    const std::string spec = "log:" + bad_dir + "?" + opts;
+    EXPECT_THROW((void)make_backend(spec), common::precondition_error)
+        << spec;
+    EXPECT_THROW((void)resolver.resolve(spec), common::precondition_error)
+        << spec;
+  }
+  try {
+    (void)make_backend("log:" + bad_dir + "?shrads=2");
+    ADD_FAILURE() << "shrads=2 was accepted";
+  } catch (const common::precondition_error& e) {
+    const std::string what = e.what();
+    for (const char* key : {"shrads", "shards", "flush", "compact"})
+      EXPECT_NE(what.find(key), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)make_backend("log:" + bad_dir + "?committers=2"),
+               common::precondition_error);
+  EXPECT_THROW(
+      (void)resolver.resolve("log:" + bad_dir + "?committers=2,committers=4"),
+      common::precondition_error);
+  EXPECT_THROW((void)make_backend("memory?shards=2"),
+               common::precondition_error);
   EXPECT_TRUE(fs::is_empty(tmp.path()));  // nothing was created
+
+  // What the CI campaign and the calibrating resolver pass still works.
+  const std::string ci_spec =
+      "log:" + (tmp.path() / "ci").string() + "?shards=4&compact=6&flush=0";
+  {
+    const auto backend = make_backend(ci_spec);
+    const auto* log = dynamic_cast<const LogBackend*>(backend.get());
+    ASSERT_NE(log, nullptr);
+    EXPECT_EQ(log->shard_count(), 4u);
+  }
+  EXPECT_EQ(resolver.resolve(ci_spec).name, "measured:log");
+  EXPECT_EQ(resolver
+                .resolve("log:" + (tmp.path() / "calib").string() +
+                         "?shards=4,committers=2")
+                .name,
+            "measured:log(c2)");
 }
 
 TEST(StorageResolver, CalibratesMeasuredBackends) {

@@ -2,8 +2,8 @@
 // worker start, nested-parallelism arbitration (no deadlock, no
 // oversubscription), the exception rethrow/short-circuit contract,
 // submit()/ScopedArena, the work-stealing schedule (deque semantics, steal
-// races, nesting and exceptions from stolen chunks, scheduler counters,
-// NUMA pinning), and the determinism guarantees the rest of the repo leans
+// races, nesting and exceptions from stolen chunks, scheduler counters),
+// and the determinism guarantees the rest of the repo leans
 // on — group checksums and a small Experiment sweep must be bitwise
 // identical across worker counts and against serial execution.
 
@@ -23,7 +23,6 @@
 #include "common/executor.hpp"
 #include "common/rng.hpp"
 #include "common/time_units.hpp"
-#include "common/topology.hpp"
 #include "core/experiment.hpp"
 #include "core/params.hpp"
 
@@ -492,47 +491,6 @@ TEST(ExecutorStealing, StatsDeltaSubtractsSnapshots) {
   EXPECT_EQ(zero.steal_failures, 0u);
   EXPECT_EQ(zero.parks, 0u);
   EXPECT_EQ(zero.unparks, 0u);
-}
-
-TEST(ExecutorStealing, WorkerPinningTogglesAndNeverChangesResults) {
-  // Fake 2-node topology aliasing CPU 0 so the round-robin pinning path runs
-  // on this machine regardless of its real socket count.
-  common::NumaNode n0, n1;
-  n0.id = 0;
-  n0.cpus = {0};
-  n1.id = 1;
-  n1.cpus = {0};
-  common::Topology::set_system_for_testing(std::make_shared<common::Topology>(
-      common::Topology::from_nodes({n0, n1})));
-
-  EXPECT_FALSE(Executor::global().worker_pinning());
-  Executor::global().set_worker_pinning(true);
-  EXPECT_TRUE(Executor::global().worker_pinning());
-
-  std::vector<double> ref(512);
-  for (std::size_t i = 0; i < ref.size(); ++i)
-    ref[i] = std::sqrt(static_cast<double>(i) + 0.5);
-  std::vector<double> out(ref.size(), 0.0);
-  common::parallel_for_dynamic(
-      out.size(),
-      [&](std::size_t i) {
-        out[i] = std::sqrt(static_cast<double>(i) + 0.5);
-        EXPECT_LT(Executor::current_numa_node(), 2u);
-      },
-      4);
-  EXPECT_EQ(out, ref);
-
-  Executor::global().set_worker_pinning(false);
-  EXPECT_FALSE(Executor::global().worker_pinning());
-  common::Topology::set_system_for_testing(nullptr);
-
-  // Unpinned again: the same loop still lands every index.
-  std::fill(out.begin(), out.end(), 0.0);
-  common::parallel_for_dynamic(
-      out.size(),
-      [&](std::size_t i) { out[i] = std::sqrt(static_cast<double>(i) + 0.5); },
-      4);
-  EXPECT_EQ(out, ref);
 }
 
 TEST(ExecutorDeterminism, ExperimentReportsResolvedWorkerCount) {

@@ -20,7 +20,6 @@
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/executor.hpp"
-#include "common/topology.hpp"
 
 namespace {
 
@@ -185,47 +184,6 @@ TEST(BlockedGemm, DeterministicAcrossThreadCounts) {
                      c8.view(), 8);
   EXPECT_EQ(abft::max_abs_diff(c1, c2), 0.0);
   EXPECT_EQ(abft::max_abs_diff(c1, c8), 0.0);
-}
-
-// NUMA placement must never change results: run the same GEMM with pinning
-// off, then with pinning on under a fake two-node topology (so the per-node
-// B-replication path executes even on single-node CI), at several thread
-// counts — all bitwise identical.
-TEST(BlockedGemm, NumaPinnedBitwiseIdenticalToUnpinned) {
-  const Matrix a = random_matrix(200, 260, 411);
-  const Matrix b = random_matrix(260, 180, 412);
-  const Matrix c0 = random_matrix(200, 180, 413);
-
-  Matrix reference = c0;
-  abft::blocked_gemm(1.0, a.view(), Trans::No, b.view(), Trans::No, 0.3,
-                     reference.view(), 2);
-
-  // Fake two nodes aliasing CPU 0 so the multi-node path runs anywhere.
-  std::vector<common::NumaNode> nodes(2);
-  nodes[0].id = 0;
-  nodes[0].cpus = {0};
-  nodes[1].id = 1;
-  nodes[1].cpus = {0};
-  common::Topology::set_system_for_testing(
-      std::make_shared<const common::Topology>(
-          common::Topology::from_nodes(std::move(nodes))));
-
-  {
-    KernelPolicy p;
-    p.path = KernelPath::blocked;
-    p.numa_pin = true;
-    KernelPolicyGuard guard(p);
-    EXPECT_TRUE(common::Executor::global().worker_pinning());
-    for (const unsigned threads : {1u, 2u, 4u}) {
-      Matrix c = c0;
-      abft::blocked_gemm(1.0, a.view(), Trans::No, b.view(), Trans::No, 0.3,
-                         c.view(), threads);
-      EXPECT_EQ(abft::max_abs_diff(reference, c), 0.0)
-          << "threads=" << threads;
-    }
-  }
-  common::Topology::set_system_for_testing(nullptr);
-  EXPECT_FALSE(common::Executor::global().worker_pinning());
 }
 
 TEST(KernelPolicy, DispatchCutoffAndGuard) {
