@@ -22,13 +22,20 @@
 /// the analytical model, demonstrating measured-vs-model waste.
 ///
 /// The JSON artifact (BENCH_dist_campaign.json with bare --json) carries
-/// the config, calibration constants, one record per cell, the rank forks
-/// of the campaign's one warm launcher, and the aggregate gates.
+/// the config (with the payload bytes of one committed snapshot), the
+/// calibration constants, one record per cell, the rank forks of the
+/// campaign's one warm launcher, and the aggregate gates.
+///
+/// Exit codes: 0 every cell recovered, 1 some cell did not (or the run
+/// failed), 2 a malformed argument (an unknown --storage scheme or option,
+/// a bad --campaign spec, a --shard that is not K/M).
 
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <thread>
 
 #include "common/cli.hpp"
@@ -64,6 +71,7 @@ void emit_json(const std::string& path, const dist::CampaignReport& report) {
   json.kv("shard", report.options.shard);
   json.kv("nshards", report.options.nshards);
   json.kv("blind", report.options.blind);
+  json.kv("snapshot_bytes", report.calib.snapshot_bytes);
   json.kv("hardware_threads",
           static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
   json.end_object();
@@ -165,9 +173,7 @@ void run_sweep_demo(const dist::DistConfig& cfg, const std::string& storage,
   (void)experiment.run();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const common::ArgParser args(argc, argv);
   dist::DistConfig cfg;
   cfg.n = static_cast<std::size_t>(args.get_int("n", 192));
@@ -190,7 +196,11 @@ int main(int argc, char** argv) {
   {
     const std::string shard = args.get_string("shard", "0/1");
     const auto slash = shard.find('/');
-    if (slash == std::string::npos) {
+    const auto is_count = [](const std::string& s) {
+      return !s.empty() && s.find_first_not_of("0123456789") == s.npos;
+    };
+    if (slash == std::string::npos || !is_count(shard.substr(0, slash)) ||
+        !is_count(shard.substr(slash + 1))) {
       std::cerr << "error: --shard expects K/M\n";
       return 2;
     }
@@ -248,4 +258,21 @@ int main(int argc, char** argv) {
   if (sweep) run_sweep_demo(cfg, options.storage, cfg.seed);
 
   return report.unrecovered == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad argument is a usage error, not a crash: common::precondition_error
+  // (an unknown storage scheme or option, a malformed campaign spec, a
+  // shard out of range) is an std::invalid_argument.
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -10,33 +10,57 @@ namespace abftc::abft {
 
 namespace {
 
+/// The relations' one per-slot step over m columns: e ± v and we ± w·v.
+/// The freeze, the encoder and the residual routine all sum group members
+/// through it, so each forms a class's sums with the same roundings.
+template <bool kAdd>
+void shift_member(double* e, double* we, const double* v, double w,
+                  std::size_t m) {
+  for (std::size_t j = 0; j < m; ++j) {
+    if constexpr (kAdd) {
+      e[j] += v[j];
+      we[j] += w * v[j];
+    } else {
+      e[j] -= v[j];
+      we[j] -= w * v[j];
+    }
+  }
+}
+
 /// acc ← acc ± pivot block row k over block columns [bj0, bj1): the sum
-/// half receives the row, the weighted half w times the row. The two
-/// expressions match the initial builder's, so frozen sums of final rows
-/// equal row_group_checksum_pair of the factors bitwise.
+/// half receives the row, the weighted half w times the row.
 template <bool kAdd>
 void shift_pivot_row(const LuView& s, MatrixView acc, std::size_t k,
                      std::size_t bj0, std::size_t bj1) {
   if (bj0 >= bj1) return;
-  const std::size_t nb = s.nb, csr = acc.rows() / 2;
+  const std::size_t nb = s.nb, csr = acc.rows() / 2, j0 = bj0 * nb;
   const std::size_t row0 = (k / s.group) * nb;
   const double w = static_cast<double>(k % s.group + 1);
   for (std::size_t r = 0; r < nb; ++r)
-    for (std::size_t j = bj0 * nb; j < bj1 * nb; ++j) {
-      const double v = s.a(k * nb + r, j);
-      if constexpr (kAdd) {
-        acc(row0 + r, j) += v;
-        acc(csr + row0 + r, j) += w * v;
-      } else {
-        acc(row0 + r, j) -= v;
-        acc(csr + row0 + r, j) -= w * v;
-      }
-    }
+    shift_member<kAdd>(&acc(row0 + r, j0), &acc(csr + row0 + r, j0),
+                       &s.a(k * nb + r, j0), w, (bj1 - bj0) * nb);
 }
 
 /// Address of element (i, j) of a read-only view.
 const double* at(ConstMatrixView v, std::size_t i, std::size_t j) {
   return v.data() + i * v.ld() + j;
+}
+
+/// Threads for a per-accumulator-row pass over csr × n slots. Small shapes
+/// stay inline. At ~2.5 ns per slot on one thread (the verify block of
+/// bench_kernels_json), a pool dispatch costs 3–7 µs, and measured on a
+/// 4-vCPU AVX-512 VM four threads first beat one at ~12k slots (n = 192,
+/// group 3: 12 288 slots, 30 µs either way) and win 1.3–2× from ~28k.
+unsigned row_pass_threads(std::size_t csr, std::size_t n, unsigned threads) {
+  return csr * n < 16'384 ? 1 : threads;
+}
+
+/// Members [0, nf) of the checksum group holding accumulator row `row` are
+/// frozen, [nf, group) active.
+std::size_t frozen_members(const LuConstView& s, std::size_t frozen_steps,
+                           std::size_t row) {
+  const std::size_t first = (row / s.nb) * s.group;
+  return std::clamp(frozen_steps, first, first + s.group) - first;
 }
 
 }  // namespace
@@ -79,28 +103,46 @@ void lu_update(const LuView& s, std::size_t k, std::size_t bj0,
   shift_pivot_row<true>(s, s.frozen, k, bj0, bj1);
 }
 
+void lu_encode(const LuView& s, std::size_t frozen_steps, unsigned threads) {
+  const std::size_t csr = s.active.rows() / 2, n = s.a.cols();
+  common::parallel_for(
+      csr,
+      [&](std::size_t row) {
+        const std::size_t r = row % s.nb;
+        const std::size_t first = (row / s.nb) * s.group;
+        const std::size_t nf = frozen_members(s, frozen_steps, row);
+        // From zero, members in group order, through the freeze's own
+        // step: the frozen class repeats lu_update's additions exactly.
+        const MatrixView acc[2] = {s.active, s.frozen};
+        for (const MatrixView& c : acc) {
+          std::fill_n(&c(row, 0), n, 0.0);
+          std::fill_n(&c(csr + row, 0), n, 0.0);
+        }
+        for (std::size_t k = 0; k < s.group; ++k) {
+          const MatrixView& c = acc[k < nf ? 1 : 0];
+          shift_member<true>(&c(row, 0), &c(csr + row, 0),
+                             &s.a((first + k) * s.nb + r, 0),
+                             static_cast<double>(k + 1), n);
+        }
+      },
+      row_pass_threads(csr, n, threads));
+}
+
 void lu_row_residuals(const LuConstView& s, std::size_t frozen_steps,
                       std::size_t row, std::size_t j0, std::size_t m,
                       RowResiduals& out) {
   const std::size_t r = row % s.nb, csr = s.csr();
   const std::size_t first = (row / s.nb) * s.group;
-  // Members [0, nf) of the group are frozen, [nf, group) active.
-  const std::size_t nf =
-      std::clamp(frozen_steps, first, first + s.group) - first;
+  const std::size_t nf = frozen_members(s, frozen_steps, row);
   for (int c = 0; c < 2; ++c) {
     std::fill_n(out.sum[c], m, 0.0);
     std::fill_n(out.weighted[c], m, 0.0);
   }
   for (std::size_t k = 0; k < s.group; ++k) {
     const int c = k < nf ? 1 : 0;
-    double* const e = out.sum[c];
-    double* const we = out.weighted[c];
-    const double* const v = at(s.a, (first + k) * s.nb + r, j0);
-    const double w = static_cast<double>(k + 1);
-    for (std::size_t j = 0; j < m; ++j) {
-      e[j] += v[j];
-      we[j] += w * v[j];
-    }
+    shift_member<true>(out.sum[c], out.weighted[c],
+                       at(s.a, (first + k) * s.nb + r, j0),
+                       static_cast<double>(k + 1), m);
   }
   const ConstMatrixView stored[2] = {s.active, s.frozen};
   for (int c = 0; c < 2; ++c) {
@@ -129,12 +171,6 @@ double lu_checksum_residual(const LuConstView& s, std::size_t frozen_steps,
                             unsigned threads) {
   const std::size_t csr = s.csr(), n = s.a.cols();
   std::vector<std::uint64_t> partial(csr, 0);
-  // Small shapes stay inline. At ~2.5 ns per slot on one thread (the
-  // verify block of bench_kernels_json), a pool dispatch costs 3–7 µs, and
-  // measured on a 4-vCPU AVX-512 VM four threads first beat one at ~12k
-  // slots (n = 192, group 3: 12 288 slots, 30 µs either way) and win 1.3–2×
-  // from ~28k.
-  if (csr * n < 16'384) threads = 1;
   common::parallel_for(
       csr,
       [&](std::size_t row) {
@@ -147,7 +183,7 @@ double lu_checksum_residual(const LuConstView& s, std::size_t frozen_steps,
         }
         partial[row] = worst;
       },
-      threads);
+      row_pass_threads(csr, n, threads));
   std::uint64_t worst = 0;
   for (const std::uint64_t p : partial) worst = std::max(worst, p);
   return abs_from_bits(worst);

@@ -82,6 +82,21 @@ void lu_panel(const LuView& s, std::size_t k);
 void lu_update(const LuView& s, std::size_t k, std::size_t bj0,
                std::size_t bj1);
 
+/// Rebuild both accumulators from the payload: for each accumulator row,
+/// sum the group's member rows into `frozen` if bi < frozen_steps and into
+/// `active` otherwise, in group order starting from 0.0, for both
+/// relations. Contract:
+///   - derived data only: the payload is read, never written, so a state
+///     whose accumulators were dropped (a dist snapshot) is whole again;
+///   - the frozen half is bitwise the accumulator lu_update maintains (the
+///     same additions in the same order from the same zero); the active
+///     half agrees with the maintained one to rounding;
+///   - with frozen_steps = 0 the result is bitwise row_group_checksum_pair
+///     over `active` and all zeros over `frozen`;
+///   - bitwise-identical for every `threads`: parallel_for runs one
+///     accumulator row per index.
+void lu_encode(const LuView& s, std::size_t frozen_steps, unsigned threads);
+
 /// Columns per call of the residual routine: four chunk rows of residuals
 /// (8 KiB) stay on the caller's stack and in L1.
 inline constexpr std::size_t kResidualChunk = 256;

@@ -11,6 +11,11 @@ namespace abftc::core {
 
 namespace {
 
+/// Replicates per chunk: small enough to balance a 1000-replicate run over
+/// any realistic pool (63 chunks), large enough that a chunk's result slot
+/// and merge cost nothing next to its simulations.
+constexpr std::size_t kReplicateBlock = 16;
+
 std::unique_ptr<sim::InterArrival> make_distribution(
     const MonteCarloOptions& opt, double mean) {
   switch (opt.distribution) {
@@ -59,20 +64,21 @@ MonteCarloResult monte_carlo(Protocol p, const ScenarioParams& s,
   // how chunks land on workers (no merge order to get wrong).
   if (opt.collect_waste_sample) out.waste_sample.resize(opt.replicates);
 
-  // Chunk replicates; each chunk accumulates into its own slot, and the
-  // slots are merged serially in chunk order afterwards. Welford merges are
-  // not associative in floating point, so a merge in completion order would
-  // make the statistics depend on scheduling.
-  const unsigned workers = common::effective_threads(opt.threads);
-  const std::size_t chunks = std::max<std::size_t>(workers * 4, 1);
-  const std::size_t per_chunk = (opt.replicates + chunks - 1) / chunks;
+  // Chunk replicates into fixed blocks; each chunk accumulates into its
+  // own slot, and the slots are merged serially in chunk order afterwards.
+  // Welford merges are not associative in floating point, so the merge tree
+  // must not depend on scheduling (completion order) or on the worker count
+  // (chunk sizes): with fixed blocks the statistics are bitwise the same
+  // for every thread count.
+  const std::size_t chunks = (opt.replicates + kReplicateBlock - 1) /
+                             kReplicateBlock;
   std::vector<MonteCarloResult> partial(chunks);
 
   common::parallel_for(
       chunks,
       [&](std::size_t chunk) {
-        const std::size_t lo = chunk * per_chunk;
-        const std::size_t hi = std::min(lo + per_chunk, opt.replicates);
+        const std::size_t lo = chunk * kReplicateBlock;
+        const std::size_t hi = std::min(lo + kReplicateBlock, opt.replicates);
         MonteCarloResult& local = partial[chunk];
         for (std::size_t rep = lo; rep < hi; ++rep) {
           auto clock = make_clock(s, opt, base.split(rep));

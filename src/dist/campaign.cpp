@@ -127,6 +127,9 @@ Calibration calibrate(Launcher& clean, const DistConfig& cfg,
   Calibration calib;
   calib.t_clean = rep.wall_seconds;
   calib.step_seconds = rep.step_seconds;
+  const std::vector<ckpt::io::SnapshotMeta> snapshots = backend->list();
+  ABFTC_CHECK(!snapshots.empty(), "calibration run committed no snapshot");
+  calib.snapshot_bytes = snapshots.front().bytes;
 
   // check_s: one full residual sweep over the final arena state — the same
   // sweep every blind check and post-reconstruction re-verify runs. The

@@ -59,6 +59,9 @@ struct Calibration {
   /// Hang cells run with this step deadline (derived from the calibrated
   /// step times so a hang cell doesn't sit out the default 30 s).
   double hang_timeout_s = 0.0;
+  /// Payload bytes of one boundary snapshot, as the clean run's store
+  /// lists it: 16 + n²·8 (progress and the matrix; no accumulators).
+  std::uint64_t snapshot_bytes = 0;
 };
 
 struct CellOutcome {

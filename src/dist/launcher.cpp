@@ -13,7 +13,6 @@
 #include <cstring>
 #include <thread>
 
-#include "abft/checksum.hpp"
 #include "abft/kernels.hpp"
 #include "ckpt/io/writer.hpp"
 #include "common/error.hpp"
@@ -203,7 +202,6 @@ void Launcher::prepare(RunReport& report) {
     shared_.ctl->nranks = cfg_.ranks;
     common::Rng rng(cfg_.seed);
     a0_ = abft::Matrix::diag_dominant(cfg_.n, rng);
-    cs0_ = abft::row_group_checksum_pair(a0_, cfg_.nb, cfg_.group);
     owner_ = std::this_thread::get_id();
   }
   // A rank that died idle since the last run has hung up its ready pipe
@@ -327,11 +325,8 @@ bool Launcher::collect_step(std::size_t k, std::uint32_t token,
 
 Launcher::Regions Launcher::snapshot_regions(std::uint64_t (&progress)[2]) {
   const std::size_t mat = layout_.n * layout_.n;
-  const std::size_t acc = 2 * layout_.csr * layout_.n;
   return {std::as_writable_bytes(std::span(progress)),
-          std::as_writable_bytes(std::span(shared_.matrix, mat)),
-          std::as_writable_bytes(std::span(shared_.active, acc)),
-          std::as_writable_bytes(std::span(shared_.frozen, acc))};
+          std::as_writable_bytes(std::span(shared_.matrix, mat))};
 }
 
 void Launcher::checkpoint(std::size_t boundary, RunReport& report) {
@@ -368,16 +363,13 @@ void Launcher::checkpoint(std::size_t boundary, RunReport& report) {
 }
 
 void Launcher::load_initial() {
-  // Restart from scratch: the pristine matrix and its step-0 accumulator;
-  // nothing is frozen yet, so the frozen accumulator restarts at zero.
-  const auto copy_in = [](double* dst, const abft::Matrix& src) {
-    std::memcpy(dst, src.storage().data(),
-                src.storage().size() * sizeof(double));
-  };
-  copy_in(shared_.matrix, a0_);
-  copy_in(shared_.active, cs0_);
-  std::memset(shared_.frozen, 0, cs0_.storage().size() * sizeof(double));
+  // Restart from scratch: the pristine matrix, encoded with nothing frozen
+  // (the active accumulator is its step-0 checksum pair, the frozen one
+  // all zeros).
+  std::memcpy(shared_.matrix, a0_.storage().data(),
+              a0_.storage().size() * sizeof(double));
   frozen_steps_ = 0;
+  abft::lu_encode(shared_.lu(), frozen_steps_, verify_threads_);
 }
 
 std::optional<ckpt::io::SnapshotMeta> Launcher::restore_now(
@@ -387,10 +379,14 @@ std::optional<ckpt::io::SnapshotMeta> Launcher::restore_now(
   std::uint64_t progress[2] = {0, 0};
   const Regions regions = snapshot_regions(progress);
   auto restored = ckpt::io::restore_latest_into(backend, regions);
-  if (restored)
+  if (restored) {
+    // A snapshot holds the payload only: the accumulators are derived data,
+    // re-encoded here from the restored factors.
     frozen_steps_ = static_cast<std::size_t>(progress[1]);
-  else
+    abft::lu_encode(shared_.lu(), frozen_steps_, verify_threads_);
+  } else {
     load_initial();
+  }
   return restored;
 }
 

@@ -9,13 +9,14 @@
 /// faults.
 ///
 /// Lifecycle: a Launcher is a warm rank pool.
-///   - The first run() maps the arena, builds the pristine matrix and its
-///     step-0 accumulator, and forks the ranks. All of them live until
-///     ~Launcher, which SIGKILLs and reaps the ranks.
-///   - Every run() copies that pristine image into the arena, forgets the
-///     previous run's checkpoint boundaries, and forks only the ranks that
-///     are dead — also one that died idle between runs (its ready pipe hung
-///     up). Such a replacement counts in `respawns`, never as a restore.
+///   - The first run() maps the arena, builds the pristine matrix and
+///     forks the ranks. All of them live until ~Launcher, which SIGKILLs
+///     and reaps the ranks.
+///   - Every run() copies that pristine matrix into the arena, encodes its
+///     step-0 accumulators (abft::lu_encode), forgets the previous run's
+///     checkpoint boundaries, and forks only the ranks that are dead — also
+///     one that died idle between runs (its ready pipe hung up). Such a
+///     replacement counts in `respawns`, never as a restore.
 ///   - A run's backend, `flip_seed` and `step_timeout_s` may differ between
 ///     runs. The other DistConfig fields fix the launcher's shape; run()
 ///     with a different shape throws precondition_error.
@@ -41,12 +42,17 @@
 ///     ckpt::io::restore_latest_into) streams each region's payload from
 ///     the backend straight into its arena span and verifies the CRCs
 ///     there, with no heap copy in between; a torn or corrupt snapshot
-///     falls back to the next-older one. That is safe because the arena is
-///     quiescent at every restore, and every outcome rewrites all of it: a
-///     verified snapshot fills every region, and if storage holds nothing
+///     falls back to the next-older one. A snapshot holds the payload only,
+///     so the restore then re-encodes both accumulators from the restored
+///     factors (abft::lu_encode): the frozen half comes out bitwise the one
+///     the run maintained, the active half equal to rounding, and the
+///     payload — which never reads an accumulator — replays bitwise. That
+///     is safe because the arena is quiescent at every restore, and every
+///     outcome rewrites all of it: a verified snapshot fills the matrix and
+///     the encoder both accumulators, and if storage holds nothing
 ///     restorable the run falls back to its initial image — the pristine
-///     matrix and accumulators every run starts from — and restarts from
-///     step 0.
+///     matrix every run starts from, encoded with nothing frozen — and
+///     restarts from step 0.
 ///
 ///   silent data corruption (flip/flip2) → the checksum-invariant residual
 ///     detects it at a step boundary; the poisoned element is then
@@ -73,8 +79,8 @@
 ///     recovers via the death path. A silent owner that never published its
 ///     panel holds up everyone else, so then it alone counts.
 ///
-/// A checkpoint streams the four arena regions (progress, matrix, the two
-/// stacked accumulators) through ckpt::io::commit_snapshot, the commit
+/// A checkpoint streams two regions, progress and the arena's matrix,
+/// through ckpt::io::commit_snapshot, the commit
 /// routine CkptWriter uses too: the regions go straight from the arena into
 /// one backend WriteSession, without an intermediate copy, while one pool
 /// task hashes them; the routine joins that task before it returns. That is
@@ -288,7 +294,8 @@ class Launcher {
   void reconstruct_block(const FaultSite& site);
   /// Rung 3: restore the newest snapshot of `backend` that verifies
   /// straight into the arena, or the initial image when none does, and
-  /// resume from its frozen step count. Overwrites the whole arena state.
+  /// resume from its frozen step count; then re-encode both accumulators
+  /// from the restored matrix. Overwrites the whole arena state.
   /// Returns the restored snapshot's meta; nullopt means the initial image.
   std::optional<ckpt::io::SnapshotMeta> restore_now(
       const ckpt::io::StorageBackend& backend);
@@ -342,12 +349,13 @@ class Launcher {
   /// keeps the value in last_check_.
   double verify(RunReport& report);
   /// A dist snapshot's regions, indexed by region id: `progress`
-  /// ({boundary, frozen_steps}), then the arena's matrix and the two stacked
-  /// accumulators.
-  using Regions = std::array<std::span<std::byte>, 4>;
+  /// ({boundary, frozen_steps}), then the arena's matrix. The accumulators
+  /// are not saved: they are an encoding of the matrix, and restore_now
+  /// re-encodes them (16 + n²·8 bytes per snapshot).
+  using Regions = std::array<std::span<std::byte>, 2>;
   [[nodiscard]] Regions snapshot_regions(std::uint64_t (&progress)[2]);
-  /// Copy the initial image (a0_, cs0_, zero frozen accumulator) into the
-  /// arena and reset frozen_steps_ to 0.
+  /// Copy the pristine matrix a0_ into the arena, reset frozen_steps_ to 0
+  /// and encode both accumulators from it (abft::lu_encode).
   void load_initial();
 
   DistConfig cfg_;
@@ -364,9 +372,9 @@ class Launcher {
   std::uint32_t token_ = 0;  ///< the last step's gate token
   std::thread::id owner_;  ///< the thread that forks the ranks
   std::size_t forks_ = 0;
-  /// The pristine matrix and its step-0 stacked accumulator: every run's
-  /// starting state and the restart-from-scratch image.
-  abft::Matrix a0_, cs0_;
+  /// The pristine matrix: every run's starting payload and the
+  /// restart-from-scratch image (its accumulators are encoded on load).
+  abft::Matrix a0_;
   /// Highest boundary whose checkpoint was already attempted (SIZE_MAX =
   /// none): replay after a restore must not re-write an existing snapshot.
   std::size_t max_boundary_attempted_ = std::numeric_limits<std::size_t>::max();

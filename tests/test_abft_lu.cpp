@@ -5,12 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 
 #include "abft/abft_lu.hpp"
 #include "abft/blas.hpp"
+#include "abft/checksum.hpp"
+#include "abft/lu_kernel.hpp"
 #include "dist/launcher.hpp"
 
 namespace {
@@ -347,6 +352,73 @@ TEST(LuKernel, PlantedDeltaIsSeenAndLocalizedAtEverySite) {
         ASSERT_EQ(loc.sites.size(), 1u);
         EXPECT_EQ(loc.sites[0], (dist::FaultSite{bi, 3, row, col}));
       }
+  }
+}
+
+/// True when every element of the two views has the same bits.
+bool same_bits(abft::ConstMatrixView x, abft::ConstMatrixView y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
+  for (std::size_t i = 0; i < x.rows(); ++i)
+    for (std::size_t j = 0; j < x.cols(); ++j)
+      if (std::bit_cast<std::uint64_t>(x(i, j)) !=
+          std::bit_cast<std::uint64_t>(y(i, j)))
+        return false;
+  return true;
+}
+
+TEST(LuKernel, EncoderRebuildsTheMaintainedAccumulatorsAtEveryBoundary) {
+  // 80 accumulator rows × 240 columns: above the inline cutoff, so the
+  // threaded encodes really split the rows.
+  const std::size_t n = 240, nb = 16, group = 3;
+  for (const std::uint64_t seed : {3u, 29u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    LuState st(n, nb, group);
+    common::Rng rng(seed);
+    st.a = Matrix::diag_dominant(n, rng);
+    st.active = abft::row_group_checksum_pair(st.a, nb, group);
+    abft::fill(st.frozen.view(), 0.0);
+    const abft::LuView live{st.a.view(), st.active.view(), st.frozen.view(),
+                            nb, group};
+    double scale = 1.0;
+    for (const double v : st.a.storage()) scale = std::max(scale, std::abs(v));
+
+    for (std::size_t f = 0; f <= st.block_steps(); ++f) {
+      SCOPED_TRACE("boundary " + std::to_string(f));
+      // Encode into NaN-filled accumulators: every slot must be written.
+      const double nan = std::numeric_limits<double>::quiet_NaN();
+      LuState enc[3] = {LuState(n, nb, group), LuState(n, nb, group),
+                        LuState(n, nb, group)};
+      const unsigned threads[3] = {1, 2, 4};
+      for (int t = 0; t < 3; ++t) {
+        enc[t].a = st.a;
+        abft::fill(enc[t].active.view(), nan);
+        abft::fill(enc[t].frozen.view(), nan);
+        abft::lu_encode({enc[t].a.view(), enc[t].active.view(),
+                         enc[t].frozen.view(), nb, group},
+                        f, threads[t]);
+      }
+      for (int t = 1; t < 3; ++t) {
+        EXPECT_TRUE(same_bits(enc[t].active, enc[0].active))
+            << "threads=" << threads[t];
+        EXPECT_TRUE(same_bits(enc[t].frozen, enc[0].frozen))
+            << "threads=" << threads[t];
+      }
+      EXPECT_TRUE(same_bits(enc[0].frozen, st.frozen));
+      if (f == 0) {
+        EXPECT_TRUE(same_bits(
+            enc[0].active, abft::row_group_checksum_pair(st.a, nb, group)));
+      }
+      // Relative to the payload's magnitude: once a group is all frozen its
+      // maintained active rows are pure rounding residue, the encoded ones 0.
+      EXPECT_LE(abft::max_abs_diff(enc[0].active, st.active), 1e-12 * scale);
+      EXPECT_LE(abft::lu_checksum_residual(enc[0].view(), f, 1),
+                dist::kDetectFloor);
+
+      if (f < st.block_steps()) {
+        abft::lu_panel(live, f);
+        abft::lu_update(live, f, 0, st.block_steps());
+      }
+    }
   }
 }
 

@@ -33,6 +33,7 @@
 #include "abft/abft_lu.hpp"
 #include "abft/checksum.hpp"
 #include "abft/grid.hpp"
+#include "abft/lu_kernel.hpp"
 #include "abft/matrix.hpp"
 #include "ckpt/io/backend.hpp"
 #include "ckpt/io/faulting.hpp"
@@ -1049,8 +1050,54 @@ TEST(DistLauncher, KilledNonOwnerRestoresOnceAndReplaysBitwise) {
   ASSERT_EQ(report.restored_to_steps.size(), 1u);
   EXPECT_EQ(report.restored_to_steps[0], k);  // covering boundary of step 4
   EXPECT_TRUE(bitwise_equal(injected.lu(), clean.lu()));
-  EXPECT_TRUE(bitwise_equal(injected.active_cs(), clean.active_cs()));
+  // The restore re-encodes the accumulators from the restored payload: the
+  // frozen half is built exactly as the run maintains it, the active half
+  // only agrees to rounding.
   EXPECT_TRUE(bitwise_equal(injected.frozen_cs(), clean.frozen_cs()));
+  EXPECT_LE(abft::max_abs_diff(injected.active_cs(), clean.active_cs()),
+            kDetectFloor);
+}
+
+TEST(DistLauncher, RestoreReencodesTheAccumulatorsFromTheSnapshotPayload) {
+  const DistConfig cfg = small_config();
+  ckpt::io::MemoryBackend clean_store;
+  Launcher launcher(cfg, clean_store);
+  ASSERT_TRUE(launcher.run().completed);
+  const DistLayout lay =
+      DistLayout::compute(cfg.n, cfg.nb, cfg.group, cfg.ranks);
+
+  // Restore each boundary on its own (a store holding only that snapshot)
+  // and compare the arena with the clean run's payload at that boundary,
+  // encoded from scratch.
+  for (const ckpt::io::SnapshotMeta& meta : clean_store.list()) {
+    const std::size_t b = meta.id - 1;
+    SCOPED_TRACE("boundary " + std::to_string(b));
+    const ckpt::io::SnapshotBlob blob = clean_store.read_snapshot(meta.id);
+    ckpt::io::MemoryBackend one;
+    one.write_snapshot(blob);
+    ASSERT_TRUE(launcher.restore_now(one).has_value());
+
+    abft::Matrix a(cfg.n, cfg.n), active(2 * lay.csr, cfg.n),
+        frozen(2 * lay.csr, cfg.n);
+    ASSERT_EQ(blob.regions[1].payload.size(),
+              a.storage().size() * sizeof(double));
+    std::memcpy(a.storage().data(), blob.regions[1].payload.data(),
+                blob.regions[1].payload.size());
+    abft::lu_encode({a.view(), active.view(), frozen.view(), cfg.nb,
+                     cfg.group},
+                    b, 1);
+
+    EXPECT_TRUE(bitwise_equal(launcher.lu(), a));
+    EXPECT_TRUE(bitwise_equal(launcher.active_cs(),
+                              active.view().block(0, 0, lay.csr, cfg.n)));
+    EXPECT_TRUE(bitwise_equal(launcher.weighted_active_cs(),
+                              active.view().block(lay.csr, 0, lay.csr, cfg.n)));
+    EXPECT_TRUE(bitwise_equal(launcher.frozen_cs(),
+                              frozen.view().block(0, 0, lay.csr, cfg.n)));
+    EXPECT_TRUE(bitwise_equal(launcher.weighted_frozen_cs(),
+                              frozen.view().block(lay.csr, 0, lay.csr, cfg.n)));
+    EXPECT_LE(launcher.residual_now(), kDetectFloor);
+  }
 }
 
 TEST(DistLauncher, KilledRankIsReapedBeforeRunReturns) {
@@ -1250,15 +1297,13 @@ TEST(DistLauncher, TornCheckpointFallsBackToOlderSnapshot) {
   EXPECT_EQ(abft::max_abs_diff(injected.lu(), clean.lu()), 0.0);
 }
 
-// One Full snapshot per ckpt_every-th boundary k, id k+1, the four regions
-// in order (progress, matrix, the two stacked accumulators), every CRC
-// intact, and progress == {k, k}: at a boundary the first k block rows are
-// exactly the frozen ones.
+// One Full snapshot per ckpt_every-th boundary k, id k+1, the two regions
+// in order (progress, matrix) — the accumulators are derived data and stay
+// out — every CRC intact, and progress == {k, k}: at a boundary the first k
+// block rows are exactly the frozen ones.
 void expect_arena_snapshots(const DistConfig& cfg,
                             const ckpt::io::MemoryBackend& backend,
                             const RunReport& report) {
-  const DistLayout lay =
-      DistLayout::compute(cfg.n, cfg.nb, cfg.group, cfg.ranks);
   const auto metas = backend.list();
   ASSERT_EQ(metas.size(), report.checkpoints);
   for (std::size_t i = 0; i < metas.size(); ++i) {
@@ -1268,13 +1313,11 @@ void expect_arena_snapshots(const DistConfig& cfg,
     EXPECT_EQ(blob.meta.id, k + 1);
     EXPECT_EQ(blob.meta.kind, ckpt::CkptKind::Full);
     EXPECT_EQ(blob.meta.when, static_cast<double>(k));
-    ASSERT_EQ(blob.regions.size(), 4u);
+    ASSERT_EQ(blob.regions.size(), 2u);
     for (std::size_t r = 0; r < blob.regions.size(); ++r)
       EXPECT_EQ(blob.regions[r].region, r);
-    const std::size_t acc_bytes = 2 * lay.csr * cfg.n * sizeof(double);
     EXPECT_EQ(blob.regions[1].payload.size(), cfg.n * cfg.n * sizeof(double));
-    EXPECT_EQ(blob.regions[2].payload.size(), acc_bytes);
-    EXPECT_EQ(blob.regions[3].payload.size(), acc_bytes);
+    EXPECT_EQ(metas[i].bytes, 16 + cfg.n * cfg.n * sizeof(double));
     std::uint64_t progress[2] = {0, 0};
     ASSERT_EQ(blob.regions[0].payload.size(), sizeof(progress));
     std::memcpy(progress, blob.regions[0].payload.data(), sizeof(progress));
@@ -1294,12 +1337,12 @@ TEST(DistLauncher, CleanRunCommitsVerifiableSnapshotsStraightFromTheArena) {
   expect_arena_snapshots(cfg, backend, report);
 }
 
-// n=384, nb=32: ~2.7 MB per snapshot, several commit chunks, so every
+// n=576, nb=48: ~2.7 MB per snapshot, several commit chunks, so every
 // commit hashes on a pool task while the launcher appends.
 DistConfig multi_chunk_config() {
   DistConfig cfg = small_config();
-  cfg.n = 384;
-  cfg.nb = 32;
+  cfg.n = 576;
+  cfg.nb = 48;
   return cfg;
 }
 
@@ -1501,6 +1544,8 @@ TEST(DistCampaign, CalibrationTimesItsResidualSweep) {
   // under a microsecond; a sweep whose result is discarded and optimized
   // away reads tens of nanoseconds.
   EXPECT_GT(report.calib.check_s, 1e-6);
+  // A snapshot is progress and the payload: the accumulators stay out.
+  EXPECT_EQ(report.calib.snapshot_bytes, 16 + 8 * cfg.n * cfg.n);
 }
 
 TEST(DistCampaign, ShardsCoverTheCampaignExactlyOnce) {

@@ -684,7 +684,7 @@ TEST(Crc32, CombineMatchesConcatenation) {
   }
 
   // Short second parts exercise the low table entries one bit at a time;
-  // 1 MiB and 688144 (a dist snapshot's payload at n=192) the long
+  // 1 MiB and 294928 (a dist snapshot's payload at n=192) the long
   // products.
   std::vector<std::byte> big(1000 + (1u << 20));
   for (auto& b : big) b = static_cast<std::byte>(rng() & 0xFF);
@@ -693,7 +693,7 @@ TEST(Crc32, CombineMatchesConcatenation) {
   for (const std::size_t len_b : {std::size_t{1}, std::size_t{7},
                                   std::size_t{8}, std::size_t{63},
                                   std::size_t{64}, std::size_t{4095},
-                                  std::size_t{1} << 20, std::size_t{688144}}) {
+                                  std::size_t{1} << 20, std::size_t{294928}}) {
     const auto b = std::span(big).subspan(a.size(), len_b);
     EXPECT_EQ(common::crc32_combine(crc_a, common::crc32(b), len_b),
               common::crc32(std::span(big).first(a.size() + len_b)))

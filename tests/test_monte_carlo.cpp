@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <utility>
+
 #include "common/time_units.hpp"
+#include "core/experiment.hpp"
 #include "core/monte_carlo.hpp"
 
 namespace {
@@ -13,19 +19,31 @@ using namespace abftc::core;
 using common::minutes;
 
 TEST(MonteCarlo, ReproducibleAcrossThreadCounts) {
-  const auto s = figure7_scenario(minutes(120), 0.8);
-  MonteCarloOptions a;
-  a.replicates = 64;
-  a.threads = 1;
-  MonteCarloOptions b = a;
-  b.threads = 4;
-  const auto ra = monte_carlo(Protocol::AbftPeriodicCkpt, s, {}, a);
-  const auto rb = monte_carlo(Protocol::AbftPeriodicCkpt, s, {}, b);
-  // Replicates own their streams, so even the merge order cannot change
-  // the mean (up to fp association in the merge, which is deterministic
-  // per chunking; compare loosely).
-  EXPECT_NEAR(ra.waste.mean(), rb.waste.mean(), 1e-12);
-  EXPECT_EQ(ra.waste.count(), rb.waste.count());
+  // Replicates own their streams and chunks are fixed replicate blocks
+  // merged in chunk order, so every statistic is bitwise the same for any
+  // worker count. 203 replicates leave a short last block.
+  const auto s = figure7_scenario(minutes(120), 0.55);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const Protocol p : all_protocols()) {
+    MonteCarloOptions one;
+    one.replicates = 203;
+    one.threads = 1;
+    const auto ref = monte_carlo(p, s, {}, one);
+    for (const unsigned threads : {2u, 3u, 4u, 8u}) {
+      SCOPED_TRACE(std::string(to_string(p)) + " threads=" +
+                   std::to_string(threads));
+      MonteCarloOptions opt = one;
+      opt.threads = threads;
+      const auto r = monte_carlo(p, s, {}, opt);
+      for (const auto& [x, y] :
+           {std::pair{&r.waste, &ref.waste}, {&r.t_final, &ref.t_final},
+            {&r.failures, &ref.failures}, {&r.lost_time, &ref.lost_time}}) {
+        EXPECT_EQ(x->count(), y->count());
+        EXPECT_EQ(bits(x->mean()), bits(y->mean()));
+        EXPECT_EQ(bits(x->variance()), bits(y->variance()));
+      }
+    }
+  }
 }
 
 TEST(MonteCarlo, SeedChangesResults) {
