@@ -78,7 +78,7 @@ struct VerifyCell {
   std::size_t n = 0, nb = 0, group = 0;
   std::size_t slots = 0;  ///< checksum slots: csr × n
   std::size_t bytes = 0;  ///< payload + both stacked accumulators
-  unsigned threads = 1;   ///< the dist runtime's default verify_threads
+  unsigned threads = 1;   ///< the dist runtime's sweep threads: min(4, hw)
   double sweep_ns_per_slot_1t = 0.0;
   double sweep_ns_per_slot = 0.0;  ///< at `threads`
   double sweep_ms_1t = 0.0;

@@ -17,28 +17,12 @@
 /// per-call time to isolate the dispatch overhead, and the artifact reports
 /// `spawn_over_pool_empty` — the factor by which the pool beats
 /// spawn-per-call on empty loops (CI asserts >= 5).
-///
-/// Loop-shape profiler (PR 6): two irregular index spaces compare the
-/// shared-cursor schedule against work-stealing —
-///   `skewed`  — a heavy cluster at the tail of the index space holding
-///               ~2/3 of the total work, sized to land in the static
-///               schedule's final chunk (the worst case for the cursor:
-///               one worker drags the cluster alone while the rest idle).
-///               CI asserts `stealing_over_cursor_skewed` >= 1.3 at 4
-///               workers on multi-core runners.
-///   `bursty`  — heavy clusters strewn through the index space; the greedy
-///               cursor handles this shape reasonably, so the ratio is
-///               reported but not gated (expected ~1).
-/// The executor's scheduler counters (chunks claimed, steals, steal
-/// failures, park/unpark) accumulated over the stealing runs are emitted
-/// under `steal_counters`.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -156,59 +140,6 @@ int main(int argc, char** argv) {
   const double ratio =
       spawn_overhead_empty / std::max(pool_overhead_empty, 1e-9);
 
-  // ---- Loop-shape profiler: cursor vs stealing on irregular loops ----------
-  constexpr std::size_t kShapeN = 4096;
-  std::vector<double> shape_sink(kShapeN);
-  // A compute kernel whose cost scales with `units`; the result feeds the
-  // per-index sink so the work cannot be elided.
-  const auto burn = [](std::size_t units) {
-    double x = 1.0000001;
-    for (std::size_t u = 0; u < units * 50; ++u) x = x * 1.0000001 + 1e-12;
-    return x;
-  };
-  // Tail cluster: the last n/32 indices cost 64x a light index (~2/3 of the
-  // total work), which is exactly the static schedule's final chunk at 4
-  // workers (chunk = n / (threads·8)).
-  const auto skewed_body = [&](std::size_t i) {
-    shape_sink[i] = burn(i >= kShapeN - kShapeN / 32 ? 64 : 1);
-  };
-  // Scattered clusters: every fourth 32-index block is 32x heavy.
-  const auto bursty_body = [&](std::size_t i) {
-    shape_sink[i] = burn((i / 32) % 4 == 0 ? 32 : 1);
-  };
-  const int shape_reps = std::max(1, reps / 10);
-  const auto time_shape = [&](const auto& body, bool stealing) {
-    const auto run = [&] {
-      if (stealing)
-        common::parallel_for_dynamic(kShapeN, body, threads);
-      else
-        common::parallel_for(kShapeN, body, threads);
-    };
-    run();  // warm-up
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < shape_reps; ++r) run();
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-               .count() /
-           shape_reps;
-  };
-
-  const common::ExecutorStats before = common::Executor::global().stats();
-  double shape_ratios[2] = {0.0, 0.0};
-  const struct {
-    const char* name;
-    const std::function<void(std::size_t)> body;
-  } shapes[2] = {{"skewed", skewed_body}, {"bursty", bursty_body}};
-  for (int si = 0; si < 2; ++si) {
-    const double cursor = time_shape(shapes[si].body, false);
-    const double stealing = time_shape(shapes[si].body, true);
-    shape_ratios[si] = cursor / std::max(stealing, 1e-9);
-    results.push_back({shapes[si].name, "cursor", threads, cursor, 0.0});
-    results.push_back({shapes[si].name, "stealing", threads, stealing, 0.0});
-  }
-  const common::ExecutorCounters shape_delta =
-      (common::Executor::global().stats() - before).total;
-
   std::ofstream out(out_path);
   if (!out) {
     std::cerr << "error: cannot open '" << out_path << "' for writing\n";
@@ -223,15 +154,6 @@ int main(int argc, char** argv) {
   json.kv("resolved_threads", common::effective_threads(threads));
   json.kv("hardware_threads", common::hardware_workers());
   json.kv("spawn_over_pool_empty", ratio);
-  json.kv("stealing_over_cursor_skewed", shape_ratios[0]);
-  json.kv("stealing_over_cursor_bursty", shape_ratios[1]);
-  json.key("steal_counters").begin_object();
-  json.kv("chunks_claimed", shape_delta.chunks_claimed);
-  json.kv("tasks_stolen", shape_delta.tasks_stolen);
-  json.kv("steal_failures", shape_delta.steal_failures);
-  json.kv("parks", shape_delta.parks);
-  json.kv("unparks", shape_delta.unparks);
-  json.end_object();
   json.key("results").begin_array();
   for (const Result& r : results) {
     json.begin_object();
@@ -250,9 +172,7 @@ int main(int argc, char** argv) {
               << " threads=" << r.threads
               << " per_call=" << r.per_call_seconds * 1e6 << "us"
               << " overhead=" << r.overhead_seconds * 1e6 << "us\n";
-  std::cout << "pool beats spawn on empty loops by " << ratio
-            << "x; stealing beats cursor on the skewed shape by "
-            << shape_ratios[0] << "x (bursty: " << shape_ratios[1]
-            << "x); wrote " << out_path << "\n";
+  std::cout << "pool beats spawn on empty loops by " << ratio << "x; wrote "
+            << out_path << "\n";
   return 0;
 }

@@ -10,8 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/deque.hpp"
-
 namespace abftc::common {
 
 namespace {
@@ -21,15 +19,6 @@ namespace {
 /// results (chunk ownership is derived from the index space, not the worker
 /// set).
 constexpr unsigned kMaxHelpers = 256;
-
-/// Per-worker capacity of the submitted-task deque. Overflow falls back to
-/// the shared queue, so the bound is a fast-path size, not a limit.
-constexpr std::size_t kTaskDequeCapacity = 1024;
-
-/// Auto-grain for the stealing schedule: enough chunks that every
-/// participant's share can be re-split several times by thieves, without
-/// making the per-chunk bookkeeping visible next to real loop bodies.
-constexpr std::size_t kStealChunksPerParticipant = 32;
 
 /// Nesting depth of the current thread: incremented while it executes chunks
 /// or tasks of any parallel region (pool worker or caller participation).
@@ -45,16 +34,12 @@ struct DepthGuard {
 /// Monotonic scheduler counters; relaxed — they order nothing.
 struct alignas(64) StatsBlock {
   std::atomic<std::uint64_t> chunks_claimed{0};
-  std::atomic<std::uint64_t> tasks_stolen{0};
-  std::atomic<std::uint64_t> steal_failures{0};
   std::atomic<std::uint64_t> parks{0};
   std::atomic<std::uint64_t> unparks{0};
 
   [[nodiscard]] ExecutorCounters snapshot() const noexcept {
     ExecutorCounters c;
     c.chunks_claimed = chunks_claimed.load(std::memory_order_relaxed);
-    c.tasks_stolen = tasks_stolen.load(std::memory_order_relaxed);
-    c.steal_failures = steal_failures.load(std::memory_order_relaxed);
     c.parks = parks.load(std::memory_order_relaxed);
     c.unparks = unparks.load(std::memory_order_relaxed);
     return c;
@@ -64,21 +49,19 @@ struct alignas(64) StatsBlock {
 void accumulate(ExecutorCounters& into, const ExecutorCounters& c) noexcept {
   into.chunks_claimed += c.chunks_claimed;
   into.tasks_stolen += c.tasks_stolen;
-  into.steal_failures += c.steal_failures;
   into.parks += c.parks;
   into.unparks += c.unparks;
 }
 
-/// Shared state of one static (shared-cursor) parallel loop. Participants
-/// (the caller plus any pool workers that picked up a helper job) claim
-/// contiguous chunks off `cursor` until it passes `n` or `stop` is raised.
-/// `running` counts participants currently inside the claim loop: a
-/// participant registers *before* its first claim, so once the caller
-/// observes running == 0 after its own chunks drained, no chunk is executing
-/// and none can start (the cursor is exhausted or `stop` is permanently
-/// set) — late-popped helper jobs touch only the atomics, never `fn`/`ctx`.
-/// The shared_ptr in each queued job keeps this state alive past the
-/// caller's stack frame.
+/// Shared state of one parallel loop. Participants (the caller plus any pool
+/// workers that picked up a helper job) claim contiguous chunks off `cursor`
+/// until it passes `n` or `stop` is raised. `running` counts participants
+/// currently inside the claim loop: a participant registers *before* its
+/// first claim, so once the caller observes running == 0 after its own
+/// chunks drained, no chunk is executing and none can start (the cursor is
+/// exhausted or `stop` is permanently set) — late-popped helper jobs touch
+/// only the atomics, never `fn`/`ctx`. The shared_ptr in each queued job
+/// keeps this state alive past the caller's stack frame.
 struct LoopState {
   detail::RawLoopFn fn = nullptr;
   void* ctx = nullptr;
@@ -93,43 +76,18 @@ struct LoopState {
   std::exception_ptr first_error;   // guarded by m
 };
 
-/// Shared state of one dynamic (work-stealing) parallel loop. Participant
-/// slot s owns deque s, seeded by the caller with a contiguous block of
-/// chunk ids *before* the helper jobs are published (the queue mutex is the
-/// happens-before edge); thieves re-split laggards with steal-half batches.
-/// `remaining` counts indices not yet executed — participants leave when it
-/// hits zero or `stop` is raised, and the same running/done handshake as
-/// LoopState tells the caller when no participant can touch `fn`/`ctx`.
-struct DynLoopState {
-  detail::RawLoopFn fn = nullptr;
-  void* ctx = nullptr;
-  std::size_t n = 0;
-  std::size_t chunk = 1;
-  std::size_t nchunks = 0;
-  unsigned slots = 0;
-  std::atomic<unsigned> next_slot{1};  // slot 0 is the caller
-  std::vector<std::unique_ptr<WsDeque<std::size_t>>> deques;
-  std::atomic<std::size_t> remaining{0};
-  std::atomic<bool> stop{false};
-
-  std::mutex m;
-  std::condition_variable done;
-  unsigned running = 0;             // guarded by m
-  std::exception_ptr first_error;   // guarded by m
-};
-
 /// Claim and execute chunks until the loop drains or stops. On the first
 /// exception the error is captured, `stop` is raised (relaxed: other
 /// participants notice at their next chunk boundary), and the rest of the
 /// throwing chunk is abandoned.
-void run_chunks(LoopState& loop, StatsBlock* stats) {
+void run_chunks(LoopState& loop, StatsBlock& stats) {
   for (;;) {
     if (loop.stop.load(std::memory_order_relaxed)) return;
     const std::size_t lo =
         loop.cursor.fetch_add(loop.chunk, std::memory_order_relaxed);
     if (lo >= loop.n) return;
     const std::size_t hi = std::min(lo + loop.chunk, loop.n);
-    if (stats) stats->chunks_claimed.fetch_add(1, std::memory_order_relaxed);
+    stats.chunks_claimed.fetch_add(1, std::memory_order_relaxed);
     try {
       for (std::size_t i = lo; i < hi; ++i) loop.fn(loop.ctx, i);
     } catch (...) {
@@ -140,7 +98,7 @@ void run_chunks(LoopState& loop, StatsBlock* stats) {
   }
 }
 
-void participate(LoopState& loop, StatsBlock* stats) {
+void participate(LoopState& loop, StatsBlock& stats) {
   {
     std::lock_guard lock(loop.m);
     ++loop.running;
@@ -155,112 +113,28 @@ void participate(LoopState& loop, StatsBlock* stats) {
   }
 }
 
-/// One participant of a dynamic loop. `slot` indexes the deque this
-/// participant owns (>= slots: steal-only, the defensive case of a surplus
-/// helper). Work discovery order: own deque bottom (cache-warm, ascending
-/// indices), then steal-half from the other slots' deques round-robin.
-void dyn_participate(DynLoopState& loop, unsigned slot, StatsBlock* stats) {
-  {
-    std::lock_guard lock(loop.m);
-    ++loop.running;
-  }
-  {
-    DepthGuard depth;
-    WsDeque<std::size_t>* own =
-        slot < loop.slots ? loop.deques[slot].get() : nullptr;
-    // Steal batches that overflow the local deque land here; owner-only, so
-    // a plain vector. Entries are not stealable — acceptable for a bounded
-    // spill path.
-    std::vector<std::size_t> spill;
-
-    const auto run_chunk = [&](std::size_t c) {
-      const std::size_t lo = c * loop.chunk;
-      const std::size_t hi = std::min(lo + loop.chunk, loop.n);
-      if (stats) stats->chunks_claimed.fetch_add(1, std::memory_order_relaxed);
-      try {
-        for (std::size_t i = lo; i < hi; ++i) loop.fn(loop.ctx, i);
-      } catch (...) {
-        std::lock_guard lock(loop.m);
-        if (!loop.first_error) loop.first_error = std::current_exception();
-        loop.stop.store(true, std::memory_order_relaxed);
-      }
-      loop.remaining.fetch_sub(hi - lo, std::memory_order_acq_rel);
-    };
-
-    const auto try_steal = [&]() -> std::optional<std::size_t> {
-      const unsigned base = slot % loop.slots;
-      for (unsigned off = 1; off < loop.slots + (own ? 0u : 1u); ++off) {
-        const unsigned v = (base + off) % loop.slots;
-        WsDeque<std::size_t>& victim = *loop.deques[v];
-        const std::size_t est = victim.approx_size();
-        if (est == 0) continue;
-        const auto first = victim.steal();
-        if (!first) {
-          if (stats)
-            stats->steal_failures.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        if (stats) stats->tasks_stolen.fetch_add(1, std::memory_order_relaxed);
-        // Steal-half: take up to half of what the victim appeared to hold,
-        // keeping one to run now and queueing the rest locally so the next
-        // thief can re-split them.
-        for (std::size_t extra = 1; extra < (est + 1) / 2; ++extra) {
-          const auto more = victim.steal();
-          if (!more) break;
-          if (stats)
-            stats->tasks_stolen.fetch_add(1, std::memory_order_relaxed);
-          if (!own || !own->push(*more)) {
-            spill.push_back(*more);
-            break;
-          }
-        }
-        return first;
-      }
-      return std::nullopt;
-    };
-
-    for (;;) {
-      if (loop.stop.load(std::memory_order_relaxed)) break;
-      std::optional<std::size_t> c;
-      if (!spill.empty()) {
-        c = spill.back();
-        spill.pop_back();
-      } else if (own) {
-        c = own->pop();
-      }
-      if (!c) {
-        if (loop.remaining.load(std::memory_order_acquire) == 0) break;
-        c = try_steal();
-        if (!c) {
-          // Everything is claimed but the tail chunks are still executing
-          // elsewhere (or a racing thief beat us): briefly yield and
-          // re-check. Bounded by the runtime of the longest chunk.
-          if (loop.remaining.load(std::memory_order_acquire) == 0) break;
-          std::this_thread::yield();
-          continue;
-        }
-      }
-      run_chunk(*c);
-    }
-  }
-  {
-    std::lock_guard lock(loop.m);
-    if (--loop.running == 0) loop.done.notify_all();
-  }
-}
-
-/// Static-schedule chunking: the cursor is touched ~8× per participant, and
-/// contiguous ranges keep cache locality for loops walking adjacent rows.
+/// Chunking: the cursor is touched ~8× per participant, and contiguous
+/// ranges keep cache locality for loops walking adjacent rows.
 std::size_t chunk_for(std::size_t n, unsigned threads) noexcept {
   return std::max<std::size_t>(
       1, n / (static_cast<std::size_t>(threads) * 8));
 }
 
-/// A submitted task parked in a worker's stealing deque (the deque stores
-/// trivially copyable values, so tasks go in by pointer).
-struct TaskNode {
-  std::function<void()> fn;
+/// A unit of pool work: a helper job for a running loop, or a submitted
+/// task.
+struct ExecutorJob {
+  std::shared_ptr<LoopState> loop;
+  std::function<void()> task;
 };
+
+/// Identity of the current thread inside a pool (set for worker threads).
+/// Holds the owning Impl as void* (the nested type is private to Executor);
+/// only compared against, never dereferenced from here.
+struct WorkerIdentity {
+  void* impl = nullptr;
+  StatsBlock* stats = nullptr;
+};
+thread_local WorkerIdentity t_worker;
 
 }  // namespace
 
@@ -278,34 +152,6 @@ unsigned effective_threads(unsigned threads) noexcept {
 
 // --- Executor ---------------------------------------------------------------
 
-/// A unit of pool work: a helper job for a running loop (static or
-/// stealing), or a submitted task from the shared overflow queue.
-struct ExecutorJob {
-  std::shared_ptr<LoopState> loop;
-  std::shared_ptr<DynLoopState> dyn;
-  std::function<void()> task;
-};
-
-/// Per-worker scheduler state. Lives in a std::deque so addresses stay
-/// stable while the worker set grows.
-struct WorkerSlot {
-  WorkerSlot() : tasks(kTaskDequeCapacity) {}
-  WsDeque<TaskNode*> tasks;
-  StatsBlock stats;
-};
-
-namespace {
-/// Identity of the current thread inside a pool (set for worker threads).
-/// Holds the owning Impl as void* (the nested type is private to Executor);
-/// only compared against / cast back by Impl members, never dereferenced
-/// from here.
-struct WorkerIdentity {
-  void* impl = nullptr;
-  unsigned index = 0;
-};
-thread_local WorkerIdentity t_worker;
-}  // namespace
-
 struct Executor::Impl {
   unsigned cap = 0;
 
@@ -313,13 +159,10 @@ struct Executor::Impl {
   std::condition_variable work;
   std::deque<ExecutorJob> queue;     // guarded by m
   std::vector<std::thread> workers;  // guarded by m (grow-only)
+  /// Per-worker counters, index = worker id; grown under m together with
+  /// `workers`. std::deque keeps the addresses stable across growth.
+  std::deque<StatsBlock> worker_stats;  // guarded by m
   bool stopping = false;             // guarded by m
-
-  /// Per-worker task deques + counters; grown under m together with
-  /// `workers`, entries themselves accessed lock-free. std::deque keeps the
-  /// addresses stable across growth.
-  std::deque<WorkerSlot> slots;      // structure guarded by m
-  std::atomic<unsigned> slot_count{0};  ///< published size of `slots`
 
   /// Counter row for loop callers and other non-worker participants.
   StatsBlock caller_stats;
@@ -329,118 +172,45 @@ struct Executor::Impl {
   /// drains without work, never correctness.
   std::atomic<unsigned> idle{0};
 
-  /// Bumped on every lock-free publication of work (a push to a worker's
-  /// task deque). A worker snapshots it before its last work scan and will
-  /// not park if it moved — the eventcount that makes deque pushes and
-  /// parking race-free without putting the deques under the mutex.
-  std::atomic<std::uint64_t> work_epoch{0};
+  [[nodiscard]] bool on_worker() const noexcept { return t_worker.impl == this; }
 
-  void notify_if_idle() {
-    if (idle.load(std::memory_order_relaxed) == 0) return;
-    // Taking the mutex closes the race against a worker that passed the
-    // predicate but has not committed to the wait yet.
-    std::lock_guard lock(m);
-    work.notify_all();
+  StatsBlock& stats_for_current() noexcept {
+    return on_worker() ? *t_worker.stats : caller_stats;
   }
 
-  StatsBlock* stats_for_current() noexcept {
-    if (t_worker.impl == this) return &slots[t_worker.index].stats;
-    return &caller_stats;
-  }
-
-  void run_task_node(TaskNode* node) {
-    DepthGuard depth;
-    node->fn();  // packaged tasks / arena wrappers capture their errors
-    delete node;
-  }
-
-  void run_job(ExecutorJob& job, unsigned idx) {
-    StatsBlock* stats = &slots[idx].stats;
+  static void run_job(ExecutorJob& job, StatsBlock& stats) {
     if (job.loop) {
       participate(*job.loop, stats);
-    } else if (job.dyn) {
-      const unsigned slot =
-          job.dyn->next_slot.fetch_add(1, std::memory_order_relaxed);
-      dyn_participate(*job.dyn, slot, stats);
     } else if (job.task) {
       DepthGuard depth;
       job.task();  // packaged tasks / arena wrappers capture their errors
     }
   }
 
-  /// One scheduling round: own task deque, then the shared queue, then a
-  /// steal sweep over the other workers' deques. True when any work ran.
-  bool run_one(unsigned idx) {
-    if (auto own = slots[idx].tasks.pop()) {
-      run_task_node(*own);
-      return true;
-    }
-    {
-      std::unique_lock lock(m);
-      if (!queue.empty()) {
-        ExecutorJob job = std::move(queue.front());
-        queue.pop_front();
-        lock.unlock();
-        run_job(job, idx);
-        return true;
-      }
-    }
-    return steal_task_and_run(idx);
+  /// Pop and run one queued job on the calling worker. False when the queue
+  /// was empty.
+  bool run_one() {
+    std::unique_lock lock(m);
+    if (queue.empty()) return false;
+    ExecutorJob job = std::move(queue.front());
+    queue.pop_front();
+    lock.unlock();
+    run_job(job, *t_worker.stats);
+    return true;
   }
 
-  /// Steal-half sweep over the other workers' task deques: run the first
-  /// stolen task, re-queue the rest of the batch locally.
-  bool steal_task_and_run(unsigned idx) {
-    StatsBlock& stats = slots[idx].stats;
-    const unsigned count = slot_count.load(std::memory_order_acquire);
-    for (unsigned off = 1; off < count; ++off) {
-      const unsigned v = (idx + off) % count;
-      WsDeque<TaskNode*>& victim = slots[v].tasks;
-      const std::size_t est = victim.approx_size();
-      if (est == 0) continue;
-      const auto first = victim.steal();
-      if (!first) {
-        stats.steal_failures.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      stats.tasks_stolen.fetch_add(1, std::memory_order_relaxed);
-      for (std::size_t extra = 1; extra < (est + 1) / 2; ++extra) {
-        const auto more = victim.steal();
-        if (!more) break;
-        stats.tasks_stolen.fetch_add(1, std::memory_order_relaxed);
-        if (!slots[idx].tasks.push(*more)) {
-          // No local room: run it after the first one, immediately.
-          run_task_node(*first);
-          run_task_node(*more);
-          return true;
-        }
-      }
-      work_epoch.fetch_add(1, std::memory_order_release);
-      notify_if_idle();
-      run_task_node(*first);
-      return true;
-    }
-    return false;
-  }
-
-  void worker_main(unsigned idx) {
-    t_worker = {this, idx};
+  void worker_main(StatsBlock& stats) {
+    t_worker = {this, &stats};
     for (;;) {
-      const std::uint64_t epoch = work_epoch.load(std::memory_order_acquire);
-      if (run_one(idx)) continue;
+      if (run_one()) continue;
       std::unique_lock lock(m);
-      if (!queue.empty() ||
-          work_epoch.load(std::memory_order_relaxed) != epoch)
-        continue;  // new work appeared after the scan: rescan, don't park
-      if (stopping) return;  // queue drained, own deque drained by run_one
+      if (!queue.empty()) continue;  // queued after run_one looked
+      if (stopping) return;          // queue drained
       idle.fetch_add(1, std::memory_order_relaxed);
-      slots[idx].stats.parks.fetch_add(1, std::memory_order_relaxed);
-      work.wait(lock, [&] {
-        return stopping || !queue.empty() ||
-               work_epoch.load(std::memory_order_relaxed) != epoch;
-      });
+      stats.parks.fetch_add(1, std::memory_order_relaxed);
+      work.wait(lock, [&] { return stopping || !queue.empty(); });
       idle.fetch_sub(1, std::memory_order_relaxed);
-      slots[idx].stats.unparks.fetch_add(1, std::memory_order_relaxed);
+      stats.unparks.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
@@ -452,11 +222,8 @@ struct Executor::Impl {
     std::lock_guard lock(m);
     if (stopping) return 0;
     while (workers.size() < want) {
-      const unsigned idx = static_cast<unsigned>(workers.size());
-      slots.emplace_back();
-      slot_count.store(static_cast<unsigned>(slots.size()),
-                       std::memory_order_release);
-      workers.emplace_back([this, idx] { worker_main(idx); });
+      StatsBlock& stats = worker_stats.emplace_back();
+      workers.emplace_back([this, &stats] { worker_main(stats); });
     }
     return static_cast<unsigned>(workers.size());
   }
@@ -505,10 +272,10 @@ ExecutorStats Executor::stats() const {
   ExecutorStats out;
   out.callers = impl_->caller_stats.snapshot();
   accumulate(out.total, out.callers);
-  const unsigned count = impl_->slot_count.load(std::memory_order_acquire);
-  out.per_worker.reserve(count);
-  for (unsigned i = 0; i < count; ++i) {
-    out.per_worker.push_back(impl_->slots[i].stats.snapshot());
+  std::lock_guard lock(impl_->m);
+  out.per_worker.reserve(impl_->worker_stats.size());
+  for (const StatsBlock& w : impl_->worker_stats) {
+    out.per_worker.push_back(w.snapshot());
     accumulate(out.total, out.per_worker.back());
   }
   return out;
@@ -562,7 +329,7 @@ void Executor::run_loop(std::size_t n, detail::RawLoopFn fn, void* ctx,
     {
       std::lock_guard lock(impl_->m);
       for (unsigned h = 0; h < helpers; ++h)
-        impl_->queue.push_back(ExecutorJob{loop, nullptr, {}});
+        impl_->queue.push_back(ExecutorJob{loop, {}});
     }
     impl_->work.notify_all();
   }
@@ -580,100 +347,8 @@ void Executor::run_loop(std::size_t n, detail::RawLoopFn fn, void* ctx,
   }
 }
 
-void Executor::run_loop_dynamic(std::size_t n, detail::RawLoopFn fn, void* ctx,
-                                unsigned threads, std::size_t grain) {
-  if (n == 0) return;
-  threads = std::min(effective_threads(threads), impl_->cap + 1);
-  const bool nested = inside_parallel_region();
-  const unsigned lendable =
-      nested ? impl_->idle.load(std::memory_order_relaxed) : 0;
-  if (threads <= 1 || n == 1 || (nested && lendable == 0)) {
-    // Serial fast path — same arbitration as the static schedule, and
-    // exceptions propagate directly.
-    for (std::size_t i = 0; i < n; ++i) fn(ctx, i);
-    return;
-  }
-
-  const unsigned avail =
-      nested ? lendable : impl_->ensure_helpers(threads - 1);
-  unsigned participants = static_cast<unsigned>(std::min<std::size_t>(
-      std::min<std::size_t>(threads, std::size_t{avail} + 1), n));
-  const std::size_t chunk =
-      grain != 0
-          ? grain
-          : std::max<std::size_t>(
-                1, n / (static_cast<std::size_t>(participants) *
-                        kStealChunksPerParticipant));
-  const std::size_t nchunks = (n + chunk - 1) / chunk;
-  participants =
-      static_cast<unsigned>(std::min<std::size_t>(participants, nchunks));
-  if (participants <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(ctx, i);
-    return;
-  }
-
-  auto loop = std::make_shared<DynLoopState>();
-  loop->fn = fn;
-  loop->ctx = ctx;
-  loop->n = n;
-  loop->chunk = chunk;
-  loop->nchunks = nchunks;
-  loop->slots = participants;
-  loop->remaining.store(n, std::memory_order_relaxed);
-  loop->deques.reserve(participants);
-  // Every chunk id lives in at most one deque at a time (unique ownership
-  // moves with steals), so capacity = nchunks makes push infallible in
-  // practice; the spill vector in dyn_participate covers the bound anyway.
-  const std::size_t per_slot = (nchunks + participants - 1) / participants;
-  const std::size_t deque_cap =
-      std::min(nchunks, std::max<std::size_t>(per_slot * 4, 64));
-  for (unsigned s = 0; s < participants; ++s)
-    loop->deques.push_back(
-        std::make_unique<WsDeque<std::size_t>>(deque_cap));
-  // Seed slot s with the contiguous chunk block [s·per, (s+1)·per), pushed
-  // in reverse so the owner pops ascending indices (cache-friendly walk);
-  // thieves take from the other end — the chunks the owner reaches last.
-  for (unsigned s = 0; s < participants; ++s) {
-    const std::size_t lo = static_cast<std::size_t>(s) * per_slot;
-    const std::size_t hi = std::min(lo + per_slot, nchunks);
-    for (std::size_t c = hi; c-- > lo;) (void)loop->deques[s]->push(c);
-  }
-
-  const unsigned helpers = participants - 1;
-  if (helpers > 0) {
-    {
-      std::lock_guard lock(impl_->m);
-      for (unsigned h = 0; h < helpers; ++h)
-        impl_->queue.push_back(ExecutorJob{nullptr, loop, {}});
-    }
-    impl_->work.notify_all();
-  }
-
-  dyn_participate(*loop, 0, impl_->stats_for_current());
-  std::unique_lock lock(loop->m);
-  loop->done.wait(lock, [&] { return loop->running == 0; });
-  if (loop->first_error) {
-    std::exception_ptr err = loop->first_error;
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
-}
-
 void Executor::enqueue_task(std::function<void()> task) {
   Impl* const impl = impl_.get();
-  // A task submitted from a pool worker goes to that worker's own stealing
-  // deque: LIFO for the producer, steal-half for idle peers — task DAGs
-  // that fan out inside the pool never serialize on the shared mutex.
-  if (t_worker.impl == impl) {
-    auto node = std::make_unique<TaskNode>(TaskNode{std::move(task)});
-    if (impl->slots[t_worker.index].tasks.push(node.get())) {
-      (void)node.release();
-      impl->work_epoch.fetch_add(1, std::memory_order_release);
-      impl->notify_if_idle();
-      return;
-    }
-    task = std::move(node->fn);  // deque full: overflow to the shared queue
-  }
   if (impl->ensure_helpers(1) == 0) {
     // No workers permitted (or shutting down): run inline, same depth rules.
     DepthGuard depth;
@@ -682,7 +357,7 @@ void Executor::enqueue_task(std::function<void()> task) {
   }
   {
     std::lock_guard lock(impl->m);
-    impl->queue.push_back(ExecutorJob{nullptr, nullptr, std::move(task)});
+    impl->queue.push_back(ExecutorJob{nullptr, std::move(task)});
   }
   impl->work.notify_one();
 }
@@ -700,22 +375,26 @@ Executor::ScopedArena::ScopedArena(Executor& ex)
     : ex_(ex), state_(std::make_shared<State>()) {}
 
 Executor::ScopedArena::~ScopedArena() {
-  if (t_worker.impl == ex_.impl_.get()) {
-    // A worker draining its own arena must help execute (its tasks may sit
-    // in its own deque, where only it or a thief will find them).
-    while (true) {
+  // Errors not collected through wait() are intentionally swallowed: a
+  // destructor must not throw.
+  drain();
+}
+
+void Executor::ScopedArena::drain() {
+  if (ex_.impl_->on_worker()) {
+    // Help-first on a worker thread: run queued jobs until the arena
+    // drains. A worker that blocked here instead could wait forever on
+    // subtasks queued behind jobs that only blocked workers would run.
+    for (;;) {
       {
         std::lock_guard lock(state_->m);
-        if (state_->pending == 0) break;
+        if (state_->pending == 0) return;
       }
-      if (!ex_.impl_->run_one(t_worker.index)) std::this_thread::yield();
+      if (!ex_.impl_->run_one()) std::this_thread::yield();
     }
-    return;
   }
   std::unique_lock lock(state_->m);
   state_->idle.wait(lock, [&] { return state_->pending == 0; });
-  // Errors not collected through wait() are intentionally swallowed: a
-  // destructor must not throw.
 }
 
 void Executor::ScopedArena::submit(std::function<void()> task) {
@@ -736,21 +415,7 @@ void Executor::ScopedArena::submit(std::function<void()> task) {
 }
 
 void Executor::ScopedArena::wait() {
-  if (t_worker.impl == ex_.impl_.get()) {
-    // Help-first wait on a worker thread: run scheduler rounds (own deque,
-    // shared queue, steals) until the arena drains — a worker that blocked
-    // here instead could deadlock on tasks parked in its own deque.
-    while (true) {
-      {
-        std::lock_guard lock(state_->m);
-        if (state_->pending == 0) break;
-      }
-      if (!ex_.impl_->run_one(t_worker.index)) std::this_thread::yield();
-    }
-  } else {
-    std::unique_lock lock(state_->m);
-    state_->idle.wait(lock, [&] { return state_->pending == 0; });
-  }
+  drain();
   std::unique_lock lock(state_->m);
   if (state_->first_error) {
     std::exception_ptr err = std::exchange(state_->first_error, nullptr);
@@ -772,12 +437,6 @@ void parallel_for_impl(std::size_t n, RawLoopFn fn, void* ctx,
                        unsigned threads) {
   if (n == 0) return;
   Executor::global().run_loop(n, fn, ctx, effective_threads(threads));
-}
-
-void parallel_for_dynamic_impl(std::size_t n, RawLoopFn fn, void* ctx,
-                               unsigned threads, std::size_t grain) {
-  Executor::global().run_loop_dynamic(n, fn, ctx, effective_threads(threads),
-                                      grain);
 }
 
 }  // namespace detail

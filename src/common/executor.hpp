@@ -36,34 +36,16 @@
 /// relied on that, and abandoning doomed work is what you want for loops
 /// with per-index side effects guarded by their own invariants.)
 ///
-/// Hybrid scheduling (PR 6): the shared-cursor path above stays the fast
-/// path for uniform loops; `parallel_for_dynamic` adds a work-stealing
-/// schedule for irregular ones — per-participant Chase–Lev deques
-/// (common/deque.hpp) seeded with contiguous shares, idle participants
-/// stealing half of a laggard's remainder. Tasks submitted from a pool
-/// worker likewise go to that worker's own deque (peers steal), so task
-/// DAGs that fan out from inside the pool load-balance without bouncing on
-/// the shared-queue mutex. Both scheduling paths share the nesting
-/// arbitration, caller participation, and first-exception contracts; only
-/// the *claim order* differs.
-///
-/// Choosing a schedule:
-///
-///   * static (`parallel_for`) — the shared atomic-cursor fast path:
-///     contiguous chunks claimed in index order off one cursor. Lowest
-///     dispatch cost; ideal when per-index cost is uniform (checksums,
-///     packed-GEMM row panels, sweep grids).
-///   * stealing (`parallel_for_dynamic`) — per-participant Chase–Lev deques
-///     with steal-half load balancing: each participant owns a contiguous
-///     share and thieves re-split the laggard's remainder. Tolerates wildly
-///     non-uniform per-index cost (fault-injection campaigns, compaction,
-///     panel DAGs) at a slightly higher setup cost.
-///
-/// Decision rule: uniform loop shape -> static; unknown or heavy-tailed
-/// per-index cost -> stealing. Both execute every index exactly once, so
-/// any loop whose output cells are owned by a single index is bitwise
-/// deterministic under either schedule; only static additionally fixes the
-/// claim *order*, which no current caller depends on.
+/// One schedule: every loop claims contiguous chunks in index order off its
+/// own shared atomic cursor, and every submitted task (and every helper job
+/// of a loop) goes through one mutex-guarded queue that the workers park
+/// on. The cursor's greedy claiming already balances non-uniform per-index
+/// cost to within one chunk, and no caller fans tasks out from inside the
+/// pool at a rate the shared queue cannot carry. A worker that waits on a
+/// ScopedArena helps first — it runs queued jobs until the arena drains —
+/// so a pool task may submit subtasks and wait for them without
+/// deadlocking the pool. Loops whose output cells are each owned by one
+/// index are bitwise deterministic for any worker count.
 ///
 /// Placement is the OS scheduler's: workers are never pinned to CPUs.
 
@@ -81,19 +63,13 @@ namespace detail {
 
 using RawLoopFn = void (*)(void* ctx, std::size_t i);
 
-/// Out-of-line dispatcher behind the `parallel_for` template: the static
-/// schedule on the global executor. Serial (threads <= 1, n <= 1, or called
+/// Out-of-line dispatcher behind the `parallel_for` template: the shared
+/// cursor on the global executor. Serial (threads <= 1, n <= 1, or called
 /// from inside a parallel region with no idle worker) propagates exceptions
 /// directly; the parallel path captures the first exception, stops
 /// remaining chunks, and rethrows it on the calling thread.
 void parallel_for_impl(std::size_t n, RawLoopFn fn, void* ctx,
                        unsigned threads);
-
-/// Dispatcher behind `parallel_for_dynamic`: the work-stealing schedule on
-/// the global executor (serial fallback under the same conditions as the
-/// static path).
-void parallel_for_dynamic_impl(std::size_t n, RawLoopFn fn, void* ctx,
-                               unsigned threads, std::size_t grain);
 
 }  // namespace detail
 
@@ -101,9 +77,11 @@ void parallel_for_dynamic_impl(std::size_t n, RawLoopFn fn, void* ctx,
 /// executor's lifetime (relaxed atomics — totals are exact once the counted
 /// activity has quiesced, racy-fresh while it runs).
 struct ExecutorCounters {
-  std::uint64_t chunks_claimed = 0;  ///< loop chunks executed (both schedules)
-  std::uint64_t tasks_stolen = 0;    ///< deque entries taken from a victim
-  std::uint64_t steal_failures = 0;  ///< steal attempts that found nothing
+  std::uint64_t chunks_claimed = 0;  ///< loop chunks executed
+  /// Always 0: no schedule steals work. Kept because the repository
+  /// benchmark (perfbench/) reads the field and the svc trailer's
+  /// `tasks_stolen` key.
+  std::uint64_t tasks_stolen = 0;
   std::uint64_t parks = 0;           ///< worker went to sleep on the condvar
   std::uint64_t unparks = 0;         ///< worker woke from the condvar
 };
@@ -115,7 +93,6 @@ struct ExecutorCounters {
     const ExecutorCounters& after, const ExecutorCounters& before) noexcept {
   return {after.chunks_claimed - before.chunks_claimed,
           after.tasks_stolen - before.tasks_stolen,
-          after.steal_failures - before.steal_failures,
           after.parks - before.parks, after.unparks - before.unparks};
 }
 
@@ -129,7 +106,7 @@ struct ExecutorStats {
 };
 
 /// Snapshot delta: per-request / per-phase scheduler accounting in one
-/// expression (`(after - before).total.tasks_stolen`) instead of
+/// expression (`(after - before).total.chunks_claimed`) instead of
 /// hand-subtracted counter rows. Workers are created lazily and never
 /// retire, so `after` may have more per-worker rows than `before`; missing
 /// `before` rows count as zero (the worker did not exist yet).
@@ -167,21 +144,6 @@ class Executor {
   template <typename Fn>
   void parallel_for(std::size_t n, Fn&& fn, unsigned threads = 0);
 
-  /// Run `fn(ctx, i)` for i in [0, n) under the work-stealing schedule
-  /// (the stealing schedule): participants own contiguous shares in per-worker
-  /// deques and idle participants steal half of a victim's remainder. Use
-  /// for loops with non-uniform per-index cost; `grain` indices form one
-  /// steal unit (0 = automatic). Same caller-participation, nesting, and
-  /// first-exception contracts as run_loop; index *claim order* is
-  /// scheduling-dependent (see the header comment).
-  void run_loop_dynamic(std::size_t n, detail::RawLoopFn fn, void* ctx,
-                        unsigned threads, std::size_t grain = 0);
-
-  /// Type-safe irregular loop on this executor (see run_loop_dynamic).
-  template <typename Fn>
-  void parallel_for_dynamic(std::size_t n, Fn&& fn, unsigned threads = 0,
-                            std::size_t grain = 0);
-
   /// Run `f()` on a pool worker; the returned future carries its result or
   /// exception. Falls back to inline execution when this executor cannot
   /// create workers. Tasks run at nesting depth >= 1, so loops they issue
@@ -194,8 +156,8 @@ class Executor {
   /// The cap `max_helpers` resolved to at construction.
   [[nodiscard]] unsigned max_helpers() const noexcept;
 
-  /// Snapshot the scheduler counters (chunks claimed, steals, steal
-  /// failures, park/unpark transitions), per worker plus the caller row.
+  /// Snapshot the scheduler counters (chunks claimed, park/unpark
+  /// transitions), per worker plus the caller row.
   [[nodiscard]] ExecutorStats stats() const;
 
   /// True on a thread currently executing parallel work (a pool worker
@@ -227,6 +189,9 @@ class Executor {
 
    private:
     struct State;
+    /// Block until pending() == 0; on a worker of ex_, run queued jobs
+    /// meanwhile (help-first).
+    void drain();
     Executor& ex_;
     std::shared_ptr<State> state_;
   };
@@ -260,26 +225,6 @@ void parallel_for(std::size_t n, Fn&& fn, unsigned threads = 0) {
   }
 }
 
-/// Run `fn(i)` for i in [0, n) under the work-stealing schedule on the
-/// global executor — the entry point for loops whose per-index cost is
-/// irregular (see the header comment for the decision rule). Executes
-/// every index exactly once with the same exception and nesting contracts
-/// as `parallel_for`; only the claim order is scheduling-dependent.
-template <typename Fn>
-void parallel_for_dynamic(std::size_t n, Fn&& fn, unsigned threads = 0,
-                          std::size_t grain = 0) {
-  using F = std::remove_reference_t<Fn>;
-  if constexpr (std::is_function_v<F>) {
-    auto wrapper = [fp = &fn](std::size_t i) { fp(i); };
-    parallel_for_dynamic(n, wrapper, threads, grain);
-  } else {
-    detail::parallel_for_dynamic_impl(
-        n, [](void* ctx, std::size_t i) { (*static_cast<F*>(ctx))(i); },
-        const_cast<void*>(static_cast<const void*>(std::addressof(fn))),
-        threads, grain);
-  }
-}
-
 template <typename Fn>
 void Executor::parallel_for(std::size_t n, Fn&& fn, unsigned threads) {
   using F = std::remove_reference_t<Fn>;
@@ -291,20 +236,6 @@ void Executor::parallel_for(std::size_t n, Fn&& fn, unsigned threads) {
   run_loop(n, raw,
            const_cast<void*>(static_cast<const void*>(std::addressof(fn))),
            threads);
-}
-
-template <typename Fn>
-void Executor::parallel_for_dynamic(std::size_t n, Fn&& fn, unsigned threads,
-                                    std::size_t grain) {
-  using F = std::remove_reference_t<Fn>;
-  static_assert(!std::is_function_v<F>,
-                "wrap plain functions in a lambda for parallel_for_dynamic");
-  detail::RawLoopFn raw = [](void* ctx, std::size_t i) {
-    (*static_cast<F*>(ctx))(i);
-  };
-  run_loop_dynamic(
-      n, raw, const_cast<void*>(static_cast<const void*>(std::addressof(fn))),
-      threads, grain);
 }
 
 template <typename F>

@@ -241,7 +241,7 @@ inline constexpr Metric kSinkMetrics[] = {Metric::Waste, Metric::TFinal,
 
 /// Evaluate one grid cell — the engine's per-cell loop body, exposed so
 /// external schedulers (the sweep service batching cells of *several*
-/// experiments into one work-stealing loop) produce bitwise-identical
+/// experiments into one loop) produce bitwise-identical
 /// records. `evaluators` must be resolve_evaluators(spec);
 /// `inner_threads` is the evaluator thread budget (0 = keep the series'
 /// own request).

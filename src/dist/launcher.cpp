@@ -16,6 +16,7 @@
 #include "abft/kernels.hpp"
 #include "ckpt/io/writer.hpp"
 #include "common/error.hpp"
+#include "common/executor.hpp"
 #include "common/rng.hpp"
 
 namespace abftc::dist {
@@ -93,10 +94,7 @@ Launcher::Launcher(DistConfig cfg, ckpt::io::StorageBackend& backend)
   corpses_.reserve(cfg_.ranks);
   // Resolved here, outside the serial KernelPolicyGuard that run() holds:
   // the residual sweep passes this thread count to parallel_for explicitly.
-  verify_threads_ =
-      cfg_.verify_threads != 0
-          ? cfg_.verify_threads
-          : std::min(4u, std::max(1u, std::thread::hardware_concurrency()));
+  verify_threads_ = std::min(4u, common::hardware_workers());
 }
 
 Launcher::~Launcher() { reap_all(); }
@@ -614,8 +612,7 @@ RunReport Launcher::run(const DistConfig& cfg,
   ABFTC_REQUIRE(cfg.n == cfg_.n && cfg.nb == cfg_.nb &&
                     cfg.ranks == cfg_.ranks && cfg.group == cfg_.group &&
                     cfg.seed == cfg_.seed && cfg.ckpt_every == cfg_.ckpt_every &&
-                    cfg.blind == cfg_.blind &&
-                    cfg.verify_threads == cfg_.verify_threads,
+                    cfg.blind == cfg_.blind,
                 "a Launcher's shape is fixed; only the backend, flip_seed and "
                 "step_timeout_s may change between runs");
   ABFTC_REQUIRE(owner_ == std::thread::id{} ||

@@ -149,10 +149,6 @@ struct DistConfig {
   /// only right after the launcher's own injector fired; localization is
   /// derived from the weighted residuals either way.
   bool blind = false;
-  /// Worker threads for the residual sweeps (0 = small hardware-derived
-  /// default). The sweep uses fixed per-row output slots + a serial
-  /// max-fold, so the result is bitwise-identical for every thread count.
-  unsigned verify_threads = 0;
 };
 
 /// One injection for a run. Kill and Torn both SIGKILL the victim right
@@ -381,7 +377,10 @@ class Launcher {
   std::size_t frozen_steps_ = 0;  ///< block rows frozen in the arena state
   /// The last verify() of the current run (NaN before the first).
   double last_check_ = std::numeric_limits<double>::quiet_NaN();
-  unsigned verify_threads_ = 1;   ///< resolved from cfg_.verify_threads
+  /// Worker threads of the residual sweeps: min(4, hardware workers). The
+  /// sweep uses fixed per-row output slots + a serial max-fold, so the
+  /// result is bitwise-identical for every thread count.
+  unsigned verify_threads_ = 1;
 };
 
 }  // namespace abftc::dist

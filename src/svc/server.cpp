@@ -96,7 +96,6 @@ std::string err_line(const std::string& code, const std::string& msg) {
 void append_counters(std::string& out, const common::ExecutorCounters& c) {
   out += "{\"chunks_claimed\":" + std::to_string(c.chunks_claimed) +
          ",\"tasks_stolen\":" + std::to_string(c.tasks_stolen) +
-         ",\"steal_failures\":" + std::to_string(c.steal_failures) +
          ",\"parks\":" + std::to_string(c.parks) +
          ",\"unparks\":" + std::to_string(c.unparks) + "}";
 }

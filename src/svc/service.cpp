@@ -29,7 +29,7 @@ struct RequestHandle::Request {
 
   std::atomic<bool> cancel{false};
 
-  // Ordered emitter: cells land out of order (work-stealing), rows leave in
+  // Ordered emitter: cells land out of order (parallel loop), rows leave in
   // grid order. `records`/`done`/`next_flush` are guarded by `mu`; whichever
   // worker completes a cell flushes the ready prefix.
   std::mutex mu;
@@ -220,7 +220,7 @@ void SweepService::Impl::run_batch(
     }
   }
 
-  // The coalesced grid: every tenant's cells in one flat irregular loop.
+  // The coalesced grid: every tenant's cells in one flat loop.
   struct FlatCell {
     RequestHandle::Request* req;
     std::size_t cell;
@@ -236,7 +236,7 @@ void SweepService::Impl::run_batch(
   const common::ExecutorStats stats_before =
       common::Executor::global().stats();
 
-  common::Executor::global().parallel_for_dynamic(
+  common::Executor::global().parallel_for(
       flat.size(),
       [&](std::size_t i) {
         RequestHandle::Request& req = *flat[i].req;

@@ -2,12 +2,12 @@
 /// \file service.hpp
 /// The multi-tenant sweep service core: a bounded admission queue feeding a
 /// coordinator thread that coalesces the cells of every queued request into
-/// one batch and runs them as a single work-stealing loop
-/// (Executor::global().parallel_for_dynamic) — the irregular, systematically
-/// enumerable cell mix is exactly the shape the stealing deques exist for,
-/// and one loop for N tenants means the box is saturated without
-/// oversubscription (the PR 3/6 nesting arbitration bounds each cell's
-/// inner evaluator parallelism).
+/// one batch and runs them as a single loop
+/// (Executor::global().parallel_for) — the same shared-cursor schedule as
+/// Experiment::run, whose greedy chunk claiming absorbs the mix of sim-heavy
+/// and model-only cells. One loop for N tenants means the box is saturated
+/// without oversubscription (the executor's nesting arbitration bounds each
+/// cell's inner evaluator parallelism).
 ///
 /// Determinism: every cell is evaluated by core::evaluate_cell and every
 /// row assembled by core::sink_row_values — the exact code path of
@@ -59,7 +59,7 @@ struct RequestMetrics {
   std::string error_code;     ///< set when failed
   std::string error_message;  ///< set when failed
   /// Executor::stats() delta over the batch this request ran in (the
-  /// scheduler's chunks/steals/parks are a shared-loop property, so the
+  /// scheduler's chunks/parks are a shared-loop property, so the
   /// delta is batch-wide, not per-tenant).
   common::ExecutorCounters exec;
 };

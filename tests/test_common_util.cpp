@@ -5,6 +5,7 @@
 #include <atomic>
 #include <sstream>
 
+#include "ckpt/io/backend.hpp"
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/executor.hpp"
@@ -284,8 +285,34 @@ TEST(ErrorMacros, CarryContext) {
     const std::string what = e.what();
     EXPECT_NE(what.find("1 == 2"), std::string::npos);
     EXPECT_NE(what.find("custom message"), std::string::npos);
+    EXPECT_EQ(what.find("test_common_util"), std::string::npos)
+        << "user-facing messages carry no source location: " << what;
   }
-  EXPECT_THROW(ABFTC_CHECK(false, "invariant"), invariant_error);
+  try {
+    ABFTC_REQUIRE(false, "m");
+    FAIL() << "should have thrown";
+  } catch (const precondition_error& e) {
+    EXPECT_STREQ(e.what(), "precondition failed: m");
+  }
+  try {
+    (void)abftc::ckpt::io::make_backend("file:/x");
+    FAIL() << "an unknown storage scheme must be rejected";
+  } catch (const precondition_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unknown storage backend scheme 'file'"),
+              std::string::npos) << what;
+    EXPECT_EQ(what.find("false"), std::string::npos) << what;
+    EXPECT_EQ(what.find("backend.cpp"), std::string::npos) << what;
+  }
+  try {
+    ABFTC_CHECK(1 == 2, "invariant");
+    FAIL() << "should have thrown";
+  } catch (const invariant_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("1 == 2"), std::string::npos);
+    EXPECT_NE(what.find("test_common_util.cpp:"), std::string::npos)
+        << "invariant messages keep file:line: " << what;
+  }
 }
 
 }  // namespace

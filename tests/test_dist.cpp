@@ -485,7 +485,6 @@ TEST(DistLauncher, ShapeIsFixedButPerRunFieldsMayChange) {
       [](DistConfig& c) { c.seed += 1; },
       [](DistConfig& c) { c.ckpt_every = 3; },
       [](DistConfig& c) { c.blind = !c.blind; },
-      [](DistConfig& c) { c.verify_threads = 3; },
   };
   for (const auto reshape : reshapes) {
     DistConfig other = cfg;

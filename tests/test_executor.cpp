@@ -1,25 +1,21 @@
 // Tests for the persistent executor: pool reuse across many epochs, lazy
 // worker start, nested-parallelism arbitration (no deadlock, no
 // oversubscription), the exception rethrow/short-circuit contract,
-// submit()/ScopedArena, the work-stealing schedule (deque semantics, steal
-// races, nesting and exceptions from stolen chunks, scheduler counters),
-// and the determinism guarantees the rest of the repo leans
-// on — group checksums and a small Experiment sweep must be bitwise
+// submit()/ScopedArena (including help-first arena waits on pool workers),
+// scheduler counters, and the determinism guarantees the rest of the repo
+// leans on — group checksums and a small Experiment sweep must be bitwise
 // identical across worker counts and against serial execution.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <cmath>
+#include <future>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "abft/checksum.hpp"
 #include "abft/kernels.hpp"
-#include "common/deque.hpp"
 #include "common/executor.hpp"
 #include "common/rng.hpp"
 #include "common/time_units.hpp"
@@ -272,201 +268,86 @@ TEST(ExecutorDeterminism, ExperimentSweepBitwisePoolVsSerial) {
         << "sweep JSON must be byte-identical at threads=" << threads;
 }
 
-// ---- Work-stealing schedule (PR 6) -----------------------------------------
-
-TEST(WsDeque, OwnerPushPopIsLifoAndBounded) {
-  common::WsDeque<int> dq(3);  // rounds up to the next power of two
-  EXPECT_EQ(dq.capacity(), 4u);
-  EXPECT_FALSE(dq.pop().has_value());
-  EXPECT_FALSE(dq.steal().has_value());
-
-  for (int v = 0; v < 4; ++v) EXPECT_TRUE(dq.push(v));
-  EXPECT_FALSE(dq.push(99)) << "push must report full, never grow or block";
-  EXPECT_EQ(dq.approx_size(), 4u);
-
-  for (int v = 3; v >= 0; --v) {
-    const auto got = dq.pop();
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, v) << "owner pops newest-first (LIFO bottom)";
-  }
-  EXPECT_FALSE(dq.pop().has_value());
-
-  // Slots recycle after a drain, and a thief takes the oldest element.
-  EXPECT_TRUE(dq.push(7));
-  EXPECT_TRUE(dq.push(8));
-  const auto stolen = dq.steal();
-  ASSERT_TRUE(stolen.has_value());
-  EXPECT_EQ(*stolen, 7) << "thief takes the top (FIFO) end";
-  const auto popped = dq.pop();
-  ASSERT_TRUE(popped.has_value());
-  EXPECT_EQ(*popped, 8);
-}
-
-TEST(WsDeque, ConcurrentStealsLoseNothingAndDuplicateNothing) {
-  // Hammer the owner/thief race, including the one-element pop-vs-steal CAS
-  // duel: a small array forces constant wraparound and keeps the deque near
-  // the interesting (nearly empty / full) states. Every pushed value must be
-  // extracted by exactly one thread. This is also the TSan workout for the
-  // deque's memory-order discipline.
-  constexpr int kItems = 20000;
-  constexpr int kThieves = 3;
-  common::WsDeque<int> dq(64);
-  std::vector<std::vector<int>> taken(kThieves + 1);
-  std::atomic<bool> done{false};
-  std::vector<std::thread> thieves;
-  thieves.reserve(kThieves);
-  for (int t = 0; t < kThieves; ++t)
-    thieves.emplace_back([&dq, &done, out = &taken[t + 1]] {
-      while (!done.load(std::memory_order_acquire) || dq.approx_size() > 0)
-        if (const auto v = dq.steal()) out->push_back(*v);
-    });
-
-  for (int v = 0; v < kItems; ++v) {
-    while (!dq.push(v))
-      if (const auto got = dq.pop()) taken[0].push_back(*got);
-    if (v % 3 == 0)
-      if (const auto got = dq.pop()) taken[0].push_back(*got);
-  }
-  while (const auto got = dq.pop()) taken[0].push_back(*got);
-  done.store(true, std::memory_order_release);
-  for (auto& th : thieves) th.join();
-
-  std::vector<int> seen;
-  for (const auto& vec : taken) seen.insert(seen.end(), vec.begin(), vec.end());
-  ASSERT_EQ(seen.size(), static_cast<std::size_t>(kItems))
-      << "lost or duplicated elements under concurrent steals";
-  std::sort(seen.begin(), seen.end());
-  for (int v = 0; v < kItems; ++v)
-    ASSERT_EQ(seen[static_cast<std::size_t>(v)], v);
-}
-
-TEST(ExecutorStealing, DynamicLoopRunsEveryIndexOnceAndBitwiseInvariant) {
-  constexpr std::size_t kN = 4097;  // non-power-of-two, many steal units
-  std::vector<double> ref(kN);
-  for (std::size_t i = 0; i < kN; ++i)
-    ref[i] = std::sqrt(static_cast<double>(i) + 1.0) * 1.25;
-
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    std::vector<std::atomic<int>> hits(kN);
-    std::vector<double> out(kN, -1.0);
-    common::parallel_for_dynamic(
-        kN,
-        [&](std::size_t i) {
-          hits[i].fetch_add(1, std::memory_order_relaxed);
-          out[i] = std::sqrt(static_cast<double>(i) + 1.0) * 1.25;
-        },
-        threads);
-    for (std::size_t i = 0; i < kN; ++i)
-      ASSERT_EQ(hits[i].load(), 1) << "index " << i << " at threads=" << threads;
-    EXPECT_EQ(out, ref) << "stealing may reorder claims, never change values "
-                           "(threads=" << threads << ")";
-  }
-
-  // An explicit grain of one index per steal unit still covers everything.
-  std::atomic<long long> sum{0};
-  common::parallel_for_dynamic(
-      97, [&](std::size_t i) { sum += static_cast<long long>(i); }, 4, 1);
-  EXPECT_EQ(sum.load(), 97LL * 96 / 2);
-}
-
-TEST(ExecutorStealing, NestedLoopInsideStolenChunkIsBoundedAndComplete) {
-  // grain=1 makes every outer index its own steal unit, so some outer bodies
-  // run on thieves; the static loop nested inside each must still follow the
-  // arbitration rules (borrow idle workers only, never grow the pool, always
-  // progress on the calling worker).
-  std::atomic<long long> inner_total{0};
-  common::parallel_for_dynamic(
-      16,
-      [&](std::size_t) {
-        EXPECT_GE(Executor::nesting_depth(), 1u);
-        parallel_for(
-            64, [&](std::size_t i) { inner_total += static_cast<long long>(i); },
-            4);
-      },
-      4, 1);
-  EXPECT_EQ(inner_total.load(), 16LL * (64 * 63 / 2));
-  EXPECT_LE(Executor::global().spawned_helpers(), 4u)
-      << "nested loops under the stealing schedule must not grow the pool";
-  EXPECT_EQ(Executor::nesting_depth(), 0u);
-
-  // The inverse nesting (dynamic inside static) must hold the same bounds.
-  std::atomic<long long> dyn_total{0};
-  parallel_for(
-      8,
-      [&](std::size_t) {
-        common::parallel_for_dynamic(
-            32, [&](std::size_t i) { dyn_total += static_cast<long long>(i); },
-            4);
-      },
-      4);
-  EXPECT_EQ(dyn_total.load(), 8LL * (32 * 31 / 2));
-  EXPECT_LE(Executor::global().spawned_helpers(), 4u);
-}
-
-TEST(ExecutorStealing, RethrowsFirstExceptionFromStolenChunk) {
-  // grain=1 spreads the indices across deques, so the throwing index is
-  // frequently executed by a thief — the error must still surface on the
-  // calling thread, and the remaining chunks must be abandoned, not wedged.
+TEST(Executor, RethrowsExceptionFromLateChunkAndPoolSurvives) {
+  // The throwing index sits in a late chunk that a helper usually claims;
+  // the error must still surface on the calling thread, and the remaining
+  // chunks must be abandoned, not wedged.
   try {
-    common::parallel_for_dynamic(
+    parallel_for(
         2048,
         [](std::size_t i) {
-          if (i == 1500) throw std::runtime_error("stolen boom");
+          if (i == 1500) throw std::runtime_error("late boom");
         },
-        4, 1);
-    FAIL() << "exception from a dynamic-loop chunk must propagate";
+        4);
+    FAIL() << "exception from a helper's chunk must propagate";
   } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "stolen boom");
+    EXPECT_STREQ(e.what(), "late boom");
   }
 
-  // The pool survives the failed loop.
   std::atomic<int> hits{0};
-  common::parallel_for_dynamic(
-      100, [&](std::size_t) { hits.fetch_add(1); }, 4);
+  parallel_for(100, [&](std::size_t) { hits.fetch_add(1); }, 4);
   EXPECT_EQ(hits.load(), 100);
 }
 
-TEST(ExecutorStealing, StatsCountersAdvanceAndRowsSumToTotal) {
+TEST(Executor, ArenaWaitInsidePoolTasksDoesNotDeadlock) {
+  // More pool tasks than workers, each waiting on its own arena's subtasks:
+  // with every worker inside wait(), the subtasks and the surplus task sit
+  // in the queue, so a worker that blocked instead of helping would hang
+  // the pool.
+  const unsigned workers = common::hardware_workers();
+  Executor ex(workers);
+  ex.parallel_for(std::size_t{workers} * 8, [](std::size_t) {}, workers + 1);
+  ASSERT_EQ(ex.spawned_helpers(), workers);
+
+  std::atomic<int> subtasks{0};
+  std::vector<std::future<void>> tasks;
+  for (unsigned t = 0; t < workers + 1; ++t)
+    tasks.push_back(ex.submit([&ex, &subtasks] {
+      Executor::ScopedArena arena(ex);
+      for (int k = 0; k < 8; ++k)
+        arena.submit([&subtasks] { subtasks.fetch_add(1); });
+      arena.wait();
+      EXPECT_EQ(arena.pending(), 0u);
+    }));
+  for (auto& f : tasks) f.get();
+  EXPECT_EQ(subtasks.load(), static_cast<int>(workers + 1) * 8);
+}
+
+TEST(ExecutorStats, CountersAdvanceAndRowsSumToTotal) {
   const common::ExecutorStats before = Executor::global().stats();
   std::atomic<long long> sum{0};
-  common::parallel_for_dynamic(
-      1024, [&](std::size_t i) { sum += static_cast<long long>(i); }, 4, 8);
+  parallel_for(1024, [&](std::size_t i) { sum += static_cast<long long>(i); },
+               4);
   EXPECT_EQ(sum.load(), 1024LL * 1023 / 2);
 
   const common::ExecutorStats after = Executor::global().stats();
   EXPECT_GT(after.total.chunks_claimed, before.total.chunks_claimed)
-      << "a dynamic loop must claim chunks";
-  EXPECT_GE(after.total.tasks_stolen, before.total.tasks_stolen);
+      << "a parallel loop must claim chunks";
+  EXPECT_EQ(after.total.tasks_stolen, 0u) << "no schedule steals";
   EXPECT_GE(after.total.parks, before.total.parks);
   EXPECT_GE(after.total.unparks, before.total.unparks);
 
   common::ExecutorCounters rows = after.callers;
   for (const common::ExecutorCounters& w : after.per_worker) {
     rows.chunks_claimed += w.chunks_claimed;
-    rows.tasks_stolen += w.tasks_stolen;
-    rows.steal_failures += w.steal_failures;
     rows.parks += w.parks;
     rows.unparks += w.unparks;
   }
   EXPECT_EQ(rows.chunks_claimed, after.total.chunks_claimed);
-  EXPECT_EQ(rows.tasks_stolen, after.total.tasks_stolen);
-  EXPECT_EQ(rows.steal_failures, after.total.steal_failures);
   EXPECT_EQ(rows.parks, after.total.parks);
   EXPECT_EQ(rows.unparks, after.total.unparks);
 }
 
-TEST(ExecutorStealing, StatsDeltaSubtractsSnapshots) {
+TEST(ExecutorStats, DeltaSubtractsSnapshots) {
   const common::ExecutorStats before = Executor::global().stats();
   std::atomic<long long> sum{0};
-  common::parallel_for_dynamic(
-      512, [&](std::size_t i) { sum += static_cast<long long>(i); }, 4, 8);
+  parallel_for(512, [&](std::size_t i) { sum += static_cast<long long>(i); },
+               4);
   const common::ExecutorStats after = Executor::global().stats();
 
   const common::ExecutorStats delta = after - before;
   EXPECT_EQ(delta.total.chunks_claimed,
             after.total.chunks_claimed - before.total.chunks_claimed);
-  EXPECT_EQ(delta.total.tasks_stolen,
-            after.total.tasks_stolen - before.total.tasks_stolen);
   EXPECT_EQ(delta.callers.chunks_claimed,
             after.callers.chunks_claimed - before.callers.chunks_claimed);
   EXPECT_GT(delta.total.chunks_claimed, 0u)
@@ -478,8 +359,6 @@ TEST(ExecutorStealing, StatsDeltaSubtractsSnapshots) {
             ? after.per_worker[i] - before.per_worker[i]
             : after.per_worker[i];  // worker born between the snapshots
     EXPECT_EQ(delta.per_worker[i].chunks_claimed, expect.chunks_claimed);
-    EXPECT_EQ(delta.per_worker[i].tasks_stolen, expect.tasks_stolen);
-    EXPECT_EQ(delta.per_worker[i].steal_failures, expect.steal_failures);
     EXPECT_EQ(delta.per_worker[i].parks, expect.parks);
     EXPECT_EQ(delta.per_worker[i].unparks, expect.unparks);
   }
@@ -487,8 +366,6 @@ TEST(ExecutorStealing, StatsDeltaSubtractsSnapshots) {
   // Self-delta is identically zero.
   const common::ExecutorCounters zero = after.total - after.total;
   EXPECT_EQ(zero.chunks_claimed, 0u);
-  EXPECT_EQ(zero.tasks_stolen, 0u);
-  EXPECT_EQ(zero.steal_failures, 0u);
   EXPECT_EQ(zero.parks, 0u);
   EXPECT_EQ(zero.unparks, 0u);
 }
