@@ -6,8 +6,10 @@
 /// blocked path of the two right-side triangular solves at the LU panel
 /// shape (a 64×64 factor, 1024 rows), plus the blind verification of the
 /// protected LU (the residual sweep and localization next to a memcpy of
-/// the same bytes), and emits BENCH_kernels.json — the perf-trajectory
-/// artifact CI tracks across PRs.
+/// the same bytes), plus one dist rank's protected-LU update time with its
+/// block columns in one lu_update call per step vs one call per column, and
+/// emits BENCH_kernels.json — the perf-trajectory artifact CI tracks across
+/// PRs.
 ///
 ///   bench_kernels_json [sizes…] --reps=3 --threads=0 --out=BENCH_kernels.json
 ///
@@ -97,6 +99,16 @@ struct VerifyShape {
 constexpr VerifyShape kVerifyShapes[] = {{192, 32}, {1536, 64}};
 constexpr std::size_t kVerifyGroup = 3;
 
+/// One dist rank's lu_update seconds per solve at lu_steady's shape: its
+/// column set in one call per step (the runtime's schedule) and one call per
+/// column (single-column sets of the same routine, bitwise the same result).
+struct UpdateCell {
+  std::size_t n = 1536, nb = 64, ranks = 3, group = 3, rank = 0;
+  double sets_s = 0.0;     ///< lu_update(k, rank, ranks) per step
+  double singles_s = 0.0;  ///< lu_update(k, j, nbk) per owned column j
+  double singles_over_sets = 0.0;
+};
+
 // The LU panel shape of the trsm cells: the owner rank's B·U⁻¹ solve at
 // nb = 64 over the rows below the diagonal block.
 constexpr std::size_t kTrsmFactor = 64;
@@ -152,7 +164,7 @@ VerifyCell verify_cell(std::size_t n, std::size_t nb, int reps) {
   const std::size_t nbk = n / nb, frozen_steps = nbk / 2;
   for (std::size_t k = 0; k < frozen_steps; ++k) {
     abft::lu_panel(s, k);
-    abft::lu_update(s, k, 0, nbk);
+    abft::lu_update(s, k, 0, 1);
   }
 
   VerifyCell c;
@@ -196,6 +208,48 @@ VerifyCell verify_cell(std::size_t n, std::size_t nb, int reps) {
               }) *
               1e3;
   c.sweep_over_copy = c.sweep_ms_1t / c.copy_ms;
+  return c;
+}
+
+// Factor the lu_steady matrix once per sample on one thread, as a dist rank
+// runs, timing only rank `c.rank`'s updates; the other ranks' columns run
+// untimed so every step sees the state a real run does.
+UpdateCell update_cell(int reps) {
+  UpdateCell c;
+  const abft::KernelPolicyGuard one({abft::KernelPath::blocked, 1});
+  common::Rng rng(31);
+  const Matrix a0 = Matrix::diag_dominant(c.n, rng);
+  const Matrix active0 = abft::row_group_checksum_pair(a0, c.nb, c.group);
+  const std::size_t nbk = c.n / c.nb;
+  const auto solve = [&](bool sets) {
+    Matrix a = a0, active = active0;
+    Matrix frozen = Matrix::zeros(active.rows(), active.cols());
+    const abft::LuView s{a.view(), active.view(), frozen.view(), c.nb,
+                         c.group};
+    double timed = 0.0;
+    for (std::size_t k = 0; k < nbk; ++k) {
+      abft::lu_panel(s, k);
+      for (std::size_t r = 0; r < c.ranks; ++r) {
+        const auto t0 = std::chrono::steady_clock::now();
+        if (sets)
+          abft::lu_update(s, k, r, c.ranks);
+        else
+          for (std::size_t j = r; j < nbk; j += c.ranks)
+            abft::lu_update(s, k, j, nbk);
+        if (r == c.rank)
+          timed += std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+      }
+    }
+    return timed;
+  };
+  c.sets_s = c.singles_s = 1e300;
+  for (int r = 0; r < reps; ++r) {  // alternate, so drift hits both
+    c.sets_s = std::min(c.sets_s, solve(true));
+    c.singles_s = std::min(c.singles_s, solve(false));
+  }
+  c.singles_over_sets = c.singles_s / c.sets_s;
   return c;
 }
 
@@ -362,6 +416,7 @@ int main(int argc, char** argv) {
   std::vector<VerifyCell> verify_cells;
   for (const VerifyShape& shape : kVerifyShapes)
     verify_cells.push_back(verify_cell(shape.n, shape.nb, std::max(reps, 3)));
+  const UpdateCell update = update_cell(std::max(reps, 3));
 
   std::ofstream out(out_path);
   if (!out) {
@@ -440,6 +495,16 @@ int main(int argc, char** argv) {
     json.end_object();
   }
   json.end_array();
+  json.key("lu_update").begin_object();
+  json.kv("n", update.n);
+  json.kv("nb", update.nb);
+  json.kv("ranks", update.ranks);
+  json.kv("group", update.group);
+  json.kv("rank", update.rank);
+  json.kv("sets_s", update.sets_s);
+  json.kv("singles_s", update.singles_s);
+  json.kv("singles_over_sets", update.singles_over_sets);
+  json.end_object();
   json.end_object();
 
   for (const Cell& c : cells)
@@ -464,6 +529,10 @@ int main(int argc, char** argv) {
               << "ns/slot locate=" << c.locate_ms << "ms copy=" << c.copy_ms
               << "ms sweep/copy=" << c.sweep_over_copy
               << " residual=" << c.residual << "\n";
+  std::cout << "lu_update n=" << update.n << " ranks=" << update.ranks
+            << " rank " << update.rank << ": sets=" << update.sets_s
+            << "s singles=" << update.singles_s
+            << "s singles/sets=" << update.singles_over_sets << "\n";
   std::cout << "wrote " << out_path << "\n";
   return 0;
 }

@@ -35,10 +35,10 @@ void AbftLu::factor(const std::vector<Fault>& faults) {
     for (; next_fault < batch_end; ++next_fault)
       recover_rank(k, faults[next_fault].dead_rank);
     if (k == nbk_) break;
-    // One panel, then the whole trailing range as one update: the payload
-    // and the stacked accumulator each take a single GEMM per step.
+    // One panel, then every block column as one set: the payload and each
+    // live accumulator half take a single batched GEMM per step.
     lu_panel(view(), k);
-    lu_update(view(), k, 0, nbk_);
+    lu_update(view(), k, 0, 1);
     frozen_steps_ = k + 1;
   }
   ABFTC_REQUIRE(next_fault == faults.size(),

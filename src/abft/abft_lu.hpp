@@ -44,6 +44,15 @@ class AbftLu {
   /// (tests assert ~0 at every step boundary). The dist runtime's sweep.
   [[nodiscard]] double checksum_residual() const;
 
+  /// The sum halves of the stacked accumulators: cs[g] = Σ_m row_{g·P+m}
+  /// over the matching frozen/active split.
+  [[nodiscard]] ConstMatrixView active_cs() const {
+    return active_cs_.block(0, 0, csr(), active_cs_.cols());
+  }
+  [[nodiscard]] ConstMatrixView frozen_cs() const {
+    return frozen_cs_.block(0, 0, csr(), frozen_cs_.cols());
+  }
+
   /// The weighted halves of the stacked accumulators (Huang–Abraham
   /// localization relation): w_cs[g] = Σ_m (m+1)·row_{g·P+m} over the
   /// matching frozen/active split.
@@ -58,8 +67,9 @@ class AbftLu {
     return recovery_;
   }
 
-  /// Fraction of extra arithmetic spent maintaining checksums: every panel
-  /// and update also runs on the stacked active accumulator's rows.
+  /// Fraction of extra arithmetic spent maintaining checksums at the first
+  /// step: every panel and update also runs on the stacked active
+  /// accumulator's live rows, and a group's rows drop out once it is dead.
   [[nodiscard]] double overhead_fraction() const noexcept {
     return static_cast<double>(active_cs_.rows()) /
            static_cast<double>(a_.rows());

@@ -40,19 +40,31 @@ constexpr std::size_t kBlockedFlopCutoff = 32 * 32 * 32;
 
 /// 64-byte-aligned scratch for the packed panels: keeps every 32-byte B-row
 /// load inside one cache line (std::vector's 16-byte alignment splits half
-/// of them).
+/// of them). Grows on demand and keeps its largest size.
 class AlignedBuf {
  public:
-  explicit AlignedBuf(std::size_t count)
-      : p_(static_cast<double*>(::operator new[](
-            count * sizeof(double), std::align_val_t{64}))) {}
-  ~AlignedBuf() { ::operator delete[](p_, std::align_val_t{64}); }
+  AlignedBuf() = default;
+  ~AlignedBuf() { release(); }
   AlignedBuf(const AlignedBuf&) = delete;
   AlignedBuf& operator=(const AlignedBuf&) = delete;
-  [[nodiscard]] double* data() noexcept { return p_; }
+
+  /// Room for at least `count` doubles; the contents do not survive growth.
+  [[nodiscard]] double* reserve(std::size_t count) {
+    if (count > cap_) {
+      release();
+      p_ = static_cast<double*>(
+          ::operator new[](count * sizeof(double), std::align_val_t{64}));
+      cap_ = count;
+    }
+    return p_;
+  }
 
  private:
-  double* p_;
+  void release() noexcept {
+    if (p_ != nullptr) ::operator delete[](p_, std::align_val_t{64});
+  }
+  double* p_ = nullptr;
+  std::size_t cap_ = 0;
 };
 
 /// Reusable per-thread A-panel scratch, sized for the largest (mc × pc)
@@ -60,8 +72,22 @@ class AlignedBuf {
 /// allocation for it.
 double* thread_apack() {
   // kMc is a multiple of kMr, so kMc·kKc bounds every padded panel.
-  thread_local AlignedBuf buf(kMc * kKc);
-  return buf.data();
+  thread_local AlignedBuf buf;
+  return buf.reserve(kMc * kKc);
+}
+
+/// The calling thread's B-pack scratch, grown to `count` doubles. Only the
+/// thread that issues a GEMM packs B, and between packing and the end of
+/// its loop it runs nothing but chunks of that loop (micro-kernels), so no
+/// second GEMM can repack this buffer while workers still read it.
+double* thread_bpack(std::size_t count) {
+  thread_local AlignedBuf buf;
+  return buf.reserve(count);
+}
+
+/// Columns of a packed B panel: nc rounded up to whole kNr micro-panels.
+constexpr std::size_t padded_cols(std::size_t nc) {
+  return (nc + kNr - 1) / kNr * kNr;
 }
 
 inline double op_at(ConstMatrixView m, Trans t, std::size_t i, std::size_t j) {
@@ -346,6 +372,41 @@ void micro_kernel(std::size_t pc, const double* ap, const double* bp,
 }
 #endif
 
+/// One kc pass of C ← β·C + α·op(A)·B̂ over the row panels of op(A)
+/// (rows [0, m), depth [pc0, pc0 + pc)) for every packed B panel B̂ that
+/// `panels` offers. `panels(tile)` calls `tile(bpack, nc, c, ldc)` once per
+/// panel: `bpack` is op(B) packed by pack_b for this pass, nc columns wide,
+/// and `c` its C block (row 0, leading dimension ldc). Each row panel of A
+/// is packed once for all of them. Row panels of C are disjoint, so each
+/// worker owns its output rows: per element the accumulation order is fixed
+/// and results are bitwise-identical across thread counts.
+template <typename Panels>
+void kc_pass(ConstMatrixView a, Trans ta, double alpha, std::size_t m,
+             std::size_t pc0, std::size_t pc, double beta, unsigned threads,
+             const Panels& panels) {
+  common::parallel_for(
+      (m + kMc - 1) / kMc,
+      [&](std::size_t ic) {
+        const std::size_t i0 = ic * kMc;
+        const std::size_t mc = std::min(kMc, m - i0);
+        double* const apack = thread_apack();
+        pack_a(a, ta, alpha, i0, mc, pc0, pc, apack);
+        panels([&](const double* bpack, std::size_t nc, double* c,
+                   std::size_t ldc) {
+          for (std::size_t jr = 0; jr < nc; jr += kNr) {
+            const std::size_t nr = std::min(kNr, nc - jr);
+            const double* bp = bpack + (jr / kNr) * pc * kNr;
+            for (std::size_t ir = 0; ir < mc; ir += kMr) {
+              const std::size_t mr = std::min(kMr, mc - ir);
+              micro_kernel(pc, apack + (ir / kMr) * pc * kMr, bp,
+                           c + (i0 + ir) * ldc + jr, ldc, mr, nr, beta);
+            }
+          }
+        });
+      },
+      threads);
+}
+
 }  // namespace
 
 GemmShape gemm_shape(ConstMatrixView a, Trans ta, ConstMatrixView b, Trans tb,
@@ -428,41 +489,59 @@ void blocked_gemm(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b,
     return;
   }
 
-  const std::size_t ic_panels = (m + kMc - 1) / kMc;
-  const std::size_t bpack_cols = (std::min(n, kNc) + kNr - 1) / kNr * kNr;
-  AlignedBuf bpack(kKc * bpack_cols);
-
+  double* const bpack =
+      thread_bpack(std::min(k, kKc) * padded_cols(std::min(n, kNc)));
   for (std::size_t jc = 0; jc < n; jc += kNc) {
     const std::size_t nc = std::min(kNc, n - jc);
     for (std::size_t pc0 = 0; pc0 < k; pc0 += kKc) {
       const std::size_t pc = std::min(kKc, k - pc0);
       // Each C element is visited by exactly one jc block, once per kc pass;
       // the first pass carries the β-scale, later passes accumulate.
-      const double pass_beta = (pc0 == 0) ? beta : 1.0;
-      pack_b(b, tb, pc0, pc, jc, nc, bpack.data());
-
-      // Row panels of C are disjoint, so each worker owns its output rows:
-      // the accumulation order per element is fixed and results are
-      // bitwise-identical across thread counts.
-      common::parallel_for(
-          ic_panels,
-          [&](std::size_t ic) {
-            const std::size_t i0 = ic * kMc;
-            const std::size_t mc = std::min(kMc, m - i0);
-            double* const apack = thread_apack();
-            pack_a(a, ta, alpha, i0, mc, pc0, pc, apack);
-            for (std::size_t jr = 0; jr < nc; jr += kNr) {
-              const std::size_t nr = std::min(kNr, nc - jr);
-              const double* bp = bpack.data() + (jr / kNr) * pc * kNr;
-              for (std::size_t ir = 0; ir < mc; ir += kMr) {
-                const std::size_t mr = std::min(kMr, mc - ir);
-                micro_kernel(pc, apack + (ir / kMr) * pc * kMr, bp,
-                             &c(i0 + ir, jc + jr), c.ld(), mr, nr, pass_beta);
-              }
-            }
-          },
-          threads);
+      pack_b(b, tb, pc0, pc, jc, nc, bpack);
+      kc_pass(a, ta, alpha, m, pc0, pc, (pc0 == 0) ? beta : 1.0, threads,
+              [&](const auto& tile) { tile(bpack, nc, &c(0, jc), c.ld()); });
     }
+  }
+}
+
+void gemm_sub_batch(ConstMatrixView a, std::span<const ConstMatrixView> b,
+                    std::span<const MatrixView> c) {
+  ABFTC_REQUIRE(b.size() == c.size(), "gemm batch needs one C per B");
+  const std::size_t m = a.rows(), k = a.cols();
+  std::size_t packed_cols = 0;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    (void)gemm_shape(a, Trans::No, b[i], Trans::No, c[i]);
+    if (gemm_uses_blocked_path(m, b[i].cols(), k))
+      packed_cols += padded_cols(b[i].cols());
+    else
+      naive_gemm(-1.0, a, Trans::No, b[i], Trans::No, 1.0, c[i]);
+  }
+  if (packed_cols == 0) return;
+
+  // gemm_sub's blocked calls, with every kc pass of every pair in one loop
+  // over the A row panels: per element the same micro-kernel sums in the
+  // same passes, so each pair is bitwise its own gemm_sub.
+  double* const bpack = thread_bpack(std::min(k, kKc) * packed_cols);
+  for (std::size_t pc0 = 0; pc0 < k; pc0 += kKc) {
+    const std::size_t pc = std::min(kKc, k - pc0);
+    const auto blocked_pairs = [&](const auto& visit) {
+      double* pack = bpack;
+      for (std::size_t i = 0; i < b.size(); ++i) {
+        const std::size_t n = b[i].cols();
+        if (!gemm_uses_blocked_path(m, n, k)) continue;
+        visit(i, pack);
+        pack += pc * padded_cols(n);
+      }
+    };
+    blocked_pairs([&](std::size_t i, double* pack) {
+      pack_b(b[i], Trans::No, pc0, pc, 0, b[i].cols(), pack);
+    });
+    kc_pass(a, Trans::No, -1.0, m, pc0, pc, 1.0, kernel_policy().threads,
+            [&](const auto& tile) {
+              blocked_pairs([&](std::size_t i, double* pack) {
+                tile(pack, c[i].cols(), c[i].data(), c[i].ld());
+              });
+            });
   }
 }
 

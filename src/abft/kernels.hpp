@@ -20,6 +20,8 @@
 /// every output element is accumulated by exactly one thread in a fixed
 /// order.
 
+#include <span>
+
 #include "abft/matrix.hpp"
 
 namespace abftc::abft {
@@ -74,6 +76,18 @@ class KernelPolicyGuard {
 /// read, so NaN-poisoned output blocks are not propagated.
 void blocked_gemm(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b,
                   Trans tb, double beta, MatrixView c, unsigned threads = 0);
+
+/// C[i] ← C[i] − A·B[i] for every pair i, bitwise each pair's own
+/// gemm_sub(a, b[i], c[i]) under the active policy: every pair takes
+/// gemm_sub's blocked/naive dispatch for its shape and, on the blocked
+/// path, the same micro-kernel sums in the same kc passes. The blocked
+/// pairs share one loop over the A row panels, so each panel of A is packed
+/// once per kc pass for all of them instead of once per pair. Packing
+/// scratch is thread-local and reused: a call allocates nothing once the
+/// calling thread has seen its largest batch. The C blocks must not overlap
+/// each other, A or any B.
+void gemm_sub_batch(ConstMatrixView a, std::span<const ConstMatrixView> b,
+                    std::span<const MatrixView> c);
 
 /// The original reference triple loop, explicitly.
 void naive_gemm(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b,

@@ -1,9 +1,11 @@
 #include "abft/lu_kernel.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "abft/blas.hpp"
+#include "abft/kernels.hpp"
 #include "common/executor.hpp"
 
 namespace abftc::abft {
@@ -27,18 +29,44 @@ void shift_member(double* e, double* we, const double* v, double w,
   }
 }
 
-/// acc ← acc ± pivot block row k over block columns [bj0, bj1): the sum
-/// half receives the row, the weighted half w times the row.
+/// acc ← acc ± pivot block row k over block column bj: the sum half
+/// receives the row, the weighted half w times the row.
 template <bool kAdd>
 void shift_pivot_row(const LuView& s, MatrixView acc, std::size_t k,
-                     std::size_t bj0, std::size_t bj1) {
-  if (bj0 >= bj1) return;
-  const std::size_t nb = s.nb, csr = acc.rows() / 2, j0 = bj0 * nb;
+                     std::size_t bj) {
+  const std::size_t nb = s.nb, csr = acc.rows() / 2, j0 = bj * nb;
   const std::size_t row0 = (k / s.group) * nb;
   const double w = static_cast<double>(k % s.group + 1);
   for (std::size_t r = 0; r < nb; ++r)
     shift_member<kAdd>(&acc(row0 + r, j0), &acc(csr + row0 + r, j0),
-                       &s.a(k * nb + r, j0), w, (bj1 - bj0) * nb);
+                       &s.a(k * nb + r, j0), w, nb);
+}
+
+/// First accumulator row of the groups still live after step k: every
+/// group below (k + 1) / group has all its members frozen, so its active
+/// rows are an empty sum.
+std::size_t live_row0(const LuView& s, std::size_t k) {
+  return (k + 1) / s.group * s.nb;
+}
+
+/// The live rows [live_row0, csr) of `active`'s block column bj and their
+/// weighted twins: the two halves the active TRSM and GEMM still carry.
+std::pair<MatrixView, MatrixView> live_halves(const LuView& s,
+                                              std::size_t k, std::size_t bj) {
+  const std::size_t csr = s.active.rows() / 2, r0 = live_row0(s, k);
+  return {s.active.block(r0, bj * s.nb, csr - r0, s.nb),
+          s.active.block(csr + r0, bj * s.nb, csr - r0, s.nb)};
+}
+
+/// If step k freezes the last member of its group, write the group's
+/// active rows in block column bj as 0.0 — lu_encode's empty sum — in both
+/// halves. Nothing touches them again.
+void bury_group(const LuView& s, std::size_t k, std::size_t bj) {
+  if ((k + 1) % s.group != 0) return;
+  const std::size_t nb = s.nb, csr = s.active.rows() / 2;
+  const std::size_t row0 = (k / s.group) * nb;
+  fill(s.active.block(row0, bj * nb, nb, nb), 0.0);
+  fill(s.active.block(csr + row0, bj * nb, nb, nb), 0.0);
 }
 
 /// Address of element (i, j) of a read-only view.
@@ -70,37 +98,53 @@ void lu_panel(const LuView& s, std::size_t k) {
   const std::size_t rest = s.a.rows() - off - nb;
   // Column block k of the pivot row leaves the active set before getf2
   // touches it; the other column blocks leave in lu_update.
-  shift_pivot_row<false>(s, s.active, k, k, k + 1);
+  shift_pivot_row<false>(s, s.active, k, k);
   const MatrixView diag = s.a.block(off, off, nb, nb);
   getf2_nopiv(diag);
   if (rest > 0) trsm_right_upper(diag, s.a.block(off + nb, off, rest, nb));
-  trsm_right_upper(diag, s.active.block(0, off, s.active.rows(), nb));
+  const auto [sums, weighted] = live_halves(s, k, k);
+  trsm_right_upper(diag, sums);
+  trsm_right_upper(diag, weighted);
+  bury_group(s, k, k);
 }
 
-void lu_update(const LuView& s, std::size_t k, std::size_t bj0,
-               std::size_t bj1) {
-  const std::size_t nb = s.nb, off = k * nb;
+void lu_update(const LuView& s, std::size_t k, std::size_t first,
+               std::size_t stride) {
+  ABFTC_REQUIRE(stride > 0, "a column set needs a positive stride");
+  const std::size_t nb = s.nb, off = k * nb, nbk = s.a.cols() / nb;
+  const std::size_t rest = s.a.rows() - off - nb;
   // Pre-step pivot row values leave the active set (column block k already
   // left in lu_panel).
-  shift_pivot_row<false>(s, s.active, k, bj0, std::min(bj1, k));
-  shift_pivot_row<false>(s, s.active, k, std::max(bj0, k + 1), bj1);
+  for (std::size_t j = first; j < nbk; j += stride)
+    if (j != k) shift_pivot_row<false>(s, s.active, k, j);
 
-  // Trailing columns: U block row, then one GEMM each for the payload and
-  // the stacked accumulator.
-  const std::size_t u0 = std::max(bj0, k + 1);
-  if (u0 < bj1) {
-    const std::size_t c0 = u0 * nb, width = (bj1 - u0) * nb;
-    const std::size_t rest = s.a.rows() - off - nb;
-    const MatrixView u = s.a.block(off, c0, nb, width);
-    trsm_left_lower_unit(s.a.block(off, off, nb, nb), u);
-    gemm_sub(s.a.block(off + nb, off, rest, nb), u,
-             s.a.block(off + nb, c0, rest, width));
-    gemm_sub(s.active.block(0, off, s.active.rows(), nb), u,
-             s.active.block(0, c0, s.active.rows(), width));
+  // Trailing columns: the U block, then one batched GEMM each for the
+  // payload and the two live halves of the active accumulator, which pack
+  // the L panel and the accumulator panel once for the whole set.
+  std::vector<ConstMatrixView> u;
+  std::vector<MatrixView> payload, sums, weighted;
+  for (std::size_t j = first; j < nbk; j += stride) {
+    if (j <= k) continue;
+    const MatrixView uj = s.a.block(off, j * nb, nb, nb);
+    trsm_left_lower_unit(s.a.block(off, off, nb, nb), uj);
+    u.push_back(uj);
+    payload.push_back(s.a.block(off + nb, j * nb, rest, nb));
+    const auto [sj, wj] = live_halves(s, k, j);
+    sums.push_back(sj);
+    weighted.push_back(wj);
+  }
+  if (!u.empty()) {
+    gemm_sub_batch(s.a.block(off + nb, off, rest, nb), u, payload);
+    const auto [sk, wk] = live_halves(s, k, k);
+    gemm_sub_batch(sk, u, sums);
+    gemm_sub_batch(wk, u, weighted);
   }
 
   // The pivot row's values are final in these columns: freeze them.
-  shift_pivot_row<true>(s, s.frozen, k, bj0, bj1);
+  for (std::size_t j = first; j < nbk; j += stride) {
+    shift_pivot_row<true>(s, s.frozen, k, j);
+    if (j != k) bury_group(s, k, j);
+  }
 }
 
 void lu_encode(const LuView& s, std::size_t frozen_steps, unsigned threads) {

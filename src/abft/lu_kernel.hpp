@@ -17,34 +17,47 @@
 ///   active[csr + g·nb + r] = Σ_{bi ∈ g, bi ≥ f} w(bi) · row_{bi·nb + r}
 ///   frozen: the same over bi < f.
 ///
-/// The active accumulator covers the not-yet-factored block rows and rides
-/// through every panel and update operation: each is linear in rows, so
-/// applying it to both halves keeps both relations exact. When block row k
-/// is factored it freezes — its pre-step values leave `active` and its
-/// final values join `frozen`, which then protects L and U at O(n²) total
-/// maintenance cost. A single corrupted element with delta d at position w
+/// The active accumulator covers the not-yet-factored block rows, and its
+/// live rows ride through every panel and update operation: each is linear
+/// in rows, so applying it to both halves keeps both relations exact. When
+/// block row k is factored it freezes — its pre-step values leave `active`
+/// and its final values join `frozen`, which then protects L and U at O(n²)
+/// total maintenance cost. A single corrupted element with delta d at position w
 /// leaves residual d in the sum relation and w·d in the weighted one, so
 /// their ratio names the victim; a lost block is rebuilt by subtracting the
 /// surviving members of its class from the matching sum.
+///
+/// Dead groups. Once every member of a group is frozen, its active rows are
+/// an empty sum: after step k that holds for every group below
+/// (k + 1) / group. The active TRSM and GEMM run over the live rows only,
+/// in both halves, and the step that freezes a group's last member writes
+/// its active rows as exactly 0.0 — lu_encode's value — so on dead rows the
+/// maintained state equals the encoding by construction. The verification
+/// sweep still checks every slot.
 ///
 /// Block step k splits into two phases:
 ///
 ///   lu_panel(k)  — pre-subtract the pivot block row's column block k from
 ///                  `active`, factor the diagonal block, apply U_kk⁻¹ to the
-///                  L block column and to `active`'s column block k.
-///   lu_update(k, bj0, bj1) — over block columns [bj0, bj1): pre-subtract
-///                  the pivot row from `active` (j ≠ k; pre-step values),
-///                  for j > k apply L_kk⁻¹ to the U block row and the
-///                  trailing GEMM to payload and `active`, then freeze the
-///                  pivot row's final values into `frozen`.
+///                  L block column and to the live rows of `active`'s column
+///                  block k; zero a group that dies at step k there.
+///   lu_update(k, first, stride) — over the column set first,
+///                  first + stride, … < nbk: pre-subtract the pivot row from
+///                  `active` (j ≠ k; pre-step values), for j > k apply
+///                  L_kk⁻¹ to the U block, then one batched GEMM
+///                  (gemm_sub_batch) for the payload and one per live half
+///                  of `active` over the whole set, then freeze the pivot
+///                  row's final values into `frozen` and zero a group that
+///                  dies at step k in these columns.
 ///
 /// The update of one block column reads only column block k and writes only
-/// its own columns, so disjoint ranges may run in any order or in parallel
-/// once the panel is done. Per matrix column the operation sequence is the
-/// same however [0, nbk) is split. The dist ranks update one block column
-/// per call, so runs with any rank count are bitwise identical; the serial
-/// single-range update agrees with them to rounding (the wider GEMM may take
-/// another kernel path).
+/// its own columns, so disjoint sets may run in any order or in parallel
+/// once the panel is done. Per block column the operations are the same,
+/// in the same order, whatever set it is updated in: the batched GEMM is
+/// bitwise each column's own gemm_sub. The serial AbftLu updates the set
+/// (0, 1), a dist rank (rank, nranks), and both are bitwise identical to
+/// updating one column per call — which is what makes a dist run with any
+/// rank count bitwise the serial one.
 
 #include <cstddef>
 #include <cstdint>
@@ -77,10 +90,10 @@ struct LuView {
 /// Phase 1 of block step k (column block k only).
 void lu_panel(const LuView& s, std::size_t k);
 
-/// Phase 2 of block step k over block columns [bj0, bj1). Requires
-/// lu_panel(k) to have completed.
-void lu_update(const LuView& s, std::size_t k, std::size_t bj0,
-               std::size_t bj1);
+/// Phase 2 of block step k over block columns first, first + stride, …
+/// < nbk (stride > 0). Requires lu_panel(k) to have completed.
+void lu_update(const LuView& s, std::size_t k, std::size_t first,
+               std::size_t stride);
 
 /// Rebuild both accumulators from the payload: for each accumulator row,
 /// sum the group's member rows into `frozen` if bi < frozen_steps and into
@@ -89,8 +102,9 @@ void lu_update(const LuView& s, std::size_t k, std::size_t bj0,
 ///   - derived data only: the payload is read, never written, so a state
 ///     whose accumulators were dropped (a dist snapshot) is whole again;
 ///   - the frozen half is bitwise the accumulator lu_update maintains (the
-///     same additions in the same order from the same zero); the active
-///     half agrees with the maintained one to rounding;
+///     same additions in the same order from the same zero); on dead
+///     groups' rows the active half is 0.0, bitwise the maintained one, and
+///     on live rows it agrees with the maintained one to rounding;
 ///   - with frozen_steps = 0 the result is bitwise row_group_checksum_pair
 ///     over `active` and all zeros over `frozen`;
 ///   - bitwise-identical for every `threads`: parallel_for runs one

@@ -41,8 +41,9 @@ class dist_error : public std::runtime_error {
 
 /// An anonymous shared mapping (MAP_SHARED | MAP_ANONYMOUS), created by the
 /// coordinator before fork() so every worker inherits the same physical
-/// pages. Unmapped on destruction (workers exit with _exit; the kernel
-/// drops their reference).
+/// pages. Fresh, it reads all zero, and MAP_POPULATE has faulted every page
+/// in. Unmapped on destruction (workers exit with _exit; the kernel drops
+/// their reference).
 class SharedRegion {
  public:
   explicit SharedRegion(std::size_t bytes);

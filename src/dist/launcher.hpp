@@ -45,7 +45,8 @@
 ///     falls back to the next-older one. A snapshot holds the payload only,
 ///     so the restore then re-encodes both accumulators from the restored
 ///     factors (abft::lu_encode): the frozen half comes out bitwise the one
-///     the run maintained, the active half equal to rounding, and the
+///     the run maintained, the active half exactly 0.0 on dead groups' rows
+///     as maintained and equal to rounding on live ones, and the
 ///     payload — which never reads an accumulator — replays bitwise. That
 ///     is safe because the arena is quiescent at every restore, and every
 ///     outcome rewrites all of it: a verified snapshot fills the matrix and

@@ -139,9 +139,7 @@ void worker_main(void* arena, const DistLayout& lay, std::size_t rank,
         } else {
           go = await_gate(s.ctl->step_gate, token);
         }
-        if (go)
-          for (std::size_t j = rank; j < lay.nbk; j += lay.nranks)
-            abft::lu_update(s.lu(), k, j, j + 1);
+        if (go) abft::lu_update(s.lu(), k, rank, lay.nranks);
         answer(msg->args[0]);
         break;
       }

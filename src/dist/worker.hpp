@@ -9,9 +9,10 @@
 /// step kernel (lu_kernel.hpp, which states the algebra and its invariants):
 ///
 ///   owner(k)    — abft::lu_panel(k), then publish `token` on the step gate
-///                 (ControlBlock::step_gate), then abft::lu_update(k, j, j+1)
-///                 for each owned block column j.
-///   other ranks — wait until the gate reads `token`, then the same updates.
+///                 (ControlBlock::step_gate), then one
+///                 abft::lu_update(k, rank, nranks) over its owned block
+///                 columns, which packs the L and accumulator panels once.
+///   other ranks — wait until the gate reads `token`, then the same update.
 ///
 /// Every rank answers one Done per step. If the gate reads
 /// `token | kStepAbort` instead, the coordinator gave the step up (a rank

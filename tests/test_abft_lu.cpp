@@ -11,10 +11,12 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "abft/abft_lu.hpp"
 #include "abft/blas.hpp"
 #include "abft/checksum.hpp"
+#include "abft/kernels.hpp"
 #include "abft/lu_kernel.hpp"
 #include "dist/launcher.hpp"
 
@@ -64,13 +66,13 @@ TEST(AbftLu, WeightedAccumulatorsTrackTheFactorization) {
   // checksum_residual() already gates all four relations; additionally pin
   // the weighted half's endpoint state: with everything frozen, the frozen
   // accumulator equals the position-weighted checksums recomputed from the
-  // final factors (same addition order → bitwise), and the active one has
-  // been drained to rounding noise.
+  // final factors (same addition order → bitwise), and every group is dead,
+  // so the active one is exactly 0.
   const Matrix pair = abft::row_group_checksum_pair(lu.lu(), nb, prows);
   const std::size_t csr = pair.rows() / 2;
   const abft::ConstMatrixView expect = pair.block(csr, 0, csr, n);
   EXPECT_EQ(abft::max_abs_diff(lu.weighted_frozen_cs(), expect), 0.0);
-  EXPECT_LT(lu.weighted_active_cs().max_abs(), 1e-6);
+  EXPECT_EQ(lu.weighted_active_cs().max_abs(), 0.0);
 }
 
 TEST(AbftLu, SolvesLinearSystems) {
@@ -310,7 +312,7 @@ TEST(LuKernel, SweepIsBitwiseIdenticalForEveryThreadCount) {
                           clean.frozen.view(), nb, 3};
   for (std::size_t k = 0; k < 5; ++k) {  // mid-factorization: 5 frozen
     abft::lu_panel(live, k);
-    abft::lu_update(live, k, 0, n / nb);
+    abft::lu_update(live, k, 0, 1);
   }
   for (const auto& [st, f] :
        {std::pair<const LuState*, std::size_t>{&random_state, 4},
@@ -408,16 +410,114 @@ TEST(LuKernel, EncoderRebuildsTheMaintainedAccumulatorsAtEveryBoundary) {
         EXPECT_TRUE(same_bits(
             enc[0].active, abft::row_group_checksum_pair(st.a, nb, group)));
       }
-      // Relative to the payload's magnitude: once a group is all frozen its
-      // maintained active rows are pure rounding residue, the encoded ones 0.
+      // Relative to the payload's magnitude: the live active rows are
+      // maintained through the step algebra, encoded from scratch.
       EXPECT_LE(abft::max_abs_diff(enc[0].active, st.active), 1e-12 * scale);
       EXPECT_LE(abft::lu_checksum_residual(enc[0].view(), f, 1),
                 dist::kDetectFloor);
 
       if (f < st.block_steps()) {
         abft::lu_panel(live, f);
-        abft::lu_update(live, f, 0, st.block_steps());
+        abft::lu_update(live, f, 0, 1);
       }
+    }
+  }
+}
+
+/// A protected state at boundary 0: the encoded initial accumulators.
+LuState fresh_state(std::size_t n, std::size_t nb, std::size_t group,
+                    std::uint64_t seed) {
+  LuState st(n, nb, group);
+  common::Rng rng(seed);
+  st.a = Matrix::diag_dominant(n, rng);
+  st.active = abft::row_group_checksum_pair(st.a, nb, group);
+  abft::fill(st.frozen.view(), 0.0);
+  return st;
+}
+
+abft::LuView live_view(LuState& st) {
+  return {st.a.view(), st.active.view(), st.frozen.view(), st.nb, st.group};
+}
+
+/// Rows [0, rows) of both halves of a stacked accumulator.
+bool dead_rows_match(const Matrix& x, const Matrix& y, std::size_t rows) {
+  const std::size_t csr = x.rows() / 2, n = x.cols();
+  return same_bits(x.block(0, 0, rows, n), y.block(0, 0, rows, n)) &&
+         same_bits(x.block(csr, 0, rows, n), y.block(csr, 0, rows, n));
+}
+
+TEST(LuKernel, ColumnSetsAreBitwiseSingleColumnSetsAtEveryStep) {
+  // nb = 16 keeps the narrow accumulator GEMMs under the blocked-path
+  // cutoff and the payload's above it; nb = 32 puts both on it.
+  for (const auto& [n, nb] : {std::pair<std::size_t, std::size_t>{240, 16},
+                             {384, 32}})
+    for (std::size_t stride = 1; stride <= 4; ++stride) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " stride=" +
+                   std::to_string(stride));
+      LuState sets = fresh_state(n, nb, 3, n + stride);
+      LuState singles = fresh_state(n, nb, 3, n + stride);
+      const std::size_t nbk = sets.block_steps();
+      for (std::size_t k = 0; k < nbk; ++k) {
+        SCOPED_TRACE("step " + std::to_string(k));
+        abft::lu_panel(live_view(sets), k);
+        for (std::size_t first = 0; first < stride; ++first)
+          abft::lu_update(live_view(sets), k, first, stride);
+        {
+          // One column per set, on one thread: the sets' batched GEMMs
+          // must not depend on the worker count either.
+          const abft::KernelPolicyGuard one({abft::KernelPath::blocked, 1});
+          abft::lu_panel(live_view(singles), k);
+          for (std::size_t j = 0; j < nbk; ++j)
+            abft::lu_update(live_view(singles), k, j, nbk);
+        }
+        ASSERT_TRUE(same_bits(sets.a, singles.a));
+        ASSERT_TRUE(same_bits(sets.active, singles.active));
+        ASSERT_TRUE(same_bits(sets.frozen, singles.frozen));
+      }
+      EXPECT_LE(abft::lu_checksum_residual(sets.view(), nbk, 1),
+                dist::kDetectFloor);
+    }
+}
+
+TEST(LuKernel, DeadGroupActiveRowsAreExactlyZeroAtEveryBoundary) {
+  for (const std::size_t group : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("group " + std::to_string(group));
+    const std::size_t n = 192, nb = 16;  // 12 block rows
+    LuState st = fresh_state(n, nb, group, 40 + group);
+    const Matrix zeros = Matrix::zeros(st.active.rows(), n);
+    for (std::size_t f = 0; f <= st.block_steps(); ++f) {
+      SCOPED_TRACE("boundary " + std::to_string(f));
+      const std::size_t dead_rows = f / group * nb;
+      EXPECT_TRUE(dead_rows_match(st.active, zeros, dead_rows));
+      // The first live group still carries its members: not all zero.
+      if (dead_rows < st.csr()) {
+        EXPECT_FALSE(dead_rows_match(st.active, zeros, dead_rows + nb));
+      }
+      EXPECT_LE(abft::lu_checksum_residual(st.view(), f, 1),
+                dist::kDetectFloor);
+      if (f < st.block_steps()) {
+        abft::lu_panel(live_view(st), f);
+        abft::lu_update(live_view(st), f, 0, 1);
+      }
+    }
+  }
+}
+
+TEST(LuKernel, EncoderEqualsTheMaintainedStateExactlyOnDeadRows) {
+  const std::size_t n = 240, nb = 16, group = 3;
+  LuState st = fresh_state(n, nb, group, 53);
+  for (std::size_t f = 0; f <= st.block_steps(); ++f) {
+    SCOPED_TRACE("boundary " + std::to_string(f));
+    LuState enc(n, nb, group);
+    enc.a = st.a;
+    abft::fill(enc.active.view(), std::numeric_limits<double>::quiet_NaN());
+    abft::fill(enc.frozen.view(), std::numeric_limits<double>::quiet_NaN());
+    abft::lu_encode(live_view(enc), f, 1);
+    EXPECT_TRUE(dead_rows_match(enc.active, st.active, f / group * nb));
+    EXPECT_TRUE(same_bits(enc.frozen, st.frozen));
+    if (f < st.block_steps()) {
+      abft::lu_panel(live_view(st), f);
+      abft::lu_update(live_view(st), f, 0, 1);
     }
   }
 }

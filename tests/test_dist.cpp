@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -160,6 +161,25 @@ TEST(Mailbox, IdleReceiverInAnotherProcessWakesPromptly) {
   // One post→reply round trip is two futex wakes; a sleep-poll receiver
   // would sit at its nap length here instead.
   EXPECT_LT(latency[10], 250e-6);
+}
+
+TEST(SharedRegion, FreshArenaReadsZero) {
+  // The n = 192 arena's size, then one that reuses pages a dirtied and
+  // unmapped arena gave back: a fresh mapping is zero with no memset.
+  const std::size_t bytes =
+      DistLayout::compute(192, 32, 3, 3).total_bytes + 4096 + 8;
+  const auto all_zero = [](const SharedRegion& r) {
+    const auto* p = static_cast<const unsigned char*>(r.data());
+    return std::all_of(p, p + r.size(), [](unsigned char c) { return c == 0; });
+  };
+  {
+    SharedRegion dirty(bytes);
+    ASSERT_EQ(dirty.size(), bytes);
+    EXPECT_TRUE(all_zero(dirty));
+    std::memset(dirty.data(), 0xA5, dirty.size());
+  }
+  const SharedRegion fresh(bytes);
+  EXPECT_TRUE(all_zero(fresh));
 }
 
 TEST(StepGate, ReleasesOnItsTokenOrItsAbortOnly) {
@@ -424,6 +444,17 @@ TEST(LocateCorruption, NonFiniteResidualIsAmbiguous) {
 
 // --- the forked runtime -----------------------------------------------------
 
+/// Equal shape and equal bits in every slot (+0.0 ≠ -0.0, NaN == same NaN).
+bool same_bits(abft::ConstMatrixView x, abft::ConstMatrixView y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
+  for (std::size_t i = 0; i < x.rows(); ++i)
+    for (std::size_t j = 0; j < x.cols(); ++j)
+      if (std::bit_cast<std::uint64_t>(x(i, j)) !=
+          std::bit_cast<std::uint64_t>(y(i, j)))
+        return false;
+  return true;
+}
+
 DistConfig small_config() {
   DistConfig cfg;
   cfg.n = 96;
@@ -450,13 +481,20 @@ TEST(DistLauncher, CleanRunMatchesSerialAbftLu) {
   EXPECT_EQ(report.checkpoints,
             (launcher.block_steps() + cfg.ckpt_every - 1) / cfg.ckpt_every);
 
-  // The panel-cyclic two-phase schedule computes the same factorization the
-  // serial dual-accumulator AbftLu does.
+  // The ranks and the serial AbftLu run the one update routine, the ranks
+  // over their column sets and AbftLu over all columns at once, so the
+  // factors and all four accumulator halves are bitwise the serial ones.
   common::Rng rng(cfg.seed);
   abft::AbftLu serial(abft::Matrix::diag_dominant(cfg.n, rng), cfg.nb,
                       abft::ProcessGrid{cfg.group, 1});
   serial.factor();
-  EXPECT_LT(abft::relative_error(launcher.lu(), serial.lu()), 1e-12);
+  EXPECT_TRUE(same_bits(launcher.lu(), serial.lu()));
+  EXPECT_TRUE(same_bits(launcher.active_cs(), serial.active_cs()));
+  EXPECT_TRUE(same_bits(launcher.weighted_active_cs(),
+                        serial.weighted_active_cs()));
+  EXPECT_TRUE(same_bits(launcher.frozen_cs(), serial.frozen_cs()));
+  EXPECT_TRUE(same_bits(launcher.weighted_frozen_cs(),
+                        serial.weighted_frozen_cs()));
 }
 
 TEST(DistLauncher, RepeatRunsAreBitwiseIdentical) {
@@ -559,9 +597,8 @@ TEST(DistLauncher, WeightedAccumulatorsMatchSerialReference) {
   serial.factor();
 
   // The weighted pair rides through the identical per-element operations as
-  // the sum pair, so the dist copies track the serial reference to rounding
-  // (after the full factorization everything is frozen and the active
-  // accumulators hold only drained noise).
+  // the sum pair, so the dist copies track the serial reference (after the
+  // full factorization every group is dead and its active rows are 0.0).
   EXPECT_LT(abft::max_abs_diff(launcher.weighted_frozen_cs(),
                                serial.weighted_frozen_cs()),
             1e-8);

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <limits>
 #include <span>
@@ -184,6 +185,68 @@ TEST(BlockedGemm, DeterministicAcrossThreadCounts) {
                      c8.view(), 8);
   EXPECT_EQ(abft::max_abs_diff(c1, c2), 0.0);
   EXPECT_EQ(abft::max_abs_diff(c1, c8), 0.0);
+}
+
+bool same_bits(ConstMatrixView x, ConstMatrixView y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
+  for (std::size_t i = 0; i < x.rows(); ++i)
+    for (std::size_t j = 0; j < x.cols(); ++j)
+      if (std::bit_cast<std::uint64_t>(x(i, j)) !=
+          std::bit_cast<std::uint64_t>(y(i, j)))
+        return false;
+  return true;
+}
+
+TEST(GemmSubBatch, EachPairIsBitwiseItsOwnGemmSub) {
+  // Row counts off the register tile and the mc panel, widths off the
+  // register tile, depths below, at and above one kc pass, and batches that
+  // mix pairs on both sides of the blocked-path cutoff.
+  const std::size_t widths[] = {1, 5, 16, 17, 33, 64, 3};
+  for (const std::size_t m : {1u, 7u, 37u, 130u, 261u})
+    for (const std::size_t k : {3u, 64u, 300u})
+      for (const KernelPolicy policy :
+           {KernelPolicy{KernelPath::blocked, 1},
+            KernelPolicy{KernelPath::blocked, 2},
+            KernelPolicy{KernelPath::blocked, 4},
+            KernelPolicy{KernelPath::naive, 1}}) {
+        SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                     " threads=" + std::to_string(policy.threads) +
+                     (policy.path == KernelPath::naive ? " naive" : ""));
+        const KernelPolicyGuard guard(policy);
+        const Matrix a = random_matrix(m, k, 7 * m + k);
+        // B and C blocks are strided column blocks of wider matrices, the
+        // way a trailing update addresses its block columns.
+        std::size_t total = 0;
+        for (const std::size_t w : widths) total += w + 2;
+        const Matrix b = random_matrix(k, total, 11 * m + k);
+        const Matrix c0 = random_matrix(m, total, 13 * m + k);
+        Matrix batched = c0, single = c0;
+        std::vector<ConstMatrixView> bs;
+        std::vector<MatrixView> cs;
+        std::size_t j0 = 1;
+        for (const std::size_t w : widths) {
+          bs.push_back(b.block(0, j0, k, w));
+          cs.push_back(batched.view().block(0, j0, m, w));
+          abft::gemm_sub(a.view(), b.block(0, j0, k, w),
+                         single.view().block(0, j0, m, w));
+          j0 += w + 2;
+        }
+        abft::gemm_sub_batch(a.view(), bs, cs);
+        EXPECT_TRUE(same_bits(batched, single));
+      }
+}
+
+TEST(GemmSubBatch, EmptyBatchAndMismatchedShapes) {
+  const Matrix a = random_matrix(40, 40, 1);
+  abft::gemm_sub_batch(a.view(), {}, {});
+  Matrix c(40, 8, 0.0);
+  const Matrix b = random_matrix(39, 8, 2);
+  const ConstMatrixView bs[] = {b.view()};
+  const MatrixView cs[] = {c.view()};
+  EXPECT_THROW(abft::gemm_sub_batch(a.view(), bs, cs),
+               common::precondition_error);
+  EXPECT_THROW(abft::gemm_sub_batch(a.view(), bs, {}),
+               common::precondition_error);
 }
 
 TEST(KernelPolicy, DispatchCutoffAndGuard) {
