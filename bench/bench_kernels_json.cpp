@@ -7,7 +7,8 @@
 /// shape (a 64×64 factor, 1024 rows), plus the blind verification of the
 /// protected LU (the residual sweep and localization next to a memcpy of
 /// the same bytes), plus one dist rank's protected-LU update time with its
-/// block columns in one lu_update call per step vs one call per column, and
+/// block columns in one lu_update call per step vs one call per column, plus
+/// a dist launcher's cold first run() against its third (warm) one, and
 /// emits BENCH_kernels.json — the perf-trajectory artifact CI tracks across
 /// PRs.
 ///
@@ -21,12 +22,17 @@
 /// hardware concurrency); the artifact carries the active KernelPolicy
 /// (path, requested and resolved worker count) as metadata.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,6 +45,7 @@
 #include "common/cli.hpp"
 #include "common/executor.hpp"
 #include "common/json.hpp"
+#include "common/stats.hpp"
 #include "dist/launcher.hpp"
 
 using namespace abftc;
@@ -108,6 +115,24 @@ struct UpdateCell {
   double singles_s = 0.0;  ///< lu_update(k, j, nbk) per owned column j
   double singles_over_sets = 0.0;
 };
+
+/// One launcher of the dist_cold_start block: its cold first run() and its
+/// third (warm) run(), wall seconds around the call, and its destruction.
+struct ColdStartSample {
+  double cold_s = 0.0, warm_s = 0.0, gap_s = 0.0, teardown_s = 0.0;
+};
+
+/// Cold vs warm dist runs at lu_steady's shape: blind, each run on a fresh
+/// `log:…?flush=0` store in a temp dir that is removed afterwards. Medians
+/// over `kColdStartLaunchers` launchers; `bitwise` holds when every cold
+/// run's factors equal its launcher's warm ones bit for bit.
+struct ColdStartCell {
+  std::size_t n = 1536, nb = 64, ranks = 3, group = 3, ckpt_every = 2;
+  std::vector<ColdStartSample> samples;
+  ColdStartSample median;
+  bool bitwise = true;
+};
+constexpr std::size_t kColdStartLaunchers = 8;
 
 // The LU panel shape of the trsm cells: the owner rank's B·U⁻¹ solve at
 // nb = 64 over the rows below the diagonal block.
@@ -250,6 +275,66 @@ UpdateCell update_cell(int reps) {
     c.singles_s = std::min(c.singles_s, solve(false));
   }
   c.singles_over_sets = c.singles_s / c.sets_s;
+  return c;
+}
+
+// Per launcher: the cold run, two warm runs (the third is the one
+// reported), then ~Launcher. Only the run() calls and the destructor are
+// timed; making and removing each run's store is not.
+ColdStartCell cold_start_cell() {
+  namespace fs = std::filesystem;
+  ColdStartCell c;
+  dist::DistConfig cfg;
+  cfg.n = c.n;
+  cfg.nb = c.nb;
+  cfg.ranks = c.ranks;
+  cfg.group = c.group;
+  cfg.ckpt_every = c.ckpt_every;
+  cfg.blind = true;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("abftc_cold_start." + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  std::size_t stores = 0;
+  const auto timed_run = [&](dist::Launcher& launcher) {
+    const fs::path store = dir / ("run" + std::to_string(stores++));
+    double wall = 0.0;
+    {
+      const auto backend =
+          ckpt::io::make_backend("log:" + store.string() + "?flush=0");
+      wall = time_best(1, [&] {
+        if (!launcher.run(cfg, *backend).completed)
+          throw std::runtime_error("dist_cold_start: a run did not complete");
+      });
+    }
+    fs::remove_all(store);
+    return wall;
+  };
+  const auto unused = ckpt::io::make_backend("memory");
+  for (std::size_t l = 0; l < kColdStartLaunchers; ++l) {
+    ColdStartSample x;
+    auto launcher = std::make_unique<dist::Launcher>(cfg, *unused);
+    x.cold_s = timed_run(*launcher);
+    const Matrix cold_lu(launcher->lu());
+    (void)timed_run(*launcher);
+    x.warm_s = timed_run(*launcher);
+    x.gap_s = x.cold_s - x.warm_s;
+    const abft::ConstMatrixView lu = launcher->lu();
+    c.bitwise = c.bitwise &&
+                std::memcmp(cold_lu.storage().data(), lu.data(),
+                            cold_lu.storage().size() * sizeof(double)) == 0;
+    x.teardown_s = time_best(1, [&] { launcher.reset(); });
+    c.samples.push_back(x);
+  }
+  fs::remove_all(dir);
+  const auto median = [&](double ColdStartSample::*field) {
+    common::Sample v;
+    for (const ColdStartSample& x : c.samples) v.add(x.*field);
+    return v.quantile(0.5);
+  };
+  c.median = {median(&ColdStartSample::cold_s),
+              median(&ColdStartSample::warm_s),
+              median(&ColdStartSample::gap_s),
+              median(&ColdStartSample::teardown_s)};
   return c;
 }
 
@@ -417,6 +502,7 @@ int main(int argc, char** argv) {
   for (const VerifyShape& shape : kVerifyShapes)
     verify_cells.push_back(verify_cell(shape.n, shape.nb, std::max(reps, 3)));
   const UpdateCell update = update_cell(std::max(reps, 3));
+  const ColdStartCell cold_start = cold_start_cell();
 
   std::ofstream out(out_path);
   if (!out) {
@@ -505,6 +591,30 @@ int main(int argc, char** argv) {
   json.kv("singles_s", update.singles_s);
   json.kv("singles_over_sets", update.singles_over_sets);
   json.end_object();
+  json.key("dist_cold_start").begin_object();
+  json.kv("n", cold_start.n);
+  json.kv("nb", cold_start.nb);
+  json.kv("ranks", cold_start.ranks);
+  json.kv("group", cold_start.group);
+  json.kv("ckpt_every", cold_start.ckpt_every);
+  json.kv("blind", true);
+  json.kv("store", "log:?flush=0");
+  json.kv("cold_run_s", cold_start.median.cold_s);
+  json.kv("warm_run_s", cold_start.median.warm_s);
+  json.kv("gap_s", cold_start.median.gap_s);
+  json.kv("teardown_s", cold_start.median.teardown_s);
+  json.kv("bitwise", cold_start.bitwise);
+  json.key("samples").begin_array();
+  for (const ColdStartSample& x : cold_start.samples) {
+    json.begin_object();
+    json.kv("cold_run_s", x.cold_s);
+    json.kv("warm_run_s", x.warm_s);
+    json.kv("gap_s", x.gap_s);
+    json.kv("teardown_s", x.teardown_s);
+    json.end_object();
+  }
+  json.end_array();
+  json.end_object();
   json.end_object();
 
   for (const Cell& c : cells)
@@ -533,6 +643,13 @@ int main(int argc, char** argv) {
             << " rank " << update.rank << ": sets=" << update.sets_s
             << "s singles=" << update.singles_s
             << "s singles/sets=" << update.singles_over_sets << "\n";
+  std::cout << "dist_cold_start n=" << cold_start.n << " ranks="
+            << cold_start.ranks << " (median of " << cold_start.samples.size()
+            << " launchers): cold=" << cold_start.median.cold_s
+            << "s warm=" << cold_start.median.warm_s
+            << "s gap=" << cold_start.median.gap_s
+            << "s teardown=" << cold_start.median.teardown_s
+            << "s bitwise=" << (cold_start.bitwise ? "true" : "false") << "\n";
   std::cout << "wrote " << out_path << "\n";
   return 0;
 }

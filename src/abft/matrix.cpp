@@ -30,13 +30,8 @@ Matrix Matrix::random(std::size_t rows, std::size_t cols, common::Rng& rng) {
 }
 
 Matrix Matrix::diag_dominant(std::size_t n, common::Rng& rng) {
-  Matrix m = random(n, n, rng);
-  for (std::size_t i = 0; i < n; ++i) {
-    double off = 0.0;
-    for (std::size_t j = 0; j < n; ++j)
-      if (j != i) off += std::fabs(m(i, j));
-    m(i, i) = off + 1.0 + rng.uniform01();
-  }
+  Matrix m(n, n);
+  fill_diag_dominant(m.view(), rng);
   return m;
 }
 
@@ -98,6 +93,24 @@ void copy_into(ConstMatrixView src, MatrixView dst) {
 void fill(MatrixView v, double value) {
   for (std::size_t i = 0; i < v.rows(); ++i)
     for (std::size_t j = 0; j < v.cols(); ++j) v(i, j) = value;
+}
+
+void fill_diag_dominant(MatrixView m, common::Rng& rng) {
+  ABFTC_REQUIRE(m.rows() == m.cols(), "a diagonally dominant matrix is square");
+  const std::size_t n = m.rows();
+  // Each row's off-diagonal sum is folded in as its entries are drawn, and
+  // parked in the diagonal slot, whose own draw it replaces. The diagonal
+  // terms come last in the stream, so they take a second (strided) loop.
+  for (std::size_t i = 0; i < n; ++i) {
+    double* row = &m(i, 0);
+    double off = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      row[j] = rng.uniform(-1.0, 1.0);
+      if (j != i) off += std::fabs(row[j]);
+    }
+    row[i] = off;
+  }
+  for (std::size_t i = 0; i < n; ++i) m(i, i) = m(i, i) + 1.0 + rng.uniform01();
 }
 
 }  // namespace abftc::abft

@@ -173,4 +173,10 @@ void copy_into(ConstMatrixView src, MatrixView dst);
 /// Fill a view with a constant (used to wipe "lost" blocks).
 void fill(MatrixView v, double value);
 
+/// Matrix::diag_dominant's values, written into the square view `m` in one
+/// pass: the entries uniform in [-1, 1] row by row, then each diagonal entry
+/// replaced by its row's off-diagonal |x| sum (j ascending) + 1 +
+/// uniform01(), in row order. Writes nothing outside the view.
+void fill_diag_dominant(MatrixView m, common::Rng& rng);
+
 }  // namespace abftc::abft

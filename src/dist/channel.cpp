@@ -66,10 +66,11 @@ inline void cpu_relax() noexcept {
 
 SharedRegion::SharedRegion(std::size_t bytes) {
   ABFTC_REQUIRE(bytes > 0, "shared region must not be empty");
-  // A fresh anonymous mapping reads zero, so nothing needs clearing;
-  // MAP_POPULATE faults its pages in here, once, not in the ranks' steps.
+  // A fresh anonymous mapping reads zero, so nothing needs clearing, and no
+  // page is populated here: each is faulted in once, by whoever writes it
+  // first (the launcher's coordinator, before any rank step).
   void* map = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                     MAP_SHARED | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
+                     MAP_SHARED | MAP_ANONYMOUS, -1, 0);
   if (map == MAP_FAILED)
     throw dist_error("mmap of " + std::to_string(bytes) +
                      "-byte shared arena failed: " +

@@ -41,9 +41,13 @@ class dist_error : public std::runtime_error {
 
 /// An anonymous shared mapping (MAP_SHARED | MAP_ANONYMOUS), created by the
 /// coordinator before fork() so every worker inherits the same physical
-/// pages. Fresh, it reads all zero, and MAP_POPULATE has faulted every page
-/// in. Unmapped on destruction (workers exit with _exit; the kernel drops
-/// their reference).
+/// pages. Fresh, it reads all zero and holds no page yet: its first writer
+/// faults each page in. In the launcher's arena that is the coordinator,
+/// before any rank step: it writes the control block and the mailboxes,
+/// then the matrix generator fills the matrix and lu_encode both
+/// accumulators.
+/// Unmapped on destruction (workers exit with _exit; the kernel drops their
+/// reference).
 class SharedRegion {
  public:
   explicit SharedRegion(std::size_t bytes);

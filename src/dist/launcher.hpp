@@ -9,14 +9,20 @@
 /// faults.
 ///
 /// Lifecycle: a Launcher is a warm rank pool.
-///   - The first run() maps the arena, builds the pristine matrix and
-///     forks the ranks. All of them live until ~Launcher, which SIGKILLs
-///     and reaps the ranks.
-///   - Every run() copies that pristine matrix into the arena, encodes its
-///     step-0 accumulators (abft::lu_encode), forgets the previous run's
-///     checkpoint boundaries, and forks only the ranks that are dead — also
-///     one that died idle between runs (its ready pipe hung up). Such a
-///     replacement counts in `respawns`, never as a restore.
+///   - The first (cold) run() maps the arena, forks the ranks, draws the
+///     pristine matrix from `seed` straight into the arena
+///     (abft::fill_diag_dominant) and encodes its step-0 accumulators
+///     (abft::lu_encode). The generator and the encoder fault the arena's
+///     pages in as they write them, so each page is written by one pass
+///     and no rank step is the first to touch one. The ranks live until
+///     ~Launcher, which SIGKILLs and reaps them.
+///   - The cold run keeps no copy of the pristine matrix: the first warm
+///     run() draws one from `seed` again before it starts its wall clock.
+///     Every warm run() copies it into the arena and encodes it. Every
+///     run() forgets the previous run's checkpoint boundaries and forks
+///     only the ranks that are dead — also one that died idle between runs
+///     (its ready pipe hung up). Such a replacement counts in `respawns`,
+///     never as a restore.
 ///   - A run's backend, `flip_seed` and `step_timeout_s` may differ between
 ///     runs. The other DistConfig fields fix the launcher's shape; run()
 ///     with a different shape throws precondition_error.
@@ -52,8 +58,8 @@
 ///     outcome rewrites all of it: a verified snapshot fills the matrix and
 ///     the encoder both accumulators, and if storage holds nothing
 ///     restorable the run falls back to its initial image — the pristine
-///     matrix every run starts from, encoded with nothing frozen — and
-///     restarts from step 0.
+///     matrix every run starts from (on the cold run drawn into the arena
+///     again), encoded with nothing frozen — and restarts from step 0.
 ///
 ///   silent data corruption (flip/flip2) → the checksum-invariant residual
 ///     detects it at a step boundary; the poisoned element is then
@@ -318,9 +324,9 @@ class Launcher {
   void kill_now(Rank& rank) noexcept;
   /// SIGKILL and reap every rank, then the buried ones.
   void reap_all() noexcept;
-  /// Ready the pool for a run: on the first, map the arena, build the
-  /// pristine image and fork every rank; then load the image and replace
-  /// any rank that died, counting the replacements in `report.respawns`.
+  /// Ready the pool for a run: on the first, map the arena and fork every
+  /// rank; then replace any rank that died, counting the replacements in
+  /// `report.respawns`, and load the initial image.
   void prepare(RunReport& report);
   /// The step loop: factor from the pristine image to completion.
   void factor(const std::vector<Injection>& faults, std::uint64_t flip_base,
@@ -351,8 +357,9 @@ class Launcher {
   /// re-encodes them (16 + n²·8 bytes per snapshot).
   using Regions = std::array<std::span<std::byte>, 2>;
   [[nodiscard]] Regions snapshot_regions(std::uint64_t (&progress)[2]);
-  /// Copy the pristine matrix a0_ into the arena, reset frozen_steps_ to 0
-  /// and encode both accumulators from it (abft::lu_encode).
+  /// Copy the pristine matrix a0_ into the arena (or, while a0_ is empty,
+  /// draw it there from `seed`), reset frozen_steps_ to 0 and encode both
+  /// accumulators from it (abft::lu_encode).
   void load_initial();
 
   DistConfig cfg_;
@@ -369,8 +376,10 @@ class Launcher {
   std::uint32_t token_ = 0;  ///< the last step's gate token
   std::thread::id owner_;  ///< the thread that forks the ranks
   std::size_t forks_ = 0;
-  /// The pristine matrix: every run's starting payload and the
+  /// The pristine matrix: every warm run's starting payload and its
   /// restart-from-scratch image (its accumulators are encoded on load).
+  /// Empty through the cold run, which draws the matrix from `seed` into
+  /// the arena instead; the first warm run() draws this copy.
   abft::Matrix a0_;
   /// Highest boundary whose checkpoint was already attempted (SIZE_MAX =
   /// none): replay after a restore must not re-write an existing snapshot.

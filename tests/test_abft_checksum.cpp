@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -134,6 +137,60 @@ TEST(Matrix, GeneratorsHaveDocumentedProperties) {
   for (std::size_t i = 0; i < 16; ++i)
     for (std::size_t j = 0; j < 16; ++j)
       EXPECT_DOUBLE_EQ(s(i, j), s(j, i));
+}
+
+TEST(Matrix, DiagDominantKeepsItsDrawOrder) {
+  // The two-pass formula the one-pass generator replaced: every entry
+  // drawn row by row, then each diagonal entry set to its row's
+  // off-diagonal |x| sum (j ascending) + 1 + one more draw, in row order.
+  const auto two_pass = [](std::size_t n, common::Rng& rng) {
+    Matrix m(n, n);
+    for (double& x : m.storage()) x = rng.uniform(-1.0, 1.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      double off = 0.0;
+      for (std::size_t j = 0; j < n; ++j)
+        if (j != i) off += std::fabs(m(i, j));
+      m(i, i) = off + 1.0 + rng.uniform01();
+    }
+    return m;
+  };
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const std::size_t n : {1, 2, 7, 192}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    common::Rng old_rng(n + 11), new_rng(n + 11);
+    const Matrix want = two_pass(n, old_rng);
+    const Matrix got = Matrix::diag_dominant(n, new_rng);
+    ASSERT_EQ(got.rows(), n);
+    ASSERT_EQ(got.cols(), n);
+    std::size_t differing = 0;
+    for (std::size_t k = 0; k < n * n; ++k)
+      differing += bits(got.storage()[k]) != bits(want.storage()[k]);
+    EXPECT_EQ(differing, 0u);
+    EXPECT_EQ(new_rng(), old_rng());  // the same number of draws
+
+    // Into a strided view: the same values, and the padding (and the rows
+    // around the view) left as they were.
+    const std::size_t ld = n + 5;
+    const double pad = -1234.5;
+    Matrix host(n + 2, ld, pad);
+    common::Rng view_rng(n + 11);
+    fill_diag_dominant(host.block(1, 2, n, n), view_rng);
+    std::size_t wrong = 0, touched = 0;
+    for (std::size_t i = 0; i < n + 2; ++i)
+      for (std::size_t j = 0; j < ld; ++j) {
+        const bool inside = i >= 1 && i <= n && j >= 2 && j < n + 2;
+        if (inside)
+          wrong += bits(host(i, j)) != bits(want(i - 1, j - 2));
+        else
+          touched += bits(host(i, j)) != bits(pad);
+      }
+    EXPECT_EQ(wrong, 0u);
+    EXPECT_EQ(touched, 0u);
+  }
+  Matrix wide(3, 4);
+  common::Rng rng(1);
+  EXPECT_THROW(fill_diag_dominant(wide.view(), rng),
+               common::precondition_error);
 }
 
 TEST(Matrix, ViewsShareStorage) {

@@ -1447,6 +1447,52 @@ TEST(DistLauncher, EveryCheckpointTornFallsBackToTheInitialImage) {
   EXPECT_EQ(abft::max_abs_diff(injected.lu(), clean.lu()), 0.0);
 }
 
+TEST(DistLauncher, ColdInitialImageFallbackThenWarmRunsMatchAFreshCleanRun) {
+  const DistConfig cfg = small_config();
+  const auto clean_backend = ckpt::io::make_backend("memory");
+  Launcher clean(cfg, *clean_backend);
+  (void)clean.run();
+
+  // The cold run keeps no pristine copy, so its initial-image fallback
+  // draws the matrix from the seed again; the first warm run then draws
+  // the copy every later run starts from. Each must land on the clean
+  // state bit for bit.
+  const auto same_as_clean = [&](const Launcher& l) {
+    EXPECT_TRUE(bitwise_equal(l.lu(), clean.lu()));
+    EXPECT_TRUE(bitwise_equal(l.active_cs(), clean.active_cs()));
+    EXPECT_TRUE(bitwise_equal(l.frozen_cs(), clean.frozen_cs()));
+    EXPECT_TRUE(
+        bitwise_equal(l.weighted_active_cs(), clean.weighted_active_cs()));
+    EXPECT_TRUE(
+        bitwise_equal(l.weighted_frozen_cs(), clean.weighted_frozen_cs()));
+  };
+  const std::size_t last = clean.block_steps() - 1;
+  const std::size_t writes =
+      (clean.block_steps() + cfg.ckpt_every - 1) / cfg.ckpt_every;
+  std::vector<ckpt::io::FaultingBackend::Fault> faults;
+  for (std::size_t w = 0; w < writes; ++w)
+    faults.push_back({w, ckpt::io::WriteFault::TornPayload});
+  const auto inner = ckpt::io::make_backend("memory");
+  ckpt::io::FaultingBackend faulting(*inner, faults);
+  Launcher pool(cfg, faulting);
+  const RunReport cold =
+      pool.run({{FaultKind::Kill, last, last % cfg.ranks}});
+  EXPECT_TRUE(cold.completed);
+  EXPECT_EQ(faulting.faults_fired(), writes);
+  EXPECT_EQ(cold.restored_to_steps, std::vector<std::size_t>{0});
+  same_as_clean(pool);
+
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE("warm run " + std::to_string(i + 1));
+    const auto backend = ckpt::io::make_backend("memory");
+    const RunReport warm = pool.run(cfg, *backend);
+    EXPECT_TRUE(warm.completed);
+    EXPECT_EQ(warm.restores, 0u);
+    same_as_clean(pool);
+  }
+  EXPECT_EQ(pool.forks(), cfg.ranks + 1);
+}
+
 TEST(DistCampaign, MiniCampaignRecoversEveryCell) {
   DistConfig cfg = small_config();
   cfg.n = 48;  // 3 block steps: 3 × 2 ranks × 3 kinds = 18 cells
