@@ -126,11 +126,14 @@ struct ColdStartSample {
 /// `log:…?flush=0` store in a temp dir that is removed afterwards. Medians
 /// over `kColdStartLaunchers` launchers; `bitwise` holds when every cold
 /// run's factors equal its launcher's warm ones bit for bit.
+/// `commit_bytes` is the payload one solve commits (its store's list()),
+/// recorded, not timed.
 struct ColdStartCell {
   std::size_t n = 1536, nb = 64, ranks = 3, group = 3, ckpt_every = 2;
   std::vector<ColdStartSample> samples;
   ColdStartSample median;
   bool bitwise = true;
+  std::uint64_t commit_bytes = 0;
 };
 constexpr std::size_t kColdStartLaunchers = 8;
 
@@ -305,6 +308,9 @@ ColdStartCell cold_start_cell() {
         if (!launcher.run(cfg, *backend).completed)
           throw std::runtime_error("dist_cold_start: a run did not complete");
       });
+      c.commit_bytes = 0;
+      for (const ckpt::io::SnapshotMeta& m : backend->list())
+        c.commit_bytes += m.bytes;
     }
     fs::remove_all(store);
     return wall;
@@ -604,6 +610,7 @@ int main(int argc, char** argv) {
   json.kv("gap_s", cold_start.median.gap_s);
   json.kv("teardown_s", cold_start.median.teardown_s);
   json.kv("bitwise", cold_start.bitwise);
+  json.kv("commit_bytes", cold_start.commit_bytes);
   json.key("samples").begin_array();
   for (const ColdStartSample& x : cold_start.samples) {
     json.begin_object();
@@ -649,7 +656,8 @@ int main(int argc, char** argv) {
             << "s warm=" << cold_start.median.warm_s
             << "s gap=" << cold_start.median.gap_s
             << "s teardown=" << cold_start.median.teardown_s
-            << "s bitwise=" << (cold_start.bitwise ? "true" : "false") << "\n";
+            << "s bitwise=" << (cold_start.bitwise ? "true" : "false")
+            << " commit_bytes=" << cold_start.commit_bytes << "\n";
   std::cout << "wrote " << out_path << "\n";
   return 0;
 }

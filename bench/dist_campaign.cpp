@@ -83,6 +83,7 @@ void emit_json(const std::string& path, const dist::CampaignReport& report) {
   json.kv("recons_seconds", report.calib.recons_s);
   json.kv("locate_seconds", report.calib.locate_s);
   json.kv("hang_timeout_seconds", report.calib.hang_timeout_s);
+  json.kv("commit_bytes", report.calib.commit_bytes);
   json.key("step_seconds");
   json.begin_array();
   for (const double s : report.calib.step_seconds) json.value(s);

@@ -184,7 +184,8 @@ ReadResult MemoryBackend::read_regions(CkptId id,
     for (const RegionBlob& r : s.regions) {
       const std::span<std::byte> dst =
           detail::sink_span(sink, r.region, r.payload.size());
-      std::memcpy(dst.data(), r.payload.data(), r.payload.size());
+      if (!dst.empty())
+        std::memcpy(dst.data(), r.payload.data(), r.payload.size());
       result.crcs.push_back(r.crc);
     }
     return result;
@@ -217,59 +218,87 @@ std::size_t MemoryBackend::stored_bytes() const noexcept {
 namespace {
 
 /// The restore walk: list() from newest to oldest, returning what
-/// `restore(id)` yields for the first snapshot it does not reject with
-/// io_error.
+/// `restore(metas, i)` yields for the first candidate metas[i] it does not
+/// reject with io_error. When nothing restores but the store's records
+/// changed meanwhile (a compaction pass folded or dropped some), the walk
+/// starts over on the new list.
 template <class Restore>
 auto newest_restorable(const StorageBackend& backend, const Restore& restore)
-    -> std::optional<decltype(restore(CkptId{}))> {
-  const std::vector<SnapshotMeta> metas = backend.list();
-  for (auto it = metas.rbegin(); it != metas.rend(); ++it) {
-    try {
-      return restore(it->id);
-    } catch (const io_error&) {
-      // Torn, truncated or corrupt — fall back to the next-older snapshot.
+    -> std::optional<decltype(restore(std::vector<SnapshotMeta>{}, 0))> {
+  std::vector<SnapshotMeta> metas = backend.list();
+  for (;;) {
+    for (std::size_t i = metas.size(); i-- > 0;) {
+      try {
+        return restore(metas, i);
+      } catch (const io_error&) {
+        // Torn, truncated or corrupt — fall back to the next-older one.
+      }
     }
+    std::vector<SnapshotMeta> now = backend.list();
+    if (std::ranges::equal(now, metas, {}, &SnapshotMeta::id,
+                           &SnapshotMeta::id))
+      return std::nullopt;
+    metas = std::move(now);
   }
-  return std::nullopt;
 }
 
 }  // namespace
 
 std::optional<SnapshotBlob> latest_restorable(const StorageBackend& backend) {
-  return newest_restorable(backend, [&backend](CkptId id) {
-    SnapshotBlob blob = backend.read_snapshot(id);
-    blob.verify();
-    return blob;
-  });
+  return newest_restorable(
+      backend, [&backend](const std::vector<SnapshotMeta>& metas,
+                          std::size_t i) {
+        SnapshotBlob blob = backend.read_snapshot(metas[i].id);
+        blob.verify();
+        return blob;
+      });
 }
 
 std::optional<SnapshotMeta> restore_latest_into(
     const StorageBackend& backend,
     std::span<const std::span<std::byte>> regions) {
-  std::vector<RegionId> order;  // region ids in the order the sink saw them
-  order.reserve(regions.size());
+  std::vector<bool> filled(regions.size());
+  std::vector<RegionId> called;  // the current record's regions, in order
+  std::vector<bool> taken;       // ... and whether the sink took each one
   const RegionSink sink = [&](RegionId region, std::uint64_t bytes) {
     if (region >= regions.size() || bytes != regions[region].size() ||
-        std::find(order.begin(), order.end(), region) != order.end())
+        std::find(called.begin(), called.end(), region) != called.end())
       throw io_error("snapshot region " + std::to_string(region) + " (" +
                      std::to_string(bytes) +
                      " bytes) does not match the restore layout");
-    order.push_back(region);
-    return regions[region];
+    called.push_back(region);
+    taken.push_back(!filled[region]);
+    return filled[region] ? std::span<std::byte>{} : regions[region];
   };
-  return newest_restorable(backend, [&](CkptId id) {
-    order.clear();
-    const ReadResult read = backend.read_regions(id, sink);
-    if (order.size() != regions.size())
-      throw io_error("snapshot " + std::to_string(id) + " holds " +
-                     std::to_string(order.size()) +
-                     " regions where the restore layout has " +
-                     std::to_string(regions.size()));
-    for (std::size_t i = 0; i < order.size(); ++i)
-      if (common::crc32(regions[order[i]]) != read.crcs[i])
-        throw io_error("snapshot " + std::to_string(id) + " region " +
-                       std::to_string(order[i]) + " payload CRC mismatch");
-    return read.meta;
+  return newest_restorable(backend, [&](const std::vector<SnapshotMeta>& metas,
+                                        std::size_t candidate) {
+    std::fill(filled.begin(), filled.end(), false);
+    std::size_t left = regions.size();
+    SnapshotMeta restored;
+    // Walk back from the candidate, taking each region from its newest
+    // copy, until every region is filled or a Full ends the chain.
+    for (std::size_t i = candidate + 1; i-- > 0;) {
+      called.clear();
+      taken.clear();
+      const ReadResult read = backend.read_regions(metas[i].id, sink);
+      for (std::size_t r = 0; r < called.size(); ++r) {
+        if (!taken[r]) continue;
+        if (common::crc32(regions[called[r]]) != read.crcs[r])
+          throw io_error("snapshot " + std::to_string(metas[i].id) +
+                         " region " + std::to_string(called[r]) +
+                         " payload CRC mismatch");
+        filled[called[r]] = true;
+        --left;
+      }
+      if (i == candidate) restored = read.meta;
+      if (left == 0 || read.meta.kind != CkptKind::Incremental) break;
+    }
+    if (left > 0)
+      throw io_error("the chain of snapshot " +
+                     std::to_string(metas[candidate].id) + " leaves " +
+                     std::to_string(left) + " of " +
+                     std::to_string(regions.size()) + " regions unfilled");
+    return restored;
   });
 }
 

@@ -82,9 +82,11 @@ struct SnapshotBlob {
 /// Where a read puts one region's payload. Called once per stored region,
 /// in stored order, with the region id and its stored size; returns the
 /// destination, which must be exactly that many bytes and stay valid until
-/// the read returns. A sink rejects a layout it cannot hold by throwing
-/// io_error. It must not call back into the backend (the log backend reads
-/// under its index lock).
+/// the read returns — or an empty span, meaning "skip": the backend then
+/// reads none of that region's bytes (a chain restore skips the regions a
+/// newer record already supplied). A sink rejects a layout it cannot hold
+/// by throwing io_error. It must not call back into the backend (the log
+/// backend reads under its index lock).
 using RegionSink =
     std::function<std::span<std::byte>(RegionId region, std::uint64_t bytes)>;
 
@@ -126,7 +128,8 @@ class StorageBackend {
   /// The backend's read primitive. Checks the snapshot's structure (magic,
   /// header and region-table CRCs, region sizes summing to
   /// meta.bytes) before the first sink call, then reads each region's
-  /// payload straight into the span the sink returns. Payload CRCs are the
+  /// payload straight into the span the sink returns (nothing for a region
+  /// whose span is empty). Payload CRCs are the
   /// caller's to verify, so the hash pass is paid once, where the bytes
   /// land. Throws io_error for an unknown id, a torn or truncated snapshot,
   /// or a sink that rejects the layout; the spans handed out so far then
@@ -195,15 +198,26 @@ void write_via_session(StorageBackend& backend, const SnapshotBlob& blob);
 [[nodiscard]] std::optional<SnapshotBlob> latest_restorable(
     const StorageBackend& backend);
 
-/// The same newest→oldest walk, restoring straight into caller memory:
-/// `regions[i]` receives the payload of region id i. A snapshot restores
-/// when it holds exactly regions.size() regions, each id once and each of
-/// its span's size, and every payload CRC verifies in place; anything else
-/// (a torn, truncated or corrupt snapshot, a different region layout)
-/// falls back to the next-older one. Returns the restored snapshot's meta,
-/// or nullopt when nothing restores — the spans then hold unspecified bytes
-/// (pieces of rejected snapshots), so the caller must rewrite them. Never
-/// writes outside the spans.
+/// The same newest→oldest walk over candidates, restoring straight into
+/// caller memory: `regions[i]` receives the payload of region id i. A
+/// candidate is restored as a chain — the newest Full plus the later
+/// Incrementals up to it, the rule CkptWriter::restore_latest and
+/// compaction use: walking back from the candidate in commit order, each
+/// region is read from its newest copy only (older copies are skipped
+/// unread, see RegionSink), and the walk stops once every region is
+/// filled. Each record's ids must be in range and of their span's size,
+/// each once, and every payload read must verify its CRC in place.
+/// Anything else rejects the candidate and the walk falls back to the
+/// next-older one: a torn, truncated or corrupt copy that is needed, a
+/// different region layout, or a chain that reaches a record other than
+/// an Incremental (a Full) or the oldest record with regions still
+/// unfilled. A damaged copy that a newer record supersedes blocks nothing,
+/// and a store of complete Fulls restores its newest intact one. If the
+/// store's records change under the walk (a concurrent compaction folded
+/// the chain) and nothing restored, the walk starts over on the new list.
+/// Returns the candidate's meta, or nullopt when nothing restores — the
+/// spans then hold unspecified bytes (pieces of rejected snapshots), so the
+/// caller must rewrite them. Never writes outside the spans.
 [[nodiscard]] std::optional<SnapshotMeta> restore_latest_into(
     const StorageBackend& backend,
     std::span<const std::span<std::byte>> regions);

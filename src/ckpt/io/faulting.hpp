@@ -17,10 +17,12 @@
 ///
 /// The decorator is how `torn`-kind campaign cells reach the dist runtime:
 /// the runtime believes the checkpoint landed, and only a later restore
-/// discovers it must fall back past it (latest_restorable and
-/// restore_latest_into do exactly that walk). Faults target writes by index — the Nth begin_snapshot /
-/// write_snapshot since construction — so campaign cells stay
-/// deterministic and replayable.
+/// discovers it must fall back past it. latest_restorable falls back past
+/// a torn snapshot; restore_latest_into falls back past every candidate
+/// whose chain needs one of its regions, while a torn record whose regions
+/// newer records all supersede is never read and blocks nothing. Faults
+/// target writes by index — the Nth begin_snapshot / write_snapshot since
+/// construction — so campaign cells stay deterministic and replayable.
 
 #include <cstddef>
 #include <vector>

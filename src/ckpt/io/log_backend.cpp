@@ -555,7 +555,7 @@ ReadResult LogBackend::read_record_into(const RecordLoc& loc,
   std::uint64_t off = loc.offset + sizeof(h) + table_len;
   for (const RegionEntry& e : entries) {
     const std::span<std::byte> dst = detail::sink_span(sink, e.region, e.bytes);
-    pread_all(fd.fd, dst.data(), dst.size(), off, loc.file);
+    if (!dst.empty()) pread_all(fd.fd, dst.data(), dst.size(), off, loc.file);
     off += e.bytes;
     result.crcs.push_back(e.crc);
   }

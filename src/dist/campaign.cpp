@@ -130,6 +130,8 @@ Calibration calibrate(Launcher& clean, const DistConfig& cfg,
   const std::vector<ckpt::io::SnapshotMeta> snapshots = backend->list();
   ABFTC_CHECK(!snapshots.empty(), "calibration run committed no snapshot");
   calib.snapshot_bytes = snapshots.front().bytes;
+  for (const ckpt::io::SnapshotMeta& m : snapshots)
+    calib.commit_bytes += m.bytes;
 
   // check_s: one full residual sweep over the final arena state — the same
   // sweep every blind check and post-reconstruction re-verify runs. The

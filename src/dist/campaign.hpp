@@ -60,8 +60,13 @@ struct Calibration {
   /// step times so a hang cell doesn't sit out the default 30 s).
   double hang_timeout_s = 0.0;
   /// Payload bytes of one boundary snapshot, as the clean run's store
-  /// lists it: 16 + n²·8 (progress and the matrix; no accumulators).
+  /// lists it: 16 + n²·8 (progress and the matrix; no accumulators). That
+  /// is the first, Full record's size; the later Incrementals are smaller.
   std::uint64_t snapshot_bytes = 0;
+  /// Payload bytes of every record the clean run committed (its store's
+  /// list()): Σ over boundaries b of 16 + 8·n·nb·(nbk − max(0, b − e)),
+  /// e = ckpt_every, since each commit holds only the rows not yet final.
+  std::uint64_t commit_bytes = 0;
 };
 
 struct CellOutcome {

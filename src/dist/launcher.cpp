@@ -215,6 +215,7 @@ void Launcher::prepare(RunReport& report) {
   if (!cold) report.respawns += forked;
   load_initial();
   max_boundary_attempted_ = std::numeric_limits<std::size_t>::max();
+  committed_from_.assign(nbk_, std::numeric_limits<std::size_t>::max());
   last_check_ = std::numeric_limits<double>::quiet_NaN();
   finish_replacements();
 }
@@ -320,9 +321,12 @@ bool Launcher::collect_step(std::size_t k, std::uint32_t token,
 }
 
 Launcher::Regions Launcher::snapshot_regions(std::uint64_t (&progress)[2]) {
-  const std::size_t mat = layout_.n * layout_.n;
-  return {std::as_writable_bytes(std::span(progress)),
-          std::as_writable_bytes(std::span(shared_.matrix, mat))};
+  const std::size_t row = cfg_.nb * layout_.n;
+  Regions regions{std::as_writable_bytes(std::span(progress))};
+  for (std::size_t bi = 0; bi < nbk_; ++bi)
+    regions.push_back(
+        std::as_writable_bytes(std::span(shared_.matrix + bi * row, row)));
+  return regions;
 }
 
 void Launcher::checkpoint(std::size_t boundary, RunReport& report) {
@@ -340,20 +344,26 @@ void Launcher::checkpoint(std::size_t boundary, RunReport& report) {
   // The arena is quiescent here — each rank answered Done and waits in
   // recv — so the bytes cannot move under the hash or the write, and the
   // routine joins its task before returning, so no later fork inherits it.
+  // Only the block rows from clean_rows_ on go out: the older ones are
+  // final and their newest stored copies already equal the arena's.
   std::uint64_t progress[2] = {boundary, frozen_steps_};
   const Regions regions = snapshot_regions(progress);
-  std::array<ckpt::io::RegionSpan, std::tuple_size_v<Regions>> spans;
-  for (ckpt::RegionId id = 0; id < regions.size(); ++id)
-    spans[id] = {id, regions[id]};
+  std::vector<ckpt::io::RegionSpan> spans{{0, regions[0]}};
+  for (ckpt::RegionId id = 1 + clean_rows_; id < regions.size(); ++id)
+    spans.push_back({id, regions[id]});
   ckpt::io::SnapshotMeta meta;
   meta.id = static_cast<ckpt::CkptId>(boundary + 1);
-  meta.kind = ckpt::CkptKind::Full;
+  meta.kind = clean_rows_ == 0 ? ckpt::CkptKind::Full
+                               : ckpt::CkptKind::Incremental;
   meta.when = static_cast<double>(boundary);
   try {
     ckpt::io::commit_snapshot(*backend_, meta, spans);
+    committed_from_[boundary] = clean_rows_;
+    clean_rows_ = frozen_steps_;
   } catch (const ckpt::io::io_error&) {
     // An injected (or real) commit failure costs this protection point but
-    // not the run: recovery falls back to the previous snapshot.
+    // not the run: recovery falls back to the previous snapshot, and the
+    // next commit writes this one's rows again.
   }
   report.commit_seconds += seconds_since(t0);
 }
@@ -372,6 +382,7 @@ void Launcher::load_initial() {
                 a0_.storage().size() * sizeof(double));
   }
   frozen_steps_ = 0;
+  clean_rows_ = 0;
   abft::lu_encode(shared_.lu(), frozen_steps_, verify_threads_);
 }
 
@@ -387,6 +398,11 @@ std::optional<ckpt::io::SnapshotMeta> Launcher::restore_now(
     // re-encoded here from the restored factors.
     frozen_steps_ = static_cast<std::size_t>(progress[1]);
     abft::lu_encode(shared_.lu(), frozen_steps_, verify_threads_);
+    // The frozen rows are clean, except those a newer record (one the walk
+    // rejected) holds in another version, e.g. rebuilt after this snapshot.
+    clean_rows_ = frozen_steps_;
+    for (std::size_t b = progress[0] + 1; b < committed_from_.size(); ++b)
+      clean_rows_ = std::min(clean_rows_, committed_from_[b]);
   } else {
     load_initial();
   }
@@ -489,6 +505,8 @@ Localization Launcher::locate_fault() const {
 void Launcher::reconstruct_block(const FaultSite& site) {
   abft::lu_rebuild_block(shared_.lu(), frozen_steps_, site.block_row,
                          site.block_col);
+  // The rebuilt row agrees with its stored copy only to rounding.
+  clean_rows_ = std::min(clean_rows_, site.block_row);
 }
 
 std::size_t Launcher::recover_from_corruption(std::size_t step,
@@ -570,6 +588,7 @@ void Launcher::inject_flip(const Injection& inj, std::uint64_t seed,
           std::abs(flipped - value) < kFlipMargin)
         continue;
       victim = flipped;
+      clean_rows_ = std::min(clean_rows_, bi);
       return FaultSite{bi, bj, row, col};
     }
     ABFTC_CHECK(false, "no element in the victim blocks cleared the "

@@ -45,21 +45,24 @@
 ///     boots while the arena restores, its ready byte is taken after the
 ///     restore, and only then is the corpse waitpid-ed (it hung up its pipe
 ///     on exit, so that wait is instant). The restore (restore_now, through
-///     ckpt::io::restore_latest_into) streams each region's payload from
-///     the backend straight into its arena span and verifies the CRCs
-///     there, with no heap copy in between; a torn or corrupt snapshot
-///     falls back to the next-older one. A snapshot holds the payload only,
-///     so the restore then re-encodes both accumulators from the restored
-///     factors (abft::lu_encode): the frozen half comes out bitwise the one
-///     the run maintained, the active half exactly 0.0 on dead groups' rows
-///     as maintained and equal to rounding on live ones, and the
-///     payload — which never reads an accumulator — replays bitwise. That
-///     is safe because the arena is quiescent at every restore, and every
-///     outcome rewrites all of it: a verified snapshot fills the matrix and
-///     the encoder both accumulators, and if storage holds nothing
-///     restorable the run falls back to its initial image — the pristine
-///     matrix every run starts from (on the cold run drawn into the arena
-///     again), encoded with nothing frozen — and restarts from step 0.
+///     ckpt::io::restore_latest_into) streams each block row from its
+///     newest stored copy — the candidate snapshot, then older ones back to
+///     the Full the chain starts from — straight into its arena span and
+///     verifies the CRCs there, with no heap copy in between; a torn or
+///     corrupt copy that is needed falls back to the next-older candidate,
+///     one that a newer record supersedes is never read. A snapshot holds
+///     the payload only, so the restore then re-encodes both accumulators
+///     from the restored factors (abft::lu_encode): the frozen half comes
+///     out bitwise the one the run maintained, the active half exactly 0.0
+///     on dead groups' rows as maintained and equal to rounding on live
+///     ones, and the payload — which never reads an accumulator — replays
+///     bitwise. That is safe because the arena is quiescent at every
+///     restore, and every outcome rewrites all of it: a verified snapshot
+///     fills the matrix and the encoder both accumulators, and if storage
+///     holds nothing restorable the run falls back to its initial image —
+///     the pristine matrix every run starts from (on the cold run drawn
+///     into the arena again), encoded with nothing frozen — and restarts
+///     from step 0.
 ///
 ///   silent data corruption (flip/flip2) → the checksum-invariant residual
 ///     detects it at a step boundary; the poisoned element is then
@@ -86,13 +89,20 @@
 ///     recovers via the death path. A silent owner that never published its
 ///     panel holds up everyone else, so then it alone counts.
 ///
-/// A checkpoint streams two regions, progress and the arena's matrix,
-/// through ckpt::io::commit_snapshot, the commit
-/// routine CkptWriter uses too: the regions go straight from the arena into
-/// one backend WriteSession, without an intermediate copy, while one pool
-/// task hashes them; the routine joins that task before it returns. That is
-/// safe because the arena is quiescent at every boundary: each rank has
-/// answered Done and waits for its next command.
+/// A checkpoint writes each finished block row once. Step k writes only
+/// block rows ≥ k, so the rows frozen at the last successful commit never
+/// change again (unless the coordinator itself rewrites one, see
+/// clean_rows_). So a commit holds progress and only the block rows from
+/// the last successful commit's frozen count on: an Incremental record,
+/// or a Full of every block row while that count is 0 (a run's commits up
+/// to the first that lands with a row frozen, and the first after a fall
+/// back to the initial image). The regions stream through
+/// ckpt::io::commit_snapshot, the commit routine CkptWriter uses too: they
+/// go straight from the arena into one backend WriteSession, without an
+/// intermediate copy, while one pool task hashes them; the routine joins
+/// that task before it returns. That is safe because the arena is
+/// quiescent at every boundary: each rank has answered Done and waits for
+/// its next command.
 ///
 /// The step protocol: one coordinator round trip per block step. The
 /// coordinator signals the step's fault victim, if any, then posts
@@ -117,7 +127,6 @@
 
 #include <sys/types.h>
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <limits>
@@ -295,10 +304,11 @@ class Launcher {
   [[nodiscard]] Localization locate_fault() const;
   /// Rung 2: rebuild `site`'s block from the matching accumulator.
   void reconstruct_block(const FaultSite& site);
-  /// Rung 3: restore the newest snapshot of `backend` that verifies
-  /// straight into the arena, or the initial image when none does, and
-  /// resume from its frozen step count; then re-encode both accumulators
-  /// from the restored matrix. Overwrites the whole arena state.
+  /// Rung 3: restore the newest snapshot of `backend` whose chain (each
+  /// block row from its newest copy back to a Full) verifies straight into
+  /// the arena, or the initial image when none does, and resume from its
+  /// frozen step count; then re-encode both accumulators from the restored
+  /// matrix. Overwrites the whole arena state.
   /// Returns the restored snapshot's meta; nullopt means the initial image.
   std::optional<ckpt::io::SnapshotMeta> restore_now(
       const ckpt::io::StorageBackend& backend);
@@ -337,9 +347,11 @@ class Launcher {
   [[nodiscard]] bool collect_step(std::size_t k, std::uint32_t token,
                                   std::chrono::steady_clock::time_point t0,
                                   RunReport& report);
-  /// Commit boundary `boundary` (id boundary+1, kind Full) zero-copy from
-  /// the arena; a failed commit is swallowed (the run keeps the older
-  /// protection points).
+  /// Commit boundary `boundary` (id boundary+1) zero-copy from the arena:
+  /// progress and block rows [clean_rows_, nbk), kind Full when that is
+  /// every row, Incremental otherwise. A failed commit is swallowed (the
+  /// run keeps the older protection points, and the next commit writes the
+  /// rows again).
   void checkpoint(std::size_t boundary, RunReport& report);
   [[nodiscard]] std::size_t restore_and_respawn(RunReport& report);
   void inject_flip(const Injection& inj, std::uint64_t seed,
@@ -352,10 +364,12 @@ class Launcher {
   /// keeps the value in last_check_.
   double verify(RunReport& report);
   /// A dist snapshot's regions, indexed by region id: `progress`
-  /// ({boundary, frozen_steps}), then the arena's matrix. The accumulators
-  /// are not saved: they are an encoding of the matrix, and restore_now
-  /// re-encodes them (16 + n²·8 bytes per snapshot).
-  using Regions = std::array<std::span<std::byte>, 2>;
+  /// ({boundary, frozen_steps}) as region 0, then block row j of the
+  /// arena's matrix (nb·n contiguous doubles) as region 1 + j. A Full
+  /// record holds them all, 16 + n²·8 bytes; an Incremental holds progress
+  /// and the rows from clean_rows_ on. The accumulators are not saved: they
+  /// are an encoding of the matrix, and restore_now re-encodes them.
+  using Regions = std::vector<std::span<std::byte>>;
   [[nodiscard]] Regions snapshot_regions(std::uint64_t (&progress)[2]);
   /// Copy the pristine matrix a0_ into the arena (or, while a0_ is empty,
   /// draw it there from `seed`), reset frozen_steps_ to 0 and encode both
@@ -385,6 +399,16 @@ class Launcher {
   /// none): replay after a restore must not re-write an existing snapshot.
   std::size_t max_boundary_attempted_ = std::numeric_limits<std::size_t>::max();
   std::size_t frozen_steps_ = 0;  ///< block rows frozen in the arena state
+  /// Block rows [0, clean_rows_) have a newest stored copy equal to the
+  /// arena's, so the next commit skips them. A commit raises it to
+  /// frozen_steps_; load_initial zeroes it; a restore sets it to the
+  /// restored frozen step count (lowered to the first row of any newer
+  /// record); a coordinator write to payload block row bi (a flip, a
+  /// rebuild) lowers it to bi.
+  std::size_t clean_rows_ = 0;
+  /// The first block row each of the current run's commits holds, by
+  /// boundary (SIZE_MAX: no record there).
+  std::vector<std::size_t> committed_from_;
   /// The last verify() of the current run (NaN before the first).
   double last_check_ = std::numeric_limits<double>::quiet_NaN();
   /// Worker threads of the residual sweeps: min(4, hardware workers). The

@@ -350,6 +350,160 @@ TEST_P(BackendConformance, RestoreIntoSpansOfAnEmptyStoreGivesNothing) {
   EXPECT_TRUE(dst.guards_intact());
 }
 
+// --- chain restore: Full, then Incrementals of some regions ---------------
+
+constexpr std::size_t kChainRegionBytes = 3000;
+
+/// Record `id` of `kind` holding `regions`, each kChainRegionBytes of a
+/// pattern drawn from (id, region), so every copy of a region differs.
+SnapshotBlob chain_blob(CkptId id, CkptKind kind,
+                        const std::vector<RegionId>& regions) {
+  SnapshotBlob blob;
+  blob.meta.id = id;
+  blob.meta.kind = kind;
+  blob.meta.when = static_cast<double>(id);
+  for (const RegionId region : regions) {
+    RegionBlob r;
+    r.region = region;
+    r.payload = pattern_bytes(kChainRegionBytes,
+                              static_cast<unsigned>(id * 31 + region));
+    r.crc = common::crc32(std::span(r.payload));
+    blob.meta.bytes += r.payload.size();
+    blob.regions.push_back(std::move(r));
+  }
+  return blob;
+}
+
+/// Whether span `region` holds record `id`'s copy of it.
+bool holds_copy_of(const GuardedSpans& dst, RegionId region, CkptId id) {
+  return std::ranges::equal(
+      dst.spans[region],
+      pattern_bytes(kChainRegionBytes, static_cast<unsigned>(id * 31 + region)));
+}
+
+/// A chain blob whose copy of `region` fails its CRC, as a payload torn in
+/// that region only would.
+SnapshotBlob torn_in(SnapshotBlob blob, RegionId region) {
+  for (RegionBlob& r : blob.regions)
+    if (r.region == region) r.payload[r.payload.size() / 2] ^= std::byte{0x10};
+  return blob;
+}
+
+TEST_P(BackendConformance, ChainRestoreTakesEachRegionFromItsNewestCopy) {
+  const auto backend = make_backend(spec());
+  backend->write_snapshot(chain_blob(1, CkptKind::Full, {0, 1, 2, 3}));
+  backend->write_snapshot(chain_blob(2, CkptKind::Incremental, {0, 2, 3}));
+  backend->write_snapshot(chain_blob(3, CkptKind::Incremental, {0, 3}));
+
+  GuardedSpans dst(std::vector<std::size_t>(4, kChainRegionBytes));
+  const auto meta = restore_latest_into(*backend, dst.spans);
+  ASSERT_TRUE(meta.has_value());
+  EXPECT_EQ(meta->id, 3u);
+  EXPECT_EQ(meta->kind, CkptKind::Incremental);
+  EXPECT_TRUE(holds_copy_of(dst, 0, 3));
+  EXPECT_TRUE(holds_copy_of(dst, 1, 1));
+  EXPECT_TRUE(holds_copy_of(dst, 2, 2));
+  EXPECT_TRUE(holds_copy_of(dst, 3, 3));
+  EXPECT_TRUE(dst.guards_intact());
+}
+
+TEST_P(BackendConformance, ReadRegionsLeavesASkippedRegionUnread) {
+  const auto backend = make_backend(spec());
+  backend->write_snapshot(chain_blob(1, CkptKind::Full, {0, 1, 2}));
+
+  GuardedSpans dst(std::vector<std::size_t>(3, kChainRegionBytes));
+  std::vector<RegionId> seen;
+  const ReadResult read =
+      backend->read_regions(1, [&](RegionId region, std::uint64_t) {
+        seen.push_back(region);
+        return region == 1 ? std::span<std::byte>{} : dst.spans[region];
+      });
+  EXPECT_EQ(seen, (std::vector<RegionId>{0, 1, 2}));
+  ASSERT_EQ(read.crcs.size(), 3u);  // one per stored region, skipped or not
+  EXPECT_TRUE(holds_copy_of(dst, 0, 1));
+  EXPECT_TRUE(holds_copy_of(dst, 2, 1));
+  EXPECT_TRUE(std::ranges::all_of(dst.spans[1], [](std::byte b) {
+    return b == GuardedSpans::kSentinel;
+  }));
+  EXPECT_TRUE(dst.guards_intact());
+}
+
+TEST_P(BackendConformance, TornRecordWhoseRegionsAreAllSupersededBlocksNothing) {
+  const auto backend = make_backend(spec());
+  FaultingBackend faulty(*backend, {{1, WriteFault::TornPayload}});
+  faulty.write_snapshot(chain_blob(1, CkptKind::Full, {0, 1, 2}));
+  faulty.write_snapshot(chain_blob(2, CkptKind::Incremental, {0, 2}));  // torn
+  faulty.write_snapshot(chain_blob(3, CkptKind::Incremental, {0, 2}));
+  ASSERT_EQ(faulty.faults_fired(), 1u);
+
+  GuardedSpans dst(std::vector<std::size_t>(3, kChainRegionBytes));
+  const auto meta = restore_latest_into(faulty, dst.spans);
+  ASSERT_TRUE(meta.has_value());
+  EXPECT_EQ(meta->id, 3u);
+  EXPECT_TRUE(holds_copy_of(dst, 0, 3));
+  EXPECT_TRUE(holds_copy_of(dst, 1, 1));
+  EXPECT_TRUE(holds_copy_of(dst, 2, 3));
+  EXPECT_TRUE(dst.guards_intact());
+}
+
+TEST_P(BackendConformance, TornRegionThatIsNeededFallsBackOneCandidate) {
+  const auto backend = make_backend(spec());
+  backend->write_snapshot(chain_blob(1, CkptKind::Full, {0, 1, 2}));
+  backend->write_snapshot(
+      torn_in(chain_blob(2, CkptKind::Incremental, {0, 1, 2}), 1));
+  backend->write_snapshot(chain_blob(3, CkptKind::Incremental, {0, 1}));
+  GuardedSpans dst(std::vector<std::size_t>(3, kChainRegionBytes));
+
+  // Record 2's torn copy of region 1 is superseded by record 3's: the
+  // chain of 3 does not read it.
+  auto meta = restore_latest_into(*backend, dst.spans);
+  ASSERT_TRUE(meta.has_value());
+  EXPECT_EQ(meta->id, 3u);
+  EXPECT_TRUE(holds_copy_of(dst, 2, 2));
+
+  // Record 4 needs its own copy of region 1, which is torn: the walk falls
+  // back one candidate, to 3.
+  backend->write_snapshot(
+      torn_in(chain_blob(4, CkptKind::Incremental, {0, 1}), 1));
+  meta = restore_latest_into(*backend, dst.spans);
+  ASSERT_TRUE(meta.has_value());
+  EXPECT_EQ(meta->id, 3u);
+  EXPECT_TRUE(holds_copy_of(dst, 0, 3));
+  EXPECT_TRUE(holds_copy_of(dst, 1, 3));
+  EXPECT_TRUE(holds_copy_of(dst, 2, 2));
+
+  // Record 5 needs region 2 from record 2, whose copy is intact: the torn
+  // region 1 of 2 stays unread and 5 restores.
+  backend->write_snapshot(chain_blob(5, CkptKind::Incremental, {0, 1}));
+  meta = restore_latest_into(*backend, dst.spans);
+  ASSERT_TRUE(meta.has_value());
+  EXPECT_EQ(meta->id, 5u);
+  EXPECT_TRUE(holds_copy_of(dst, 1, 5));
+  EXPECT_TRUE(holds_copy_of(dst, 2, 2));
+  EXPECT_TRUE(dst.guards_intact());
+}
+
+TEST_P(BackendConformance, ChainWithoutAFullThatFillsEveryRegionIsRejected) {
+  const auto backend = make_backend(spec());
+  backend->write_snapshot(chain_blob(1, CkptKind::Incremental, {0}));
+  backend->write_snapshot(chain_blob(2, CkptKind::Incremental, {0, 1}));
+  GuardedSpans dst(std::vector<std::size_t>(3, kChainRegionBytes));
+  EXPECT_FALSE(restore_latest_into(*backend, dst.spans).has_value());
+  EXPECT_TRUE(dst.guards_intact());
+
+  // A Full ends the walk: the chain of 5 stops at Full 4, which lacks
+  // region 1, so the walk falls back past 5 and 4 to Full 3, though
+  // Full 3 holds region 1.
+  backend->write_snapshot(chain_blob(3, CkptKind::Full, {0, 1, 2}));
+  backend->write_snapshot(chain_blob(4, CkptKind::Full, {0, 2}));
+  backend->write_snapshot(chain_blob(5, CkptKind::Incremental, {0}));
+  const auto meta = restore_latest_into(*backend, dst.spans);
+  ASSERT_TRUE(meta.has_value());
+  EXPECT_EQ(meta->id, 3u);
+  for (RegionId r = 0; r < 3; ++r) EXPECT_TRUE(holds_copy_of(dst, r, 3));
+  EXPECT_TRUE(dst.guards_intact());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Backends, BackendConformance, ::testing::Values("memory", "log"),
     [](const auto& info) { return std::string(info.param); });
@@ -757,6 +911,30 @@ TEST(LogBackendIntegrity, CorruptedPayloadFailsRestore) {
 }
 
 // --- log backend ------------------------------------------------------------
+
+TEST(LogBackendReads, ASkippedRegionIsNeverReadFromTheSegment) {
+  // Cut the segment inside the record's last region: reading that region
+  // runs off the file, skipping it reads nothing there.
+  TempDir tmp;
+  const fs::path store = tmp.path() / "store";
+  const auto backend = make_backend("log:" + store.string() + "?shards=1");
+  backend->write_snapshot(sample_blob(1, 4000, 1000));
+  fs::resize_file(only_segment(store),
+                  kSegmentHeader + kPayloadInRecord + 4000 + 500);
+
+  std::vector<std::byte> first(4000), second(1000);
+  const auto into = [&](bool skip_second) {
+    return [&, skip_second](RegionId region, std::uint64_t) {
+      if (region == 0) return std::span(first);
+      return skip_second ? std::span<std::byte>{} : std::span(second);
+    };
+  };
+  EXPECT_THROW((void)backend->read_regions(1, into(false)), io_error);
+  const ReadResult read = backend->read_regions(1, into(true));
+  EXPECT_EQ(read.meta.id, 1u);
+  EXPECT_TRUE(
+      std::ranges::equal(first, sample_blob(1, 4000, 1000).regions[0].payload));
+}
 
 TEST(LogBackendPersistence, SurvivesReopenAcrossShards) {
   TempDir tmp;

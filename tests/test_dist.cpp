@@ -22,6 +22,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
@@ -38,6 +39,7 @@
 #include "abft/matrix.hpp"
 #include "ckpt/io/backend.hpp"
 #include "ckpt/io/faulting.hpp"
+#include "ckpt/io/log_backend.hpp"
 #include "ckpt/io/writer.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
@@ -1101,24 +1103,27 @@ TEST(DistLauncher, RestoreReencodesTheAccumulatorsFromTheSnapshotPayload) {
   ASSERT_TRUE(launcher.run().completed);
   const DistLayout lay =
       DistLayout::compute(cfg.n, cfg.nb, cfg.group, cfg.ranks);
+  const std::size_t row = cfg.nb * cfg.n;
 
-  // Restore each boundary on its own (a store holding only that snapshot)
-  // and compare the arena with the clean run's payload at that boundary,
-  // encoded from scratch.
+  // Restore each boundary from the store's prefix up to it, and compare
+  // the arena with the clean run's payload at that boundary — each block
+  // row from its newest record in the prefix — encoded from scratch.
+  ckpt::io::MemoryBackend prefix;
+  abft::Matrix a(cfg.n, cfg.n);
   for (const ckpt::io::SnapshotMeta& meta : clean_store.list()) {
     const std::size_t b = meta.id - 1;
     SCOPED_TRACE("boundary " + std::to_string(b));
     const ckpt::io::SnapshotBlob blob = clean_store.read_snapshot(meta.id);
-    ckpt::io::MemoryBackend one;
-    one.write_snapshot(blob);
-    ASSERT_TRUE(launcher.restore_now(one).has_value());
+    prefix.write_snapshot(blob);
+    for (std::size_t r = 1; r < blob.regions.size(); ++r) {
+      const std::size_t bi = blob.regions[r].region - 1;
+      ASSERT_EQ(blob.regions[r].payload.size(), row * sizeof(double));
+      std::memcpy(a.storage().data() + bi * row,
+                  blob.regions[r].payload.data(), row * sizeof(double));
+    }
+    ASSERT_TRUE(launcher.restore_now(prefix).has_value());
 
-    abft::Matrix a(cfg.n, cfg.n), active(2 * lay.csr, cfg.n),
-        frozen(2 * lay.csr, cfg.n);
-    ASSERT_EQ(blob.regions[1].payload.size(),
-              a.storage().size() * sizeof(double));
-    std::memcpy(a.storage().data(), blob.regions[1].payload.data(),
-                blob.regions[1].payload.size());
+    abft::Matrix active(2 * lay.csr, cfg.n), frozen(2 * lay.csr, cfg.n);
     abft::lu_encode({a.view(), active.view(), frozen.view(), cfg.nb,
                      cfg.group},
                     b, 1);
@@ -1134,6 +1139,212 @@ TEST(DistLauncher, RestoreReencodesTheAccumulatorsFromTheSnapshotPayload) {
                               frozen.view().block(lay.csr, 0, lay.csr, cfg.n)));
     EXPECT_LE(launcher.residual_now(), kDetectFloor);
   }
+}
+
+/// A StorageBackend decorator that calls `hook` with the snapshot id at
+/// every begin_snapshot — the moment of each commit, with the arena
+/// quiescent — and forwards everything to `inner`.
+class CommitHook final : public ckpt::io::StorageBackend {
+ public:
+  CommitHook(ckpt::io::StorageBackend& inner,
+             std::function<void(ckpt::CkptId)> hook)
+      : inner_(inner), hook_(std::move(hook)) {}
+
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "commit-hook";
+  }
+  void open() override { inner_.open(); }
+  [[nodiscard]] ckpt::io::ReadResult read_regions(
+      ckpt::CkptId id, const ckpt::io::RegionSink& sink) const override {
+    return inner_.read_regions(id, sink);
+  }
+  [[nodiscard]] std::vector<ckpt::io::SnapshotMeta> list() const override {
+    return inner_.list();
+  }
+  void drop(ckpt::CkptId id) override { inner_.drop(id); }
+  [[nodiscard]] std::unique_ptr<WriteSession> begin_snapshot(
+      const ckpt::io::SnapshotMeta& meta, std::vector<ckpt::RegionId> regions,
+      std::vector<std::uint64_t> region_sizes) override {
+    hook_(meta.id);
+    return inner_.begin_snapshot(meta, std::move(regions),
+                                 std::move(region_sizes));
+  }
+
+ private:
+  ckpt::io::StorageBackend& inner_;
+  std::function<void(ckpt::CkptId)> hook_;
+};
+
+/// One run of `launcher` on a fresh memory store, with `write_faults` on
+/// its writes, copying the arena matrix at every commit by snapshot id.
+struct RecordedRun {
+  ckpt::io::MemoryBackend store;
+  std::map<ckpt::CkptId, abft::Matrix> copies;
+  RunReport report;
+
+  RecordedRun(Launcher& launcher, const DistConfig& cfg,
+              const std::vector<Injection>& faults,
+              std::vector<ckpt::io::FaultingBackend::Fault> write_faults = {}) {
+    ckpt::io::FaultingBackend faulting(store, std::move(write_faults));
+    CommitHook recorder(faulting, [&](ckpt::CkptId id) {
+      copies.insert_or_assign(id, abft::Matrix(launcher.lu()));
+    });
+    report = launcher.run(cfg, recorder, faults);
+  }
+
+  /// Restore the store's prefix up to each record (records 0..i) on
+  /// `launcher` and require the arena to equal, bit for bit, the copy taken
+  /// when the restored snapshot was committed. Returns the restored
+  /// snapshot's id per prefix (0: none restored).
+  std::vector<ckpt::CkptId> restore_every_prefix(Launcher& launcher) const {
+    std::vector<ckpt::CkptId> restored;
+    ckpt::io::MemoryBackend prefix;
+    for (const ckpt::io::SnapshotMeta& meta : store.list()) {
+      prefix.write_snapshot(store.read_snapshot(meta.id));
+      const auto got = launcher.restore_now(prefix);
+      restored.push_back(got ? got->id : 0);
+      if (got) {
+        EXPECT_TRUE(bitwise_equal(launcher.lu(), copies.at(got->id)))
+            << "prefix up to snapshot " << meta.id << " restored " << got->id;
+      }
+    }
+    return restored;
+  }
+};
+
+/// The ids `store` lists.
+std::vector<ckpt::CkptId> ids_of(const ckpt::io::StorageBackend& store) {
+  std::vector<ckpt::CkptId> ids;
+  for (const ckpt::io::SnapshotMeta& m : store.list()) ids.push_back(m.id);
+  return ids;
+}
+
+/// The first flip seed from 1 on whose Flip at `step` lands in a block row
+/// below `below` and is rebuilt with other bits than the clean run holds
+/// there (so a stale stored copy of the row would show).
+std::uint64_t frozen_rebuild_seed(Launcher& launcher, DistConfig cfg,
+                                  std::size_t step, std::size_t below,
+                                  const abft::Matrix& clean_lu) {
+  for (cfg.flip_seed = 1; cfg.flip_seed < 400; ++cfg.flip_seed) {
+    const auto store = ckpt::io::make_backend("memory");
+    const RunReport r =
+        launcher.run(cfg, *store, {{FaultKind::Flip, step, step % cfg.ranks}});
+    if (r.reconstructions == 1 && r.escalations == 0 &&
+        r.injected.front().block_row < below &&
+        !bitwise_equal(launcher.lu(), clean_lu))
+      return cfg.flip_seed;
+  }
+  ADD_FAILURE() << "no flip seed rebuilds a frozen row with other bits";
+  return 0;
+}
+
+TEST(DistLauncher, ChainRestoreEqualsTheArenaAtEveryBoundary) {
+  for (const std::size_t every : {1, 2, 3}) {
+    SCOPED_TRACE("ckpt_every " + std::to_string(every));
+    DistConfig cfg = small_config();
+    cfg.ckpt_every = every;
+    const auto unused = ckpt::io::make_backend("memory");
+    Launcher launcher(cfg, *unused);
+    const RecordedRun clean(launcher, cfg, {});
+    ASSERT_TRUE(clean.report.completed);
+    EXPECT_EQ(clean.restore_every_prefix(launcher), ids_of(clean.store));
+  }
+
+  DistConfig cfg = small_config();
+  cfg.ckpt_every = 1;  // boundaries 0..5, ids 1..6
+  const auto unused = ckpt::io::make_backend("memory");
+  Launcher launcher(cfg, *unused);
+  const RecordedRun clean(launcher, cfg, {});
+  const abft::Matrix clean_lu(launcher.lu());
+  using ckpt::io::WriteFault;
+  {
+    // A torn middle record (boundary 2) and a kill in the step after it:
+    // the restore falls back to boundary 1, and the commits after it
+    // supersede every row of the torn record, so their chains skip it.
+    SCOPED_TRACE("torn record, restore, further commits");
+    const RecordedRun run(launcher, cfg, {{FaultKind::Kill, 2, 0}},
+                          {{2, WriteFault::TornPayload}});
+    ASSERT_TRUE(run.report.completed);
+    EXPECT_EQ(run.report.restored_to_steps, std::vector<std::size_t>{1});
+    EXPECT_EQ(run.restore_every_prefix(launcher),
+              (std::vector<ckpt::CkptId>{1, 2, 2, 4, 5, 6}));
+  }
+  {
+    // A failed commit (boundary 2): the next one writes its rows again.
+    SCOPED_TRACE("failed commit");
+    const RecordedRun run(launcher, cfg, {}, {{2, WriteFault::FailedCommit}});
+    ASSERT_TRUE(run.report.completed);
+    EXPECT_EQ(ids_of(run.store), (std::vector<ckpt::CkptId>{1, 2, 4, 5, 6}));
+    EXPECT_EQ(run.restore_every_prefix(launcher), ids_of(run.store));
+  }
+  {
+    // A flip in a block row frozen before the last commit (step 4 → rows
+    // < 4), rebuilt from the checksums: the rebuilt row agrees with its
+    // stored copy only to rounding, so the next commit holds it again.
+    SCOPED_TRACE("flip rebuilt in a frozen row");
+    DistConfig flip = cfg;
+    flip.flip_seed = frozen_rebuild_seed(launcher, cfg, 4, 4, clean_lu);
+    const RecordedRun run(launcher, flip, {{FaultKind::Flip, 4, 0}});
+    ASSERT_TRUE(run.report.completed);
+    ASSERT_EQ(run.report.reconstructions, 1u);
+    EXPECT_EQ(run.restore_every_prefix(launcher), ids_of(run.store));
+  }
+  {
+    // The same at step 2 (a rebuilt row < 2), then a torn commit of
+    // boundary 3 and a kill in step 3: the restore goes back to boundary 2,
+    // before the rebuild, and the torn record holds the rebuilt row. The
+    // commits after the restore hold that row too, so their chains skip
+    // the torn record instead of falling back past it.
+    SCOPED_TRACE("flip rebuilt, torn commit, restore");
+    DistConfig flip = cfg;
+    flip.flip_seed = frozen_rebuild_seed(launcher, cfg, 2, 2, clean_lu);
+    const RecordedRun run(launcher, flip,
+                          {{FaultKind::Flip, 2, 0}, {FaultKind::Kill, 3, 1}},
+                          {{3, WriteFault::TornPayload}});
+    ASSERT_TRUE(run.report.completed);
+    EXPECT_EQ(run.report.restored_to_steps, std::vector<std::size_t>{2});
+    EXPECT_EQ(run.restore_every_prefix(launcher),
+              (std::vector<ckpt::CkptId>{1, 2, 3, 3, 5, 6}));
+  }
+}
+
+TEST(DistLauncher, KillAfterCompactionFoldedTheChainRestoresTheNewestBoundary) {
+  DistConfig cfg = small_config();
+  cfg.ckpt_every = 1;
+  const auto clean_store = ckpt::io::make_backend("memory");
+  Launcher clean(cfg, *clean_store);
+  ASSERT_TRUE(clean.run().completed);
+
+  // The store folds the Full and the Incrementals behind it while the run
+  // goes on: a pass before every commit, plus a background one after each
+  // (compact=1), so the kill's restore may also list the chain before a
+  // fold and read it after. Several runs, for the background pass to land
+  // anywhere.
+  const char* env = std::getenv("TMPDIR");
+  const std::filesystem::path base =
+      (env != nullptr && *env != '\0') ? std::filesystem::path(env)
+                                       : std::filesystem::temp_directory_path();
+  const std::filesystem::path dir =
+      base / ("abftc_dist_fold." + std::to_string(::getpid()));
+  const std::size_t last = clean.block_steps() - 1;
+  Launcher injected(cfg, *clean_store);
+  for (int run = 0; run < 6; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    std::filesystem::remove_all(dir);
+    const auto store =
+        ckpt::io::make_backend("log:" + dir.string() + "?flush=0&compact=1");
+    auto& log = dynamic_cast<ckpt::io::LogBackend&>(*store);
+    CommitHook folding(log, [&](ckpt::CkptId) { (void)log.compact_now(); });
+    const RunReport report = injected.run(
+        cfg, folding, {{FaultKind::Kill, last, last % cfg.ranks}});
+    log.wait_for_compaction();
+    EXPECT_GT(log.compaction_stats().records_folded, 0u);
+    EXPECT_TRUE(report.completed);
+    EXPECT_EQ(report.restores, 1u);
+    EXPECT_EQ(report.restored_to_steps, std::vector<std::size_t>{last});
+    EXPECT_TRUE(bitwise_equal(injected.lu(), clean.lu()));
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(DistLauncher, KilledRankIsReapedBeforeRunReturns) {
@@ -1333,32 +1544,50 @@ TEST(DistLauncher, TornCheckpointFallsBackToOlderSnapshot) {
   EXPECT_EQ(abft::max_abs_diff(injected.lu(), clean.lu()), 0.0);
 }
 
-// One Full snapshot per ckpt_every-th boundary k, id k+1, the two regions
-// in order (progress, matrix) — the accumulators are derived data and stay
-// out — every CRC intact, and progress == {k, k}: at a boundary the first k
-// block rows are exactly the frozen ones.
-void expect_arena_snapshots(const DistConfig& cfg,
+// One snapshot per ckpt_every-th boundary k, id k+1: progress (region 0)
+// and block rows [f, nbk) as regions 1 + f, …, nbk, where f = max(0, k − e)
+// is the frozen count of the commit before (the rows it left unfinished);
+// kind Full exactly when f = 0. The accumulators are derived data and stay
+// out. Every CRC is intact, progress == {k, k} (at a boundary the first k
+// block rows are exactly the frozen ones), and the rows the record holds
+// that are frozen at k already carry the final factors, bit for bit.
+void expect_arena_snapshots(const DistConfig& cfg, const Launcher& launcher,
                             const ckpt::io::MemoryBackend& backend,
                             const RunReport& report) {
+  const std::size_t nbk = cfg.n / cfg.nb;
+  const std::size_t row_bytes = cfg.nb * cfg.n * sizeof(double);
   const auto metas = backend.list();
   ASSERT_EQ(metas.size(), report.checkpoints);
   for (std::size_t i = 0; i < metas.size(); ++i) {
     const std::uint64_t k = i * cfg.ckpt_every;
+    const std::size_t first = k > cfg.ckpt_every ? k - cfg.ckpt_every : 0;
+    SCOPED_TRACE("boundary " + std::to_string(k));
     const ckpt::io::SnapshotBlob blob = backend.read_snapshot(metas[i].id);
-    EXPECT_NO_THROW(blob.verify()) << "boundary " << k;
+    EXPECT_NO_THROW(blob.verify());
     EXPECT_EQ(blob.meta.id, k + 1);
-    EXPECT_EQ(blob.meta.kind, ckpt::CkptKind::Full);
+    EXPECT_EQ(blob.meta.kind, first == 0 ? ckpt::CkptKind::Full
+                                         : ckpt::CkptKind::Incremental);
     EXPECT_EQ(blob.meta.when, static_cast<double>(k));
-    ASSERT_EQ(blob.regions.size(), 2u);
-    for (std::size_t r = 0; r < blob.regions.size(); ++r)
-      EXPECT_EQ(blob.regions[r].region, r);
-    EXPECT_EQ(blob.regions[1].payload.size(), cfg.n * cfg.n * sizeof(double));
-    EXPECT_EQ(metas[i].bytes, 16 + cfg.n * cfg.n * sizeof(double));
+    EXPECT_EQ(metas[i].bytes, 16 + (nbk - first) * row_bytes);
+    ASSERT_EQ(blob.regions.size(), 1 + nbk - first);
+    EXPECT_EQ(blob.regions[0].region, 0u);
     std::uint64_t progress[2] = {0, 0};
     ASSERT_EQ(blob.regions[0].payload.size(), sizeof(progress));
     std::memcpy(progress, blob.regions[0].payload.data(), sizeof(progress));
     EXPECT_EQ(progress[0], k);
     EXPECT_EQ(progress[1], k);
+    for (std::size_t r = 1; r < blob.regions.size(); ++r) {
+      const std::size_t bi = first + r - 1;
+      EXPECT_EQ(blob.regions[r].region, 1 + bi);
+      ASSERT_EQ(blob.regions[r].payload.size(), row_bytes);
+      if (bi < k) {
+        EXPECT_EQ(std::memcmp(blob.regions[r].payload.data(),
+                              launcher.lu().data() + bi * cfg.nb * cfg.n,
+                              row_bytes),
+                  0)
+            << "frozen block row " << bi;
+      }
+    }
   }
 }
 
@@ -1370,7 +1599,7 @@ TEST(DistLauncher, CleanRunCommitsVerifiableSnapshotsStraightFromTheArena) {
   ASSERT_TRUE(report.completed);
   EXPECT_GT(report.commit_seconds, 0.0);
   EXPECT_LT(report.commit_seconds, report.wall_seconds);
-  expect_arena_snapshots(cfg, backend, report);
+  expect_arena_snapshots(cfg, launcher, backend, report);
 }
 
 // n=576, nb=48: ~2.7 MB per snapshot, several commit chunks, so every
@@ -1391,7 +1620,7 @@ TEST(DistLauncher, MultiChunkSnapshotsHashOnThePoolAndVerify) {
   ASSERT_GT(report.checkpoints, 0u);
   EXPECT_GT(backend.list().front().bytes,
             2 * ckpt::io::WriterOptions{}.chunk_bytes);
-  expect_arena_snapshots(cfg, backend, report);
+  expect_arena_snapshots(cfg, launcher, backend, report);
 }
 
 TEST(DistLauncher, FailedMultiChunkCommitThenKillRestoresTheOlderSnapshot) {
@@ -1628,6 +1857,8 @@ TEST(DistCampaign, CalibrationTimesItsResidualSweep) {
   EXPECT_GT(report.calib.check_s, 1e-6);
   // A snapshot is progress and the payload: the accumulators stay out.
   EXPECT_EQ(report.calib.snapshot_bytes, 16 + 8 * cfg.n * cfg.n);
+  // Boundaries 0, 2, 4 of 6 block rows commit 6, 6 and 4 of them.
+  EXPECT_EQ(report.calib.commit_bytes, 3 * 16 + 16 * 8 * cfg.n * cfg.nb);
 }
 
 TEST(DistCampaign, ShardsCoverTheCampaignExactlyOnce) {
