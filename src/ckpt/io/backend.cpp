@@ -320,7 +320,7 @@ SpecParts split_spec(std::string_view spec) {
   if (qmark != std::string_view::npos) {
     p.options = std::string(body.substr(qmark + 1));
     // URL-style '&' and list-style ',' separators are interchangeable, so
-    // specs read naturally both quoted ("log:d?shards=4&flush=0") and
+    // specs read naturally both quoted ("log:d?compact=6&flush=0") and
     // comma-joined inside larger comma lists.
     std::replace(p.options.begin(), p.options.end(), '&', ',');
     body = body.substr(0, qmark);
@@ -366,10 +366,7 @@ std::unique_ptr<StorageBackend> make_backend(std::string_view spec) {
         ABFTC_REQUIRE(std::find(seen.begin(), seen.end(), key) == seen.end(),
                       "duplicate log option '" + key + "'");
         seen.push_back(key);
-        if (key == "shards") {
-          opts.shards = static_cast<unsigned>(
-              spec_long(value, "log shard count", 1, 256));
-        } else if (key == "flush") {
+        if (key == "flush") {
           ABFTC_REQUIRE(value == "0" || value == "1",
                         "malformed log flush '" + value + "' (0 or 1)");
           opts.flush = value == "1";
@@ -378,7 +375,7 @@ std::unique_ptr<StorageBackend> make_backend(std::string_view spec) {
               spec_long(value, "log compaction interval", 1, 1l << 30));
         } else {
           ABFTC_REQUIRE(false, "unknown log option '" + key +
-                                   "' (known: shards, flush, compact)");
+                                   "' (known: flush, compact)");
         }
       }
     }

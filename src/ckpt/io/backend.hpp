@@ -9,10 +9,9 @@
 ///
 ///  * MemoryBackend — snapshots held in RAM (tests, the composite runtime and
 ///    the dist runtime's in-RAM store); zero durability, memcpy speed.
-///  * LogBackend    — the persistent store: sharded append-only changelog
-///    segments with CRC-framed records, Full+Incremental chains and
-///    background compaction (log_backend.hpp). It is built for concurrent
-///    committers.
+///  * LogBackend    — the persistent store: an append-only changelog of
+///    CRC-framed records, Full+Incremental chains and background
+///    compaction (log_backend.hpp).
 ///
 /// Writes are two-phase: payload first, then the commit record (the log's
 /// framed trailer) — a crash mid-write leaves a torn snapshot that readers
@@ -25,11 +24,11 @@
 /// CRCs verified in place) are built on it, and the last two share one
 /// newest→oldest walk.
 ///
-/// Backends are deliberately *not* thread-safe: one CkptWriter drives one
+/// Backends are deliberately *not* thread-safe: one committer drives one
 /// backend (coordinated checkpoints serialize commits by construction).
 /// Parallelism lives above, in the writer's copy/CRC/write pipeline. The
-/// log backend opts out via concurrent_committers() — its commit path is
-/// internally locked per shard, so independent writers may share it.
+/// log backend locks its commit path only against its own background
+/// compaction pass.
 
 #include <cstddef>
 #include <cstdint>
@@ -105,13 +104,6 @@ class StorageBackend {
 
   /// Backend kind: "memory", "log", or a decorator's own ("faulting").
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-
-  /// True when independent threads may each drive their own WriteSession
-  /// concurrently (commits are internally synchronized). Callers running
-  /// multiple committers against a false backend must serialize externally.
-  [[nodiscard]] virtual bool concurrent_committers() const noexcept {
-    return false;
-  }
 
   /// Attach to the target: create the store on first use, rescan any
   /// existing segments after a restart. Idempotent (a re-open rescans
@@ -225,11 +217,10 @@ void write_via_session(StorageBackend& backend, const SnapshotBlob& blob);
 /// Backend factory from a storage spec:
 ///
 ///   memory                 in-RAM snapshots
-///   log:DIR[?shards=N&flush=0|1&compact=K]
-///                          sharded append-only changelog under DIR
-///                          (default 8 shards; flush=0 skips per-commit
-///                          fdatasync, compact=K runs background compaction
-///                          every K commits)
+///   log:DIR[?flush=0|1&compact=K]
+///                          append-only changelog under DIR (flush=0 skips
+///                          per-commit fdatasync, compact=K runs background
+///                          compaction every K commits)
 ///
 /// Option separators may be ',' or '&' interchangeably. The backend is
 /// returned open()ed. Unknown schemes, unknown options and malformed values

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdint>
 #include <limits>
-#include <mutex>
-#include <thread>
 
 #include "ckpt/io/writer.hpp"
-#include "common/crc32.hpp"
 #include "common/error.hpp"
 
 namespace abftc::ckpt::io {
@@ -21,55 +17,14 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// One timed round of `committers` concurrent same-size snapshots, ids
-/// id0..id0+committers-1, all at timestamp `when`. Returns the round's wall
-/// time; the caller drops the ids. Backends that don't support concurrent
-/// committers are serialized on a mutex — the contention is then the
-/// measurement, not a data race.
-double concurrent_round(StorageBackend& backend, std::span<const std::byte> payload,
-                        CkptId id0, double when, int committers) {
-  SnapshotBlob proto;
-  proto.meta.kind = CkptKind::Full;
-  proto.meta.when = when;
-  proto.meta.bytes = payload.size();
-  RegionBlob r;
-  r.region = 1;
-  r.crc = common::crc32(payload);
-  r.payload.assign(payload.begin(), payload.end());
-  proto.regions.push_back(std::move(r));
-
-  const bool concurrent = backend.concurrent_committers();
-  std::mutex serial;
-  std::vector<std::thread> threads;
-  threads.reserve(committers);
-  const auto t0 = Clock::now();
-  for (int t = 0; t < committers; ++t) {
-    threads.emplace_back([&, t] {
-      SnapshotBlob blob = proto;  // each committer owns its payload copy
-      blob.meta.id = id0 + static_cast<CkptId>(t);
-      if (concurrent) {
-        backend.write_snapshot(blob);
-      } else {
-        std::lock_guard lock(serial);
-        backend.write_snapshot(blob);
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  return seconds_since(t0);
-}
-
 }  // namespace
 
 Calibration calibrate_backend(StorageBackend& backend,
                               const CalibrationOptions& opts) {
   ABFTC_REQUIRE(!opts.sizes.empty(), "calibration needs at least one size");
   ABFTC_REQUIRE(opts.reps > 0, "calibration needs at least one rep");
-  ABFTC_REQUIRE(opts.committers >= 1,
-                "calibration needs at least one committer");
 
   Calibration cal;
-  cal.committers = opts.committers;
   const std::size_t largest =
       *std::max_element(opts.sizes.begin(), opts.sizes.end());
   std::vector<std::byte> scratch(largest);
@@ -78,14 +33,10 @@ Calibration calibrate_backend(StorageBackend& backend,
 
   CkptWriter writer(backend, opts.writer);
   // Start past any existing history: the writer enforces non-decreasing
-  // timestamps across the backend's whole lifetime, and the concurrent
-  // rounds must not collide with existing snapshot ids.
+  // timestamps across the backend's whole lifetime.
   double when = 1.0;
-  CkptId next_id = 1;
-  for (const SnapshotMeta& m : backend.list()) {
+  for (const SnapshotMeta& m : backend.list())
     when = std::max(when, m.when + 1.0);
-    next_id = std::max(next_id, m.id + 1);
-  }
   for (const std::size_t bytes : opts.sizes) {
     ABFTC_REQUIRE(bytes > 0, "calibration sizes must be positive");
     CalibrationPoint pt;
@@ -93,39 +44,18 @@ Calibration calibrate_backend(StorageBackend& backend,
     pt.write_seconds = std::numeric_limits<double>::infinity();
     pt.read_seconds = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < opts.reps; ++rep) {
-      if (opts.committers == 1) {
-        MemoryImage image;
-        image.add_region("calibration",
-                         std::span(scratch.data(), bytes),
-                         RegionClass::Remainder);
-        auto t0 = Clock::now();
-        const CkptId id = writer.take_full(image, when);
-        pt.write_seconds = std::min(pt.write_seconds, seconds_since(t0));
-        when += 1.0;
-
-        t0 = Clock::now();
-        (void)writer.restore_latest(image);
-        pt.read_seconds = std::min(pt.read_seconds, seconds_since(t0));
-        backend.drop(id);  // leave the backend as we found it
-        continue;
-      }
-      // Contended commit: each round writes `committers` snapshots at once
-      // and the round's wall time is the point. Reads stay single-stream —
-      // recovery is one rank restoring, commit storms are many.
-      const CkptId id0 = next_id;
-      next_id += static_cast<CkptId>(opts.committers);
-      const double wall = concurrent_round(
-          backend, std::span(scratch.data(), bytes), id0, when,
-          opts.committers);
-      pt.write_seconds = std::min(pt.write_seconds, wall);
+      MemoryImage image;
+      image.add_region("calibration", std::span(scratch.data(), bytes),
+                       RegionClass::Remainder);
+      auto t0 = Clock::now();
+      const CkptId id = writer.take_full(image, when);
+      pt.write_seconds = std::min(pt.write_seconds, seconds_since(t0));
       when += 1.0;
 
-      const auto t0 = Clock::now();
-      SnapshotBlob back = backend.read_snapshot(id0);
-      back.verify();
+      t0 = Clock::now();
+      (void)writer.restore_latest(image);
       pt.read_seconds = std::min(pt.read_seconds, seconds_since(t0));
-      for (int t = 0; t < opts.committers; ++t)
-        backend.drop(id0 + static_cast<CkptId>(t));
+      backend.drop(id);  // leave the backend as we found it
     }
     cal.points.push_back(pt);
   }
@@ -165,8 +95,6 @@ Calibration calibrate_backend(StorageBackend& backend,
       static_cast<double>(big.bytes) / std::max(big.read_seconds, 1e-9);
 
   cal.model.name = "measured:" + std::string(backend.name());
-  if (opts.committers > 1)
-    cal.model.name += "(c" + std::to_string(opts.committers) + ")";
   cal.model.node_bandwidth = cal.write_bandwidth;
   cal.model.aggregate_bandwidth = 0.0;
   cal.model.latency = std::max(intercept, 0.0);

@@ -30,14 +30,6 @@ struct CalibrationOptions {
   int reps = 3;
   /// Writer pipeline options used for the timed commits.
   WriterOptions writer{};
-  /// Concurrent committer threads per timed round. 1 keeps the historical
-  /// single-stream path (CkptWriter pipeline). Above 1, each rep times a
-  /// round of `committers` same-size snapshots written concurrently and the
-  /// recorded write_seconds is the round's wall time — the commit latency a
-  /// rank sees when its neighbours checkpoint at the same moment. Backends
-  /// without concurrent_committers() are serialized on a mutex, so their
-  /// fit degrades with committers exactly as a real shared store would.
-  int committers = 1;
 };
 
 struct CalibrationPoint {
@@ -49,9 +41,8 @@ struct CalibrationPoint {
 struct Calibration {
   ckpt::StorageModel model;  ///< fitted: node_bandwidth, latency, read_speedup
   std::vector<CalibrationPoint> points;
-  double write_bandwidth = 0.0;  ///< fitted bytes/s (per committer)
+  double write_bandwidth = 0.0;  ///< fitted bytes/s
   double read_bandwidth = 0.0;   ///< measured at the largest size
-  int committers = 1;            ///< concurrency the fit was taken under
 };
 
 /// Time full-checkpoint commits and restores on `backend` and fit the

@@ -1,8 +1,9 @@
 /// \file compaction.cpp
 /// The log backend's compaction pass: plan (pure, compaction.hpp), then a
-/// four-phase rewrite — roll the shards, verify + plan offline, write the
-/// frozen segment, publish and unlink. Committers only block for phase 1;
-/// the expensive verification and rewrite run without any backend lock.
+/// four-phase rewrite — roll the writable segment, verify + plan offline,
+/// write the frozen segment, publish and unlink. The committer only blocks
+/// for phase 1; the expensive verification and rewrite run without any
+/// backend lock.
 
 #include "ckpt/io/compaction.hpp"
 
@@ -39,18 +40,32 @@ namespace compact {
 CompactionPlan plan_compaction(const std::vector<LiveRecord>& live) {
   CompactionPlan plan;
 
-  // The newest verified protection point, mirroring restore_latest: a Full
-  // needs itself plus every later Incremental intact; an Exit needs itself
-  // plus its linked Entry.
+  // The newest restorable protection point, mirroring restore_latest_into:
+  // a Full restores with every later Incremental, each region from its
+  // newest copy, so the chain holds when every member reads and no region's
+  // newest copy is damaged; an Exit needs itself plus its linked Entry
+  // intact.
+  const auto readable = [](const LiveRecord& r) {
+    return r.verified || !r.damaged.empty();
+  };
   const auto chain_ok = [&](std::size_t i) {
     const LiveRecord& r = live[i];
-    if (!r.verified) return false;
     if (r.meta.kind == CkptKind::Full) {
-      for (std::size_t j = i + 1; j < live.size(); ++j)
-        if (live[j].meta.kind == CkptKind::Incremental && !live[j].verified)
-          return false;
+      std::unordered_set<RegionId> supplied;  // by a newer verified copy
+      for (std::size_t j = live.size(); j-- > i;) {
+        const LiveRecord& m = live[j];
+        if (j > i && m.meta.kind != CkptKind::Incremental) continue;
+        if (!readable(m)) return false;
+        for (const RegionId d : m.damaged)
+          if (!supplied.contains(d)) return false;
+        for (const RegionId g : m.regions)
+          if (std::find(m.damaged.begin(), m.damaged.end(), g) ==
+              m.damaged.end())
+            supplied.insert(g);
+      }
       return true;
     }
+    if (!r.verified) return false;
     if (r.meta.kind == CkptKind::Exit) {
       for (const LiveRecord& e : live)
         if (e.meta.id == r.meta.entry_link)
@@ -90,14 +105,15 @@ CompactionPlan plan_compaction(const std::vector<LiveRecord>& live) {
   for (const LiveRecord& r : live)
     if (!keep.contains(r.seq)) plan.drop.push_back(r.seq);
 
-  // Fold only the clean shape: a Full base whose entire suffix is verified
-  // Incrementals. Any interleaved Entry/Exit/Full keeps the records apart —
-  // correctness first, the next pass gets another chance.
+  // Fold only the clean shape: a Full base whose entire suffix is
+  // Incrementals (chain_ok vouched that each damaged copy is superseded,
+  // and merge_chain lets newer copies win). Any interleaved
+  // Entry/Exit/Full keeps the records apart — correctness first, the next
+  // pass gets another chance.
   bool foldable = live[base].meta.kind == CkptKind::Full &&
                   base + 1 < live.size();
   for (std::size_t i = base + 1; foldable && i < live.size(); ++i)
-    if (live[i].meta.kind != CkptKind::Incremental || !live[i].verified)
-      foldable = false;
+    if (live[i].meta.kind != CkptKind::Incremental) foldable = false;
   if (foldable) {
     for (std::size_t i = base; i < live.size(); ++i)
       plan.fold.push_back(live[i].seq);
@@ -170,35 +186,24 @@ CompactionStats LogBackend::compact_now() {
   std::lock_guard pass(compact_m_);
   ClearOnExit rearm{compact_pending_};
 
-  // --- Phase 1: roll every shard and snapshot the live set --------------
-  // All shard locks (ascending index — the only multi-shard acquisition in
-  // the backend, so unordered Sessions cannot deadlock against it), then
-  // the index lock, per the shard→index order.
-  std::vector<std::unique_lock<std::mutex>> shard_locks;
-  shard_locks.reserve(shards_.size());
-  for (const auto& s : shards_) shard_locks.emplace_back(s->m);
-
+  // --- Phase 1: roll the writable segment and snapshot the live set -----
+  // The writer lock, then the index lock, per the write→index order.
   std::vector<std::pair<std::uint64_t, RecordLoc>> live;
   std::uint64_t frozen_gen = 0;
   std::set<std::string> before;
   {
+    std::lock_guard write(write_m_);
     std::lock_guard idx(index_m_);
-    for (const auto& s : shards_) {
-      if (s->fd >= 0) ::close(s->fd);
-      s->fd = -1;
-      s->path.clear();
-      s->gen = 0;
-      s->tail = 0;
-    }
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
     live.reserve(order_.size());
     for (const auto& [seq, loc] : order_) live.emplace_back(seq, loc);
     frozen_gen = next_gen_++;
-    // Exact while the shard locks pin every writer: no new segment can
-    // appear until phase 1 ends, and records only move *into* the frozen
-    // segment we are about to write.
+    // Exact while the writer lock is held: no new segment can appear until
+    // phase 1 ends, and records only move *into* the frozen segment we are
+    // about to write.
     before = segment_files(dir_);
   }
-  for (auto& l : shard_locks) l.unlock();
 
   // --- Phase 2: verify and plan (no locks) ------------------------------
   // The records in `live` sit in rolled (no longer written) or frozen
@@ -207,16 +212,21 @@ CompactionStats LogBackend::compact_now() {
   std::vector<compact::LiveRecord> planned;
   planned.reserve(live.size());
   for (const auto& [seq, loc] : live) {
-    compact::LiveRecord r;
+    compact::LiveRecord& r = planned.emplace_back();
     r.seq = seq;
     r.meta = loc.meta;
     try {
-      read_record(loc).verify();
-      r.verified = true;
+      for (const RegionBlob& g : read_record(loc).regions) {
+        r.regions.push_back(g.region);
+        if (common::crc32(std::span(g.payload)) != g.crc)
+          r.damaged.push_back(g.region);
+      }
+      r.verified = r.damaged.empty();
     } catch (const io_error&) {
-      r.verified = false;  // reject at restore, carry as-is here
+      // Unreadable: blocks every chain it is in, carried as-is here.
+      r.regions.clear();
+      r.damaged.clear();
     }
-    planned.push_back(r);
   }
   const compact::CompactionPlan plan = compact::plan_compaction(planned);
 
@@ -258,7 +268,7 @@ CompactionStats LogBackend::compact_now() {
     FdGuard fd{::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644)};
     if (fd.fd < 0) sys_error("create " + tmp_path);
     logf::SegmentHeader sh;
-    sh.shard = logf::kFrozenShard;
+    sh.shard = logf::kFrozenTag;
     sh.gen = frozen_gen;
     pwrite_all(fd.fd, &sh, sizeof(sh), 0, "frozen segment header");
     std::uint64_t off = sizeof(sh);

@@ -11,13 +11,14 @@
 /// equivalent Full so restores replay a bounded suffix instead of the whole
 /// campaign's incremental history.
 ///
-/// Planning is deliberately conservative around damage: a chain member that
-/// fails payload verification disables folding (the fold would have to read
-/// those payloads), and when no chain verifies at all the plan carries
-/// everything — compaction must never take away a fallback that
-/// latest_restorable() could still have used. The planner is a pure
-/// function over record metadata + verification flags so these rules are
-/// unit-testable without a store.
+/// Planning follows restore around damage: a chain member that cannot be
+/// read, or a damaged region whose newest copy in the chain is that damaged
+/// one, disqualifies the chain (a damaged copy that newer records supersede
+/// is never restored, so it blocks nothing and folds away), and when no
+/// chain holds at all the plan carries everything — compaction must never
+/// take away a fallback that latest_restorable() could still have used.
+/// The planner is a pure function over record metadata + verification
+/// flags so these rules are unit-testable without a store.
 
 #include <cstdint>
 #include <vector>
@@ -37,12 +38,15 @@ struct CompactionStats {
 
 namespace compact {
 
-/// One live record as the planner sees it: position, metadata, and whether
-/// its payload verified (read back + per-region CRCs checked).
+/// One live record as the planner sees it: position, metadata, and how its
+/// payload verified (read back + per-region CRCs checked). A record that
+/// could not be read at all has `verified` false and `damaged` empty.
 struct LiveRecord {
   std::uint64_t seq = 0;
   SnapshotMeta meta;
-  bool verified = false;
+  bool verified = false;          ///< read back, every region's CRC holds
+  std::vector<RegionId> regions;  ///< stored region ids (when read back)
+  std::vector<RegionId> damaged;  ///< those whose payload CRC failed
 };
 
 /// The pass's decision, in terms of record seqs. `fold` is either empty or

@@ -1,7 +1,6 @@
 /// \file log_backend.cpp
-/// Sharded append-only changelog store (see log_backend.hpp for the format
-/// and the recovery/locking contracts; compaction.cpp holds the rewrite
-/// pass).
+/// Append-only changelog store (see log_backend.hpp for the format and the
+/// recovery/locking contracts; compaction.cpp holds the rewrite pass).
 
 #include "ckpt/io/log_backend.hpp"
 
@@ -34,7 +33,7 @@ using detail::pread_all;
 using detail::pwrite_all;
 using detail::RegionEntry;
 using detail::sys_error;
-using logf::kFrozenShard;
+using logf::kFrozenTag;
 using logf::kLogVersion;
 using logf::kRecMagic;
 using logf::kSegMagic;
@@ -43,17 +42,6 @@ using logf::kTypeSnapshot;
 using logf::kTypeTombstone;
 using logf::RecordHeader;
 using logf::SegmentHeader;
-
-/// Same avalanche as the dist runtime's flip-site hashing: snapshot ids are
-/// small consecutive integers, so shard = id % N would put one CkptWriter's
-/// whole chain on rotating shards but *correlated* writers (rank r writes
-/// ids r, r+N, ...) on one; the mix decorrelates both.
-std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 std::uint32_t header_crc_of(const RecordHeader& h) {
   return common::crc32(std::span(reinterpret_cast<const std::byte*>(&h),
@@ -135,7 +123,7 @@ std::optional<std::pair<std::uint32_t, std::uint64_t>> parse_segment_name(
   if (stem.starts_with("frozen_")) {
     std::uint64_t gen = 0;
     if (!parse_u64(stem.substr(7), gen)) return std::nullopt;
-    return std::pair{kFrozenShard, gen};
+    return std::pair{kFrozenTag, gen};
   }
   return std::nullopt;
 }
@@ -144,12 +132,11 @@ std::optional<std::pair<std::uint32_t, std::uint64_t>> parse_segment_name(
 
 // --- Session ----------------------------------------------------------------
 
-/// Holds the shard lock from construction to commit (or destruction): the
-/// record occupies a contiguous extent at the shard's tail, so same-shard
-/// committers serialize here while other shards proceed. The header area is
-/// left unwritten until commit — an aborted or crashed session leaves bytes
-/// that fail the magic check, which the recovery scan discards as a torn
-/// suffix (the destructor additionally truncates them away).
+/// Holds the writer lock from construction to commit (or destruction): the
+/// record occupies a contiguous extent at the segment's tail. The header
+/// area is left unwritten until commit — an aborted or crashed session
+/// leaves bytes that fail the magic check, which the recovery scan discards
+/// as a torn suffix (the destructor additionally truncates them away).
 class LogBackend::Session final : public StorageBackend::WriteSession {
  public:
   Session(LogBackend& backend, SnapshotMeta meta,
@@ -157,34 +144,23 @@ class LogBackend::Session final : public StorageBackend::WriteSession {
       : backend_(backend),
         meta_(meta),
         regions_(std::move(regions)),
-        sizes_(std::move(sizes)) {
+        sizes_(std::move(sizes)),
+        lock_(backend_.write_m_) {
     {
       std::lock_guard idx(backend_.index_m_);
-      ABFTC_REQUIRE(backend_.by_id_.find(meta_.id) == backend_.by_id_.end() &&
-                        backend_.in_flight_.find(meta_.id) ==
-                            backend_.in_flight_.end(),
+      ABFTC_REQUIRE(!backend_.by_id_.contains(meta_.id),
                     "duplicate snapshot id");
-      backend_.in_flight_.insert(meta_.id);
-      registered_ = true;
     }
-    try {
-      shard_ = &backend_.lock_shard(meta_.id, lock_);
-      backend_.ensure_writable(*shard_);
-    } catch (...) {
-      unregister();
-      throw;
-    }
-    start_ = shard_->tail;
+    backend_.ensure_writable();
+    start_ = backend_.tail_;
     payload_off_ = start_ + sizeof(RecordHeader) +
                    regions_.size() * sizeof(RegionEntry) + 8;
   }
 
   ~Session() override {
-    if (committed_) return;
-    // Abandoned/failed: cut the shard back to its committed tail.
-    if (shard_ != nullptr && shard_->fd >= 0)
-      (void)::ftruncate(shard_->fd, static_cast<off_t>(start_));
-    unregister();
+    // Abandoned/failed: cut the segment back to its committed tail.
+    if (!committed_)
+      (void)::ftruncate(backend_.fd_, static_cast<off_t>(start_));
   }
 
   void append(std::span<const std::byte> chunk) override {
@@ -193,7 +169,7 @@ class LogBackend::Session final : public StorageBackend::WriteSession {
                   "payload stream exceeds the declared snapshot size");
     const std::uint64_t off = payload_off_ + received_;
     received_ += chunk.size();
-    pwrite_all(shard_->fd, chunk.data(), chunk.size(), off, "log payload");
+    pwrite_all(backend_.fd_, chunk.data(), chunk.size(), off, "log payload");
   }
 
   void commit(const std::vector<std::uint32_t>& region_crcs) override {
@@ -205,16 +181,11 @@ class LogBackend::Session final : public StorageBackend::WriteSession {
     const std::uint64_t padded = align_up(meta_.bytes, 8);
     if (padded > meta_.bytes) {
       const std::byte zeros[8] = {};
-      pwrite_all(shard_->fd, zeros, padded - meta_.bytes,
+      pwrite_all(backend_.fd_, zeros, padded - meta_.bytes,
                  payload_off_ + meta_.bytes, "log payload pad");
     }
 
-    std::uint64_t seq = 0;
-    {
-      std::lock_guard idx(backend_.index_m_);
-      seq = backend_.next_seq_++;
-    }
-
+    const std::uint64_t seq = backend_.next_seq_++;
     std::vector<RegionEntry> entries(regions_.size());
     for (std::size_t i = 0; i < entries.size(); ++i)
       entries[i] = RegionEntry{regions_[i], sizes_[i], region_crcs[i], 0};
@@ -225,7 +196,7 @@ class LogBackend::Session final : public StorageBackend::WriteSession {
     std::vector<std::byte> head(sizeof(h) + table.size());
     std::memcpy(head.data(), &h, sizeof(h));
     std::memcpy(head.data() + sizeof(h), table.data(), table.size());
-    pwrite_all(shard_->fd, head.data(), head.size(), start_, "log header");
+    pwrite_all(backend_.fd_, head.data(), head.size(), start_, "log header");
     // The payload stream is the regions concatenated in order, so its CRC
     // folds out of the per-region CRCs the caller already computed — no
     // second hash pass over the payload on the commit path.
@@ -234,9 +205,9 @@ class LogBackend::Session final : public StorageBackend::WriteSession {
       payload_crc.add(region_crcs[i], sizes_[i]);
     const auto trailer = trailer_bytes(record_crc_of(
         common::crc32(std::span(table)), payload_crc.value(), meta_.bytes));
-    pwrite_all(shard_->fd, trailer.data(), trailer.size(),
+    pwrite_all(backend_.fd_, trailer.data(), trailer.size(),
                payload_off_ + padded, "log trailer");
-    if (backend_.opts_.flush && ::fdatasync(shard_->fd) != 0)
+    if (backend_.opts_.flush && ::fdatasync(backend_.fd_) != 0)
       sys_error("fdatasync log segment");
 
     const std::uint64_t len =
@@ -244,37 +215,24 @@ class LogBackend::Session final : public StorageBackend::WriteSession {
                       meta_.bytes);
     {
       std::lock_guard idx(backend_.index_m_);
-      backend_.order_[seq] =
-          RecordLoc{shard_->path, start_, len, meta_};
+      backend_.order_[seq] = RecordLoc{backend_.path_, start_, len, meta_};
       backend_.by_id_[meta_.id] = seq;
-      backend_.in_flight_.erase(meta_.id);
-      registered_ = false;
     }
-    shard_->tail = start_ + len;
+    backend_.tail_ = start_ + len;
     committed_ = true;
-    shard_ = nullptr;
     lock_.unlock();
     backend_.maybe_compact();
   }
 
  private:
-  void unregister() noexcept {
-    if (!registered_) return;
-    std::lock_guard idx(backend_.index_m_);
-    backend_.in_flight_.erase(meta_.id);
-    registered_ = false;
-  }
-
   LogBackend& backend_;
   SnapshotMeta meta_;
   std::vector<RegionId> regions_;
   std::vector<std::uint64_t> sizes_;
-  Shard* shard_ = nullptr;
   std::unique_lock<std::mutex> lock_;
   std::uint64_t start_ = 0;
   std::uint64_t payload_off_ = 0;
   std::uint64_t received_ = 0;
-  bool registered_ = false;
   bool committed_ = false;
 };
 
@@ -284,10 +242,7 @@ LogBackend::LogBackend(std::string directory)
     : LogBackend(std::move(directory), Options{}) {}
 
 LogBackend::LogBackend(std::string directory, Options opts)
-    : dir_(std::move(directory)), opts_(opts) {
-  ABFTC_REQUIRE(opts_.shards >= 1 && opts_.shards <= 256,
-                "log backend shard count must be in [1, 256]");
-}
+    : dir_(std::move(directory)), opts_(opts) {}
 
 LogBackend::~LogBackend() {
   try {
@@ -295,45 +250,21 @@ LogBackend::~LogBackend() {
   } catch (...) {  // NOLINT(bugprone-empty-catch)
     // A failed background pass left the store intact; nothing to unwind.
   }
-  for (const auto& s : shards_)
-    if (s->fd >= 0) ::close(s->fd);
+  if (fd_ >= 0) ::close(fd_);
 }
 
-LogBackend::Shard& LogBackend::lock_shard(CkptId id,
-                                          std::unique_lock<std::mutex>& lock) {
-  const std::size_t n = shards_.size();
-  const std::size_t home = splitmix64(id) % n;
-  for (std::size_t i = 0; i < n; ++i) {
-    Shard& s = *shards_[(home + i) % n];
-    lock = std::unique_lock(s.m, std::try_to_lock);
-    if (lock.owns_lock()) return s;
-  }
-  lock = std::unique_lock(shards_[home]->m);
-  return *shards_[home];
-}
-
-void LogBackend::ensure_writable(Shard& shard) {
-  if (shard.fd >= 0) return;
-  if (shard.path.empty()) {
-    // Fresh shard (or just rolled by compaction): new generation segment.
-    {
-      std::lock_guard idx(index_m_);
-      shard.gen = next_gen_++;
-    }
-    shard.path = dir_ + "/wal_" + std::to_string(shard.index) + "_" +
-                 std::to_string(shard.gen) + ".log";
-    shard.fd = ::open(shard.path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
-    if (shard.fd < 0) sys_error("create " + shard.path);
-    SegmentHeader sh;
-    sh.shard = shard.index;
-    sh.gen = shard.gen;
-    pwrite_all(shard.fd, &sh, sizeof(sh), 0, "log segment header");
-    shard.tail = sizeof(SegmentHeader);
-  } else {
-    // Segment adopted by open(): append past the recovered tail.
-    shard.fd = ::open(shard.path.c_str(), O_WRONLY);
-    if (shard.fd < 0) sys_error("open " + shard.path);
-  }
+void LogBackend::ensure_writable() {
+  if (fd_ >= 0) return;
+  const std::uint64_t gen = next_gen_++;
+  // Writer 0 in the name and in SegmentHeader::shard: the format keeps the
+  // field, and open() still scans segments of any writer index.
+  path_ = dir_ + "/wal_0_" + std::to_string(gen) + ".log";
+  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
+  if (fd_ < 0) sys_error("create " + path_);
+  SegmentHeader sh;
+  sh.gen = gen;
+  pwrite_all(fd_, &sh, sizeof(sh), 0, "log segment header");
+  tail_ = sizeof(SegmentHeader);
 }
 
 void LogBackend::open() {
@@ -341,19 +272,14 @@ void LogBackend::open() {
   fs::create_directories(dir_, ec);
   ABFTC_REQUIRE(!ec, "cannot create checkpoint directory " + dir_);
 
+  std::lock_guard write(write_m_);
   std::lock_guard idx(index_m_);
   order_.clear();
   by_id_.clear();
-  in_flight_.clear();
   next_seq_ = 1;
   next_gen_ = 1;
-  for (const auto& s : shards_)
-    if (s->fd >= 0) ::close(s->fd);
-  shards_.clear();
-  for (unsigned i = 0; i < opts_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->index = i;
-  }
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;  // the next append starts a fresh segment
 
   /// A record that survived the scan, pending seq-level dedup.
   struct Candidate {
@@ -372,10 +298,10 @@ void LogBackend::open() {
     }
     const auto parsed = parse_segment_name(name);
     if (!parsed.has_value()) continue;
-    const auto [shard_idx, gen] = *parsed;
+    const auto [shard, gen] = *parsed;
     next_gen_ = std::max(next_gen_, gen + 1);
     const std::string path = entry.path().string();
-    const bool wal = shard_idx != kFrozenShard;
+    const bool wal = shard != kFrozenTag;
 
     FdGuard fd{::open(path.c_str(), O_RDONLY)};
     if (fd.fd < 0) sys_error("open " + path);
@@ -475,14 +401,6 @@ void LogBackend::open() {
       // copy wins.
       if (it == by_seq.end() || it->second.gen < cand.gen)
         by_seq[seq] = std::move(cand);
-    }
-    if (wal && shard_idx < opts_.shards) {
-      Shard& s = *shards_[shard_idx];
-      if (gen > s.gen || s.path.empty()) {
-        s.gen = gen;
-        s.path = path;
-        s.tail = good_end;
-      }
     }
   }
 
@@ -587,20 +505,15 @@ std::vector<SnapshotMeta> LogBackend::list() const {
 }
 
 void LogBackend::drop(CkptId id) {
-  std::unique_lock<std::mutex> lock;
-  Shard& shard = lock_shard(id, lock);
+  std::lock_guard write(write_m_);
   {
     std::lock_guard idx(index_m_);
-    if (by_id_.find(id) == by_id_.end())
+    if (!by_id_.contains(id))
       throw io_error("unknown snapshot id " + std::to_string(id));
   }
-  ensure_writable(shard);
+  ensure_writable();
 
-  std::uint64_t seq = 0;
-  {
-    std::lock_guard idx(index_m_);
-    seq = next_seq_++;
-  }
+  const std::uint64_t seq = next_seq_++;
   SnapshotMeta tomb;
   tomb.id = id;
   const RecordHeader h = make_header(kTypeTombstone, tomb, 0, seq);
@@ -612,10 +525,9 @@ void LogBackend::drop(CkptId id) {
       trailer_bytes(record_crc_of(common::crc32(std::span(table)), 0, 0));
   std::memcpy(rec.data() + sizeof(h) + table.size(), trailer.data(),
               trailer.size());
-  pwrite_all(shard.fd, rec.data(), rec.size(), shard.tail, "log tombstone");
-  if (opts_.flush && ::fdatasync(shard.fd) != 0)
-    sys_error("fdatasync log segment");
-  shard.tail += rec.size();
+  pwrite_all(fd_, rec.data(), rec.size(), tail_, "log tombstone");
+  if (opts_.flush && ::fdatasync(fd_) != 0) sys_error("fdatasync log segment");
+  tail_ += rec.size();
 
   std::lock_guard idx(index_m_);
   const auto it = by_id_.find(id);

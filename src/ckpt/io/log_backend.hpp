@@ -1,15 +1,13 @@
 #pragma once
 /// \file log_backend.hpp
-/// LogBackend: an append-only, sharded changelog checkpoint store.
+/// LogBackend: an append-only changelog checkpoint store.
 ///
-/// The one persistent backend. It appends self-describing records to N
-/// shard segment files (`wal_<shard>_<gen>.log`) and needs no manifest at
-/// all: commit = append + flush + sequence advance. Each commit takes a
-/// free shard (its id's hashed shard if no one holds it), so up to N
-/// concurrent committers never contend on an inode — this is the backend's
-/// reason to exist, and the one deliberate departure from the "backends are
-/// not thread-safe" rule in backend.hpp (concurrent_committers() is true;
-/// committers beyond N wait on a shard lock).
+/// The one persistent backend. It appends self-describing records to one
+/// chain of segment files (`wal_0_<gen>.log`) and needs no manifest at all:
+/// commit = append + flush + sequence advance. One writer lock is held by a
+/// WriteSession from begin to commit and by drop(); it orders the one
+/// committer against the background compaction pass, the store's only
+/// concurrency.
 ///
 /// Record framing (all integers little-endian, 8-byte alignment):
 ///
@@ -19,17 +17,20 @@
 ///   payload      —      regions concatenated, zero-padded to 8 B
 ///   trailer       8 B   record CRC (table ∥ payload), trailer magic
 ///
-/// Recovery is a scan, not a manifest load: open() walks every segment,
-/// keeps records whose framing and CRCs hold, and discards exactly the torn
-/// suffix of each writable segment (a record whose framing never completed,
-/// or a tail record whose payload CRC does not match — the shape an
-/// unacknowledged commit leaves). A *mid-file* record with a bad payload is
-/// kept: its commit was acknowledged, so the damage is corruption, and
-/// readers reject it at verify time (latest_restorable falls back past it).
+/// Recovery is a scan, not a manifest load: open() walks every segment —
+/// every `wal_<k>_<gen>.log` and `frozen_<gen>.log`, so stores whose
+/// segments came from several writers still replay — keeps records whose
+/// framing and CRCs hold, and discards exactly the torn suffix of each wal
+/// segment (a record whose framing never completed, or a tail record whose
+/// payload CRC does not match — the shape an unacknowledged commit leaves).
+/// A *mid-file* record with a bad payload is kept: its commit was
+/// acknowledged, so the damage is corruption, and readers reject it at
+/// verify time (latest_restorable falls back past it).
 /// drop() appends a tombstone record; replay applies tombstones in sequence
-/// order.
+/// order. A reopened store appends to a fresh segment, never to one it
+/// recovered.
 ///
-/// Compaction (compaction.hpp) periodically freezes the writable segments,
+/// Compaction (compaction.hpp) periodically rolls the writable segment,
 /// folds the live Full + Incremental chain into one equivalent Full in a
 /// fresh `frozen_<gen>.log`, and unlinks segments no live record references
 /// — so `ckpt_every` campaigns replay a bounded log suffix instead of an
@@ -50,7 +51,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "ckpt/io/backend.hpp"
@@ -65,8 +65,6 @@ namespace abftc::ckpt::io {
 class LogBackend final : public StorageBackend {
  public:
   struct Options {
-    /// Segment shards: the number of committers that append at once.
-    unsigned shards = 8;
     /// fdatasync each commit (and tombstone). false trades durability of
     /// the last few records for commit latency: a crash can tear several
     /// tail records instead of at most one.
@@ -93,13 +91,10 @@ class LogBackend final : public StorageBackend {
   [[nodiscard]] std::unique_ptr<WriteSession> begin_snapshot(
       const SnapshotMeta& meta, std::vector<RegionId> regions,
       std::vector<std::uint64_t> region_sizes) override;
-  [[nodiscard]] bool concurrent_committers() const noexcept override {
-    return true;
-  }
 
   /// Run one compaction pass synchronously; returns the cumulative stats.
-  /// Safe to call while committers are active (they block only for the
-  /// brief segment roll, not for the rewrite).
+  /// Safe to call while a commit is in flight (the committer blocks only
+  /// for the brief segment roll, not for the rewrite).
   CompactionStats compact_now();
   /// Block until a background pass queued by maybe_compact() finished.
   void wait_for_compaction();
@@ -109,9 +104,6 @@ class LogBackend final : public StorageBackend {
   [[nodiscard]] std::uint64_t live_bytes() const;
   /// Bytes across all segment files on disk (live + superseded + torn).
   [[nodiscard]] std::uint64_t segment_bytes() const;
-  [[nodiscard]] unsigned shard_count() const noexcept {
-    return opts_.shards;
-  }
   [[nodiscard]] const std::string& directory() const noexcept { return dir_; }
 
  private:
@@ -126,23 +118,9 @@ class LogBackend final : public StorageBackend {
     SnapshotMeta meta;
   };
 
-  struct Shard {
-    unsigned index = 0;
-    std::mutex m;  ///< held by a Session from begin to commit
-    int fd = -1;   ///< writable wal fd; -1 until first append after a roll
-    std::string path;
-    std::uint64_t gen = 0;
-    std::uint64_t tail = 0;  ///< append offset (committed bytes)
-  };
-
-  /// Lock a shard to append one record to: the id's hashed shard if it is
-  /// free, else the next free one, else wait for the hashed one. The index
-  /// maps an id to its file, so a record may live on any shard, and
-  /// committers whose ids hash together still append in parallel.
-  [[nodiscard]] Shard& lock_shard(CkptId id, std::unique_lock<std::mutex>& lock);
-  /// Open (or create, after a roll) the shard's writable segment. Requires
-  /// the shard lock.
-  void ensure_writable(Shard& shard);
+  /// Open a fresh segment if none is writable (after open() or a
+  /// compaction roll). Requires write_m_.
+  void ensure_writable();
   /// Post-commit hook (no locks held): queue a background pass when
   /// compact_every commits accumulated.
   void maybe_compact();
@@ -163,18 +141,22 @@ class LogBackend final : public StorageBackend {
   std::string dir_;
   Options opts_;
 
-  /// Guards the index (order_/by_id_/in_flight_), the seq/gen counters and
-  /// stats_. Lock order: a shard lock may be held when taking index_m_,
-  /// never the reverse.
+  /// The writer lock: held by a Session from begin to commit, by drop()
+  /// and by compaction's segment roll. Guards the writable segment and the
+  /// seq/gen counters below.
+  std::mutex write_m_;
+  int fd_ = -1;            ///< writable wal fd; -1 until the first append
+  std::string path_;       ///< its path
+  std::uint64_t tail_ = 0; ///< append offset (committed bytes)
+  std::uint64_t next_seq_ = 1;
+  std::uint64_t next_gen_ = 1;
+
+  /// Guards the index (order_/by_id_) and stats_. Lock order: write_m_ may
+  /// be held when taking index_m_, never the reverse.
   mutable std::mutex index_m_;
   std::map<std::uint64_t, RecordLoc> order_;  ///< seq → record, commit order
   std::unordered_map<CkptId, std::uint64_t> by_id_;
-  std::unordered_set<CkptId> in_flight_;  ///< ids with an open session
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t next_gen_ = 1;
   CompactionStats stats_;
-
-  std::vector<std::unique_ptr<Shard>> shards_;
 
   std::mutex compact_m_;  ///< serializes whole passes
   std::atomic<bool> compact_pending_{false};

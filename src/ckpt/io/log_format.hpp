@@ -19,7 +19,7 @@ inline constexpr std::uint32_t kTypeSnapshot = 1;
 inline constexpr std::uint32_t kTypeTombstone = 2;
 
 /// SegmentHeader::shard value marking a compaction-written frozen segment.
-inline constexpr std::uint32_t kFrozenShard = 0xFFFFFFFFu;
+inline constexpr std::uint32_t kFrozenTag = 0xFFFFFFFFu;
 
 /// Trailing {record_crc u32, trailer magic u32} of every record.
 inline constexpr std::uint64_t kTrailerBytes = 8;
@@ -28,7 +28,7 @@ inline constexpr std::uint64_t kTrailerBytes = 8;
 struct SegmentHeader {
   std::uint64_t magic = kSegMagic;
   std::uint32_t version = kLogVersion;
-  std::uint32_t shard = 0;  ///< writing shard, or kFrozenShard
+  std::uint32_t shard = 0;  ///< writer index (0 today), or kFrozenTag
   std::uint64_t gen = 0;    ///< store-wide generation (monotonic)
   std::uint64_t pad = 0;
 };

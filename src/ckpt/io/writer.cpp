@@ -292,13 +292,15 @@ void CkptWriter::compact() {
   std::vector<compact::LiveRecord> live;
   live.reserve(metas.size());
   for (std::size_t i = 0; i < metas.size(); ++i) {
-    bool verified = true;
+    compact::LiveRecord& r = live.emplace_back();
+    r.seq = i;
+    r.meta = metas[i];
     try {
       backend_.read_snapshot(metas[i].id).verify();
+      r.verified = true;
     } catch (const io_error&) {
-      verified = false;
+      r.verified = false;  // no region detail: it blocks its chains
     }
-    live.push_back({i, metas[i], verified});
   }
   for (const std::uint64_t seq : compact::plan_compaction(live).drop)
     backend_.drop(metas[seq].id);

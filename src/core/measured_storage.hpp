@@ -11,8 +11,8 @@
 ///   nvram:GBps[,latency_s]    node-local NVRAM
 ///   memory                    calibrated MemoryBackend (RAM speed)
 ///   log:DIR[?opts]            calibrated LogBackend under DIR (options as
-///                             in ckpt::io::make_backend, plus committers=N;
-///                             any other key is rejected)
+///                             in ckpt::io::make_backend; any other key is
+///                             rejected)
 ///
 /// Schemes live in a process-global registry so a new backend plugs into
 /// every driver by registering itself.

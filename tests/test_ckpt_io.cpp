@@ -14,15 +14,12 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <random>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -110,7 +107,7 @@ struct ImageFixture {
   }
 };
 
-/// The one segment of a single-shard log store.
+/// The one segment of a log store that was written without a reopen.
 fs::path only_segment(const fs::path& store) {
   fs::path wal;
   for (const auto& entry : fs::directory_iterator(store))
@@ -143,7 +140,7 @@ constexpr std::streamoff kPayloadInRecord = 72 + 2 * 24 + 8;
 /// Store spec for a parameterized suite: "memory", or a log store in `tmp`.
 std::string backend_spec(const std::string& kind, const TempDir& tmp) {
   if (kind == "memory") return "memory";
-  return "log:" + (tmp.path() / "store").string() + "?shards=4";
+  return "log:" + (tmp.path() / "store").string();
 }
 
 // --- backend conformance (same suite for memory / log) ----------------------
@@ -828,8 +825,7 @@ TEST(CkptWriter, SplitSurvivesBackendReopen) {
   // Entry+Exit written through one LogBackend instance, restored through a
   // fresh one — the composition works from persistent state alone.
   TempDir tmp;
-  const std::string spec =
-      "log:" + (tmp.path() / "store").string() + "?shards=4";
+  const std::string spec = "log:" + (tmp.path() / "store").string();
   ImageFixture f;
   std::vector<std::byte> lib_at_exit, rem_at_entry;
   {
@@ -860,7 +856,7 @@ TEST(CkptWriter, SplitSurvivesBackendReopen) {
 TEST(LatestRestorable, SkipsCorruptNewestAndFallsBack) {
   TempDir tmp;
   const fs::path store = tmp.path() / "store";
-  const auto backend = make_backend("log:" + store.string() + "?shards=1");
+  const auto backend = make_backend("log:" + store.string());
   EXPECT_FALSE(latest_restorable(*backend).has_value());  // empty store
   backend->write_snapshot(sample_blob(1, 4000, 1000));
   const auto second_at =
@@ -887,7 +883,7 @@ TEST(LogBackendIntegrity, CorruptedPayloadFailsRestore) {
   // apply leaves every byte of the image as it was.
   TempDir tmp;
   const fs::path store = tmp.path() / "store";
-  const std::string spec = "log:" + store.string() + "?shards=1";
+  const std::string spec = "log:" + store.string();
   ImageFixture f;
   {
     const auto backend = make_backend(spec);
@@ -917,7 +913,7 @@ TEST(LogBackendReads, ASkippedRegionIsNeverReadFromTheSegment) {
   // runs off the file, skipping it reads nothing there.
   TempDir tmp;
   const fs::path store = tmp.path() / "store";
-  const auto backend = make_backend("log:" + store.string() + "?shards=1");
+  const auto backend = make_backend("log:" + store.string());
   backend->write_snapshot(sample_blob(1, 4000, 1000));
   fs::resize_file(only_segment(store),
                   kSegmentHeader + kPayloadInRecord + 4000 + 500);
@@ -936,32 +932,9 @@ TEST(LogBackendReads, ASkippedRegionIsNeverReadFromTheSegment) {
       std::ranges::equal(first, sample_blob(1, 4000, 1000).regions[0].payload));
 }
 
-TEST(LogBackendPersistence, SurvivesReopenAcrossShards) {
-  TempDir tmp;
-  const std::string spec =
-      "log:" + (tmp.path() / "store").string() + "?shards=4";
-  {
-    const auto backend = make_backend(spec);
-    for (CkptId id = 1; id <= 9; ++id)
-      backend->write_snapshot(sample_blob(id, 3000 + id * 100, 1000));
-  }
-  const auto reopened = make_backend(spec);
-  const auto metas = reopened->list();
-  ASSERT_EQ(metas.size(), 9u);
-  for (CkptId id = 1; id <= 9; ++id) {
-    const SnapshotBlob back = reopened->read_snapshot(id);
-    EXPECT_NO_THROW(back.verify());
-    EXPECT_EQ(back.meta.bytes, 4000u + id * 100);
-  }
-  // list() preserves commit (sequence) order across the reopen.
-  for (std::size_t i = 0; i < metas.size(); ++i)
-    EXPECT_EQ(metas[i].id, i + 1);
-}
-
 TEST(LogBackendPersistence, TombstoneSurvivesReopen) {
   TempDir tmp;
-  const std::string spec =
-      "log:" + (tmp.path() / "store").string() + "?shards=2";
+  const std::string spec = "log:" + (tmp.path() / "store").string();
   {
     const auto backend = make_backend(spec);
     backend->write_snapshot(sample_blob(1, 4000, 1000));
@@ -974,44 +947,74 @@ TEST(LogBackendPersistence, TombstoneSurvivesReopen) {
   EXPECT_THROW((void)reopened->read_snapshot(1), io_error);
 }
 
-TEST(LogBackendPersistence, CommittersWhoseIdsShareAShardAppendInParallel) {
-  // Ids 2 and 4 hash to the same shard of a 2-shard store. While a session
-  // for id 2 holds that shard, a commit of id 4 takes the other one instead
-  // of waiting; both records survive a reopen.
+/// Region `region` of snapshot `id` in tests/fixtures/log_three_shards.
+std::vector<std::byte> fixture_bytes(RegionId region, CkptId id) {
+  std::vector<std::byte> out(256);
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = static_cast<std::byte>((i * 31 + region * 7 + id * 13) & 0xFF);
+  return out;
+}
+
+TEST(LogBackendPersistence, ReplaysAStoreWrittenByThreeCommitterShards) {
+  // tests/fixtures/log_three_shards was written by the build that still
+  // spread commits over writer shards (`log:DIR?shards=3`): Full 1 {0,1,2},
+  // Incremental 2 {1}, Full 3 {0,1,2}, Incrementals 4 {0}, 5 {2} and 6 {1},
+  // then drop(1), across wal_0_3, wal_1_2 and wal_2_1. Region r of
+  // snapshot v holds fixture_bytes(r, v). The one-chain store replays it
+  // unchanged and keeps appending to it.
   TempDir tmp;
   const fs::path store = tmp.path() / "store";
-  const std::string spec = "log:" + store.string() + "?shards=2";
+  fs::copy(fs::path(ABFTC_FIXTURE_DIR) / "log_three_shards", store,
+           fs::copy_options::recursive);
+  const std::string spec = "log:" + store.string();
+
+  const auto ids_of = [](const StorageBackend& backend) {
+    std::vector<CkptId> ids;
+    for (const SnapshotMeta& m : backend.list()) ids.push_back(m.id);
+    return ids;
+  };
+  // The chain restore takes region r from snapshot from[r].
+  const auto expect_restore = [](const StorageBackend& backend, CkptId newest,
+                                 const std::array<CkptId, 3>& from) {
+    std::array<std::vector<std::byte>, 3> got;
+    std::array<std::span<std::byte>, 3> spans;
+    for (std::size_t r = 0; r < got.size(); ++r) {
+      got[r].resize(256);
+      spans[r] = std::span(got[r]);
+    }
+    const auto restored = restore_latest_into(backend, spans);
+    ASSERT_TRUE(restored.has_value());
+    EXPECT_EQ(restored->id, newest);
+    for (std::size_t r = 0; r < got.size(); ++r)
+      EXPECT_EQ(got[r], fixture_bytes(static_cast<RegionId>(r), from[r]))
+          << "region " << r;
+  };
+
   {
     const auto backend = make_backend(spec);
-    const SnapshotBlob held = sample_blob(2, 4000, 1000);
-    auto session = backend->begin_snapshot(
-        held.meta, {held.regions[0].region, held.regions[1].region},
-        {held.regions[0].payload.size(), held.regions[1].payload.size()});
-    auto other = std::async(std::launch::async, [&] {
-      backend->write_snapshot(sample_blob(4, 5000, 1000));
-    });
-    EXPECT_EQ(other.wait_for(std::chrono::seconds(10)),
-              std::future_status::ready)
-        << "a commit waited on a shard while another shard was free";
-    for (const RegionBlob& r : held.regions) session->append(r.payload);
-    session->commit({held.regions[0].crc, held.regions[1].crc});
-    other.get();
+    EXPECT_EQ(ids_of(*backend), (std::vector<CkptId>{2, 3, 4, 5, 6}));
+    for (const CkptId id : ids_of(*backend))
+      EXPECT_NO_THROW(backend->read_snapshot(id).verify()) << id;
+    EXPECT_THROW((void)backend->read_snapshot(1), io_error);  // tombstoned
+    expect_restore(*backend, 6, {4, 6, 5});
+
+    SnapshotBlob next;
+    next.meta = SnapshotMeta{7, CkptKind::Incremental, 7.0, 0, 256};
+    next.regions.push_back(RegionBlob{0, 0, fixture_bytes(0, 7)});
+    next.regions[0].crc = common::crc32(std::span(next.regions[0].payload));
+    backend->write_snapshot(next);
   }
-  int segments = 0;
-  for (const auto& entry : fs::directory_iterator(store))
-    segments += entry.path().filename().string().starts_with("wal_") ? 1 : 0;
-  EXPECT_EQ(segments, 2);
   const auto reopened = make_backend(spec);
-  ASSERT_EQ(reopened->list().size(), 2u);
-  for (const CkptId id : {CkptId{2}, CkptId{4}})
-    EXPECT_NO_THROW(reopened->read_snapshot(id).verify());
+  EXPECT_EQ(ids_of(*reopened), (std::vector<CkptId>{2, 3, 4, 5, 6, 7}));
+  for (const CkptId id : ids_of(*reopened))
+    EXPECT_NO_THROW(reopened->read_snapshot(id).verify()) << id;
+  expect_restore(*reopened, 7, {7, 6, 5});
 }
 
 TEST(LogBackendRecovery, TruncatesExactlyTheTornSuffix) {
   TempDir tmp;
   const fs::path store = tmp.path() / "store";
-  // One shard, so both records and the torn garbage share a segment.
-  const std::string spec = "log:" + store.string() + "?shards=1";
+  const std::string spec = "log:" + store.string();
   std::uintmax_t committed_bytes = 0;
   fs::path wal;
   {
@@ -1045,7 +1048,7 @@ TEST(LogBackendRecovery, TailHeaderClaimingBytesPastTheSegmentIsTorn) {
   // serve it, and keep the store writable.
   TempDir tmp;
   const fs::path store = tmp.path() / "store";
-  const std::string spec = "log:" + store.string() + "?shards=1";
+  const std::string spec = "log:" + store.string();
   std::uintmax_t committed_bytes = 0;
   {
     const auto backend = make_backend(spec);
@@ -1075,7 +1078,7 @@ TEST(LogBackendRecovery, TailHeaderClaimingBytesPastTheSegmentIsTorn) {
 TEST(LogBackendRecovery, TruncatedTailRecordIsRejectedThenCut) {
   TempDir tmp;
   const fs::path store = tmp.path() / "store";
-  const std::string spec = "log:" + store.string() + "?shards=1";
+  const std::string spec = "log:" + store.string();
   const auto backend = make_backend(spec);
   backend->write_snapshot(sample_blob(1, 4000, 1000));
   const fs::path wal = only_segment(store);
@@ -1101,7 +1104,7 @@ TEST(LogBackendRecovery, TruncatedTailRecordIsRejectedThenCut) {
 TEST(LogBackendRecovery, CorruptTailRecordIsDiscardedAsTorn) {
   TempDir tmp;
   const fs::path store = tmp.path() / "store";
-  const std::string spec = "log:" + store.string() + "?shards=1";
+  const std::string spec = "log:" + store.string();
   std::uintmax_t after_first = 0;
   fs::path wal;
   {
@@ -1126,7 +1129,7 @@ TEST(LogBackendRecovery, CorruptTailRecordIsDiscardedAsTorn) {
 TEST(LogBackendRecovery, MidFileCorruptionKeptButRejectedAtVerify) {
   TempDir tmp;
   const fs::path store = tmp.path() / "store";
-  const std::string spec = "log:" + store.string() + "?shards=1";
+  const std::string spec = "log:" + store.string();
   {
     const auto backend = make_backend(spec);
     backend->write_snapshot(sample_blob(1, 4000, 1000));
@@ -1187,8 +1190,7 @@ TEST(FaultingBackend, TornPayloadFlipsEveryByteAcrossBouncePieces) {
 
 TEST(LogBackendFaults, TornPayloadFallsBackAndFailedCommitLeavesNothing) {
   TempDir tmp;
-  LogBackend inner((tmp.path() / "store").string(),
-                   LogBackend::Options{.shards = 2});
+  LogBackend inner((tmp.path() / "store").string());
   inner.open();
   FaultingBackend faulty(
       inner, {{1, WriteFault::TornPayload}, {2, WriteFault::FailedCommit}});
@@ -1211,8 +1213,7 @@ TEST(LogBackendFaults, TornPayloadFallsBackAndFailedCommitLeavesNothing) {
 
 TEST(LogBackendCompaction, FoldsChainToBitwiseEqualRestore) {
   TempDir tmp;
-  LogBackend backend((tmp.path() / "store").string(),
-                     LogBackend::Options{.shards = 2});
+  LogBackend backend((tmp.path() / "store").string());
   backend.open();
   CkptWriter writer(backend, WriterOptions{.chunk_bytes = 64 * 1024});
   ImageFixture f;
@@ -1249,8 +1250,7 @@ TEST(LogBackendCompaction, FoldsChainToBitwiseEqualRestore) {
   EXPECT_DOUBLE_EQ(report.from_when, 5.0);
 
   // And the folded store survives a reopen.
-  LogBackend reopened((tmp.path() / "store").string(),
-                      LogBackend::Options{.shards = 2});
+  LogBackend reopened((tmp.path() / "store").string());
   reopened.open();
   ASSERT_EQ(reopened.list().size(), 1u);
   EXPECT_NO_THROW(reopened.read_snapshot(metas[0].id).verify());
@@ -1258,8 +1258,7 @@ TEST(LogBackendCompaction, FoldsChainToBitwiseEqualRestore) {
 
 TEST(LogBackendCompaction, BoundsLiveBytesUnderDropChurn) {
   TempDir tmp;
-  LogBackend backend((tmp.path() / "store").string(),
-                     LogBackend::Options{.shards = 2});
+  LogBackend backend((tmp.path() / "store").string());
   backend.open();
   // A ckpt_every-style campaign: keep the newest full, drop the old one.
   for (CkptId id = 1; id <= 20; ++id) {
@@ -1269,52 +1268,109 @@ TEST(LogBackendCompaction, BoundsLiveBytesUnderDropChurn) {
   (void)backend.compact_now();
   ASSERT_EQ(backend.list().size(), 1u);
   // Segment bytes on disk stay within small-change of one live snapshot
-  // (frozen segment + at most per-shard headers), not twenty of them.
+  // (frozen segment + a segment header), not twenty of them.
   EXPECT_LT(backend.segment_bytes(), 3 * backend.live_bytes() + 4096);
   EXPECT_NO_THROW(backend.read_snapshot(20).verify());
 }
 
+TEST(LogBackendCompaction, FoldsPastATornIncrementalANewerOneSupersedes) {
+  // Full 1 {0,1}, a torn Incremental 2 {1}, then Incremental 3 {1}: the
+  // restore never reads 2's copy, so it pins nothing and folds away.
+  TempDir tmp;
+  LogBackend inner((tmp.path() / "store").string());
+  inner.open();
+  FaultingBackend faulty(inner, {{1, WriteFault::TornPayload}});
+  const auto incremental = [](CkptId id) {
+    SnapshotBlob blob = sample_blob(id, 4000, 1000);
+    blob.meta.kind = CkptKind::Incremental;
+    blob.meta.bytes = 1000;
+    blob.regions.erase(blob.regions.begin());
+    return blob;
+  };
+  faulty.write_snapshot(sample_blob(1, 4000, 1000));
+  faulty.write_snapshot(incremental(2));
+  faulty.write_snapshot(incremental(3));
+  ASSERT_EQ(faulty.faults_fired(), 1u);
+  EXPECT_THROW(inner.read_snapshot(2).verify(), io_error);
+
+  const auto restore = [&inner] {
+    std::pair<std::vector<std::byte>, std::vector<std::byte>> got{
+        std::vector<std::byte>(4000), std::vector<std::byte>(1000)};
+    const std::array<std::span<std::byte>, 2> spans{std::span(got.first),
+                                                    std::span(got.second)};
+    const auto restored = restore_latest_into(inner, spans);
+    EXPECT_TRUE(restored.has_value());
+    EXPECT_EQ(restored.value_or(SnapshotMeta{}).id, 3u);
+    return got;
+  };
+  const auto before = restore();
+  EXPECT_EQ(before.first, sample_blob(1, 4000, 1000).regions[0].payload);
+  EXPECT_EQ(before.second, incremental(3).regions[0].payload);
+
+  const CompactionStats stats = inner.compact_now();
+  EXPECT_EQ(stats.records_folded, 3u);
+  const auto metas = inner.list();
+  ASSERT_EQ(metas.size(), 1u);
+  EXPECT_EQ(metas[0].id, 3u);
+  EXPECT_EQ(metas[0].kind, CkptKind::Full);
+  EXPECT_NO_THROW(inner.read_snapshot(3).verify());
+  EXPECT_EQ(restore(), before);
+}
+
 TEST(LogBackendCompaction, RacingCommitterLosesNoCommittedSnapshot) {
+  // One committer writes Full + Incremental chains while background passes
+  // (every 6 commits, on a 2-worker pool) fold, drop and relocate the
+  // records behind it, and reads interleave with those relocations.
   TempDir tmp;
   common::Executor executor(2);
   LogBackend::Options opts;
-  opts.shards = 4;
-  opts.compact_every = 6;  // background passes mid-storm
+  opts.compact_every = 6;
   opts.executor = &executor;
   LogBackend backend((tmp.path() / "store").string(), opts);
   backend.open();
 
-  constexpr int kThreads = 4, kEach = 12;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int c = 0; c < kEach; ++c) {
-        const auto id = static_cast<CkptId>(t * kEach + c + 1);
-        backend.write_snapshot(sample_blob(id, 3000, 800));
-        // Interleave reads with the compactor's relocations. The read may
-        // find the record already dropped — every snapshot here is a Full,
-        // so a racing pass supersedes older ones — but a record that is
-        // still present must read back intact; any other io_error (torn
-        // frame, CRC mismatch) is a genuine loss.
-        try {
-          backend.read_snapshot(id).verify();
-        } catch (const io_error& e) {
-          EXPECT_NE(std::string(e.what()).find("unknown snapshot id"),
-                    std::string::npos)
-              << e.what();
-        }
+  std::vector<std::byte> newest0, newest1;  // newest copy of each region
+  for (CkptId id = 1; id <= 48; ++id) {
+    SnapshotBlob blob = sample_blob(id, 3000, 800);
+    if (id % 4 == 1) {
+      newest0 = blob.regions[0].payload;
+    } else {  // an Incremental of region 1 only
+      blob.meta.kind = CkptKind::Incremental;
+      blob.meta.bytes = 800;
+      blob.regions.erase(blob.regions.begin());
+    }
+    newest1 = blob.regions.back().payload;
+    backend.write_snapshot(blob);
+    // The record just committed is the newest: no pass drops it (a fold
+    // keeps the newest member's id), so it reads back intact wherever a
+    // pass moved it.
+    EXPECT_NO_THROW(backend.read_snapshot(id).verify()) << id;
+    // An older one may be gone (folded or superseded), but one that is
+    // still present must read back intact; any other io_error (torn frame,
+    // CRC mismatch) is a genuine loss.
+    if (id > 3) {
+      try {
+        backend.read_snapshot(id - 3).verify();
+      } catch (const io_error& e) {
+        EXPECT_NE(std::string(e.what()).find("unknown snapshot id"),
+                  std::string::npos)
+            << e.what();
       }
-    });
+    }
   }
-  for (std::thread& th : threads) th.join();
   backend.wait_for_compaction();
   (void)backend.compact_now();
 
-  // Compaction may drop superseded records but must keep a restorable
-  // newest; every record it kept must verify.
-  const auto best = latest_restorable(backend);
-  ASSERT_TRUE(best.has_value());
+  // Compaction may fold and drop but must keep the newest protection
+  // point, bitwise; every record it kept must verify.
+  std::vector<std::byte> got0(3000), got1(800);
+  const std::array<std::span<std::byte>, 2> spans{std::span(got0),
+                                                  std::span(got1)};
+  const auto restored = restore_latest_into(backend, spans);
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(restored->id, 48u);
+  EXPECT_EQ(got0, newest0);
+  EXPECT_EQ(got1, newest1);
   for (const SnapshotMeta& m : backend.list())
     EXPECT_NO_THROW(backend.read_snapshot(m.id).verify());
   EXPECT_GE(backend.compaction_stats().passes, 1u);
@@ -1387,6 +1443,61 @@ TEST(CompactionPlan, ConservativeWhenDamagedOrMixed) {
   EXPECT_EQ(plan.carry, (std::vector<std::uint64_t>{2, 3}));
 }
 
+TEST(CompactionPlan, FoldsPastADamagedCopyThatANewerCopySupersedes) {
+  // restore_latest_into's rule: a damaged region blocks a chain only when
+  // the damaged copy is the newest copy of that region in the chain.
+  using compact::LiveRecord;
+  const auto rec = [](std::uint64_t seq, CkptId id, CkptKind kind,
+                      std::vector<RegionId> regions,
+                      std::vector<RegionId> damaged) {
+    LiveRecord r;
+    r.seq = seq;
+    r.meta.id = id;
+    r.meta.kind = kind;
+    r.verified = damaged.empty();
+    r.regions = std::move(regions);
+    r.damaged = std::move(damaged);
+    return r;
+  };
+  // A torn Incremental whose one region a newer Incremental holds.
+  auto plan = compact::plan_compaction({
+      rec(1, 10, CkptKind::Full, {0, 1}, {}),
+      rec(2, 11, CkptKind::Full, {0, 1}, {}),
+      rec(3, 12, CkptKind::Incremental, {1}, {1}),
+      rec(4, 13, CkptKind::Incremental, {1}, {}),
+  });
+  EXPECT_EQ(plan.fold, (std::vector<std::uint64_t>{2, 3, 4}));
+  EXPECT_EQ(plan.drop, (std::vector<std::uint64_t>{1}));
+  EXPECT_TRUE(plan.carry.empty());
+
+  // The base Full's own damaged region, superseded.
+  plan = compact::plan_compaction({
+      rec(1, 10, CkptKind::Full, {0, 1}, {0}),
+      rec(2, 11, CkptKind::Incremental, {0}, {}),
+  });
+  EXPECT_EQ(plan.fold, (std::vector<std::uint64_t>{1, 2}));
+
+  // The damaged copy is the newest of its region: no chain holds.
+  plan = compact::plan_compaction({
+      rec(1, 10, CkptKind::Full, {0, 1}, {}),
+      rec(2, 11, CkptKind::Full, {0, 1}, {}),
+      rec(3, 12, CkptKind::Incremental, {1}, {}),
+      rec(4, 13, CkptKind::Incremental, {0}, {0}),
+  });
+  EXPECT_TRUE(plan.fold.empty());
+  EXPECT_TRUE(plan.drop.empty());
+  EXPECT_EQ(plan.carry.size(), 4u);
+
+  // Superseded only by another damaged copy: still blocks.
+  plan = compact::plan_compaction({
+      rec(1, 10, CkptKind::Full, {0}, {}),
+      rec(2, 11, CkptKind::Incremental, {0}, {0}),
+      rec(3, 12, CkptKind::Incremental, {0}, {0}),
+  });
+  EXPECT_TRUE(plan.fold.empty());
+  EXPECT_EQ(plan.carry.size(), 3u);
+}
+
 // --- calibrator -------------------------------------------------------------
 
 TEST(Calibrator, FitsBandwidthWithinTwoXOfMeasured) {
@@ -1456,9 +1567,9 @@ TEST(StorageResolver, RejectsMalformedSpecs) {
                common::precondition_error);
   EXPECT_THROW((void)resolver.resolve("pfs:1.5garbage"),
                common::precondition_error);
-  EXPECT_THROW((void)make_backend("log:/tmp/x?shards=abc"),
+  EXPECT_THROW((void)make_backend("log:/tmp/x?compact=abc"),
                common::precondition_error);
-  EXPECT_THROW((void)make_backend("log:/tmp/x?shards=4x"),
+  EXPECT_THROW((void)make_backend("log:/tmp/x?compact=4x"),
                common::precondition_error);
   EXPECT_THROW((void)make_backend("log:"), common::precondition_error);
   // The one-file-per-snapshot and mmap-arena stores are gone: their specs
@@ -1481,14 +1592,14 @@ TEST(StorageResolver, RejectsMalformedSpecs) {
       }
     }
   }
-  // log: takes shards, flush (exactly 0 or 1) and compact, each at most
-  // once; any other key, a repeated key, or a flush that is not 0/1 throws
-  // from both entry points before the store directory exists. committers=
-  // belongs to the resolver only.
+  // log: takes flush (exactly 0 or 1) and compact, each at most once; any
+  // other key — shards and committers included, which one committer per
+  // store retired — a repeated key, or a flush that is not 0/1 throws from
+  // both entry points before the store directory exists.
   const std::string bad_dir = (tmp.path() / "bad").string();
   for (const std::string opts :
-       {"uring=1", "shrads=2", "flush=yes", "flush=true", "flush=",
-        "shards=2&shards=4"}) {
+       {"uring=1", "shards=4", "committers=2", "shrads=2", "flush=yes",
+        "flush=true", "flush=", "compact=2&compact=4"}) {
     const std::string spec = "log:" + bad_dir + "?" + opts;
     EXPECT_THROW((void)make_backend(spec), common::precondition_error)
         << spec;
@@ -1496,37 +1607,27 @@ TEST(StorageResolver, RejectsMalformedSpecs) {
         << spec;
   }
   try {
-    (void)make_backend("log:" + bad_dir + "?shrads=2");
-    ADD_FAILURE() << "shrads=2 was accepted";
+    (void)make_backend("log:" + bad_dir + "?shards=2");
+    ADD_FAILURE() << "shards=2 was accepted";
   } catch (const common::precondition_error& e) {
     const std::string what = e.what();
-    for (const char* key : {"shrads", "shards", "flush", "compact"})
-      EXPECT_NE(what.find(key), std::string::npos) << what;
+    EXPECT_NE(what.find("unknown log option 'shards'"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("(known: flush, compact)"), std::string::npos)
+        << what;
   }
-  EXPECT_THROW((void)make_backend("log:" + bad_dir + "?committers=2"),
-               common::precondition_error);
-  EXPECT_THROW(
-      (void)resolver.resolve("log:" + bad_dir + "?committers=2,committers=4"),
-      common::precondition_error);
-  EXPECT_THROW((void)make_backend("memory?shards=2"),
+  EXPECT_THROW((void)make_backend("memory?flush=0"),
                common::precondition_error);
   EXPECT_TRUE(fs::is_empty(tmp.path()));  // nothing was created
 
   // What the CI campaign and the calibrating resolver pass still works.
   const std::string ci_spec =
-      "log:" + (tmp.path() / "ci").string() + "?shards=4&compact=6&flush=0";
+      "log:" + (tmp.path() / "ci").string() + "?compact=6&flush=0";
   {
     const auto backend = make_backend(ci_spec);
-    const auto* log = dynamic_cast<const LogBackend*>(backend.get());
-    ASSERT_NE(log, nullptr);
-    EXPECT_EQ(log->shard_count(), 4u);
+    EXPECT_NE(dynamic_cast<const LogBackend*>(backend.get()), nullptr);
   }
   EXPECT_EQ(resolver.resolve(ci_spec).name, "measured:log");
-  EXPECT_EQ(resolver
-                .resolve("log:" + (tmp.path() / "calib").string() +
-                         "?shards=4,committers=2")
-                .name,
-            "measured:log(c2)");
 }
 
 TEST(StorageResolver, CalibratesMeasuredBackends) {

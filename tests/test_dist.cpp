@@ -992,8 +992,7 @@ TEST(DistLauncher, RanksHoldNoFdOfTheCoordinator) {
   for (std::size_t cell = 0; cell < 3; ++cell) {
     const std::filesystem::path store = base / ("cell" + std::to_string(cell));
     {
-      const auto backend =
-          ckpt::io::make_backend("log:" + store.string() + "?shards=2");
+      const auto backend = ckpt::io::make_backend("log:" + store.string());
       const RunReport report = launcher.run(
           cfg, *backend, {{FaultKind::Kill, 3, cell % cfg.ranks}});
       EXPECT_TRUE(report.completed) << "cell " << cell;
@@ -1832,7 +1831,7 @@ TEST(DistCampaign, LogStorageRecoversEveryCellWithCompaction) {
       base / ("abftc_dist_log_campaign." + std::to_string(::getpid()));
   std::filesystem::remove_all(store);
   CampaignOptions options;
-  options.storage = "log:" + store.string() + "?shards=2&compact=4";
+  options.storage = "log:" + store.string() + "?compact=4";
 
   const CampaignReport report = run_campaign(cfg, spec, options);
   ASSERT_EQ(report.cells.size(), spec.cell_count());
